@@ -9,7 +9,6 @@ line entry point lives in :mod:`exchkit.cli`.
 
 from .convergence import (
     ExtractionResult,
-    FamilyTightnessResult,
     MarkovBoundResult,
     MeasureSequence,
     NoConvergenceAtTolError,
@@ -79,7 +78,6 @@ from .processes import (
     check_exchangeable,
     polya_beta_equivalence,
     prefix_law,
-    sample_path,
 )
 from .config import (
     RunReport,

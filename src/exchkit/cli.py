@@ -15,7 +15,7 @@ run without a seed. Relative output names land in ``--out-dir``, else
 ``$EXCHKIT_OUT_DIR``, else the working directory.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 spec or config error,
-3 I/O error.
+3 I/O error, 4 internal error (an unexpected exception; a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
+import traceback
 from datetime import datetime, timezone
 
 import click
@@ -62,6 +63,11 @@ def _guarded(fn):
             # library-level precondition violations are scenario errors
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except Exception as exc:
+            # never let a crash pass for a failed check (exit 1)
+            click.echo(traceback.format_exc(), err=True)
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
         sys.exit(code)
 
     return wrapper
@@ -94,7 +100,7 @@ def _emit(cfg: ScenarioConfig, merged, results, passed, started, seeds=(), heade
     return 0 if passed else 1
 
 
-def _load(command: str, config_path, **flags) -> tuple[ScenarioConfig, dict]:
+def _load(command: str, config_path, flags) -> tuple[ScenarioConfig, dict]:
     merged = merge_config(command, flags, config_path)
     return ScenarioConfig.from_strings(command, merged), merged
 
@@ -103,8 +109,8 @@ config_option = click.option(
     "--config", "config_path", default=None, help="flat key = value settings file"
 )
 out_dir_option = click.option("--out-dir", "out_dir", default=None, help="output directory")
-json_option = click.option("--json", "json_name", default=None, help="JSON report name")
-csv_option = click.option("--csv", "csv_name", default=None, help="CSV artifact name")
+json_option = click.option("--json", default=None, help="JSON report name")
+csv_option = click.option("--csv", default=None, help="CSV artifact name")
 
 
 @click.group()
@@ -123,20 +129,10 @@ def main() -> None:
 @out_dir_option
 @config_option
 @_guarded
-def cmd_simulate(gen, n, paths, seed, csv_name, json_name, out_dir, config_path):
+def cmd_simulate(config_path, **flags):
     """Sample paths; CSV columns are seed, step, value."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "simulate",
-        config_path,
-        gen=gen,
-        n=n,
-        paths=paths,
-        seed=seed,
-        csv=csv_name,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("simulate", config_path, flags)
     rows = []
     seeds = []
     for i in range(cfg.n_paths):
@@ -146,15 +142,7 @@ def cmd_simulate(gen, n, paths, seed, csv_name, json_name, out_dir, config_path)
             rows.append((path.seed_label, step, int(value)))
     results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(rows)}
     return _emit(
-        cfg,
-        merged,
-        results,
-        True,
-        started,
-        seeds=seeds,
-        header=("seed", "step", "value"),
-        rows=rows,
-        with_csv=True,
+        cfg, merged, results, True, started, seeds=seeds, header=("seed", "step", "value"), rows=rows, with_csv=True
     )
 
 
@@ -166,18 +154,10 @@ def cmd_simulate(gen, n, paths, seed, csv_name, json_name, out_dir, config_path)
 @out_dir_option
 @config_option
 @_guarded
-def cmd_check_exchangeable(gen, n, bound, json_name, out_dir, config_path):
+def cmd_check_exchangeable(config_path, **flags):
     """Exact check: the n-step law is invariant under every permutation."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "check-exchangeable",
-        config_path,
-        gen=gen,
-        n=n,
-        bound=bound,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("check-exchangeable", config_path, flags)
     res = check_exchangeable(cfg.gen, cfg.n, cfg.bound)
     click.echo(
         f"exchangeable={res.exchangeable} max_discrepancy={res.max_discrepancy}"
@@ -198,23 +178,10 @@ def cmd_check_exchangeable(gen, n, bound, json_name, out_dir, config_path):
 @out_dir_option
 @config_option
 @_guarded
-def cmd_estimate_mixing(gen, events, n_grid, paths, seed, tol, coverage, csv_name, json_name, out_dir, config_path):
+def cmd_estimate_mixing(config_path, **flags):
     """Track per-path empirical masses along the grid; compare to targets."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "estimate-mixing",
-        config_path,
-        gen=gen,
-        events=events,
-        n_grid=n_grid,
-        paths=paths,
-        seed=seed,
-        tol=tol,
-        coverage=coverage,
-        csv=csv_name,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("estimate-mixing", config_path, flags)
     per_event = []
     rows = []
     passed = True
@@ -236,15 +203,7 @@ def cmd_estimate_mixing(gen, events, n_grid, paths, seed, tol, coverage, csv_nam
     results = {"events": per_event}
     seeds = path_seed_labels(cfg.seed, cfg.n_paths)
     return _emit(
-        cfg,
-        merged,
-        results,
-        passed,
-        started,
-        seeds=seeds,
-        header=MIXING_CSV_HEADER,
-        rows=rows,
-        with_csv=True,
+        cfg, merged, results, passed, started, seeds=seeds, header=MIXING_CSV_HEADER, rows=rows, with_csv=True
     )
 
 
@@ -260,22 +219,10 @@ def cmd_estimate_mixing(gen, events, n_grid, paths, seed, tol, coverage, csv_nam
 @out_dir_option
 @config_option
 @_guarded
-def cmd_verify_rcd(gen, events, steps, paths, seed, tol, coverage, json_name, out_dir, config_path):
+def cmd_verify_rcd(config_path, **flags):
     """Check the latent kernel against per-path long-run frequencies."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "verify-rcd",
-        config_path,
-        gen=gen,
-        events=events,
-        steps=steps,
-        paths=paths,
-        seed=seed,
-        tol=tol,
-        coverage=coverage,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("verify-rcd", config_path, flags)
     kappa = cfg.gen.latent_kernel()
     if kappa is None:
         raise SpecParseError(f"generator {merged['gen']!r} has no latent kernel to verify")
@@ -305,22 +252,10 @@ def cmd_verify_rcd(gen, events, steps, paths, seed, tol, coverage, json_name, ou
 @out_dir_option
 @config_option
 @_guarded
-def cmd_construct_rcd(gen, events, n_grid, paths, seed, tol, coverage, json_name, out_dir, config_path):
+def cmd_construct_rcd(config_path, **flags):
     """Extract the directing measure path by path and verify both claims."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "construct-rcd",
-        config_path,
-        gen=gen,
-        events=events,
-        n_grid=n_grid,
-        paths=paths,
-        seed=seed,
-        tol=tol,
-        coverage=coverage,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("construct-rcd", config_path, flags)
     rep = construct_rcd_from_empiricals(
         cfg.gen,
         list(cfg.events),
@@ -344,17 +279,10 @@ def cmd_construct_rcd(gen, events, n_grid, paths, seed, tol, coverage, json_name
 @out_dir_option
 @config_option
 @_guarded
-def cmd_radon_classify(space, measure, json_name, out_dir, config_path):
+def cmd_radon_classify(config_path, **flags):
     """Certify tightness plus outer regularity on compacts, with witnesses."""
     started = time.monotonic()
-    cfg, merged = _load(
-        "radon-classify",
-        config_path,
-        space=space,
-        measure=measure,
-        json=json_name,
-        out_dir=out_dir,
-    )
+    cfg, merged = _load("radon-classify", config_path, flags)
     rep = classify_radon(cfg.measure)
     click.echo(f"tight={rep.tight} outer_regular={rep.outer_regular_on_compacts} radon={rep.radon}")
     return _emit(cfg, merged, rep.to_dict(), rep.radon, started)

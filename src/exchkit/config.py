@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -370,8 +371,12 @@ class ScenarioConfig:
                 raise SpecParseError("paths must be at least 1")
         if "seed" in raw:
             cfg.seed = _parse_int(raw["seed"], "master seed")
+            if not 0 <= cfg.seed < 2**64:
+                raise SpecParseError("seed must lie in [0, 2**64)")
         if "tol" in raw:
             cfg.tol = _parse_float(raw["tol"], "tol")
+            if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+                raise SpecParseError("tol must be finite and positive")
         if "coverage" in raw:
             cfg.coverage = _parse_float(raw["coverage"], "coverage")
             if not 0 < cfg.coverage <= 1:

@@ -21,13 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .empirical import _validate_grid
-from .kernels import indicator_array, verify_rcd
+from .kernels import binomial_band, grid_counts, rcd_verdict, validate_tol
 from .measures import (
     DEFAULT_EPS_SCHEDULE,
     ProbMeasure,
     RegularityReport,
+    TightnessResult,
     classify_radon,
     mass,
+    tightness_scan,
 )
 from .processes import PathSample, ProcessGenerator
 from .spaces import (
@@ -129,45 +131,16 @@ def a_converges(
     return worst is None, worst
 
 
-@dataclass(frozen=True)
-class FamilyTightnessResult:
-    """Per-epsilon uniform witnesses: one compact covering every sequence
-    member at once, or None where no member of the family works."""
-
-    tight: bool
-    witnesses: tuple[tuple[object, EventSet | None], ...]
-
-    def witness_for(self, eps) -> EventSet | None:
-        for e, w in self.witnesses:
-            if e == eps:
-                return w
-        raise KeyError(eps)
-
-
 def family_tight(
     seq: MeasureSequence,
     compacts: CompactFamily | None = None,
     eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
-) -> FamilyTightnessResult:
+) -> TightnessResult:
     """Uniform tightness over the whole sequence: for each epsilon, a single
     compact K with mu_n(K) > 1 - eps for ALL n."""
     if compacts is None:
         compacts = default_compact_family(seq.space)
-    if compacts.space != seq.space:
-        raise SpaceMismatchError("compact family on the wrong space")
-    if not eps_schedule:
-        raise ValueError("epsilon schedule must be non-empty")
-    witnesses = []
-    ok = True
-    for eps in eps_schedule:
-        found = None
-        for k in compacts:
-            if all(mass(mu, k) > 1 - eps for mu in seq.measures):
-                found = k
-                break
-        witnesses.append((eps, found))
-        ok = ok and found is not None
-    return FamilyTightnessResult(ok, tuple(witnesses))
+    return tightness_scan(seq.measures, seq.space, compacts, eps_schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +347,7 @@ def markov_bound_check(
     violating = 0
     for i in range(n_paths):
         path = gen.sample_path(n_steps, master_seed, path_index=i)
-        freq = float(np.mean(indicator_array(np.asarray(path.observations), event)))
+        freq = float(grid_counts(path.observations, (event,), (n_steps,))[0, 0] / n_steps)
         if freq >= eps:
             violating += 1
     frac = violating / n_paths
@@ -433,17 +406,13 @@ def uniform_smallness_check(
         raise ValueError("epsilon list must be non-empty")
     grid = _validate_grid(n_grid)
     big_n = grid[-1]
-    grid_idx = np.array(grid) - 1
     grid_arr = np.array(grid, dtype=np.float64)
 
     # max over the grid of mu_{w,n}(B_m), per path and per chain member
     sup_mass = np.zeros((n_paths, len(events)))
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
-        obs = np.asarray(path.observations)
-        for m, ev in enumerate(events):
-            c = np.cumsum(indicator_array(obs, ev).astype(np.float64))
-            sup_mass[i, m] = np.max(c[grid_idx] / grid_arr)
+        sup_mass[i] = np.max(grid_counts(path.observations, events, grid) / grid_arr, axis=1)
 
     profiles = []
     fractions = []
@@ -549,7 +518,8 @@ def construct_rcd_from_empiricals(
     final empirical mass on each requested event within tol, and (b) where
     the generator exposes a realized latent, mu_w must match the latent
     kernel within 3 binomial standard errors, and the frequency-level
-    verifier runs over the same seeds as an independent certificate.
+    verdict of :func:`verify_rcd` is taken on the same paths as an
+    independent certificate.
 
     Paths failing tightness are counted, not fatal; the run passes when the
     per-path pass fraction reaches ``coverage`` (which bounds the not-tight
@@ -562,6 +532,7 @@ def construct_rcd_from_empiricals(
     grid = _validate_grid(n_grid)
     if n_paths < 1:
         raise ValueError("need at least one path")
+    validate_tol(tol)
 
     marginal = gen.marginal()
     regularity = classify_radon(marginal, compacts=compacts, eps_schedule=eps_schedule)
@@ -576,8 +547,12 @@ def construct_rcd_from_empiricals(
     big_n = grid[-1]
     results = []
     not_tight = 0
+    latents, freqs = [], []
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
+        if kernel is not None:
+            latents.append(path.latent)
+            freqs.append(grid_counts(path.observations, events, (big_n,))[:, 0] / big_n)
         seq = empirical_sequence(path, grid)
         try:
             ext = extract_convergent_subsequence(
@@ -610,10 +585,8 @@ def construct_rcd_from_empiricals(
         if all(t is not None for t in targets):
             kgaps = []
             for ev, target in zip(events, targets):
-                se = math.sqrt(target * (1.0 - target) / big_n)
-                band = 3.0 * max(se, 1.0 / big_n)
                 kgaps.append(abs(float(mass(ext.limit, ev)) - target))
-                ok = ok and kgaps[-1] <= band
+                ok = ok and kgaps[-1] <= binomial_band(target, big_n)
             kernel_gaps = tuple(kgaps)
         results.append(
             RcdPathResult(
@@ -630,10 +603,8 @@ def construct_rcd_from_empiricals(
 
     kernel_report = None
     freq_ok = True
-    if kernel is not None and gen.realized_latent:
-        kernel_report = verify_rcd(
-            kernel, gen, events, n_paths, big_n, master_seed=master_seed, coverage=coverage
-        )
+    if kernel is not None:
+        kernel_report = rcd_verdict(kernel, events, latents, freqs, big_n, coverage=coverage)
         freq_ok = kernel_report.passed
 
     pass_fraction = sum(r.passed for r in results) / n_paths

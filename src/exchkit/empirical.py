@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import CylinderEvent, indicator_array
+from .kernels import CylinderEvent, binomial_band, grid_counts, sigma_band, validate_tol
 from .measures import EXACT, ProbMeasure, mass
 from .processes import (
     DEFAULT_ORACLE_BOUND,
@@ -80,17 +80,11 @@ class EmpiricalTrace:
     @staticmethod
     def compute(path: PathSample, events: Sequence[EventSet], n_grid: Sequence[int]) -> "EmpiricalTrace":
         grid = _validate_grid(n_grid)
-        if grid[-1] > path.length:
-            raise ValueError("grid exceeds the path length")
         if not events:
             raise ValueError("event list must be non-empty")
-        obs = np.asarray(path.observations)
-        idx = np.array(grid) - 1
-        rows = []
-        for ev in events:
-            c = np.cumsum(indicator_array(obs, ev).astype(np.float64))
-            rows.append(tuple(float(c[i]) / n for i, n in zip(idx, grid)))
-        return EmpiricalTrace(path, tuple(events), grid, tuple(rows))
+        counts = grid_counts(path.observations, events, grid)
+        rows = tuple(tuple(float(c) / n for c, n in zip(row, grid)) for row in counts)
+        return EmpiricalTrace(path, tuple(events), grid, rows)
 
 
 def estimate_directing_measure(
@@ -169,6 +163,7 @@ def _slln_run(
         raise SpaceMismatchError("event on the wrong space for the generator")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    validate_tol(tol)
     big_n = grid[-1]
 
     labels, traces, finals, targets, gaps, tols = [], [], [], [], [], []
@@ -184,8 +179,7 @@ def _slln_run(
             gaps.append(None)
             tols.append(None)
         else:
-            se = math.sqrt(t * (1.0 - t) / big_n)
-            tols.append(float(tol) if tol is not None else 3.0 * max(se, 1.0 / big_n))
+            tols.append(float(tol) if tol is not None else binomial_band(t, big_n))
             gaps.append(abs(trace[-1] - t))
 
     with_target = [(g, t) for g, t in zip(gaps, tols) if g is not None]
@@ -497,9 +491,9 @@ def df_product_identity_check(
     grid = _validate_grid(n_grid)
     if n_paths < 2:
         raise ValueError("need at least two paths for an error estimate")
+    validate_tol(tol)
     m = cyl.m
     big_n = grid[-1]
-    grid_idx = np.array(grid) - 1
     grid_arr = np.array(grid, dtype=np.float64)
 
     lhs_terms = np.zeros((n_paths, len(grid)))
@@ -509,9 +503,8 @@ def df_product_identity_check(
         obs = np.asarray(path.observations)
         e = 1.0 if conditioning.path_indicator(path) else 0.0
         prods = np.ones(len(grid))
-        for ev in cyl.events:
-            c = np.cumsum(indicator_array(obs, ev).astype(np.float64))
-            prods *= c[grid_idx] / grid_arr
+        for row in grid_counts(obs, cyl.events, grid):
+            prods *= row / grid_arr
         lhs_terms[i] = e * prods
         hit = all(cyl.events[j].contains(int(obs[j])) for j in range(m))
         rhs_terms[i] = e * (1.0 if hit else 0.0)
@@ -523,7 +516,7 @@ def df_product_identity_check(
     if tol is None:
         paired = lhs_terms[:, -1] - corr[-1] * rhs_terms
         se = float(paired.std(ddof=1)) / math.sqrt(n_paths)
-        tol = 3.0 * max(se, 1.0 / n_paths)
+        tol = sigma_band(se, n_paths)
     passed = bool(gaps[-1] <= tol)
     return DfIdentityReport(
         conditioning.label,

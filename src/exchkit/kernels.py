@@ -9,6 +9,7 @@ is the product of the per-coordinate kernel masses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -167,22 +168,39 @@ def verify_rcd(
         raise ValueError("event list must be non-empty")
     if not getattr(gen, "realized_latent", False):
         raise ValueError("generator does not expose a realized latent parameter")
-
-    per_event_gaps: list[list[float]] = [[] for _ in events]
-    per_event_tols: list[list[float]] = [[] for _ in events]
+    validate_tol(tol)
+    latents, freqs = [], []
     for i in range(n_paths):
         path = gen.sample_path(n_steps, master_seed, path_index=i)
-        obs = np.asarray(path.observations)
+        latents.append(path.latent)
+        freqs.append(grid_counts(path.observations, events, (n_steps,))[:, 0] / n_steps)
+    return rcd_verdict(kappa, events, latents, freqs, n_steps, tol, coverage)
+
+
+def rcd_verdict(
+    kappa: MarkovKernel,
+    events: Sequence[EventSet],
+    latents: Sequence,
+    freqs: Sequence[Sequence[float]],
+    n_steps: int,
+    tol: float | None = None,
+    coverage: float = 0.95,
+) -> RcdReport:
+    """The verdict of :func:`verify_rcd` over already sampled paths:
+    ``freqs[i][k]`` is path i's frequency of ``events[k]`` after ``n_steps``
+    draws and ``latents[i]`` its realized latent parameter."""
+    per_event_gaps: list[list[float]] = [[] for _ in events]
+    per_event_tols: list[list[float]] = [[] for _ in events]
+    for latent, row in zip(latents, freqs):
         for k, ev in enumerate(events):
-            target = float(kernel_mass(kappa, path.latent, ev))
-            freq = float(np.mean(indicator_array(obs, ev)))
-            per_event_gaps[k].append(abs(freq - target))
+            target = float(kernel_mass(kappa, latent, ev))
+            per_event_gaps[k].append(abs(float(row[k]) - target))
             if tol is None:
-                se = (target * (1.0 - target) / n_steps) ** 0.5
-                per_event_tols[k].append(3.0 * max(se, 1.0 / n_steps))
+                per_event_tols[k].append(binomial_band(target, n_steps))
             else:
                 per_event_tols[k].append(float(tol))
 
+    n_paths = len(latents)
     results = []
     all_ok = True
     for k, ev in enumerate(events):
@@ -195,8 +213,46 @@ def verify_rcd(
     return RcdReport(n_paths, n_steps, coverage, tuple(results), all_ok)
 
 
+def sigma_band(se: float, n: int) -> float:
+    """The default pass band: 3 standard errors, floored at 3/n so a
+    zero-variance estimate still gets one count of slack."""
+    return 3.0 * max(se, 1.0 / n)
+
+
+def binomial_band(p: float, n: int) -> float:
+    """:func:`sigma_band` of a frequency over n draws with success mass p."""
+    return sigma_band(math.sqrt(p * (1.0 - p) / n), n)
+
+
+def validate_tol(tol) -> None:
+    """A tolerance override must be finite and positive; None keeps the band."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def indicator_array(obs: np.ndarray, event: EventSet) -> np.ndarray:
     """Boolean membership of each observation in the event."""
     if event.cofinite:
         return ~np.isin(obs, sorted(event.indices))
     return np.isin(obs, sorted(event.indices))
+
+
+def grid_counts(obs, events: Sequence[EventSet], grid: Sequence[int]) -> np.ndarray:
+    """E x G integer array: how many of the first ``grid[g]`` observations
+    fall in ``events[e]``.
+
+    ``grid`` must be strictly increasing and positive; draws past ``grid[-1]``
+    are ignored. Hits are counted segment by segment between grid points and
+    accumulated, so the only path-length temporary is one boolean array per
+    event.
+    """
+    if grid[-1] > len(obs):
+        raise ValueError("grid exceeds the path length")
+    obs = np.asarray(obs)[: grid[-1]]
+    bounds = (0, *grid)
+    counts = np.empty((len(events), len(grid)), dtype=np.int64)
+    for e, ev in enumerate(events):
+        hits = indicator_array(obs, ev)
+        segments = [np.count_nonzero(hits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        np.cumsum(segments, out=counts[e])
+    return counts

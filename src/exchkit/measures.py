@@ -27,7 +27,6 @@ from .spaces import (
     EventSet,
     SpaceDescriptor,
     SpaceMismatchError,
-    complement,
     default_compact_family,
     event_spec,
 )
@@ -233,25 +232,30 @@ class TightnessResult:
         raise KeyError(eps)
 
 
-def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
-    """Scan the compact family for a witness mu(K) > 1 - eps per epsilon."""
+def tightness_scan(
+    measures: Sequence[ProbMeasure],
+    space: SpaceDescriptor,
+    compacts: CompactFamily,
+    epsilons: Sequence,
+) -> TightnessResult:
+    """Per epsilon, the first compact K with mu(K) > 1 - eps for EVERY listed
+    measure (a uniform witness), or None where no family member works."""
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
     if any(e <= 0 for e in epsilons):
         raise ValueError("epsilons must be positive")
-    if compacts.space != mu.space:
+    if compacts.space != space:
         raise SpaceMismatchError("compact family on wrong space")
     witnesses = []
-    ok = True
     for eps in epsilons:
-        found = None
-        for k in compacts:
-            if mass(mu, k) > 1 - eps:
-                found = k
-                break
+        found = next((k for k in compacts if all(mass(mu, k) > 1 - eps for mu in measures)), None)
         witnesses.append((eps, found))
-        ok = ok and found is not None
-    return TightnessResult(ok, tuple(witnesses))
+    return TightnessResult(all(w is not None for _, w in witnesses), tuple(witnesses))
+
+
+def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
+    """Scan the compact family for a witness mu(K) > 1 - eps per epsilon."""
+    return tightness_scan((mu,), mu.space, compacts, epsilons)
 
 
 def is_outer_regular_on(
@@ -348,8 +352,3 @@ def classify_radon(
         outer_witnesses=tuple(outer_witnesses),
         radon=tight_res.tight and outer_ok,
     )
-
-
-def marginal_complement_mass(mu: ProbMeasure, event: EventSet):
-    """Convenience: mass of the complement, computed through `complement`."""
-    return mass(mu, complement(event))

@@ -456,10 +456,6 @@ class MarkovChainProcess(ProcessGenerator):
 # ---------------------------------------------------------------------------
 # the spec operations
 
-def sample_path(gen: ProcessGenerator, n: int, master_seed: int, path_index: int = 0) -> PathSample:
-    return gen.sample_path(n, master_seed, path_index)
-
-
 def ensure_oracle_domain(gen: ProcessGenerator, n: int, bound: int) -> None:
     if gen.space.num_cells is None:
         raise ValueError("exact prefix law requires a finite state space")

@@ -70,14 +70,6 @@ class SpaceDescriptor:
             return f"[{Fraction(j, d)},{Fraction(j + 1, d)})"
         return str(j)
 
-    def cells(self) -> Iterator[int]:
-        """Iterate cell indices; infinite for the countable space."""
-        n = self.num_cells
-        j = 0
-        while n is None or j < n:
-            yield j
-            j += 1
-
 
 def finite(k: int) -> SpaceDescriptor:
     return SpaceDescriptor(FINITE, k)
@@ -251,8 +243,8 @@ def default_compact_family(space: SpaceDescriptor, max_members: int = 64) -> Com
 class ClosedFamily:
     """A finite checklist of events designated closed.
 
-    The listed family is closed under finite unions and intersections; the
-    ``closure`` constructor enforces this by saturating a seed list.
+    The listed family must be closed under finite unions and intersections;
+    construction checks every pair unless the builder vouches for it.
     """
 
     space: SpaceDescriptor
@@ -271,41 +263,11 @@ class ClosedFamily:
                         "closed family not closed under finite union/intersection"
                     )
 
-    @staticmethod
-    def closure(
-        space: SpaceDescriptor, seeds: Iterable[EventSet], max_size: int = 4096
-    ) -> "ClosedFamily":
-        """Saturate seed events under pairwise union and intersection.
-
-        Saturation can be exponential in the seed count; the size cap keeps
-        the family desk-scale and fails loudly otherwise.
-        """
-        current: set[EventSet] = set(seeds)
-        while True:
-            fresh: set[EventSet] = set()
-            for a, b in combinations(sorted(current, key=_event_sort_key), 2):
-                for ev in (a.union(b), a.intersection(b)):
-                    if ev not in current:
-                        fresh.add(ev)
-            if not fresh:
-                break
-            current |= fresh
-            if len(current) > max_size:
-                raise ValueError(
-                    f"closure exceeded {max_size} events; pick smaller seeds"
-                )
-        members = tuple(sorted(current, key=_event_sort_key))
-        return ClosedFamily(space, members, _validated=True)
-
     def __iter__(self) -> Iterator[EventSet]:
         return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _event_sort_key(ev: EventSet):
-    return (ev.cofinite, len(ev.indices), tuple(sorted(ev.indices)))
 
 
 def event_spec(ev: EventSet | None) -> str | None:

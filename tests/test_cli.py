@@ -63,6 +63,18 @@ def test_simulate_reruns_byte_identically(tmp_path):
     assert stable_lines(json_a) == stable_lines(json_b)
 
 
+def test_json_and_csv_flags_name_the_artifacts(tmp_path):
+    res = run_cli(
+        "simulate", "--gen", "iid:bern:1/2", "--n", "4", "--paths", "1", "--seed", "0",
+        "--json", "run.json", "--csv", "rows.csv", "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert doc["config"]["json"] == "run.json"
+    assert doc["config"]["csv"] == "rows.csv"
+    assert (tmp_path / "rows.csv").read_text().startswith("seed,step,value")
+
+
 def test_report_keeps_volatile_fields_on_final_lines(tmp_path):
     run_cli(
         "simulate", "--gen", "iid:bern:1/2", "--n", "5", "--paths", "1",
@@ -113,6 +125,57 @@ def test_exit_code_one_on_failed_check(tmp_path):
     assert "check-exchangeable: FAIL" in res.output
     doc = json.loads((tmp_path / "check-exchangeable.json").read_text())
     assert doc["passed"] is False
+
+
+TOL_COMMANDS = {
+    "verify-rcd": ("--gen", "mixture:grid(1/4,3/4):bern", "--steps", "50"),
+    "estimate-mixing": ("--gen", "mixture:grid(1/4,3/4):bern", "--n-grid", "10,50"),
+    "construct-rcd": ("--gen", "mixture:grid(1/4,3/4):bern", "--n-grid", "10,50"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_exit_code_two_on_infinite_tol(tmp_path, command):
+    # an infinite budget would pass every path: a spec error, not a PASS
+    res = run_cli(
+        command, *TOL_COMMANDS[command], "--events", "cells:1", "--paths", "2",
+        "--seed", "0", "--tol", "inf", "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "tol must be finite and positive" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_exit_code_two_on_nan_tol(tmp_path):
+    res = run_cli("verify-rcd", *TOL_COMMANDS["verify-rcd"], "--events", "cells:1",
+                  "--seed", "0", "--tol", "nan", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "tol must be finite and positive" in res.stderr
+
+
+def test_exit_code_two_on_negative_tol(tmp_path):
+    res = run_cli("estimate-mixing", *TOL_COMMANDS["estimate-mixing"], "--events", "cells:1",
+                  "--seed", "0", "--tol", "-1", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "tol must be finite and positive" in res.stderr
+
+
+def test_exit_code_two_on_seed_past_64_bits(tmp_path):
+    res = run_cli("simulate", "--gen", "iid:bern:1/2", "--n", "5",
+                  "--seed", "100000000000000000000000", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "seed must lie in [0, 2**64)" in res.stderr
+
+
+def test_exit_code_four_on_internal_error(tmp_path, monkeypatch):
+    # an unexpected exception is a crash (4), never a failed check (1)
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("exchkit.cli.check_exchangeable", crash)
+    res = run_cli("check-exchangeable", "--gen", "polya:2,1", "--n", "3", "--out-dir", str(tmp_path))
+    assert res.exit_code == 4
+    assert "internal error: RuntimeError: boom" in res.stderr
 
 
 def test_check_exchangeable_passes_on_urn(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchkit import EventSet, ProbMeasure, countable, finite, mass
+from exchkit import EventSet, ProbMeasure, countable, default_compact_family, finite, is_tight, mass
 from exchkit.convergence import (
     MeasureSequence,
     NoConvergenceAtTolError,
@@ -21,7 +21,7 @@ from exchkit.convergence import (
     markov_bound_check,
     uniform_smallness_check,
 )
-from exchkit.kernels import geometric_kernel
+from exchkit.kernels import geometric_kernel, verify_rcd
 from exchkit.processes import (
     GridMixtureProcess,
     IIDProcess,
@@ -171,6 +171,15 @@ def test_family_tight_oracles():
     assert event_spec(witness0) == "cells:0,1,2,3,4,5,6,7,8,9"
 
 
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(sum))
+def test_family_tight_of_one_measure_is_is_tight(raw):
+    # the uniform witness over a one-member sequence is the single measure's
+    mu = ProbMeasure(NN, {j: F(w, sum(raw)) for j, w in enumerate(raw) if w})
+    eps = [F(1, 2**k) for k in range(1, 6)]
+    compacts = default_compact_family(NN, max_members=4)
+    assert family_tight(MeasureSequence(NN, (mu,)), compacts, eps) == is_tight(mu, compacts, eps)
+
+
 def test_family_tight_finite_space_is_trivial():
     res = family_tight(alternating())
     assert res.tight
@@ -271,6 +280,22 @@ def test_construct_rcd_geometric_mixture():
     assert rep.not_tight_fraction == 0.0
     assert rep.kernel_report is not None and rep.kernel_report.passed
     assert all(p.status in ("ok", "no_convergence", "not_tight") for p in rep.paths)
+
+
+def test_construct_rcd_kernel_report_equals_standalone_verify_rcd():
+    # the certificate is judged on the construction's own paths; a second,
+    # independent sampling pass over the same seeds must agree field for field
+    gen = geom_mixture()
+    events = [EventSet.initial_segment(NN, 1), tail(3)]
+    rep = construct_rcd_from_empiricals(gen, events, n_grid=(100, 500, 1000, 2000), n_paths=12, master_seed=5)
+    alone = verify_rcd(gen.latent_kernel(), gen, events, n_paths=12, n_steps=2000, master_seed=5)
+    assert rep.kernel_report == alone
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.5, 0])
+def test_construct_rcd_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        construct_rcd_from_empiricals(geom_mixture(), [tail(1)], n_grid=(10, 50), n_paths=2, tol=tol)
 
 
 def test_construct_rcd_degenerate_iid():

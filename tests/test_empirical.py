@@ -488,6 +488,14 @@ def test_slln_input_validation():
         slln_exchangeable_check(gen, ONES, n_grid=(0, 10), n_paths=4)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_mc_checks_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        slln_exchangeable_check(mixture(), ONES, n_grid=(10, 100), n_paths=4, tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        df_product_identity_check(coin(F(1, 2)), CylinderEvent((ONES,)), n_grid=(10,), n_paths=4, tol=tol)
+
+
 def test_convergence_report_to_dict_and_validation():
     rep = slln_exchangeable_check(mixture(), ONES, n_grid=(10, 100), n_paths=5, master_seed=0)
     d = rep.to_dict()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exchkit import (
     BetaBernoulliProcess,
@@ -21,6 +23,7 @@ from exchkit.kernels import (
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,
+    grid_counts,
     indicator_array,
     kernel_mass,
     product_cylinder_mass,
@@ -108,6 +111,41 @@ def test_indicator_array_both_representations():
     assert indicator_array(obs, cof).tolist() == [False, True, False, True]
 
 
+@st.composite
+def counting_cases(draw):
+    """A path, events on its space (cofinite ones on the countable space), and
+    an increasing grid that may stop short of the path's end."""
+    space = draw(st.sampled_from([finite(2), finite(5), countable()]))
+    top = 7 if space.num_cells is None else space.num_cells - 1
+    obs = np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=300)), dtype=np.int64)
+    cells = st.frozensets(st.integers(0, top), max_size=4)
+    if space.is_countable:
+        event = st.builds(EventSet, st.just(space), cells, st.booleans())
+    else:
+        event = st.builds(EventSet.of, st.just(space), cells)
+    events = draw(st.lists(event, min_size=1, max_size=4))
+    grid = sorted(draw(st.sets(st.integers(1, len(obs)), min_size=1, max_size=6)))
+    return obs, events, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(counting_cases())
+def test_grid_counts_matches_per_event_cumsum(case):
+    obs, events, grid = case
+    # the per-event route grid_counts replaced, kept as the oracle
+    idx = np.array(grid) - 1
+    oracle = [np.cumsum(indicator_array(obs, ev).astype(np.float64))[idx] for ev in events]
+    counts = grid_counts(obs, events, grid)
+    assert counts.shape == (len(events), len(grid))
+    assert counts.dtype.kind == "i"
+    assert np.array_equal(counts, np.array(oracle))
+
+
+def test_grid_counts_rejects_a_grid_past_the_path():
+    with pytest.raises(ValueError, match="exceeds the path length"):
+        grid_counts(np.array([0, 1]), [EventSet.of(finite(2), [1])], (1, 3))
+
+
 # -- the Monte Carlo verifier --------------------------------------------------
 
 
@@ -139,6 +177,14 @@ def test_verify_rcd_needs_events():
     gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
     with pytest.raises(ValueError):
         verify_rcd(gen.latent_kernel(), gen, [], n_paths=5, n_steps=10)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_verify_rcd_rejects_bad_tolerance(tol):
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    events = [EventSet.of(finite(2), [1])]
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_rcd(gen.latent_kernel(), gen, events, n_paths=5, n_steps=10, tol=tol)
 
 
 def test_verify_rcd_iid_degenerate_case():

@@ -207,24 +207,6 @@ def test_closed_family_detects_missing_union():
         ClosedFamily(space, (EventSet.of(space, [0]), EventSet.of(space, [1])))
 
 
-def test_closure_saturates_overlapping_pairs():
-    space = finite(4)
-    fam = ClosedFamily.closure(
-        space, [EventSet.of(space, [0, 1]), EventSet.of(space, [1, 2])]
-    )
-    members = set(fam.members)
-    assert EventSet.of(space, [1]) in members
-    assert EventSet.of(space, [0, 1, 2]) in members
-    assert len(members) == 4
-
-
-def test_closure_size_guard():
-    space = finite(6)
-    seeds = [EventSet.of(space, [j]) for j in range(6)]
-    with pytest.raises(ValueError):
-        ClosedFamily.closure(space, seeds, max_size=20)
-
-
 def test_default_closed_family_small_space_is_everything():
     fam = default_closed_family(finite(3))
     assert len(fam) == 8
