@@ -137,9 +137,10 @@ def cmd_simulate(config_path, **flags):
     seeds = []
     for i in range(cfg.n_paths):
         path = cfg.gen.sample_path(cfg.n, cfg.seed, path_index=i)
-        seeds.append(path.seed_label)
+        label = path.seed_label  # one string shared by the path's rows
+        seeds.append(label)
         for step, value in enumerate(path.observations, start=1):
-            rows.append((path.seed_label, step, int(value)))
+            rows.append((label, step, int(value)))
     results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(rows)}
     return _emit(
         cfg, merged, results, True, started, seeds=seeds, header=("seed", "step", "value"), rows=rows, with_csv=True

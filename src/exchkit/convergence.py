@@ -255,15 +255,8 @@ def extract_convergent_subsequence(
 
     min_eps = min(e for e, _ in ft.witnesses)
     witness = next(w for e, w in ft.witnesses if e == min_eps)
-    if witness.cofinite:
-        # cofinite witnesses exist only on sized spaces; enumerate directly
-        cells = [j for j in range(seq.space.num_cells) if witness.contains(j)]
-    else:
-        cells = sorted(witness.indices)
-
-    cell_values = {
-        c: [mass(mu, EventSet.of(seq.space, (c,))) for mu in seq.measures] for c in cells
-    }
+    cells = sorted(witness.indices)
+    cell_values = {c: [mu.atom_mass(c) for mu in seq.measures] for c in cells}
     positions = list(range(len(seq)))
     for c in cells:
         positions = _refine_positions(positions, cell_values[c], tol)
@@ -272,7 +265,7 @@ def extract_convergent_subsequence(
 
     last = positions[-1]
     raw = {c: cell_values[c][last] for c in cells}
-    total = sum(raw.values())
+    total = sum(raw.values(), Fraction(0))  # a Fraction start keeps integer weights exact
     if total <= 0:
         raise NoConvergenceAtTolError("all witness cells carry zero mass at the limit")
     limit = ProbMeasure(seq.space, {c: w / total for c, w in raw.items() if w > 0})
@@ -288,9 +281,10 @@ def extract_convergent_subsequence(
     for f in closed:
         limsup = max(mass(mu, f) for mu in tail)
         head_max = max(mass(mu, f) for mu in head)
-        ok = limsup <= mass(limit, f) + tol
+        limit_mass = mass(limit, f)
+        ok = limsup <= limit_mass + tol
         certs.append(
-            ClosedSetCertificate(f, float(limsup), float(mass(limit, f)), float(head_max - limsup), ok)
+            ClosedSetCertificate(f, float(limsup), float(limit_mass), float(head_max - limsup), ok)
         )
         all_ok = all_ok and ok
     return ExtractionResult(
@@ -341,6 +335,8 @@ def markov_bound_check(
     """
     if event.space != gen.space:
         raise SpaceMismatchError("event on the wrong space")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
         raise ValueError(f"marginal mass {marginal} exceeds eps^2 = {eps * eps}")
@@ -404,6 +400,8 @@ def uniform_smallness_check(
             raise ValueError("event chain must be inclusion-decreasing")
     if not eps_list:
         raise ValueError("epsilon list must be non-empty")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     grid = _validate_grid(n_grid)
     big_n = grid[-1]
     grid_arr = np.array(grid, dtype=np.float64)
@@ -478,9 +476,6 @@ class RcdConstructionReport:
     pass_fraction: float
     kernel_report: object | None  # RcdReport when a latent kernel exists
     passed: bool
-
-    def measure_for(self, path_index: int) -> ProbMeasure | None:
-        return self.paths[path_index].limit
 
     def to_dict(self) -> dict:
         return {
@@ -570,24 +565,17 @@ def construct_rcd_from_empiricals(
             )
             continue
 
-        witness = None
-        for _eps, w in reversed(ext.tight_witnesses):
-            if w is not None:
-                witness = w
-                break
+        # extraction raised NotTightError unless every eps has a witness
+        witness = ext.tight_witnesses[-1][1]
         final = seq[len(seq) - 1]
-        event_gaps = tuple(
-            abs(float(mass(ext.limit, ev)) - float(mass(final, ev))) for ev in events
-        )
+        limit_masses = [float(mass(ext.limit, ev)) for ev in events]
+        event_gaps = tuple(abs(m - float(mass(final, ev))) for m, ev in zip(limit_masses, events))
         ok = all(g <= tol for g in event_gaps)
         kernel_gaps = ()
         targets = [gen.path_target(path, ev) for ev in events]
         if all(t is not None for t in targets):
-            kgaps = []
-            for ev, target in zip(events, targets):
-                kgaps.append(abs(float(mass(ext.limit, ev)) - target))
-                ok = ok and kgaps[-1] <= binomial_band(target, big_n)
-            kernel_gaps = tuple(kgaps)
+            kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
+            ok = ok and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))
         results.append(
             RcdPathResult(
                 path.seed_label,

@@ -494,6 +494,8 @@ def df_product_identity_check(
     validate_tol(tol)
     m = cyl.m
     big_n = grid[-1]
+    if m > big_n:
+        raise ValueError("cylinder has more coordinates than the largest grid point")
     grid_arr = np.array(grid, dtype=np.float64)
 
     lhs_terms = np.zeros((n_paths, len(grid)))

@@ -168,6 +168,8 @@ def verify_rcd(
         raise ValueError("event list must be non-empty")
     if not getattr(gen, "realized_latent", False):
         raise ValueError("generator does not expose a realized latent parameter")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     validate_tol(tol)
     latents, freqs = [], []
     for i in range(n_paths):

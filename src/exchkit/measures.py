@@ -22,7 +22,6 @@ from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from .spaces import (
-    ClosedFamily,
     CompactFamily,
     EventSet,
     SpaceDescriptor,
@@ -91,7 +90,7 @@ class ProbMeasure:
         if self.mode == EXACT:
             if total != 1:
                 raise ValueError(f"total mass {total} != 1")
-        elif abs(total - 1) > FLOAT_MASS_TOL:
+        elif not abs(total - 1) <= FLOAT_MASS_TOL:  # written so a NaN total fails
             raise ValueError(f"total mass {total} not within {FLOAT_MASS_TOL} of 1")
 
         self.space = space
@@ -242,13 +241,14 @@ def tightness_scan(
     measure (a uniform witness), or None where no family member works."""
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
-    if any(e <= 0 for e in epsilons):
+    if not all(e > 0 for e in epsilons):  # rejects NaN as well
         raise ValueError("epsilons must be positive")
     if compacts.space != space:
         raise SpaceMismatchError("compact family on wrong space")
     witnesses = []
     for eps in epsilons:
-        found = next((k for k in compacts if all(mass(mu, k) > 1 - eps for mu in measures)), None)
+        floor = 1 - eps
+        found = next((k for k in compacts if all(mass(mu, k) > floor for mu in measures)), None)
         witnesses.append((eps, found))
     return TightnessResult(all(w is not None for _, w in witnesses), tuple(witnesses))
 
@@ -262,19 +262,23 @@ def is_outer_regular_on(
     mu: ProbMeasure,
     target: EventSet,
     opens: Sequence[EventSet],
-    eps,
-) -> tuple[bool, EventSet | None]:
-    """True iff some open superset O of target has mu(O) <= mu(target) + eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    epsilons: Sequence,
+) -> tuple[tuple[object, EventSet | None], ...]:
+    """Per epsilon, the first open superset O of target with
+    mu(O) <= mu(target) + eps, or None where no candidate works."""
+    if not epsilons:
+        raise ValueError("epsilon list must be non-empty")
+    if not all(e > 0 for e in epsilons):  # rejects NaN as well
+        raise ValueError("epsilons must be positive")
     for o in opens:
         if not target.is_subset(o):
             raise ValueError("candidate open set does not contain the target")
-    bound = mass(mu, target) + eps
-    for o in opens:
-        if mass(mu, o) <= bound:
-            return True, o
-    return False, None
+    base = mass(mu, target)
+    masses = [mass(mu, o) for o in opens]
+    return tuple(
+        (eps, next((o for o, m in zip(opens, masses) if m <= base + eps), None))
+        for eps in epsilons
+    )
 
 
 @dataclass(frozen=True)
@@ -314,15 +318,13 @@ def classify_radon(
     mu: ProbMeasure,
     compacts: CompactFamily | None = None,
     eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
-    opens_for: ClosedFamily | None = None,
 ) -> RegularityReport:
     """Certify Radon-ness as tightness plus outer regularity on compacts.
 
-    The default open-superset candidates for a compact K are K itself and the
-    full space: in the discrete convention every event is open, and on the
-    dyadic space the only default compact is the full space, so the candidate
-    list is honest for every supported kind. ``opens_for`` may supply extra
-    candidates (any family member containing K is tried).
+    The open-superset candidates for a compact K are K itself and the full
+    space: in the discrete convention every event is open, and on the dyadic
+    space the only default compact is the full space, so the candidate list
+    is honest for every supported kind.
     """
     if not eps_schedule:
         raise ValueError("eps schedule must be non-empty")
@@ -332,23 +334,18 @@ def classify_radon(
         compacts = default_compact_family(mu.space)
 
     tight_res = is_tight(mu, compacts, eps_schedule)
-
-    outer_ok = True
-    outer_witnesses = []
     full = EventSet.full(mu.space)
-    for k in compacts:
-        candidates = [k, full]
-        if opens_for is not None:
-            candidates.extend(o for o in opens_for if k.is_subset(o))
-        for eps in eps_schedule:
-            ok, wit = is_outer_regular_on(mu, k, candidates, eps)
-            outer_witnesses.append((k, eps, wit))
-            outer_ok = outer_ok and ok
+    outer_witnesses = tuple(
+        (k, eps, wit)
+        for k in compacts
+        for eps, wit in is_outer_regular_on(mu, k, (k, full), eps_schedule)
+    )
+    outer_ok = all(wit is not None for _, _, wit in outer_witnesses)
 
     return RegularityReport(
         tight=tight_res.tight,
         tight_witnesses=tight_res.witnesses,
         outer_regular_on_compacts=outer_ok,
-        outer_witnesses=tuple(outer_witnesses),
+        outer_witnesses=outer_witnesses,
         radon=tight_res.tight and outer_ok,
     )

@@ -169,9 +169,6 @@ class EventSet:
     def intersection(self, other: "EventSet") -> "EventSet":
         return complement(complement(self).union(complement(other)))
 
-    def difference(self, other: "EventSet") -> "EventSet":
-        return self.intersection(complement(other))
-
 
 def _same_space(a, b) -> None:
     if a.space != b.space:

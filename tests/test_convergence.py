@@ -117,6 +117,13 @@ def test_extraction_picks_constant_subsequence_from_alternating_deltas():
     assert all(a < b for a, b in zip(res.indices, res.indices[1:]))
 
 
+def test_extraction_limit_stays_exact_for_integer_weights():
+    # a one-cell witness whose weight is the int 1 must not turn the limit float
+    seq = MeasureSequence(NN, tuple(ProbMeasure(NN, {0: 1}) for _ in range(6)))
+    res = extract_convergent_subsequence(seq)
+    assert res.limit.mode == "exact" and res.limit.atom_mass(0) == 1
+
+
 def test_extraction_result_repasses_independent_check():
     seq = alternating()
     res = extract_convergent_subsequence(seq)
@@ -221,6 +228,21 @@ def test_markov_bound_rejects_wrong_space():
     gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
     with pytest.raises(SpaceMismatchError):
         markov_bound_check(gen, EventSet.of(finite(3), [1]), F(1, 10), n_paths=10, n_steps=10)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: markov_bound_check(IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100))), ONES, F(1, 10), n, 10),
+        lambda n: uniform_smallness_check(geom_mixture(), [tail(2)], [F(1, 4)], (10,), n),
+        lambda n: verify_rcd(geometric_kernel(NN), geom_mixture(), [tail(2)], n, 10),
+    ],
+    ids=["markov_bound_check", "uniform_smallness_check", "verify_rcd"],
+)
+def test_path_checks_need_at_least_one_path(run):
+    # zero paths used to end in a ZeroDivisionError
+    with pytest.raises(ValueError, match="need at least one path"):
+        run(0)
 
 
 # ---------------------------------------------------------------- uniform smallness

@@ -229,6 +229,14 @@ def test_exact_identity_rejects_oversized_cylinder():
         df_product_identity_exact(PolyaUrnProcess(1, 1), CylinderEvent((ONES, ONES, ONES)), 2)
 
 
+@pytest.mark.parametrize("first", [ONES, EventSet.of(B2, [])])
+def test_mc_identity_rejects_cylinder_longer_than_the_grid(first):
+    # the paths hold grid[-1] = 2 draws; a miss on the first coordinate
+    # used to hide the overrun behind passed=True with zero gaps
+    with pytest.raises(ValueError, match="more coordinates than the largest grid point"):
+        df_product_identity_check(coin(F(1, 2)), CylinderEvent((first, ONES, ONES)), n_grid=(1, 2), n_paths=4)
+
+
 def test_exact_identity_rejects_non_exchangeable_generator():
     chain = MarkovChainProcess(
         ProbMeasure.bernoulli(B2, F(1, 2)),

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import exchkit.measures
 from exchkit import (
+    DEFAULT_EPS_SCHEDULE,
     EventSet,
     ProbMeasure,
+    RegularityReport,
     classify_radon,
     complement,
     countable,
@@ -22,6 +25,7 @@ from exchkit import (
     is_tight,
     mass,
     mix_measures,
+    parse_generator,
     tv_distance,
 )
 from exchkit.measures import GeometricComponent
@@ -53,6 +57,19 @@ def test_superprobability_rejected_too():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative"):
         ProbMeasure(finite(2), {0: F(3, 2), 1: F(-1, 2)})
+
+
+def test_nan_weight_and_nan_epsilon_are_rejected():
+    nan = float("nan")
+    # every comparison with NaN is false, so these once passed silently
+    with pytest.raises(ValueError, match="total mass"):
+        ProbMeasure(finite(2), {0: nan, 1: 1.0})
+    mu = ProbMeasure.uniform(finite(2))
+    full = EventSet.full(finite(2))
+    with pytest.raises(ValueError, match="positive"):
+        is_tight(mu, default_compact_family(finite(2)), [F(1, 2), nan])
+    with pytest.raises(ValueError, match="positive"):
+        is_outer_regular_on(mu, full, [full], [nan])
 
 
 def test_float_weights_within_tolerance_accepted():
@@ -203,17 +220,113 @@ def test_outer_regularity_threshold_on_dyadic():
     target = EventSet.of(space, [0, 1])
     opens = [EventSet.full(space)]
     # only candidate has mass 1 = mu(target) + 1/2
-    ok_wide, wit = is_outer_regular_on(mu, target, opens, F(1, 2))
-    ok_narrow, none_wit = is_outer_regular_on(mu, target, opens, F(1, 4))
-    assert ok_wide and wit.is_full
-    assert not ok_narrow and none_wit is None
+    (wide, wit), (narrow, none_wit) = is_outer_regular_on(mu, target, opens, (F(1, 2), F(1, 4)))
+    assert wide == F(1, 2) and wit.is_full
+    assert narrow == F(1, 4) and none_wit is None
 
 
 def test_outer_regularity_rejects_non_superset_candidates():
     space = finite(3)
     mu = ProbMeasure.uniform(space)
     with pytest.raises(ValueError):
-        is_outer_regular_on(mu, EventSet.of(space, [0, 1]), [EventSet.of(space, [0])], F(1, 2))
+        is_outer_regular_on(mu, EventSet.of(space, [0, 1]), [EventSet.of(space, [0])], (F(1, 2),))
+
+
+def _outer_regular_per_eps(mu, target, opens, eps):
+    """The one-epsilon check that the schedule form replaced, kept as its oracle."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for o in opens:
+        if not target.is_subset(o):
+            raise ValueError("candidate open set does not contain the target")
+    bound = mass(mu, target) + eps
+    for o in opens:
+        if mass(mu, o) <= bound:
+            return True, o
+    return False, None
+
+
+@st.composite
+def outer_regularity_cases(draw):
+    """A measure (exact or float, finite(6) or countable), a target event, a
+    shuffled list of its supersets and a decreasing epsilon schedule."""
+    on_countable = draw(st.booleans())
+    space = countable() if on_countable else finite(6)
+    raw = draw(st.lists(st.integers(0, 9), min_size=6, max_size=6))
+    geom = draw(st.integers(1, 9)) if on_countable else 0
+    total = sum(raw) + geom
+    if total == 0:
+        raw[0] = total = 1
+    weights = {j: F(r, total) for j, r in enumerate(raw)}
+    comps = [GeometricComponent(F(geom, total), draw(st.sampled_from([F(1, 2), F(1, 5), F(9, 10)])))] if geom else []
+    if draw(st.booleans()):
+        weights = {j: float(w) for j, w in weights.items()}
+        comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
+    mu = ProbMeasure(space, weights, comps)
+
+    target = EventSet.of(space, draw(st.frozensets(st.integers(0, 5), max_size=4)))
+    extras = draw(st.lists(st.frozensets(st.integers(0, 5), max_size=6), max_size=4))
+    opens = [target.union(EventSet.of(space, e)) for e in extras]
+    opens.append(EventSet.full(space))  # fails every eps when mu(target) is small
+    if on_countable:
+        opens.append(EventSet.cofinite_of(space, draw(st.frozensets(st.integers(6, 9)))))
+    opens = draw(st.permutations(opens))
+    schedule = draw(st.lists(st.fractions(F(1, 1024), 1), min_size=1, max_size=6, unique=True))
+    return mu, target, opens, sorted(schedule, reverse=True)
+
+
+@given(outer_regularity_cases())
+def test_outer_regularity_schedule_matches_per_eps_oracle(case):
+    mu, target, opens, schedule = case
+    expected = tuple((eps, _outer_regular_per_eps(mu, target, opens, eps)[1]) for eps in schedule)
+    assert is_outer_regular_on(mu, target, opens, schedule) == expected
+
+
+def _classify_radon_nested(mu):
+    """The classifier as one outer-regularity call per (compact, eps) pair."""
+    compacts = default_compact_family(mu.space)
+    tight = is_tight(mu, compacts, DEFAULT_EPS_SCHEDULE)
+    full = EventSet.full(mu.space)
+    outer_ok = True
+    outer = []
+    for k in compacts:
+        for eps in DEFAULT_EPS_SCHEDULE:
+            ok, wit = _outer_regular_per_eps(mu, k, [k, full], eps)
+            outer.append((k, eps, wit))
+            outer_ok = outer_ok and ok
+    return RegularityReport(tight.tight, tight.witnesses, outer_ok, tuple(outer), tight.tight and outer_ok)
+
+
+def _construct_rcd_marginal():
+    return parse_generator("mixture:grid(1/4,1/2):geom").marginal()
+
+
+@pytest.mark.parametrize(
+    "make_mu",
+    [
+        lambda: ProbMeasure.geometric(countable(), F(1, 2)),
+        _construct_rcd_marginal,
+        lambda: ProbMeasure.geometric(countable(), F(1, 1000)),
+        lambda: ProbMeasure.uniform(finite(5)),
+        lambda: ProbMeasure.from_weights(dyadic(2), [F(1, 8), F(3, 8), F(3, 8), F(1, 8)]),
+        lambda: ProbMeasure.geometric(countable(), 0.25),
+    ],
+    ids=["geometric-1/2", "construct-rcd-marginal", "geometric-1/1000", "uniform-5", "dyadic-2", "float-geometric"],
+)
+def test_classifier_report_matches_nested_oracle(make_mu):
+    mu = make_mu()
+    assert classify_radon(mu).to_dict() == _classify_radon_nested(mu).to_dict()
+
+
+def test_classifier_evaluates_each_compact_mass_once(monkeypatch):
+    mu = _construct_rcd_marginal()
+    calls = []
+    real_mass = exchkit.measures.mass
+    monkeypatch.setattr(exchkit.measures, "mass", lambda m, ev: calls.append(ev) or real_mass(m, ev))
+    assert classify_radon(mu).radon
+    # 64 compacts: three masses each (K as target, K and the full space as
+    # candidates) plus the tightness scan; one call per (compact, eps) pair made 1,397
+    assert len(calls) <= 320
 
 
 def test_classifier_passes_geometric_with_witnesses():
