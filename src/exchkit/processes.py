@@ -16,6 +16,27 @@ Generator variants:
 * ``PolyaUrnProcess``       -- two-color urn with reinforcement; exchangeable
   with no realized latent at sampling time.
 * ``MarkovChainProcess``    -- a deliberately non-exchangeable control.
+
+The two sequential samplers read the same ``stream.random(n)`` uniforms as a
+per-step loop and return the same observations bit for bit, but step through
+a path in fixed blocks of numpy operations, one path at a time:
+
+* Markov: each step is a map from every state to the next one (one
+  ``searchsorted`` per transition row). Its prefixes are composed by doubling,
+  a Hillis-Steele scan, so row i of the block maps the carried state to the
+  state after step i. A block holds at most min(n, ``_MARKOV_BLOCK_CELLS``)
+  (step, state) entries, or one step's k when k is larger. The work per step
+  grows with k: past a few dozen states the scan is slower than a loop.
+* Polya: the block's draws are guessed from the opening ratio, then every
+  draw j is recomputed as ``u[j] < o/(o+z)`` with the counts the guess
+  implies. Draw j depends only on the draws before it, so every draw up to
+  and including the first one that changed is exact; those are committed and
+  the rest is solved again. The counts come from ``np.cumsum`` over
+  ``[count, 1.0, 1.0, ...]``, which adds in sequence as the loop's
+  ``+= 1.0`` does, so non-integer counts round alike. Each pass costs the rest
+  of the block; the passes needed grow with the uniforms that fall between
+  the guessed and the true ratio, about two per block on ``path_stream``
+  draws, up to one per draw for uniforms placed on the thresholds.
 """
 
 from __future__ import annotations
@@ -34,6 +55,11 @@ from .rng import path_stream
 from .spaces import EventSet, SpaceDescriptor, finite
 
 DEFAULT_ORACLE_BOUND = 6
+# n! * k**n (permutation, pattern) steps that one exchangeability check may take
+_ORACLE_WORK_CAP = 10**8
+# sequential samplers: draws per Polya block, (step, state) entries per Markov block
+_POLYA_BLOCK = 8192
+_MARKOV_BLOCK_CELLS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +320,8 @@ class BetaBernoulliProcess(ProcessGenerator):
     is_conditionally_iid = True
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta shape parameters must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("Beta shape parameters must be positive and finite")
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -354,8 +380,8 @@ class PolyaUrnProcess(ProcessGenerator):
     is_conditionally_iid = False
 
     def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError("urn needs at least one ball of each color")
+        if not (1 <= self.a < math.inf and 1 <= self.b < math.inf):
+            raise ValueError("urn needs a finite count, at least one, of each color")
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -365,13 +391,50 @@ class PolyaUrnProcess(ProcessGenerator):
         u = stream.random(n)
         ones = float(self.a)
         zeros = float(self.b)
-        obs = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            if u[i] < ones / (ones + zeros):
-                obs[i] = 1
-                ones += 1.0
-            else:
-                zeros += 1.0
+        obs = np.empty(n, dtype=np.int64)
+        block = min(n, _POLYA_BLOCK)
+        # Scratch for the whole path, written with out=: allocating in every
+        # pass fragmented the heap around the path-sized arrays and raised the
+        # peak RSS of later long paths by about 6 MB.
+        fill = np.ones(block + 1)
+        o, z = np.empty(block + 1), np.empty(block + 1)
+        o_buf, z_buf = np.empty(block), np.empty(block)
+        ones_buf, zeros_buf = np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64)
+        x, y_buf, changed_buf = (np.empty(block, dtype=bool) for _ in range(3))
+        steps = np.arange(block)
+        for start in range(0, n, block):
+            ub = u[start:start + block]
+            m = len(ub)
+            # o[j], z[j]: the counts after j more balls of that color
+            fill[0] = ones
+            np.cumsum(fill[:m + 1], out=o[:m + 1])
+            fill[0] = zeros
+            np.cumsum(fill[:m + 1], out=z[:m + 1])
+            np.less(ub, ones / (ones + zeros), out=x[:m])  # guess: every draw at the opening ratio
+            done = ones_done = 0
+            while done < m:
+                r = m - done
+                guess = x[done:m]
+                ones_before, zeros_before = ones_buf[:r], zeros_buf[:r]  # in the block, before each draw
+                oj, zj, y, changed = o_buf[:r], z_buf[:r], y_buf[:r], changed_buf[:r]
+                np.cumsum(guess, out=ones_before)
+                ones_before -= guess
+                ones_before += ones_done
+                np.subtract(steps[done:m], ones_before, out=zeros_before)
+                np.take(o, ones_before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
+                np.take(z, zeros_before, out=zj, mode="clip")
+                np.add(oj, zj, out=zj)
+                np.divide(oj, zj, out=oj)
+                np.less(ub[done:m], oj, out=y)
+                np.not_equal(y, guess, out=changed)
+                first = int(changed.argmax())
+                end = first + 1 if changed[first] else r
+                ones_done += int(np.count_nonzero(y[:end]))
+                done += end
+                guess[:] = y  # y[:end] is exact; the rest is the next guess
+            obs[start:start + m] = x[:m]
+            ones = o[ones_done]
+            zeros = z[m - ones_done]
         return None, obs
 
     def prefix_pattern_law(self, n):
@@ -429,12 +492,22 @@ class MarkovChainProcess(ProcessGenerator):
             cums.append(c)
         init_cum = np.cumsum([float(self.initial.atom_mass(j)) for j in range(k)])
         init_cum[-1] = 1.0
-        obs = np.zeros(n, dtype=np.int64)
+        obs = np.empty(n, dtype=np.int64)
         state = int(np.searchsorted(init_cum, u[0], side="right"))
         obs[0] = state
-        for i in range(1, n):
-            state = int(np.searchsorted(cums[state], u[i], side="right"))
-            obs[i] = state
+        block = max(1, min(n, _MARKOV_BLOCK_CELLS) // k)
+        for start in range(1, n, block):
+            ub = u[start:start + block]
+            # g[i, s]: the state after step i of the block, from state s before step i
+            g = np.empty((len(ub), k), dtype=np.int64)
+            for s, c in enumerate(cums):
+                g[:, s] = np.searchsorted(c, ub, side="right")
+            d = 1
+            while d < len(g):  # compose prefixes: g[i] becomes steps 0..i in turn
+                g[d:] = np.take_along_axis(g[d:], g[:-d], axis=1)
+                d *= 2
+            obs[start:start + len(ub)] = g[:, state]
+            state = int(g[-1, state])
         return None, obs
 
     def prefix_pattern_law(self, n):
@@ -496,6 +569,14 @@ def check_exchangeable(
 ) -> ExchangeabilityResult:
     """Brute-force invariance of the exact n-law under all n! permutations."""
     ensure_oracle_domain(gen, n, bound)
+    k = gen.space.num_cells
+    work = 1
+    for i in range(1, n + 1):  # stops within a few factors, however large n is
+        work *= i * k
+        if work > _ORACLE_WORK_CAP:
+            raise ValueError(
+                f"n!*k**n (permutation, pattern) steps for n={n}, k={k} exceed the oracle cap {_ORACLE_WORK_CAP}"
+            )
     law = gen.prefix_pattern_law(n)
     worst = None
     max_disc = Fraction(0)

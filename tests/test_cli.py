@@ -187,6 +187,17 @@ def test_check_exchangeable_passes_on_urn(tmp_path):
     assert "exchangeable=True" in res.output
 
 
+def test_exit_code_two_when_the_oracle_work_exceeds_its_cap(tmp_path):
+    # 12! * 2**12 ~ 2e12 (permutation, pattern) steps: refused before enumerating
+    res = run_cli(
+        "check-exchangeable", "--gen", "polya:1,1", "--n", "12", "--bound", "12",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "oracle cap" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_parse_leaves_no_artifacts(tmp_path):
     run_cli("simulate", "--gen", "zeta:9", "--n", "5", "--seed", "0", "--out-dir", str(tmp_path))
     assert list(tmp_path.iterdir()) == []

@@ -3,11 +3,13 @@
 Every numeric oracle here is computed by hand in the comments.
 """
 
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchkit import (
@@ -26,6 +28,8 @@ from exchkit import (
 )
 from exchkit.kernels import bernoulli_kernel, geometric_kernel
 from exchkit.processes import (
+    _MARKOV_BLOCK_CELLS,
+    _POLYA_BLOCK,
     beta_binomial_pattern_prob,
     decode_pattern,
     encode_pattern,
@@ -170,6 +174,24 @@ def test_beta_shapes_positive():
         BetaBernoulliProcess(0, 1)
 
 
+# Before the finiteness check these were accepted and sampled all-zero paths.
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (PolyaUrnProcess, math.nan),
+        (PolyaUrnProcess, math.inf),
+        (BetaBernoulliProcess, math.nan),
+        (BetaBernoulliProcess, math.inf),
+    ],
+    ids=["polya-nan", "polya-inf", "beta-nan", "beta-inf"],
+)
+def test_non_finite_parameters_are_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad, 1)
+    with pytest.raises(ValueError, match="finite"):
+        make(1, bad)
+
+
 def test_grid_prior_must_normalize():
     with pytest.raises(ValueError, match="sum"):
         GridMixtureProcess(((F(1, 2), F(1, 4)),), bernoulli_kernel(B2))
@@ -222,6 +244,16 @@ def test_check_respects_oracle_bound():
     with pytest.raises(ValueError, match="bound"):
         check_exchangeable(coin(F(1, 2)), 7)
     check_exchangeable(coin(F(1, 2)), 7, bound=7)
+
+
+def test_check_caps_the_enumeration_work():
+    # 9! * 2**9 = 185,794,560 steps: over the cap even with a large bound
+    with pytest.raises(ValueError, match="cap"):
+        check_exchangeable(coin(F(1, 2)), 9, bound=9)
+    with pytest.raises(ValueError, match="cap"):
+        check_exchangeable(PolyaUrnProcess(1, 1), 12, bound=12)
+    with pytest.raises(ValueError, match="cap"):  # refused without computing 10**9!
+        check_exchangeable(coin(F(1, 2)), 10**9, bound=10**9)
 
 
 # -- urn vs Beta-Binomial (two independent routes) --------------------------------
@@ -329,3 +361,163 @@ def test_spec_labels_are_stable():
         ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))), bernoulli_kernel(B2)
     )
     assert gen.spec_label() == "mixture(grid=1/4,1/2)"
+
+
+# -- block samplers against the per-step loops they replaced -------------------
+
+
+def polya_loop(gen, stream, n):
+    """The per-draw urn loop, kept as the oracle."""
+    u = stream.random(n)
+    ones = float(gen.a)
+    zeros = float(gen.b)
+    obs = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        if u[i] < ones / (ones + zeros):
+            obs[i] = 1
+            ones += 1.0
+        else:
+            zeros += 1.0
+    return obs
+
+
+def markov_loop(gen, stream, n):
+    """The per-step chain loop, kept as the oracle."""
+    u = stream.random(n)
+    k = gen.space.num_cells
+    cums = []
+    for row in gen.rows:
+        c = np.cumsum([float(row.atom_mass(j)) for j in range(k)])
+        c[-1] = 1.0
+        cums.append(c)
+    init_cum = np.cumsum([float(gen.initial.atom_mass(j)) for j in range(k)])
+    init_cum[-1] = 1.0
+    obs = np.zeros(n, dtype=np.int64)
+    state = int(np.searchsorted(init_cum, u[0], side="right"))
+    obs[0] = state
+    for i in range(1, n):
+        state = int(np.searchsorted(cums[state], u[i], side="right"))
+        obs[i] = state
+    return obs
+
+
+def assert_same_draws(gen, oracle, n, seed, index):
+    latent, obs = gen._draw(path_stream(seed, index), n)
+    assert latent is None
+    assert obs.dtype == np.int64
+    assert np.array_equal(obs, oracle(gen, path_stream(seed, index), n))
+
+
+PB = _POLYA_BLOCK
+URN_COUNTS = [(1, 1), (2, 1), (1, 99), (F(4, 3), F(7, 3)), (1.1, 2.7)]
+URN_LENGTHS = [1, PB - 1, PB, PB + 1, 3 * PB + 17]
+
+
+@pytest.mark.parametrize("a, b", URN_COUNTS)
+@pytest.mark.parametrize("n", URN_LENGTHS)
+def test_polya_blocks_match_the_loop_at_block_edges(a, b, n):
+    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, 0, 1)
+
+
+class ThresholdStream:
+    """Uniforms on the loop's own ratios: 0 draws a one, the ratio itself a zero.
+
+    A count off by one rounding step moves the ratio past its uniform, so this
+    catches counts summed in another order than the loop's ``+= 1.0``.
+    """
+
+    def __init__(self, a, b, period):
+        self.a, self.b, self.period = a, b, period
+
+    def random(self, n):
+        ones, zeros = float(self.a), float(self.b)
+        u = np.empty(n)
+        for i in range(n):
+            if i % self.period == 0:
+                u[i] = 0.0
+                ones += 1.0
+            else:
+                u[i] = ones / (ones + zeros)
+                zeros += 1.0
+        return u
+
+
+@pytest.mark.parametrize("a, b", [(F(4, 3), F(7, 3)), (1.1, 2.7)])
+def test_polya_counts_round_as_the_loop_on_threshold_uniforms(a, b):
+    # every draw sits on its threshold, so each block is solved one draw at a
+    # time (quadratic in the block): one block and a bit keeps this short
+    n = PB + 500
+    _, obs = PolyaUrnProcess(a, b)._draw(ThresholdStream(a, b, 3), n)
+    assert np.array_equal(obs, (np.arange(n) % 3 == 0).astype(np.int64))
+
+
+urn_counts = st.one_of(
+    st.integers(1, 60),
+    st.fractions(min_value=1, max_value=60, max_denominator=12),
+    st.floats(min_value=1, max_value=60, allow_nan=False),
+)
+lengths_around_urn_blocks = st.one_of(st.sampled_from(URN_LENGTHS), st.integers(1, 3 * PB + 17))
+
+
+@given(urn_counts, urn_counts, lengths_around_urn_blocks, st.integers(0, 2**32), st.integers(0, 5))
+@example(F(4, 3), F(7, 3), 2 * PB + 1, 0, 0)
+@example(1.1, 2.7, PB + 1, 0, 0)
+@settings(deadline=None, max_examples=40)
+def test_polya_blocks_match_the_loop(a, b, n, seed, index):
+    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
+
+
+def chain_of(weights_rows, initial):
+    k = len(initial)
+    space = finite(k)
+
+    def row(ws):
+        return ProbMeasure.from_weights(space, [F(w, sum(ws)) for w in ws])
+
+    return MarkovChainProcess(row(initial), tuple(row(ws) for ws in weights_rows))
+
+
+MC = _MARKOV_BLOCK_CELLS
+CHAIN_LENGTHS = [1, 2, 3, MC - 1, MC, MC + 1, MC + 2, 3 * MC + 5]
+CHAINS = {
+    "two-state control": chain_of([[1, 3], [3, 1]], [1, 0]),
+    "two-state absorbing": chain_of([[1, 0], [1, 1]], [0, 1]),
+    "three-state zero entry": chain_of([[0, 1, 2], [3, 0, 1], [1, 1, 1]], [1, 1, 1]),
+    "three-state absorbing": chain_of([[2, 1, 0], [0, 1, 3], [0, 0, 1]], [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+@pytest.mark.parametrize("n", CHAIN_LENGTHS)
+def test_markov_scan_matches_the_loop_at_block_edges(name, n):
+    assert_same_draws(CHAINS[name], markov_loop, n, 0, 1)
+
+
+@st.composite
+def chains(draw):
+    k = draw(st.sampled_from([2, 3]))
+    weights = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)
+    return chain_of([draw(weights) for _ in range(k)], draw(weights))
+
+
+@given(chains(), st.one_of(st.sampled_from(CHAIN_LENGTHS), st.integers(1, 3 * MC)), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=40)
+def test_markov_scan_matches_the_loop(gen, n, seed):
+    assert_same_draws(gen, markov_loop, n, seed, 0)
+
+
+# sha256 of the observations' int64 bytes, computed with the per-step loops,
+# at the lengths and seeds of the long-path workloads
+GOLDEN = [
+    (flip_chain(), 200_000, 0, "10aa465ac4f08d972fa3e4c751db4eb0856d80d98f3ef6ce7a0f426699d1bc3a"),
+    (flip_chain(), 200_000, 1, "2084f59c1c32ea18e3ae409a1109f5eebde5d98424759940dab9128d69359a41"),
+    (PolyaUrnProcess(1, 1), 1_000_000, 0, "4187332f5ca5678ad59e715daf2aa5df36f5eb0acfe8dd4e10b78b6f89b0a874"),
+    (PolyaUrnProcess(2, 1), 1_000_000, 0, "7e372165e3b81a2f8308e8bd03b5bc74214652417873292296f1b301347eb8ff"),
+]
+
+
+@pytest.mark.parametrize("gen, n, index, digest", GOLDEN, ids=["markov-0:0", "markov-0:1", "polya11", "polya21"])
+def test_long_paths_keep_their_random_stream(gen, n, index, digest):
+    obs = gen.sample_path(n, 0, path_index=index).observations
+    assert obs.dtype == np.int64
+    assert hashlib.sha256(obs.tobytes()).hexdigest() == digest
