@@ -29,7 +29,6 @@ import numpy as np
 from .kernels import bernoulli_kernel, geometric_kernel
 from .measures import ProbMeasure
 from .processes import (
-    DEFAULT_ORACLE_BOUND,
     BetaBernoulliProcess,
     GridMixtureProcess,
     IIDProcess,
@@ -254,23 +253,7 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# Keys each subcommand understands, and the subset that must be present
-# after merging the config file with the flags.
-COMMAND_KEYS: dict[str, frozenset[str]] = {
-    "simulate": frozenset({"gen", "n", "paths", "seed", "csv", "json", "out_dir"}),
-    "check-exchangeable": frozenset({"gen", "n", "bound", "json", "out_dir"}),
-    "estimate-mixing": frozenset(
-        {"gen", "events", "n_grid", "paths", "seed", "tol", "coverage", "csv", "json", "out_dir"}
-    ),
-    "verify-rcd": frozenset(
-        {"gen", "events", "steps", "paths", "seed", "tol", "coverage", "json", "out_dir"}
-    ),
-    "construct-rcd": frozenset(
-        {"gen", "events", "n_grid", "paths", "seed", "tol", "coverage", "json", "out_dir"}
-    ),
-    "radon-classify": frozenset({"space", "measure", "json", "out_dir"}),
-}
-
+# Settings that must be present after merging the config file with the flags.
 REQUIRED_KEYS: dict[str, frozenset[str]] = {
     "simulate": frozenset({"gen", "n", "seed"}),
     "check-exchangeable": frozenset({"gen", "n"}),
@@ -285,7 +268,6 @@ _DEFAULTS: dict[str, str] = {
     "n_grid": "10,100,1000,10000",
     "coverage": "0.95",
     "steps": "10000",
-    "bound": str(DEFAULT_ORACLE_BOUND),
 }
 
 # The extraction bisects per-cell mass clusters, so it needs several grid
@@ -300,13 +282,15 @@ def merge_config(
 ) -> dict[str, str]:
     """File keys, overridden by flags, with defaults filled in.
 
+    ``flags`` must carry every key the command accepts, None where unset (as
+    click passes every declared option); those keys are the allowed ones.
     Unknown file keys are rejected so a typo cannot silently drop a setting.
     Every value is normalized to a string; parsing happens exactly once, in
     :meth:`ScenarioConfig.from_strings`.
     """
-    allowed = COMMAND_KEYS[command]
+    allowed = set(flags)
     merged = dict(read_config_file(config_path)) if config_path else {}
-    unknown = set(merged) - set(allowed)
+    unknown = set(merged) - allowed
     if unknown:
         raise SpecParseError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     for key, value in flags.items():
@@ -341,7 +325,6 @@ class ScenarioConfig:
     tol: float | None = None
     coverage: float = 0.95
     steps: int | None = None
-    bound: int = DEFAULT_ORACLE_BOUND
 
     @staticmethod
     def from_strings(command: str, raw: Mapping[str, str]) -> "ScenarioConfig":
@@ -385,8 +368,6 @@ class ScenarioConfig:
             cfg.steps = _parse_int(raw["steps"], "step count")
             if cfg.steps < 1:
                 raise SpecParseError("steps must be at least 1")
-        if "bound" in raw:
-            cfg.bound = _parse_int(raw["bound"], "oracle bound")
         return cfg
 
     def echo(self) -> dict[str, str]:

@@ -76,11 +76,11 @@ class MeasureSequence:
         return self.measures[i]
 
 
-def empirical_sequence(path: PathSample, n_grid: Sequence[int], exact: bool = False) -> MeasureSequence:
-    """The per-path sequence mu_{w,n} along the grid.
+def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequence:
+    """The per-path sequence mu_{w,n} along the grid, with float weights.
 
-    Float weights by default; counting is exact either way, the choice only
-    affects downstream arithmetic cost.
+    An exact sequence is ``MeasureSequence(space, tuple(empirical_measure(path,
+    n) for n in grid))``.
     """
     grid = _validate_grid(n_grid)
     if grid[-1] > path.length:
@@ -90,10 +90,7 @@ def empirical_sequence(path: PathSample, n_grid: Sequence[int], exact: bool = Fa
     out = []
     for n in grid:
         cells, counts = np.unique(obs[:n], return_counts=True)
-        if exact:
-            weights = {int(c): Fraction(int(k), n) for c, k in zip(cells, counts)}
-        else:
-            weights = {int(c): int(k) / n for c, k in zip(cells, counts)}
+        weights = {int(c): int(k) / n for c, k in zip(cells, counts)}
         out.append(ProbMeasure(space, weights))
     return MeasureSequence(space, tuple(out))
 

@@ -27,20 +27,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import CylinderEvent, binomial_band, grid_counts, sigma_band, validate_tol
-from .measures import EXACT, ProbMeasure, mass
+from .measures import ProbMeasure, mass
 from .processes import (
-    DEFAULT_ORACLE_BOUND,
     GridMixtureProcess,
     PathSample,
     ProcessGenerator,
     all_patterns,
     ensure_oracle_domain,
+    ensure_oracle_work,
 )
 from .spaces import EventSet, SpaceMismatchError, event_spec
 
@@ -65,7 +65,7 @@ def empirical_measure(path: PathSample, n: int) -> ProbMeasure:
         raise ValueError(f"n={n} outside 1..{path.length}")
     cells, counts = np.unique(np.asarray(path.observations[:n]), return_counts=True)
     weights = {int(c): Fraction(int(k), n) for c, k in zip(cells, counts)}
-    return ProbMeasure(path.generator.space, weights, mode=EXACT)
+    return ProbMeasure(path.generator.space, weights)
 
 
 @dataclass(frozen=True)
@@ -307,11 +307,12 @@ class SymmetricPrefixCondition(ConditioningEvent):
 
     def __post_init__(self) -> None:
         m0 = self.prefix_len
-        if not 1 <= m0 <= DEFAULT_ORACLE_BOUND:
-            raise ValueError(f"prefix length must be 1..{DEFAULT_ORACLE_BOUND}")
+        if m0 < 1:
+            raise ValueError("prefix length must be >= 1")
         k = self.space.num_cells
         if k is None:
             raise ValueError("symmetry check requires a finite space")
+        ensure_oracle_work(f"k**m*m predicate calls for m={m0}, k={k}", chain([m0], repeat(k, m0)))
         for pattern in product(range(k), repeat=m0):
             base = bool(self.predicate(pattern))
             for i in range(m0 - 1):
@@ -326,10 +327,9 @@ class SymmetricPrefixCondition(ConditioningEvent):
 
 
 def _exact_weighted_patterns(
-    gen: ProcessGenerator, n: int, conditioning: ConditioningEvent, bound: int
+    gen: ProcessGenerator, n: int, conditioning: ConditioningEvent
 ) -> dict[tuple[int, ...], Fraction]:
     """P(pattern AND conditioning event) per pattern, exact rationals."""
-    ensure_oracle_domain(gen, n, bound)
     if isinstance(conditioning, FullCondition):
         law = gen.prefix_pattern_law(n)
         if any(not isinstance(p, Fraction) for p in law.values()):
@@ -381,7 +381,6 @@ def df_product_identity_exact(
     cyl: CylinderEvent,
     n: int,
     conditioning: ConditioningEvent | None = None,
-    bound: int = DEFAULT_ORACLE_BOUND,
 ) -> ExactIdentityResult:
     """Rational small-n verification of the full decomposition.
 
@@ -398,8 +397,12 @@ def df_product_identity_exact(
     m = cyl.m
     if m > n:
         raise ValueError("cylinder has more coordinates than the window")
+    k = ensure_oracle_domain(gen, n)
+    ensure_oracle_work(
+        f"k**n*n**m (pattern, index tuple) steps for n={n}, m={m}, k={k}", chain(repeat(n, m), repeat(k, n))
+    )
 
-    weighted = _exact_weighted_patterns(gen, n, conditioning, bound)
+    weighted = _exact_weighted_patterns(gen, n, conditioning)
     evs = cyl.events
 
     lhs = Fraction(0)

@@ -96,11 +96,6 @@ class CylinderEvent:
     def space(self) -> SpaceDescriptor:
         return self.events[0].space
 
-    def padded(self, extra: int) -> "CylinderEvent":
-        """Append full-space coordinates; never changes the cylinder's mass."""
-        full = EventSet.full(self.space)
-        return CylinderEvent(self.events + (full,) * extra)
-
 
 def product_cylinder_mass(kappa: MarkovKernel, param, cyl: CylinderEvent):
     """Mass of the cylinder under the product of the image measure."""

@@ -6,7 +6,7 @@ countable space) with geometric components ``weight * Geom(q)`` whose atom and
 tail masses have closed forms. That keeps cofinite-event masses and tightness
 witnesses exactly computable in rational mode.
 
-Arithmetic modes:
+Arithmetic modes, inferred from the weights and ratios:
 
 * ``exact`` -- weights are :class:`fractions.Fraction`; total mass must be
   exactly 1. Used by all brute-force oracle comparisons.
@@ -64,7 +64,6 @@ class ProbMeasure:
         space: SpaceDescriptor,
         weights: Mapping[int, object] | None = None,
         components: Sequence[GeometricComponent] = (),
-        mode: str | None = None,
     ):
         weights = dict(weights or {})
         if components and not space.is_countable:
@@ -79,12 +78,7 @@ class ProbMeasure:
                 raise ValueError("geometric component needs weight > 0, 0 < ratio <= 1")
 
         values = list(weights.values()) + [c.weight for c in components] + [c.ratio for c in components]
-        inferred = EXACT if all(_is_exact(v) for v in values) else FLOAT
-        self.mode = mode or inferred
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == EXACT and inferred == FLOAT:
-            raise ValueError("exact mode requires rational weights and ratios")
+        self.mode = EXACT if all(_is_exact(v) for v in values) else FLOAT
 
         total = sum(weights.values()) + sum(c.weight for c in components)
         if self.mode == EXACT:
@@ -224,12 +218,6 @@ class TightnessResult:
     # eps -> first family member K with mu(K) > 1 - eps, or None
     witnesses: tuple[tuple[object, EventSet | None], ...]
 
-    def witness_for(self, eps) -> EventSet | None:
-        for e, w in self.witnesses:
-            if e == eps:
-                return w
-        raise KeyError(eps)
-
 
 def tightness_scan(
     measures: Sequence[ProbMeasure],
@@ -238,19 +226,29 @@ def tightness_scan(
     epsilons: Sequence,
 ) -> TightnessResult:
     """Per epsilon, the first compact K with mu(K) > 1 - eps for EVERY listed
-    measure (a uniform witness), or None where no family member works."""
+    measure (a uniform witness), or None where no family member works.
+
+    Each compact's smallest mass over the measures is computed once, in
+    family order, until the tightest floor 1 - min(eps) is met; every
+    epsilon's witness is read from that list."""
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
     if not all(e > 0 for e in epsilons):  # rejects NaN as well
         raise ValueError("epsilons must be positive")
     if compacts.space != space:
         raise SpaceMismatchError("compact family on wrong space")
-    witnesses = []
-    for eps in epsilons:
-        floor = 1 - eps
-        found = next((k for k in compacts if all(mass(mu, k) > floor for mu in measures)), None)
-        witnesses.append((eps, found))
-    return TightnessResult(all(w is not None for _, w in witnesses), tuple(witnesses))
+    floors = [1 - eps for eps in epsilons]
+    tightest = max(floors)
+    masses = []
+    for k in compacts:
+        masses.append(min(mass(mu, k) for mu in measures))
+        if masses[-1] > tightest:
+            break
+    witnesses = tuple(
+        (eps, next((k for k, m in zip(compacts, masses) if m > floor), None))
+        for eps, floor in zip(epsilons, floors)
+    )
+    return TightnessResult(all(w is not None for _, w in witnesses), witnesses)
 
 
 def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:

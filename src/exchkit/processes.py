@@ -17,6 +17,15 @@ Generator variants:
   with no realized latent at sampling time.
 * ``MarkovChainProcess``    -- a deliberately non-exchangeable control.
 
+Every exact oracle counts the entries it would enumerate before it starts,
+factor by factor so that a huge n is refused within a few factors, and raises
+``ValueError`` naming the oracle cap above ``_ORACLE_WORK_CAP`` (10**8):
+``check_exchangeable`` n!*k**n (permutation, pattern) steps, ``prefix_law``
+n*k**n pattern entries (the n keeps counting on a one-cell space),
+``polya_beta_equivalence`` 2**n urn patterns, and in ``empirical``
+``df_product_identity_exact`` k**n*n**m (pattern, index tuple) steps and
+``SymmetricPrefixCondition`` k**m*m predicate calls.
+
 The two sequential samplers read the same ``stream.random(n)`` uniforms as a
 per-step loop and return the same observations bit for bit, but step through
 a path in fixed blocks of numpy operations, one path at a time:
@@ -44,18 +53,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Sequence
+from itertools import chain, permutations, product, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .kernels import MarkovKernel, bernoulli_kernel, kernel_mass
-from .measures import EXACT, ProbMeasure, mass
+from .measures import ProbMeasure, mass
 from .rng import path_stream
 from .spaces import EventSet, SpaceDescriptor, finite
 
-DEFAULT_ORACLE_BOUND = 6
-# n! * k**n (permutation, pattern) steps that one exchangeability check may take
+# entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
 # sequential samplers: draws per Polya block, (step, state) entries per Markov block
 _POLYA_BLOCK = 8192
@@ -79,15 +87,6 @@ def encode_pattern(space: SpaceDescriptor, pattern: Sequence[int]) -> int:
     for x in pattern:
         idx = idx * k + x
     return idx
-
-
-def decode_pattern(space: SpaceDescriptor, n: int, index: int) -> tuple[int, ...]:
-    k = space.num_cells
-    out = []
-    for _ in range(n):
-        index, x = divmod(index, k)
-        out.append(x)
-    return tuple(reversed(out))
 
 
 def all_patterns(space: SpaceDescriptor, n: int):
@@ -529,25 +528,37 @@ class MarkovChainProcess(ProcessGenerator):
 # ---------------------------------------------------------------------------
 # the spec operations
 
-def ensure_oracle_domain(gen: ProcessGenerator, n: int, bound: int) -> None:
-    if gen.space.num_cells is None:
+def ensure_oracle_domain(gen: ProcessGenerator, n: int) -> int:
+    """The generator's cell count k, once its law is enumerable at length n."""
+    k = gen.space.num_cells
+    if k is None:
         raise ValueError("exact prefix law requires a finite state space")
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    if n > bound:
-        raise ValueError(f"prefix length {n} exceeds the oracle bound {bound}")
+    return k
 
 
-def prefix_law(gen: ProcessGenerator, n: int, bound: int = DEFAULT_ORACLE_BOUND) -> ProbMeasure:
+def ensure_oracle_work(what: str, factors: Iterable[int]) -> None:
+    """Refuse an enumeration whose size, the product of ``factors``, exceeds
+    the oracle cap; one factor at a time, so a huge n stops within a few."""
+    work = 1
+    for f in factors:
+        work *= f
+        if work > _ORACLE_WORK_CAP:
+            raise ValueError(f"{what} exceed the oracle cap {_ORACLE_WORK_CAP}")
+
+
+def prefix_law(gen: ProcessGenerator, n: int) -> ProbMeasure:
     """Exact joint law of the first n coordinates, as a measure on the
     n-fold product space (rational arithmetic)."""
-    ensure_oracle_domain(gen, n, bound)
+    k = ensure_oracle_domain(gen, n)
+    ensure_oracle_work(f"n*k**n pattern entries for n={n}, k={k}", chain([n], repeat(k, n)))
     pat_law = gen.prefix_pattern_law(n)
     if any(not isinstance(p, Fraction) for p in pat_law.values()):
         raise ValueError("prefix law requires exact-rational generator parameters")
     prod = product_space(gen.space, n)
     weights = {encode_pattern(gen.space, pat): p for pat, p in pat_law.items()}
-    return ProbMeasure(prod, weights, mode=EXACT)
+    return ProbMeasure(prod, weights)
 
 
 @dataclass(frozen=True)
@@ -564,19 +575,12 @@ class ExchangeabilityResult:
         }
 
 
-def check_exchangeable(
-    gen: ProcessGenerator, n: int, bound: int = DEFAULT_ORACLE_BOUND
-) -> ExchangeabilityResult:
+def check_exchangeable(gen: ProcessGenerator, n: int) -> ExchangeabilityResult:
     """Brute-force invariance of the exact n-law under all n! permutations."""
-    ensure_oracle_domain(gen, n, bound)
-    k = gen.space.num_cells
-    work = 1
-    for i in range(1, n + 1):  # stops within a few factors, however large n is
-        work *= i * k
-        if work > _ORACLE_WORK_CAP:
-            raise ValueError(
-                f"n!*k**n (permutation, pattern) steps for n={n}, k={k} exceed the oracle cap {_ORACLE_WORK_CAP}"
-            )
+    k = ensure_oracle_domain(gen, n)
+    ensure_oracle_work(
+        f"n!*k**n (permutation, pattern) steps for n={n}, k={k}", (i * k for i in range(1, n + 1))
+    )
     law = gen.prefix_pattern_law(n)
     worst = None
     max_disc = Fraction(0)
@@ -590,15 +594,14 @@ def check_exchangeable(
     return ExchangeabilityResult(max_disc == 0, worst, max_disc)
 
 
-def polya_beta_equivalence(
-    a: int, b: int, n: int, bound: int = DEFAULT_ORACLE_BOUND
-) -> tuple[bool, Fraction]:
+def polya_beta_equivalence(a: int, b: int, n: int) -> tuple[bool, Fraction]:
     """Compare the urn's enumerated prefix law against the Beta-Binomial
     pattern formula; both sides exact rationals, equality required."""
     if int(a) != a or int(b) != b:
         raise ValueError("equivalence oracle needs integer urn counts")
     urn = PolyaUrnProcess(a, b)
-    ensure_oracle_domain(urn, n, bound)
+    ensure_oracle_domain(urn, n)
+    ensure_oracle_work(f"2**n urn patterns for n={n}", repeat(2, n))
     urn_law = urn.prefix_pattern_law(n)
     max_disc = Fraction(0)
     for pattern, p in urn_law.items():

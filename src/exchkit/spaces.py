@@ -17,7 +17,6 @@ and masses exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -61,14 +60,6 @@ class SpaceDescriptor:
     def valid_index(self, j: int) -> bool:
         n = self.num_cells
         return j >= 0 and (n is None or j < n)
-
-    def cell_label(self, j: int) -> str:
-        if not self.valid_index(j):
-            raise ValueError(f"cell index {j} invalid for {self}")
-        if self.kind == DYADIC:
-            d = 2**self.param
-            return f"[{Fraction(j, d)},{Fraction(j + 1, d)})"
-        return str(j)
 
 
 def finite(k: int) -> SpaceDescriptor:
@@ -283,20 +274,20 @@ def event_spec(ev: EventSet | None) -> str | None:
     return f"not:{cells}" if ev.cofinite else f"cells:{cells}"
 
 
-def default_closed_family(space: SpaceDescriptor, max_segment: int = 16) -> ClosedFamily:
+def default_closed_family(space: SpaceDescriptor) -> ClosedFamily:
     """A usable closed-set checklist per space kind.
 
     Finite/dyadic spaces with at most 10 cells get every event (all are closed
     in the discrete/closed-cell convention). Larger sized spaces and the
-    countable space get the chain of initial segments plus the empty and full
-    sets; a chain is trivially union/intersection-closed, and segment masses
-    already pin down every atom of a measure.
+    countable space get the initial segments of up to 16 cells plus the empty
+    and full sets; a chain is trivially union/intersection-closed, and segment
+    masses already pin down every atom of a measure.
     """
     n = space.num_cells
     if n is not None and n <= 10:
         return ClosedFamily(space, tuple(all_events(space)), _validated=True)
     members = [EventSet.empty(space)]
-    top = max_segment if n is None else min(max_segment, n)
+    top = 16 if n is None else min(16, n)
     for m in range(1, top + 1):
         members.append(EventSet.initial_segment(space, m))
     members.append(EventSet.full(space))

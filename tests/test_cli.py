@@ -190,12 +190,26 @@ def test_check_exchangeable_passes_on_urn(tmp_path):
 def test_exit_code_two_when_the_oracle_work_exceeds_its_cap(tmp_path):
     # 12! * 2**12 ~ 2e12 (permutation, pattern) steps: refused before enumerating
     res = run_cli(
-        "check-exchangeable", "--gen", "polya:1,1", "--n", "12", "--bound", "12",
+        "check-exchangeable", "--gen", "polya:1,1", "--n", "12",
         "--out-dir", str(tmp_path),
     )
     assert res.exit_code == 2
     assert "oracle cap" in res.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_oracle_bound_setting_is_gone(tmp_path):
+    res = run_cli(
+        "check-exchangeable", "--gen", "polya:1,1", "--n", "3", "--bound", "6",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "--bound" in res.stderr
+    conf = tmp_path / "run.conf"
+    conf.write_text("gen = polya:1,1\nn = 3\nbound = 6\n")
+    res = run_cli("check-exchangeable", "--config", str(conf), "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "unknown config keys for check-exchangeable: bound" in res.stderr
 
 
 def test_failed_parse_leaves_no_artifacts(tmp_path):
@@ -239,6 +253,27 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert res.exit_code == 2
     assert "unknown config keys" in res.stderr
     assert "speed" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, foreign",
+    [
+        ("simulate", "events"),
+        ("check-exchangeable", "seed"),
+        ("estimate-mixing", "steps"),
+        ("verify-rcd", "n_grid"),
+        ("construct-rcd", "csv"),
+        ("radon-classify", "gen"),
+    ],
+)
+def test_unknown_config_key_is_rejected_per_command(tmp_path, command, foreign):
+    # a key that another command accepts is still unknown to this one
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{foreign} = 1\n")
+    res = run_cli(command, "--config", str(conf), "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert f"unknown config keys for {command}: {foreign}" in res.stderr
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 def test_report_config_block_reproduces_the_run(tmp_path):

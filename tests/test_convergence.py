@@ -61,8 +61,6 @@ def test_empirical_sequence_tracks_grid():
     path = PolyaUrnProcess(1, 1).sample_path(20, master_seed=0)
     seq = empirical_sequence(path, (5, 10, 20))
     assert len(seq.measures) == 3
-    exact = empirical_sequence(path, (5,), exact=True)
-    assert isinstance(mass(exact.measures[0], ONES), F)
     with pytest.raises(ValueError, match="exceeds the path length"):
         empirical_sequence(path, (5, 40))
 

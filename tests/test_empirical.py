@@ -229,6 +229,15 @@ def test_exact_identity_rejects_oversized_cylinder():
         df_product_identity_exact(PolyaUrnProcess(1, 1), CylinderEvent((ONES, ONES, ONES)), 2)
 
 
+def test_exact_identity_refuses_work_over_the_oracle_cap(monkeypatch):
+    # 30**6 * 6**1 ~ 4.4e9 (pattern, index tuple) steps; fail instead of enumerating
+    monkeypatch.setattr(IIDProcess, "prefix_pattern_law", lambda self, n: pytest.fail("enumerated"))
+    space = finite(30)
+    uniform30 = IIDProcess(ProbMeasure.uniform(space))
+    with pytest.raises(ValueError, match="oracle cap"):
+        df_product_identity_exact(uniform30, CylinderEvent((EventSet.of(space, [0]),)), 6)
+
+
 @pytest.mark.parametrize("first", [ONES, EventSet.of(B2, [])])
 def test_mc_identity_rejects_cylinder_longer_than_the_grid(first):
     # the paths hold grid[-1] = 2 draws; a miss on the first coordinate
@@ -272,8 +281,11 @@ def test_prefix_condition_accepts_symmetric_statistic():
 def test_prefix_condition_length_bounds():
     with pytest.raises(ValueError, match="prefix length"):
         SymmetricPrefixCondition(B2, 0, lambda pat: True)
-    with pytest.raises(ValueError, match="prefix length"):
-        SymmetricPrefixCondition(B2, 7, lambda pat: True)
+    # 30**6 * 6 ~ 4.4e9 predicate calls; the predicate must never run
+    with pytest.raises(ValueError, match="oracle cap"):
+        SymmetricPrefixCondition(finite(30), 6, lambda pat: pytest.fail("enumerated"))
+    # past the old limit of six: 2**7 * 7 calls
+    assert SymmetricPrefixCondition(B2, 7, lambda pat: sum(pat) >= 4).prefix_len == 7
 
 
 def test_prefix_condition_needs_finite_space():

@@ -93,7 +93,8 @@ def test_cylinder_padding_preserves_mass():
     kappa = bernoulli_kernel(space)
     cyl = CylinderEvent((EventSet.of(space, [1]),))
     for extra in (1, 3, 7):
-        assert product_cylinder_mass(kappa, F(1, 3), cyl.padded(extra)) == F(1, 3)
+        padded = CylinderEvent(cyl.events + (EventSet.full(space),) * extra)
+        assert product_cylinder_mass(kappa, F(1, 3), padded) == F(1, 3)
 
 
 def test_cylinder_needs_consistent_spaces():

@@ -28,7 +28,8 @@ from exchkit import (
     parse_generator,
     tv_distance,
 )
-from exchkit.measures import GeometricComponent
+from exchkit.measures import GeometricComponent, TightnessResult, tightness_scan
+from exchkit.spaces import CompactFamily
 
 F = Fraction
 
@@ -75,11 +76,6 @@ def test_nan_weight_and_nan_epsilon_are_rejected():
 def test_float_weights_within_tolerance_accepted():
     mu = ProbMeasure.from_weights(finite(2), [0.25, 0.75])
     assert mu.mode == "float"
-
-
-def test_exact_mode_cannot_hold_floats():
-    with pytest.raises(ValueError, match="exact"):
-        ProbMeasure(finite(2), {0: 0.5, 1: 0.5}, mode="exact")
 
 
 def test_geometric_components_need_countable_space():
@@ -192,7 +188,7 @@ def test_tightness_witness_is_the_first_strict_segment():
     res = is_tight(mu, compacts, [F(1, 8)])
     # mass{0..2} = 7/8 is not > 7/8; mass{0..3} = 15/16 is
     assert res.tight
-    assert res.witness_for(F(1, 8)) == EventSet.initial_segment(countable(), 4)
+    assert dict(res.witnesses)[F(1, 8)] == EventSet.initial_segment(countable(), 4)
 
 
 def test_tightness_fails_for_slow_tails():
@@ -280,6 +276,51 @@ def test_outer_regularity_schedule_matches_per_eps_oracle(case):
     mu, target, opens, schedule = case
     expected = tuple((eps, _outer_regular_per_eps(mu, target, opens, eps)[1]) for eps in schedule)
     assert is_outer_regular_on(mu, target, opens, schedule) == expected
+
+
+def _tightness_scan_per_eps(measures, compacts, epsilons):
+    """The per-epsilon scan that the one-pass form replaced, kept as its oracle."""
+    witnesses = []
+    for eps in epsilons:
+        floor = 1 - eps
+        found = next((k for k in compacts if all(mass(mu, k) > floor for mu in measures)), None)
+        witnesses.append((eps, found))
+    return TightnessResult(all(w is not None for _, w in witnesses), tuple(witnesses))
+
+
+@st.composite
+def tightness_cases(draw):
+    """One to four measures (exact or float, finite(6) or countable), a compact
+    chain that may stop short of the mass, and an unsorted epsilon schedule
+    that may hold values no compact meets."""
+    on_countable = draw(st.booleans())
+    space = countable() if on_countable else finite(6)
+    as_float = draw(st.booleans())
+    measures = []
+    for _ in range(draw(st.integers(1, 4))):
+        raw = draw(st.lists(st.integers(0, 9), min_size=6, max_size=6))
+        geom = draw(st.integers(0, 9)) if on_countable else 0
+        total = sum(raw) + geom
+        if total == 0:
+            raw[0] = total = 1
+        weights = {j: F(r, total) for j, r in enumerate(raw)}
+        comps = [GeometricComponent(F(geom, total), draw(st.sampled_from([F(1, 2), F(1, 5), F(9, 10)])))] if geom else []
+        if as_float:
+            weights = {j: float(w) for j, w in weights.items()}
+            comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
+        measures.append(ProbMeasure(space, weights, comps))
+    top = draw(st.integers(1, 12 if on_countable else 6))
+    compacts = CompactFamily(space, tuple(EventSet.initial_segment(space, m) for m in range(1, top + 1)))
+    schedule = draw(st.lists(st.fractions(F(1, 1024), 1), min_size=1, max_size=6, unique=True))
+    if as_float:
+        schedule = [float(e) for e in schedule]
+    return measures, space, compacts, schedule
+
+
+@given(tightness_cases())
+def test_tightness_scan_matches_per_eps_oracle(case):
+    measures, space, compacts, schedule = case
+    assert tightness_scan(measures, space, compacts, schedule) == _tightness_scan_per_eps(measures, compacts, schedule)
 
 
 def _classify_radon_nested(mu):

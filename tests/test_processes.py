@@ -26,12 +26,13 @@ from exchkit import (
     polya_beta_equivalence,
     prefix_law,
 )
+from exchkit import processes
 from exchkit.kernels import bernoulli_kernel, geometric_kernel
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
+    all_patterns,
     beta_binomial_pattern_prob,
-    decode_pattern,
     encode_pattern,
     ensure_oracle_domain,
     product_space,
@@ -60,9 +61,10 @@ def flip_chain() -> MarkovChainProcess:
 
 
 def test_pattern_codec_round_trip():
+    # the k**n patterns map one-to-one onto range(k**n)
     space = finite(3)
-    for pat in [(0, 0), (2, 1), (1, 2)]:
-        assert decode_pattern(space, 2, encode_pattern(space, pat)) == pat
+    codes = sorted(encode_pattern(space, pat) for pat in all_patterns(space, 4))
+    assert codes == list(range(3**4))
 
 
 def test_product_space_size():
@@ -134,11 +136,9 @@ def test_prefix_law_rejects_float_parameters():
 def test_oracle_domain_guard():
     gen = coin(F(1, 2))
     with pytest.raises(ValueError):
-        ensure_oracle_domain(gen, 7, 6)
+        ensure_oracle_domain(gen, 0)
     with pytest.raises(ValueError):
-        ensure_oracle_domain(gen, 0, 6)
-    with pytest.raises(ValueError):
-        ensure_oracle_domain(IIDProcess(ProbMeasure.geometric(countable(), F(1, 2))), 2, 6)
+        ensure_oracle_domain(IIDProcess(ProbMeasure.geometric(countable(), F(1, 2))), 2)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
@@ -240,20 +240,38 @@ def test_exchangeability_result_serializes():
     assert d["max_discrepancy"] == "3/4"
 
 
-def test_check_respects_oracle_bound():
-    with pytest.raises(ValueError, match="bound"):
-        check_exchangeable(coin(F(1, 2)), 7)
-    check_exchangeable(coin(F(1, 2)), 7, bound=7)
+def test_check_respects_oracle_bound(monkeypatch):
+    # 3! * 2**3 = 48 steps: allowed at a cap of 48, refused at 47
+    monkeypatch.setattr(processes, "_ORACLE_WORK_CAP", 48)
+    assert check_exchangeable(coin(F(1, 2)), 3).exchangeable
+    monkeypatch.setattr(processes, "_ORACLE_WORK_CAP", 47)
+    with pytest.raises(ValueError, match="oracle cap 47"):
+        check_exchangeable(coin(F(1, 2)), 3)
 
 
 def test_check_caps_the_enumeration_work():
-    # 9! * 2**9 = 185,794,560 steps: over the cap even with a large bound
-    with pytest.raises(ValueError, match="cap"):
-        check_exchangeable(coin(F(1, 2)), 9, bound=9)
-    with pytest.raises(ValueError, match="cap"):
-        check_exchangeable(PolyaUrnProcess(1, 1), 12, bound=12)
-    with pytest.raises(ValueError, match="cap"):  # refused without computing 10**9!
-        check_exchangeable(coin(F(1, 2)), 10**9, bound=10**9)
+    # 9! * 2**9 = 185,794,560 steps: over the cap
+    with pytest.raises(ValueError, match="oracle cap"):
+        check_exchangeable(coin(F(1, 2)), 9)
+    with pytest.raises(ValueError, match="oracle cap"):
+        check_exchangeable(PolyaUrnProcess(1, 1), 12)
+    with pytest.raises(ValueError, match="oracle cap"):  # refused without computing 10**9!
+        check_exchangeable(coin(F(1, 2)), 10**9)
+
+
+def test_every_process_oracle_refuses_work_over_its_cap(monkeypatch):
+    # Fail instead of enumerating, should a guard be missing.
+    for gen_cls in (IIDProcess, PolyaUrnProcess):
+        monkeypatch.setattr(gen_cls, "prefix_pattern_law", lambda self, n: pytest.fail("enumerated"))
+    uniform30 = IIDProcess(ProbMeasure.uniform(finite(30)))
+    with pytest.raises(ValueError, match="oracle cap"):  # 6 * 30**6 ~ 4.4e9 pattern entries
+        prefix_law(uniform30, 6)
+    with pytest.raises(ValueError, match="oracle cap"):  # 2**40 ~ 1.1e12 urn patterns
+        polya_beta_equivalence(1, 1, 40)
+    with pytest.raises(ValueError, match="oracle cap"):
+        polya_beta_equivalence(1, 1, 10**9)
+    with pytest.raises(ValueError, match="oracle cap"):  # k**n = 1 on one cell; n still counts
+        prefix_law(IIDProcess(ProbMeasure.uniform(finite(1))), 10**9)
 
 
 # -- urn vs Beta-Binomial (two independent routes) --------------------------------
@@ -264,6 +282,8 @@ def test_polya_beta_equivalence_exact():
     assert ok and disc == 0
     ok, disc = polya_beta_equivalence(2, 1, 4)
     assert ok and disc == 0
+    # 2**10 urn patterns: past the old length limit of six, far below the cap
+    assert polya_beta_equivalence(1, 1, 10) == (True, 0)
 
 
 def test_polya_beta_equivalence_rejects_non_integers():

@@ -64,15 +64,6 @@ def test_cell_counts():
     assert countable().num_cells is None
 
 
-def test_dyadic_cell_label_is_the_interval():
-    assert dyadic(2).cell_label(1) == "[1/4,1/2)"
-
-
-def test_cell_label_rejects_bad_index():
-    with pytest.raises(ValueError):
-        finite(2).cell_label(5)
-
-
 # -- event sets --------------------------------------------------------------
 
 
