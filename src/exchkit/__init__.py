@@ -45,7 +45,6 @@ from .kernels import (
     CylinderEvent,
     MarkovKernel,
     RcdReport,
-    UnknownParameterError,
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,

@@ -74,8 +74,9 @@ def _guarded(fn):
     return wrapper
 
 
-def _emit(cfg: ScenarioConfig, merged, results, passed, started, seeds=(), header=(), rows=(), with_csv=False):
-    """Write the JSON (and optional CSV) artifacts and print the verdict."""
+def _emit(cfg: ScenarioConfig, merged, results, passed, started, seeds=(), header=(), rows=()):
+    """Write the JSON artifact, and the CSV one for a command with a table
+    header, and print the verdict."""
     report = RunReport(
         command=cfg.command,
         config=cfg.echo(),
@@ -91,7 +92,7 @@ def _emit(cfg: ScenarioConfig, merged, results, passed, started, seeds=(), heade
     json_path = resolve_out_path(merged.get("json", f"{cfg.command}.json"), out_dir)
     emit_report(report, "json", json_path, timestamp, wall)
     written = [json_path]
-    if with_csv:
+    if header:
         csv_path = resolve_out_path(merged.get("csv", f"{cfg.command}.csv"), out_dir)
         emit_report(report, "csv", csv_path, timestamp, wall)
         written.append(csv_path)
@@ -143,9 +144,7 @@ def cmd_simulate(config_path, **flags):
         for step, value in enumerate(path.observations, start=1):
             rows.append((label, step, int(value)))
     results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(rows)}
-    return _emit(
-        cfg, merged, results, True, started, seeds=seeds, header=("seed", "step", "value"), rows=rows, with_csv=True
-    )
+    return _emit(cfg, merged, results, True, started, seeds=seeds, header=("seed", "step", "value"), rows=rows)
 
 
 @main.command("check-exchangeable")
@@ -203,9 +202,7 @@ def cmd_estimate_mixing(config_path, **flags):
     # passed=None events carry no per-path target; they stay informational
     results = {"events": per_event}
     seeds = path_seed_labels(cfg.seed, cfg.n_paths)
-    return _emit(
-        cfg, merged, results, passed, started, seeds=seeds, header=MIXING_CSV_HEADER, rows=rows, with_csv=True
-    )
+    return _emit(cfg, merged, results, passed, started, seeds=seeds, header=MIXING_CSV_HEADER, rows=rows)
 
 
 @main.command("verify-rcd")

@@ -407,11 +407,10 @@ class RunReport:
     passed: bool
     csv_header: tuple[str, ...] = ()
     csv_rows: tuple[tuple, ...] = ()
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self, timestamp: str, wall_clock_s: float) -> str:
         body = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "seeds": list(self.seeds),

@@ -9,6 +9,13 @@ closed F" by an explicit finite checklist. Extraction replaces the classical
 non-constructive subsequence argument with a fixed deterministic recipe
 (cells in index order, bisection on mass clusters, ties toward the cluster
 holding the earliest index), so identical inputs select identical indices.
+
+The pipeline has one fixed configuration: ``family_tight``,
+``extract_convergent_subsequence`` and ``construct_rcd_from_empiricals`` use
+the space's ``default_compact_family`` and ``default_closed_family`` (each
+built once per space) and ``DEFAULT_EPS_SCHEDULE``. ``a_converges`` and, in
+``measures``, ``is_tight`` and ``tightness_scan`` take an explicit family and
+schedule for any other choice.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .measures import (
 from .processes import PathSample, ProcessGenerator
 from .spaces import (
     ClosedFamily,
-    CompactFamily,
     EventSet,
     SpaceDescriptor,
     SpaceMismatchError,
@@ -102,6 +108,13 @@ def _tail_half(values: Sequence) -> Sequence:
     return values[len(values) // 2 :]
 
 
+def _check_tol(tol) -> None:
+    """A convergence tolerance must be finite and non-negative; 0 asks for
+    exact agreement."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def a_converges(
     seq: MeasureSequence,
     candidate: ProbMeasure,
@@ -113,6 +126,7 @@ def a_converges(
     The limsup is the max over the tail half of the sequence. On failure the
     second slot names the worst offender.
     """
+    _check_tol(tol)
     if candidate.space != seq.space or closed.space != seq.space:
         raise SpaceMismatchError("sequence, candidate and family must share a space")
     if len(closed) == 0:
@@ -128,16 +142,11 @@ def a_converges(
     return worst is None, worst
 
 
-def family_tight(
-    seq: MeasureSequence,
-    compacts: CompactFamily | None = None,
-    eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
-) -> TightnessResult:
-    """Uniform tightness over the whole sequence: for each epsilon, a single
-    compact K with mu_n(K) > 1 - eps for ALL n."""
-    if compacts is None:
-        compacts = default_compact_family(seq.space)
-    return tightness_scan(seq.measures, seq.space, compacts, eps_schedule)
+def family_tight(seq: MeasureSequence) -> TightnessResult:
+    """Uniform tightness over the whole sequence: for each epsilon of
+    ``DEFAULT_EPS_SCHEDULE``, a single default compact K with
+    mu_n(K) > 1 - eps for ALL n."""
+    return tightness_scan(seq.measures, seq.space, default_compact_family(seq.space), DEFAULT_EPS_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +235,7 @@ def _refine_positions(positions: list[int], values: list, tol) -> list[int]:
         current = pick
 
 
-def extract_convergent_subsequence(
-    seq: MeasureSequence,
-    closed: ClosedFamily | None = None,
-    compacts: CompactFamily | None = None,
-    tol=1e-9,
-    eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
-) -> ExtractionResult:
+def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> ExtractionResult:
     """Deterministic diagonal extraction of a convergent subsequence.
 
     Requires uniform tightness (NotTightError otherwise). Cells are taken
@@ -241,11 +244,11 @@ def extract_convergent_subsequence(
     bisection. The limit takes each cell's value at the last surviving index,
     renormalized over the witness cells (the discarded tail is controlled by
     the witness). If the whole sequence already converges to that limit, the
-    whole sequence is returned.
+    whole sequence is returned. Certificates cover the default closed family.
     """
-    if closed is None:
-        closed = default_closed_family(seq.space)
-    ft = family_tight(seq, compacts, eps_schedule)
+    _check_tol(tol)
+    closed = default_closed_family(seq.space)
+    ft = family_tight(seq)
     if not ft.tight:
         missing = [str(e) for e, w in ft.witnesses if w is None]
         raise NotTightError(f"no uniform compact witness at eps in {{{', '.join(missing)}}}")
@@ -382,14 +385,15 @@ def uniform_smallness_check(
     n_grid: Sequence[int],
     n_paths: int,
     master_seed: int = 0,
-    coverage: float = 0.95,
 ) -> UniformSmallnessReport:
     """For each path and epsilon, find the first event in the decreasing
     chain whose empirical mass stays below epsilon across the WHOLE grid.
 
     The quantifier over all n is truncated to the grid; that surrogate is the
-    point of the grid argument.
+    point of the grid argument. The check passes when, at every epsilon, at
+    least 95% of the paths find such an event.
     """
+    coverage = 0.95
     if not events:
         raise ValueError("event chain must be non-empty")
     for big, small in zip(events, events[1:]):
@@ -499,9 +503,6 @@ def construct_rcd_from_empiricals(
     tol: float = 0.05,
     master_seed: int = 0,
     coverage: float = 0.95,
-    compacts: CompactFamily | None = None,
-    closed: ClosedFamily | None = None,
-    eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
 ) -> RcdConstructionReport:
     """Build the directing measure path by path and verify it.
 
@@ -526,14 +527,9 @@ def construct_rcd_from_empiricals(
         raise ValueError("need at least one path")
     validate_tol(tol)
 
-    marginal = gen.marginal()
-    regularity = classify_radon(marginal, compacts=compacts, eps_schedule=eps_schedule)
+    regularity = classify_radon(gen.marginal())
     if not regularity.radon:
         raise ValueError("generator marginal failed the Radon classification")
-    if compacts is None:
-        compacts = default_compact_family(gen.space)
-    if closed is None:
-        closed = default_closed_family(gen.space)
 
     kernel = gen.latent_kernel()
     big_n = grid[-1]
@@ -547,9 +543,7 @@ def construct_rcd_from_empiricals(
             freqs.append(grid_counts(path.observations, events, (big_n,))[:, 0] / big_n)
         seq = empirical_sequence(path, grid)
         try:
-            ext = extract_convergent_subsequence(
-                seq, closed=closed, compacts=compacts, tol=tol, eps_schedule=eps_schedule
-            )
+            ext = extract_convergent_subsequence(seq, tol=tol)
         except NotTightError:
             not_tight += 1
             results.append(

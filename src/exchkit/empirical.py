@@ -38,7 +38,7 @@ from .processes import (
     GridMixtureProcess,
     PathSample,
     ProcessGenerator,
-    all_patterns,
+    _mixture_pattern_law,
     ensure_oracle_domain,
     ensure_oracle_work,
 )
@@ -338,17 +338,8 @@ def _exact_weighted_patterns(
     if isinstance(conditioning, LatentCondition):
         if not isinstance(gen, GridMixtureProcess):
             raise ValueError("exact latent conditioning needs a finite-grid mixture")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for w, theta in gen.prior:
-            if not conditioning.predicate(theta):
-                continue
-            mu = gen.component.measure(theta)
-            for pattern in all_patterns(gen.space, n):
-                p = Fraction(w)
-                for x in pattern:
-                    p *= mu.atom_mass(x)
-                out[pattern] = out.get(pattern, Fraction(0)) + p
-        return out
+        parts = [(w, gen.component.measure(t)) for w, t in gen.prior if conditioning.predicate(t)]
+        return _mixture_pattern_law(gen.space, parts, n)
     raise ValueError(
         "exact mode supports full-space or latent conditioning only; "
         "prefix statistics are checkable in Monte Carlo mode"

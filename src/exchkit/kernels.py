@@ -20,38 +20,22 @@ from .measures import EXACT, ProbMeasure, mass
 from .spaces import EventSet, SpaceDescriptor, SpaceMismatchError, event_spec
 
 
-class UnknownParameterError(KeyError):
-    """A kernel was evaluated at a parameter outside its declared domain."""
-
-
 @dataclass(frozen=True)
 class MarkovKernel:
     """Parameter -> probability measure on a fixed target space.
 
-    ``domain`` is a finite parameter grid, or None for kernels defined on a
-    continuum (e.g. p -> Bernoulli(p) on [0,1]); grid kernels validate their
-    images eagerly, continuum kernels at call time.
+    Images are built and checked at call time; a grid mixture evaluates
+    every prior parameter when it is constructed.
     """
 
     target: SpaceDescriptor
     law: Callable[[object], ProbMeasure] = field(compare=False)
-    domain: tuple | None = None
 
-    def __post_init__(self) -> None:
-        if self.domain is not None:
-            for param in self.domain:
-                self._checked_measure(param)
-
-    def _checked_measure(self, param) -> ProbMeasure:
+    def measure(self, param) -> ProbMeasure:
         mu = self.law(param)
         if mu.space != self.target:
             raise SpaceMismatchError("kernel image on wrong space")
         return mu
-
-    def measure(self, param) -> ProbMeasure:
-        if self.domain is not None and param not in self.domain:
-            raise UnknownParameterError(param)
-        return self._checked_measure(param)
 
 
 def kernel_mass(kappa: MarkovKernel, param, event: EventSet):
@@ -59,14 +43,14 @@ def kernel_mass(kappa: MarkovKernel, param, event: EventSet):
     return mass(kappa.measure(param), event)
 
 
-def bernoulli_kernel(target: SpaceDescriptor, domain: tuple | None = None) -> MarkovKernel:
+def bernoulli_kernel(target: SpaceDescriptor) -> MarkovKernel:
     """p -> Bernoulli(p) on a two-cell space."""
-    return MarkovKernel(target, lambda p: ProbMeasure.bernoulli(target, p), domain)
+    return MarkovKernel(target, lambda p: ProbMeasure.bernoulli(target, p))
 
 
-def geometric_kernel(target: SpaceDescriptor, domain: tuple | None = None) -> MarkovKernel:
+def geometric_kernel(target: SpaceDescriptor) -> MarkovKernel:
     """q -> Geometric(q) on the countable space."""
-    return MarkovKernel(target, lambda q: ProbMeasure.geometric(target, q), domain)
+    return MarkovKernel(target, lambda q: ProbMeasure.geometric(target, q))
 
 
 def constant_kernel(mu: ProbMeasure) -> MarkovKernel:

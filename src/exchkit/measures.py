@@ -12,6 +12,12 @@ Arithmetic modes, inferred from the weights and ratios:
   exactly 1. Used by all brute-force oracle comparisons.
 * ``float`` -- float64 weights; total mass within 1e-12 of 1. Used by Monte
   Carlo runs.
+
+The Radon classifier has one fixed configuration: the space's
+``default_compact_family`` (64 initial segments on the countable space, the
+full space otherwise) and ``DEFAULT_EPS_SCHEDULE`` (1/2, 1/4, ..., 1/1024).
+``is_tight``, ``tightness_scan`` and ``is_outer_regular_on`` take an explicit
+family and schedule for any other choice.
 """
 
 from __future__ import annotations
@@ -312,31 +318,22 @@ class RegularityReport:
 DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2**k) for k in range(1, 11))
 
 
-def classify_radon(
-    mu: ProbMeasure,
-    compacts: CompactFamily | None = None,
-    eps_schedule: Sequence = DEFAULT_EPS_SCHEDULE,
-) -> RegularityReport:
-    """Certify Radon-ness as tightness plus outer regularity on compacts.
+def classify_radon(mu: ProbMeasure) -> RegularityReport:
+    """Certify Radon-ness as tightness plus outer regularity on compacts,
+    over the space's default compact family and ``DEFAULT_EPS_SCHEDULE``.
 
     The open-superset candidates for a compact K are K itself and the full
     space: in the discrete convention every event is open, and on the dyadic
     space the only default compact is the full space, so the candidate list
     is honest for every supported kind.
     """
-    if not eps_schedule:
-        raise ValueError("eps schedule must be non-empty")
-    if list(eps_schedule) != sorted(eps_schedule, reverse=True):
-        raise ValueError("eps schedule must be decreasing")
-    if compacts is None:
-        compacts = default_compact_family(mu.space)
-
-    tight_res = is_tight(mu, compacts, eps_schedule)
+    compacts = default_compact_family(mu.space)
+    tight_res = is_tight(mu, compacts, DEFAULT_EPS_SCHEDULE)
     full = EventSet.full(mu.space)
     outer_witnesses = tuple(
         (k, eps, wit)
         for k in compacts
-        for eps, wit in is_outer_regular_on(mu, k, (k, full), eps_schedule)
+        for eps, wit in is_outer_regular_on(mu, k, (k, full), DEFAULT_EPS_SCHEDULE)
     )
     outer_ok = all(wit is not None for _, _, wit in outer_witnesses)
 

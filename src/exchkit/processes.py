@@ -93,6 +93,22 @@ def all_patterns(space: SpaceDescriptor, n: int):
     return product(range(space.num_cells), repeat=n)
 
 
+def _mixture_pattern_law(space: SpaceDescriptor, parts, n: int) -> dict:
+    """sum_i w_i * prod_t mu_i(x_t) for every pattern x in ``all_patterns``
+    order, over ``parts`` = ((w_i, mu_i), ...); 0 everywhere when empty."""
+    tables = [(Fraction(w), [mu.atom_mass(j) for j in range(space.num_cells)]) for w, mu in parts]
+    law = {}
+    for pattern in all_patterns(space, n):
+        p = Fraction(0)
+        for w, atoms in tables:
+            term = w
+            for x in pattern:
+                term *= atoms[x]
+            p += term
+        law[pattern] = p
+    return law
+
+
 # ---------------------------------------------------------------------------
 # sampling from a measure
 
@@ -224,13 +240,7 @@ class IIDProcess(ProcessGenerator):
         return None, sample_from_measure(self.base, stream, n)
 
     def prefix_pattern_law(self, n):
-        law = {}
-        for pattern in all_patterns(self.space, n):
-            p = Fraction(1)
-            for x in pattern:
-                p *= self.base.atom_mass(x)
-            law[pattern] = p
-        return law
+        return _mixture_pattern_law(self.space, ((1, self.base),), n)
 
     def marginal(self) -> ProbMeasure:
         return self.base
@@ -279,17 +289,8 @@ class GridMixtureProcess(ProcessGenerator):
         return theta, sample_from_measure(self.component.measure(theta), stream, n)
 
     def prefix_pattern_law(self, n):
-        law = {}
-        for pattern in all_patterns(self.space, n):
-            p = Fraction(0)
-            for w, theta in self.prior:
-                mu = self.component.measure(theta)
-                term = Fraction(w)
-                for x in pattern:
-                    term *= mu.atom_mass(x)
-                p += term
-            law[pattern] = p
-        return law
+        parts = [(w, self.component.measure(theta)) for w, theta in self.prior]
+        return _mixture_pattern_law(self.space, parts, n)
 
     def marginal(self) -> ProbMeasure:
         from .measures import mix_measures

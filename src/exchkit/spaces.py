@@ -17,6 +17,7 @@ and masses exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -217,12 +218,12 @@ class CompactFamily:
         return len(self.members)
 
 
-def default_compact_family(space: SpaceDescriptor, max_members: int = 64) -> CompactFamily:
-    """Initial segments on the countable space; the full space otherwise."""
+@cache
+def default_compact_family(space: SpaceDescriptor) -> CompactFamily:
+    """The 64 initial segments {0}..{0..63} on the countable space; the full
+    space otherwise. Built once per space."""
     if space.is_countable:
-        members = tuple(
-            EventSet.initial_segment(space, m) for m in range(1, max_members + 1)
-        )
+        members = tuple(EventSet.initial_segment(space, m) for m in range(1, 65))
         return CompactFamily(space, members)
     return CompactFamily(space, (EventSet.full(space),))
 
@@ -274,8 +275,9 @@ def event_spec(ev: EventSet | None) -> str | None:
     return f"not:{cells}" if ev.cofinite else f"cells:{cells}"
 
 
+@cache
 def default_closed_family(space: SpaceDescriptor) -> ClosedFamily:
-    """A usable closed-set checklist per space kind.
+    """A usable closed-set checklist per space kind, built once per space.
 
     Finite/dyadic spaces with at most 10 cells get every event (all are closed
     in the discrete/closed-cell convention). Larger sized spaces and the

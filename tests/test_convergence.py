@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchkit import EventSet, ProbMeasure, countable, default_compact_family, finite, is_tight, mass
+from exchkit import (
+    DEFAULT_EPS_SCHEDULE,
+    EventSet,
+    ProbMeasure,
+    countable,
+    default_compact_family,
+    finite,
+    is_tight,
+    mass,
+)
 from exchkit.convergence import (
     MeasureSequence,
     NoConvergenceAtTolError,
@@ -28,7 +37,7 @@ from exchkit.processes import (
     MarkovChainProcess,
     PolyaUrnProcess,
 )
-from exchkit.spaces import CompactFamily, SpaceMismatchError, event_spec
+from exchkit.spaces import SpaceMismatchError, event_spec
 
 B2 = finite(2)
 NN = countable()
@@ -92,6 +101,13 @@ def test_a_converges_validates_inputs():
         a_converges(seq, ProbMeasure.delta(NN, 0), default_closed_family(B2), 1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_a_converges_rejects_bad_tol(tol):
+    # under NaN or inf no excess is positive, so any candidate would pass
+    with pytest.raises(ValueError, match="tol"):
+        a_converges(alternating(), ProbMeasure.delta(B2, 0), default_closed_family(B2), tol)
+
+
 @settings(max_examples=40)
 @given(st.lists(st.integers(1, 9), min_size=3, max_size=3))
 def test_a_converges_is_reflexive_for_constant_sequences(weights):
@@ -113,6 +129,14 @@ def test_extraction_picks_constant_subsequence_from_alternating_deltas():
     assert res.a_converged
     assert not res.full_sequence
     assert all(a < b for a, b in zip(res.indices, res.indices[1:]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_extraction_rejects_bad_tol(tol):
+    # a NaN or negative tol/2 is never reached, not even by a one-value cluster,
+    # and under inf any sequence would count as converged
+    with pytest.raises(ValueError, match="tol"):
+        extract_convergent_subsequence(alternating(2), tol=tol)
 
 
 def test_extraction_limit_stays_exact_for_integer_weights():
@@ -180,9 +204,8 @@ def test_family_tight_oracles():
 def test_family_tight_of_one_measure_is_is_tight(raw):
     # the uniform witness over a one-member sequence is the single measure's
     mu = ProbMeasure(NN, {j: F(w, sum(raw)) for j, w in enumerate(raw) if w})
-    eps = [F(1, 2**k) for k in range(1, 6)]
-    compacts = default_compact_family(NN, max_members=4)
-    assert family_tight(MeasureSequence(NN, (mu,)), compacts, eps) == is_tight(mu, compacts, eps)
+    expected = is_tight(mu, default_compact_family(NN), DEFAULT_EPS_SCHEDULE)
+    assert family_tight(MeasureSequence(NN, (mu,))) == expected
 
 
 def test_family_tight_finite_space_is_trivial():
@@ -255,7 +278,7 @@ def test_uniform_smallness_geometric_tails():
         n_paths=80,
         master_seed=0,
     )
-    assert rep.passed
+    assert rep.passed and rep.to_dict()["coverage"] == 0.95
     assert rep.found_fractions == (1.0, 1.0)
     # Every path records which chain member certified each epsilon.
     assert all(m is not None for profile in rep.m_profiles for m in profile)
@@ -375,13 +398,11 @@ def test_construct_rcd_validates_inputs():
 
 
 def test_construct_rcd_gates_on_marginal_regularity():
-    # A compact family too small to witness the marginal's tightness must
-    # stop the construction up front.
-    tiny = CompactFamily(NN, (EventSet.initial_segment(NN, 1),))
+    # Geom(1/1000) keeps more than 1/2 of its mass past cell 63, so no default
+    # compact witnesses its tightness and the construction stops up front.
+    gen = IIDProcess(ProbMeasure.geometric(NN, F(1, 1000)))
     with pytest.raises(ValueError, match="failed the Radon classification"):
-        construct_rcd_from_empiricals(
-            geom_mixture(), [EventSet.initial_segment(NN, 1)], n_grid=(10, 50), n_paths=2, compacts=tiny
-        )
+        construct_rcd_from_empiricals(gen, [EventSet.initial_segment(NN, 1)], n_grid=(10, 50), n_paths=2)
 
 
 def test_construct_rcd_report_serializes():

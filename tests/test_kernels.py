@@ -19,7 +19,6 @@ from exchkit import (
 from exchkit.kernels import (
     CylinderEvent,
     MarkovKernel,
-    UnknownParameterError,
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,
@@ -45,16 +44,9 @@ def test_geometric_kernel_image():
     assert kappa.measure(F(1, 2)).atom_mass(0) == F(1, 2)
 
 
-def test_grid_kernel_rejects_foreign_parameters():
-    kappa = bernoulli_kernel(finite(2), domain=(F(1, 4), F(1, 2)))
-    kappa.measure(F(1, 4))
-    with pytest.raises(UnknownParameterError):
-        kappa.measure(F(1, 3))
-
-
-def test_grid_kernel_validates_images_eagerly():
+def test_kernel_validates_images():
     with pytest.raises(ValueError):
-        bernoulli_kernel(finite(2), domain=(F(3, 2),))
+        bernoulli_kernel(finite(2)).measure(F(3, 2))
 
 
 def test_kernel_image_space_checked():

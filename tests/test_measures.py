@@ -382,14 +382,6 @@ def test_classifier_always_passes_finite_spaces():
     assert report.radon
 
 
-def test_classifier_validates_eps_schedule():
-    mu = ProbMeasure.uniform(finite(2))
-    with pytest.raises(ValueError):
-        classify_radon(mu, eps_schedule=[F(1, 8), F(1, 2)])
-    with pytest.raises(ValueError):
-        classify_radon(mu, eps_schedule=[])
-
-
 def test_classifier_report_serializes():
     d = classify_radon(ProbMeasure.geometric(countable(), F(1, 2))).to_dict()
     assert d["radon"] is True

@@ -27,7 +27,8 @@ from exchkit import (
     prefix_law,
 )
 from exchkit import processes
-from exchkit.kernels import bernoulli_kernel, geometric_kernel
+from exchkit.empirical import LatentCondition, _exact_weighted_patterns
+from exchkit.kernels import MarkovKernel, bernoulli_kernel, geometric_kernel
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
@@ -541,3 +542,98 @@ def test_long_paths_keep_their_random_stream(gen, n, index, digest):
     obs = gen.sample_path(n, 0, path_index=index).observations
     assert obs.dtype == np.int64
     assert hashlib.sha256(obs.tobytes()).hexdigest() == digest
+
+
+# -- one mixture pattern law -----------------------------------------------------
+# The loops each law used before they shared processes._mixture_pattern_law.
+
+
+def iid_pattern_loop(base, n):
+    law = {}
+    for pattern in all_patterns(base.space, n):
+        p = Fraction(1)
+        for x in pattern:
+            p *= base.atom_mass(x)
+        law[pattern] = p
+    return law
+
+
+def grid_pattern_loop(gen, n):
+    law = {}
+    for pattern in all_patterns(gen.space, n):
+        p = Fraction(0)
+        for w, theta in gen.prior:
+            mu = gen.component.measure(theta)
+            term = Fraction(w)
+            for x in pattern:
+                term *= mu.atom_mass(x)
+            p += term
+        law[pattern] = p
+    return law
+
+
+def latent_pattern_loop(gen, n, predicate):
+    out = {}
+    for w, theta in gen.prior:
+        if not predicate(theta):
+            continue
+        mu = gen.component.measure(theta)
+        for pattern in all_patterns(gen.space, n):
+            p = Fraction(w)
+            for x in pattern:
+                p *= mu.atom_mass(x)
+            out[pattern] = out.get(pattern, Fraction(0)) + p
+    return out
+
+
+def typed(law):
+    """Keys in order, each value with its type: Fraction and float stay apart."""
+    return [(pattern, type(p), p) for pattern, p in law.items()]
+
+
+@st.composite
+def base_measures(draw, k):
+    raw = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    exact = draw(st.booleans())
+    return ProbMeasure.from_weights(finite(k), [F(w, sum(raw)) if exact else w / sum(raw) for w in raw])
+
+
+@st.composite
+def grid_mixtures(draw):
+    k = draw(st.sampled_from([2, 3]))
+    parts = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.integers(0, 5), min_size=parts, max_size=parts).filter(any))
+    mus = [draw(base_measures(k)) for _ in range(parts)]
+    kernel = MarkovKernel(finite(k), lambda i: mus[i])
+    return GridMixtureProcess(tuple((F(w, sum(raw)), i) for i, w in enumerate(raw)), kernel)
+
+
+@given(st.sampled_from([2, 3]).flatmap(base_measures), st.integers(1, 4))
+def test_iid_pattern_law_matches_the_loop(base, n):
+    assert typed(IIDProcess(base).prefix_pattern_law(n)) == typed(iid_pattern_loop(base, n))
+
+
+@given(grid_mixtures(), st.integers(1, 4))
+def test_grid_pattern_law_matches_the_loop(gen, n):
+    assert typed(gen.prefix_pattern_law(n)) == typed(grid_pattern_loop(gen, n))
+
+
+LATENT_PREDICATES = {
+    "first": lambda i: i == 0,
+    "not-first": lambda i: i > 0,
+    "none": lambda i: False,
+}
+
+
+@given(grid_mixtures(), st.integers(1, 4), st.sampled_from(sorted(LATENT_PREDICATES)))
+def test_latent_pattern_law_matches_the_loop(gen, n, name):
+    predicate = LATENT_PREDICATES[name]
+    law = _exact_weighted_patterns(gen, n, LatentCondition(predicate))
+    old = latent_pattern_loop(gen, n, predicate)
+    if any(predicate(theta) for _, theta in gen.prior):
+        assert typed(law) == typed(old)
+    else:
+        # no theta satisfies the predicate: the loop left the dict empty,
+        # the shared law gives every pattern 0
+        assert old == {}
+        assert list(law) == list(all_patterns(gen.space, n)) and not any(law.values())

@@ -181,10 +181,19 @@ def test_compact_family_rejects_cofinite_members():
 
 
 def test_default_compacts_on_countable_are_segments():
-    fam = default_compact_family(countable(), max_members=5)
-    assert len(fam) == 5
+    fam = default_compact_family(countable())
+    assert len(fam) == 64
     assert fam.members[0] == EventSet.of(countable(), [0])
-    assert fam.members[4] == EventSet.initial_segment(countable(), 5)
+    assert fam.members[-1] == EventSet.initial_segment(countable(), 64)
+
+
+@pytest.mark.parametrize(
+    "space", [finite(2), finite(12), dyadic(3), countable()], ids=["finite2", "finite12", "dyadic3", "countable"]
+)
+@pytest.mark.parametrize("build", [default_compact_family, default_closed_family], ids=lambda f: f.__name__)
+def test_default_families_are_built_once_per_space(build, space):
+    assert build(space) is build(space)
+    assert build(space) == build.__wrapped__(space)
 
 
 def test_default_compacts_on_finite_is_full():
