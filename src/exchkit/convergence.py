@@ -16,6 +16,20 @@ the space's ``default_compact_family`` and ``default_closed_family`` (each
 built once per space) and ``DEFAULT_EPS_SCHEDULE``. ``a_converges`` and, in
 ``measures``, ``is_tight`` and ``tightness_scan`` take an explicit family and
 schedule for any other choice.
+
+Every mass the pipeline reads comes from one atom-mass table: ``A[g, j]`` is
+the mass of cell j under the g-th measure, for each cell up to the largest
+that the default compact and closed families or the requested events name,
+then a zero column that pads event sums (a cofinite event's mass is 1 minus
+its excluded cells, as in :func:`mass`, so no other cell is read).
+Tightness, extraction, :func:`a_converges` and the limsup certificates all
+read it. A path fills it from one ``bincount`` per grid segment, summed over
+the segments and divided by n; a :class:`MeasureSequence` fills it from
+``atom_mass``, as Python objects when a measure is exact. An event's mass is
+a left-to-right sum over its cells in the order :func:`mass` takes them, and
+the compacts' masses are one sequential cumulative sum along their chain, so
+every witness, limit, gap and certificate is bit-identical to per-measure
+:func:`mass` calls.
 """
 
 from __future__ import annotations
@@ -28,15 +42,18 @@ from typing import Sequence
 import numpy as np
 
 from .empirical import _validate_grid
-from .kernels import binomial_band, grid_counts, rcd_verdict, validate_tol
+from .kernels import binomial_band, grid_counts, rcd_verdict, validate_coverage, validate_tol
 from .measures import (
+    _DEFAULT_FLOORS,
     DEFAULT_EPS_SCHEDULE,
+    EXACT,
     ProbMeasure,
     RegularityReport,
     TightnessResult,
+    _chain_order,
+    _tightness,
     classify_radon,
     mass,
-    tightness_scan,
 )
 from .processes import PathSample, ProcessGenerator
 from .spaces import (
@@ -83,10 +100,12 @@ class MeasureSequence:
 
 
 def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequence:
-    """The per-path sequence mu_{w,n} along the grid, with float weights.
+    """The per-path sequence mu_{w,n} along the grid, with float weights
+    k/n for a cell drawn k times among the first n draws.
 
-    An exact sequence is ``MeasureSequence(space, tuple(empirical_measure(path,
-    n) for n in grid))``.
+    :func:`construct_rcd_from_empiricals` reads the same masses from the
+    path's count table and builds none of these measures; this sequence is
+    the reference it is tested against.
     """
     grid = _validate_grid(n_grid)
     if grid[-1] > path.length:
@@ -99,6 +118,78 @@ def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequen
         weights = {int(c): int(k) / n for c, k in zip(cells, counts)}
         out.append(ProbMeasure(space, weights))
     return MeasureSequence(space, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the atom-mass table
+
+
+def _width(events) -> int:
+    """One column per cell up to the largest cell any of the events names."""
+    return 1 + max((max(ev.indices, default=-1) for ev in events), default=-1)
+
+
+def _cell_index(events: Sequence[EventSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's cells in the order :func:`mass` sums them, padded with
+    -1 (the table's zero column), and which events are cofinite."""
+    orders = [list(ev.indices) for ev in events]
+    depth = max(map(len, orders), default=0) or 1
+    index = np.array([o + [-1] * (depth - len(o)) for o in orders], dtype=np.intp)
+    return index.reshape(len(orders), depth), np.array([ev.cofinite for ev in events], dtype=bool)
+
+
+def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) -> np.ndarray:
+    """R x E masses, under the R table rows, of the events whose
+    :func:`_cell_index` is ``cells``.
+
+    Each is a left-to-right sum over the event's cells, as in :func:`mass`,
+    so float masses are bit-identical to it; a cofinite event takes ``whole``
+    minus the sum over the cells it excludes."""
+    index, cofinite = cells
+    sums = np.add.accumulate(atoms[:, index], axis=2)[:, :, -1]
+    return np.where(cofinite, whole - sums, sums)
+
+
+class _Layout:
+    """What a table answers on one space: the default compact chain and
+    closed family plus any requested events, and the cell columns they name."""
+
+    def __init__(self, space: SpaceDescriptor, events: Sequence[EventSet] = ()):
+        self.space = space
+        self.compacts = default_compact_family(space)
+        self.chain = _chain_order(self.compacts)  # never None for a default family
+        self.closed = default_closed_family(space)
+        self.closed_cells = _cell_index(self.closed.members)
+        self.event_cells = _cell_index(events)
+        self.width = _width((*self.compacts, *self.closed, *events))
+
+
+def _measure_table(measures: Sequence[ProbMeasure], width: int) -> np.ndarray:
+    """Row g holds ``measures[g].atom_mass(j)`` for j < width, then the zero
+    pad; object dtype when any measure is exact, so Fractions stay exact."""
+    dtype = object if any(mu.mode == EXACT for mu in measures) else np.float64
+    return np.array([[mu.atom_mass(j) for j in range(width)] + [0] for mu in measures], dtype=dtype)
+
+
+def _path_counts(obs: np.ndarray, grid: Sequence[int], width: int) -> np.ndarray:
+    """G x (width + 1) integers: how many of the first ``grid[g]`` draws fall
+    in cell j < width, with a zero last column; one bincount per grid
+    segment, accumulated."""
+    bounds = (0, *grid)
+    counts = np.zeros((len(grid), width + 1), dtype=np.int64)
+    for row, lo, hi in zip(counts, bounds, bounds[1:]):
+        seg = obs[lo:hi]
+        row[:width] = np.bincount(seg[seg < width], minlength=width)
+    return np.cumsum(counts, axis=0)
+
+
+def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
+    """Uniform tightness from the table: the default compacts' masses are one
+    sequential cumsum along their chain, then the smallest over the rows."""
+    order, ends = layout.chain
+    running = np.cumsum(atoms[:, order], axis=1)
+    smallest = running[:, np.subtract(ends, 1)].min(axis=0).tolist()
+    return _tightness(layout.compacts, smallest, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +222,30 @@ def a_converges(
         raise SpaceMismatchError("sequence, candidate and family must share a space")
     if len(closed) == 0:
         raise ValueError("closed family must be non-empty")
+    masses = _masses(_measure_table((*seq.measures, candidate), _width(closed)), _cell_index(closed.members))
+    worst = _worst_closed(closed, masses[:-1], masses[-1], tol)
+    return worst is None, worst
+
+
+def _worst_closed(closed: ClosedFamily, masses: np.ndarray, candidate: np.ndarray, tol) -> EventSet | None:
+    """The closed set where the limsup of the sequence's masses (rows of
+    ``masses``) most exceeds the candidate's mass plus tol, or None."""
     worst = None
     worst_excess = 0
-    for f in closed:
-        limsup = max(mass(mu, f) for mu in _tail_half(seq.measures))
-        excess = limsup - mass(candidate, f) - tol
+    for f, limsup, m in zip(closed, _tail_half(masses).max(axis=0).tolist(), candidate.tolist()):
+        excess = limsup - m - tol
         if excess > 0 and excess > worst_excess:
             worst = f
             worst_excess = excess
-    return worst is None, worst
+    return worst
 
 
 def family_tight(seq: MeasureSequence) -> TightnessResult:
     """Uniform tightness over the whole sequence: for each epsilon of
     ``DEFAULT_EPS_SCHEDULE``, a single default compact K with
     mu_n(K) > 1 - eps for ALL n."""
-    return tightness_scan(seq.measures, seq.space, default_compact_family(seq.space), DEFAULT_EPS_SCHEDULE)
+    layout = _Layout(seq.space)
+    return _tight(layout, _measure_table(seq.measures, layout.width))
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +346,22 @@ def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> Extraction
     whole sequence is returned. Certificates cover the default closed family.
     """
     _check_tol(tol)
-    closed = default_closed_family(seq.space)
-    ft = family_tight(seq)
+    layout = _Layout(seq.space)
+    return _extract(layout, _measure_table(seq.measures, layout.width), tol)[0]
+
+
+def _extract(layout: _Layout, atoms: np.ndarray, tol) -> tuple[ExtractionResult, np.ndarray]:
+    """:func:`extract_convergent_subsequence` on a table, with the limit's
+    own table row."""
+    ft = _tight(layout, atoms)
     if not ft.tight:
         missing = [str(e) for e, w in ft.witnesses if w is None]
         raise NotTightError(f"no uniform compact witness at eps in {{{', '.join(missing)}}}")
 
-    min_eps = min(e for e, _ in ft.witnesses)
-    witness = next(w for e, w in ft.witnesses if e == min_eps)
+    witness = ft.witnesses[-1][1]  # the schedule decreases: the smallest epsilon's
     cells = sorted(witness.indices)
-    cell_values = {c: [mu.atom_mass(c) for mu in seq.measures] for c in cells}
-    positions = list(range(len(seq)))
+    cell_values = dict(zip(cells, atoms[:, cells].T.tolist()))
+    positions = list(range(len(atoms)))
     for c in cells:
         positions = _refine_positions(positions, cell_values[c], tol)
     if len(positions) < 2:
@@ -268,28 +372,32 @@ def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> Extraction
     total = sum(raw.values(), Fraction(0))  # a Fraction start keeps integer weights exact
     if total <= 0:
         raise NoConvergenceAtTolError("all witness cells carry zero mass at the limit")
-    limit = ProbMeasure(seq.space, {c: w / total for c, w in raw.items() if w > 0})
+    weights = {c: w / total for c, w in raw.items() if w > 0}
+    limit = ProbMeasure(layout.space, weights)
+    limit_row = np.zeros(atoms.shape[1], dtype=atoms.dtype)
+    limit_row[list(weights)] = list(weights.values())
 
-    full_ok, _ = a_converges(seq, limit, closed, tol)
-    selected = list(range(len(seq))) if full_ok else positions
+    masses = _masses(np.vstack((atoms, limit_row)), layout.closed_cells)
+    masses, limit_masses = masses[:-1], masses[-1]
+    full_ok = _worst_closed(layout.closed, masses, limit_masses, tol) is None
+    selected = list(range(len(atoms))) if full_ok else positions
 
-    sub = [seq.measures[i] for i in selected]
-    tail = _tail_half(sub)
-    head = sub[: len(sub) // 2] or sub
+    sub = masses[selected]  # at least two rows, so the head half is never empty
     certs = []
-    all_ok = True
-    for f in closed:
-        limsup = max(mass(mu, f) for mu in tail)
-        head_max = max(mass(mu, f) for mu in head)
-        limit_mass = mass(limit, f)
+    for f, limsup, head_max, limit_mass in zip(
+        layout.closed,
+        _tail_half(sub).max(axis=0).tolist(),
+        sub[: len(sub) // 2].max(axis=0).tolist(),
+        limit_masses.tolist(),
+    ):
         ok = limsup <= limit_mass + tol
         certs.append(
             ClosedSetCertificate(f, float(limsup), float(limit_mass), float(head_max - limsup), ok)
         )
-        all_ok = all_ok and ok
-    return ExtractionResult(
-        tuple(selected), limit, tuple(certs), all_ok, ft.witnesses, full_ok
+    result = ExtractionResult(
+        tuple(selected), limit, tuple(certs), all(c.ok for c in certs), ft.witnesses, full_ok
     )
+    return result, limit_row
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +614,7 @@ def construct_rcd_from_empiricals(
 ) -> RcdConstructionReport:
     """Build the directing measure path by path and verify it.
 
-    Pipeline per path: empirical sequence along the grid, uniform tightness,
+    Pipeline per path: empirical masses along the grid, uniform tightness,
     deterministic extraction to a limit mu_w; then (a) mu_w must match the
     final empirical mass on each requested event within tol, and (b) where
     the generator exposes a realized latent, mu_w must match the latent
@@ -517,15 +625,26 @@ def construct_rcd_from_empiricals(
     Paths failing tightness are counted, not fatal; the run passes when the
     per-path pass fraction reaches ``coverage`` (which bounds the not-tight
     fraction as well) and the frequency-level certificate agrees.
+
+    The empirical measures mu_{w,n} are never built. Each path's draws are
+    counted once, one ``bincount`` per grid segment accumulated over the
+    grid, into a table of counts per cell; divided by n it is the atom-mass
+    table (see the module docstring) that tightness, extraction and the
+    certificates read, and its last row gives the final event frequencies for
+    the kernel certificate. The results equal those of
+    :func:`extract_convergent_subsequence` on :func:`empirical_sequence`.
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
     if not events:
         raise ValueError("event list must be non-empty")
     grid = _validate_grid(n_grid)
+    if any(ev.space != gen.space for ev in events):
+        raise SpaceMismatchError("event on the wrong space for the generator")
     if n_paths < 1:
         raise ValueError("need at least one path")
     validate_tol(tol)
+    validate_coverage(coverage)
 
     regularity = classify_radon(gen.marginal())
     if not regularity.radon:
@@ -533,17 +652,20 @@ def construct_rcd_from_empiricals(
 
     kernel = gen.latent_kernel()
     big_n = grid[-1]
+    layout = _Layout(gen.space, events)
+    lengths = np.array(grid)[:, None]
     results = []
     not_tight = 0
     latents, freqs = [], []
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
+        counts = _path_counts(path.observations, grid, layout.width)
         if kernel is not None:
             latents.append(path.latent)
-            freqs.append(grid_counts(path.observations, events, (big_n,))[:, 0] / big_n)
-        seq = empirical_sequence(path, grid)
+            freqs.append(_masses(counts[-1:], layout.event_cells, whole=big_n)[0] / big_n)
+        atoms = counts / lengths
         try:
-            ext = extract_convergent_subsequence(seq, tol=tol)
+            ext, limit_row = _extract(layout, atoms, tol)
         except NotTightError:
             not_tight += 1
             results.append(
@@ -558,9 +680,10 @@ def construct_rcd_from_empiricals(
 
         # extraction raised NotTightError unless every eps has a witness
         witness = ext.tight_witnesses[-1][1]
-        final = seq[len(seq) - 1]
-        limit_masses = [float(mass(ext.limit, ev)) for ev in events]
-        event_gaps = tuple(abs(m - float(mass(final, ev))) for m, ev in zip(limit_masses, events))
+        final_masses, limit_masses = _masses(
+            np.vstack((atoms[-1], limit_row)), layout.event_cells
+        ).tolist()
+        event_gaps = tuple(abs(m - f) for m, f in zip(limit_masses, final_masses))
         ok = all(g <= tol for g in event_gaps)
         kernel_gaps = ()
         targets = [gen.path_target(path, ev) for ev in events]

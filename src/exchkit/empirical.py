@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import CylinderEvent, binomial_band, grid_counts, sigma_band, validate_tol
+from .kernels import CylinderEvent, binomial_band, grid_counts, sigma_band, validate_coverage, validate_tol
 from .measures import ProbMeasure, mass
 from .processes import (
     GridMixtureProcess,
@@ -164,6 +164,7 @@ def _slln_run(
     if n_paths < 1:
         raise ValueError("need at least one path")
     validate_tol(tol)
+    validate_coverage(coverage)
     big_n = grid[-1]
 
     labels, traces, finals, targets, gaps, tols = [], [], [], [], [], []

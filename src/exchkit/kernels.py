@@ -150,6 +150,7 @@ def verify_rcd(
     if n_paths < 1:
         raise ValueError("need at least one path")
     validate_tol(tol)
+    validate_coverage(coverage)
     latents, freqs = [], []
     for i in range(n_paths):
         path = gen.sample_path(n_steps, master_seed, path_index=i)
@@ -209,6 +210,12 @@ def validate_tol(tol) -> None:
     """A tolerance override must be finite and positive; None keeps the band."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def validate_coverage(coverage) -> None:
+    """A required pass fraction must lie in (0, 1]; NaN fails as well."""
+    if not 0 < coverage <= 1:
+        raise ValueError(f"coverage must lie in (0, 1], got {coverage}")
 
 
 def indicator_array(obs: np.ndarray, event: EventSet) -> np.ndarray:

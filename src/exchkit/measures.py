@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -187,8 +188,11 @@ def mass(mu: ProbMeasure, event: EventSet):
     """mu(event); additive over disjoint events, 1 on the full space."""
     if event.space != mu.space:
         raise SpaceMismatchError(f"event on {event.space}, measure on {mu.space}")
-    zero = Fraction(0) if mu.mode == EXACT else 0.0
-    finite_part = sum((mu.atom_mass(j) for j in event.indices), zero)
+    # left to right in the event's cell order, like every running sum that
+    # reproduces this mass (``sum`` compensates float sums from Python 3.12)
+    finite_part = Fraction(0) if mu.mode == EXACT else 0.0
+    for j in event.indices:
+        finite_part = finite_part + mu.atom_mass(j)
     if event.cofinite:
         return 1 - finite_part
     return finite_part
@@ -225,6 +229,45 @@ class TightnessResult:
     witnesses: tuple[tuple[object, EventSet | None], ...]
 
 
+def _chain_order(compacts: CompactFamily) -> tuple[list[int], list[int]] | None:
+    """The last member's cells in the order :func:`mass` sums them, and each
+    member's count of them, when every member's cells (in that order) begin
+    with the previous member's; None otherwise. Along such a chain, as along
+    every default compact family, one running sum passes through each
+    member's mass by the same additions as :func:`mass`."""
+    order: list[int] = []
+    ends = []
+    for k in compacts:
+        cells = list(k.indices)
+        if k.cofinite or cells[: len(order)] != order:
+            return None
+        order = cells
+        ends.append(len(cells))
+    return order, ends
+
+
+def _family_masses(mu: ProbMeasure, compacts: CompactFamily, chain) -> list:
+    """mass(mu, K) for each member K: one running sum over the atoms when
+    ``chain`` is the family's :func:`_chain_order`, a mass call each when None."""
+    if mu.space != compacts.space:
+        raise SpaceMismatchError(f"compacts on {compacts.space}, measure on {mu.space}")
+    if chain is None:
+        return [mass(mu, k) for k in compacts]
+    order, ends = chain
+    zero = Fraction(0) if mu.mode == EXACT else 0.0
+    running = list(accumulate((mu.atom_mass(j) for j in order), initial=zero))
+    return [running[end] for end in ends]
+
+
+def _tightness(compacts: CompactFamily, masses: Sequence, epsilons: Sequence, floors: Sequence) -> TightnessResult:
+    """Per epsilon, the first compact whose mass exceeds its floor 1 - eps."""
+    witnesses = tuple(
+        (eps, next((k for k, m in zip(compacts, masses) if m > floor), None))
+        for eps, floor in zip(epsilons, floors)
+    )
+    return TightnessResult(all(w is not None for _, w in witnesses), witnesses)
+
+
 def tightness_scan(
     measures: Sequence[ProbMeasure],
     space: SpaceDescriptor,
@@ -234,27 +277,18 @@ def tightness_scan(
     """Per epsilon, the first compact K with mu(K) > 1 - eps for EVERY listed
     measure (a uniform witness), or None where no family member works.
 
-    Each compact's smallest mass over the measures is computed once, in
-    family order, until the tightest floor 1 - min(eps) is met; every
-    epsilon's witness is read from that list."""
+    Each compact's smallest mass over the measures is computed once (one
+    running sum per measure along a chain family); every epsilon's witness
+    is read from that list."""
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
     if not all(e > 0 for e in epsilons):  # rejects NaN as well
         raise ValueError("epsilons must be positive")
     if compacts.space != space:
         raise SpaceMismatchError("compact family on wrong space")
-    floors = [1 - eps for eps in epsilons]
-    tightest = max(floors)
-    masses = []
-    for k in compacts:
-        masses.append(min(mass(mu, k) for mu in measures))
-        if masses[-1] > tightest:
-            break
-    witnesses = tuple(
-        (eps, next((k for k, m in zip(compacts, masses) if m > floor), None))
-        for eps, floor in zip(epsilons, floors)
-    )
-    return TightnessResult(all(w is not None for _, w in witnesses), witnesses)
+    chain = _chain_order(compacts)
+    masses = [min(ms) for ms in zip(*(_family_masses(mu, compacts, chain) for mu in measures))]
+    return _tightness(compacts, masses, epsilons, [1 - eps for eps in epsilons])
 
 
 def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
@@ -277,8 +311,11 @@ def is_outer_regular_on(
     for o in opens:
         if not target.is_subset(o):
             raise ValueError("candidate open set does not contain the target")
-    base = mass(mu, target)
-    masses = [mass(mu, o) for o in opens]
+    return _outer_witnesses(mass(mu, target), opens, [mass(mu, o) for o in opens], epsilons)
+
+
+def _outer_witnesses(base, opens: Sequence[EventSet], masses: Sequence, epsilons: Sequence):
+    """Per epsilon, the first open set whose mass is at most base + eps."""
     return tuple(
         (eps, next((o for o, m in zip(opens, masses) if m <= base + eps), None))
         for eps in epsilons
@@ -316,6 +353,9 @@ class RegularityReport:
 
 
 DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2**k) for k in range(1, 11))
+# 1 - 2**-k is exact in float64, so a mass compares with these floats exactly
+# as with the Fraction floors
+_DEFAULT_FLOORS = tuple(float(1 - eps) for eps in DEFAULT_EPS_SCHEDULE)
 
 
 def classify_radon(mu: ProbMeasure) -> RegularityReport:
@@ -328,19 +368,21 @@ def classify_radon(mu: ProbMeasure) -> RegularityReport:
     is honest for every supported kind.
     """
     compacts = default_compact_family(mu.space)
-    tight_res = is_tight(mu, compacts, DEFAULT_EPS_SCHEDULE)
+    masses = _family_masses(mu, compacts, _chain_order(compacts))
+    tight = _tightness(compacts, masses, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
     full = EventSet.full(mu.space)
+    full_mass = mass(mu, full)
     outer_witnesses = tuple(
         (k, eps, wit)
-        for k in compacts
-        for eps, wit in is_outer_regular_on(mu, k, (k, full), DEFAULT_EPS_SCHEDULE)
+        for k, m in zip(compacts, masses)
+        for eps, wit in _outer_witnesses(m, (k, full), (m, full_mass), DEFAULT_EPS_SCHEDULE)
     )
     outer_ok = all(wit is not None for _, _, wit in outer_witnesses)
 
     return RegularityReport(
-        tight=tight_res.tight,
-        tight_witnesses=tight_res.witnesses,
+        tight=tight.tight,
+        tight_witnesses=tight.witnesses,
         outer_regular_on_compacts=outer_ok,
         outer_witnesses=outer_witnesses,
-        radon=tight_res.tight and outer_ok,
+        radon=tight.tight and outer_ok,
     )

@@ -4,6 +4,7 @@ only in a benchmark run. Every check runs once at tiny sizes and every judge
 must accept its output."""
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -34,3 +35,20 @@ def test_every_tiny_workload_check_is_accepted(workloads, seed, tmp_path):
             if not ok:
                 rejected.append(f"{name}: {check.name}")
     assert not rejected, f"judges rejected: {rejected}"
+
+
+# sha256 of the judge texts of the tiny rcd-pipeline checks, concatenated in
+# check order, as the pipeline printed them when every mass was a
+# measures.mass call; the per-path count table must not change a byte
+RCD_PIPELINE_TEXT_SHA256 = {
+    0: "6e1bd981649ce7e20d09b587933effa9ce2b16536bf56fbdcdad57c80d669f30",
+    3: "c8e8a29b28c1df78d7762c1fd33a8490639af4af521ac95bd22d788cd6aef573",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RCD_PIPELINE_TEXT_SHA256))
+def test_rcd_pipeline_outputs_are_byte_identical(workloads, seed, tmp_path):
+    digest = hashlib.sha256()
+    for check in workloads.rcd_pipeline(seed, True, str(tmp_path)):
+        digest.update(check.judge(check.call())[1].encode())
+    assert digest.hexdigest() == RCD_PIPELINE_TEXT_SHA256[seed]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,13 @@ from exchkit import (
     ProbMeasure,
     countable,
     default_compact_family,
+    dyadic,
     finite,
     is_tight,
     mass,
 )
 from exchkit.convergence import (
+    ClosedSetCertificate,
     MeasureSequence,
     NoConvergenceAtTolError,
     NotTightError,
@@ -30,7 +33,9 @@ from exchkit.convergence import (
     markov_bound_check,
     uniform_smallness_check,
 )
-from exchkit.kernels import geometric_kernel, verify_rcd
+from exchkit.convergence import _extract, _Layout, _path_counts, _refine_positions, _tight
+from exchkit.kernels import MarkovKernel, geometric_kernel, grid_counts, rcd_verdict, verify_rcd
+from exchkit.measures import TightnessResult
 from exchkit.processes import (
     GridMixtureProcess,
     IIDProcess,
@@ -341,6 +346,17 @@ def test_construct_rcd_rejects_bad_tolerance(tol):
         construct_rcd_from_empiricals(geom_mixture(), [tail(1)], n_grid=(10, 50), n_paths=2, tol=tol)
 
 
+@pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5])
+def test_construct_rcd_rejects_bad_coverage(coverage):
+    with pytest.raises(ValueError, match="coverage"):
+        construct_rcd_from_empiricals(geom_mixture(), [tail(1)], n_grid=(10, 50), n_paths=2, coverage=coverage)
+
+
+def test_construct_rcd_rejects_events_on_another_space():
+    with pytest.raises(SpaceMismatchError):
+        construct_rcd_from_empiricals(geom_mixture(), [ONES], n_grid=(10, 50), n_paths=2)
+
+
 def test_construct_rcd_degenerate_iid():
     gen = IIDProcess(ProbMeasure.delta(B2, 1))
     rep = construct_rcd_from_empiricals(gen, [ONES], n_grid=(10, 50, 100, 200, 400), n_paths=10, master_seed=0)
@@ -412,3 +428,223 @@ def test_construct_rcd_report_serializes():
     assert d["scenario"] == rep.scenario
     assert "marginal_regularity" in d
     assert d["pass_fraction"] == rep.pass_fraction
+
+
+# ---------------------------------------------------------------- the mass table against mass()
+#
+# The reference route is the one the count table replaced: the per-path
+# sequence of ProbMeasures from empirical_sequence, with every mass,
+# tightness witness and certificate computed by measures.mass.
+
+
+def _reference_tight(seq):
+    compacts = default_compact_family(seq.space)
+    floors = [1 - eps for eps in DEFAULT_EPS_SCHEDULE]
+    masses = []
+    for k in compacts:
+        masses.append(min(mass(mu, k) for mu in seq))
+        if masses[-1] > max(floors):
+            break
+    witnesses = tuple(
+        (eps, next((k for k, m in zip(compacts, masses) if m > floor), None))
+        for eps, floor in zip(DEFAULT_EPS_SCHEDULE, floors)
+    )
+    return TightnessResult(all(w is not None for _, w in witnesses), witnesses)
+
+
+def _reference_a_converges(seq, candidate, closed, tol):
+    worst, worst_excess = None, 0
+    for f in closed:
+        limsup = max(mass(mu, f) for mu in seq.measures[len(seq) // 2 :])
+        excess = limsup - mass(candidate, f) - tol
+        if excess > 0 and excess > worst_excess:
+            worst, worst_excess = f, excess
+    return worst is None, worst
+
+
+def _reference_extract(seq, tol):
+    """The fields of extract_convergent_subsequence, from mass() alone."""
+    closed = default_closed_family(seq.space)
+    ft = _reference_tight(seq)
+    if not ft.tight:
+        return "not_tight", ft.witnesses
+    witness = next(w for e, w in ft.witnesses if e == min(DEFAULT_EPS_SCHEDULE))
+    cells = sorted(witness.indices)
+    values = {c: [mu.atom_mass(c) for mu in seq] for c in cells}
+    positions = list(range(len(seq)))
+    try:
+        for c in cells:
+            positions = _refine_positions(positions, values[c], tol)
+    except NoConvergenceAtTolError:
+        return "no_convergence", ()
+    if len(positions) < 2:
+        return "no_convergence", ()
+    raw = {c: values[c][positions[-1]] for c in cells}
+    total = sum(raw.values(), F(0))
+    if total <= 0:
+        return "no_convergence", ()
+    limit = ProbMeasure(seq.space, {c: w / total for c, w in raw.items() if w > 0})
+    full_ok, _ = _reference_a_converges(seq, limit, closed, tol)
+    selected = list(range(len(seq))) if full_ok else positions
+    sub = [seq[i] for i in selected]
+    tail, head = sub[len(sub) // 2 :], sub[: len(sub) // 2]
+    certs = []
+    for f in closed:
+        limsup = max(mass(mu, f) for mu in tail)
+        head_max = max(mass(mu, f) for mu in head)
+        limit_mass = mass(limit, f)
+        certs.append(
+            ClosedSetCertificate(
+                f, float(limsup), float(limit_mass), float(head_max - limsup), limsup <= limit_mass + tol
+            )
+        )
+    return "ok", (
+        tuple(selected),
+        ft.witnesses,
+        limit.mode,
+        limit.weights_dict(),
+        tuple(certs),
+        all(c.ok for c in certs),
+        full_ok,
+    ), limit
+
+
+def _fields(res):
+    """The fields of an ExtractionResult that _reference_extract gives."""
+    return (
+        res.indices,
+        res.tight_witnesses,
+        res.limit.mode,
+        res.limit.weights_dict(),
+        res.certificates,
+        res.a_converged,
+        res.full_sequence,
+    )
+
+
+def _extraction_fields(seq, tol):
+    """Status and fields of extract_convergent_subsequence, as _reference_extract."""
+    try:
+        return "ok", _fields(extract_convergent_subsequence(seq, tol=tol))
+    except NotTightError:
+        return "not_tight", family_tight(seq).witnesses
+    except NoConvergenceAtTolError:
+        return "no_convergence", ()
+
+
+NN_EVENTS = [
+    EventSet.of(NN, [0]),
+    EventSet.of(NN, [1, 2]),
+    EventSet.cofinite_of(NN, [0]),
+    EventSet.of(NN, [70]),
+    EventSet.cofinite_of(NN, [0, 70]),
+    EventSet.of(NN, [3, 64, 66]),
+]
+PIPELINE_SPACES = {
+    "countable": (NN, (0, 1, 2, 3, 4, 5, 6, 7), (64, 66, 70, 71), NN_EVENTS),
+    "finite(2)": (B2, (0, 1), (), [ONES, EventSet.full(B2), EventSet.empty(B2)]),
+    "finite(12)": (finite(12), tuple(range(12)), (), [EventSet.of(finite(12), [0, 11]), EventSet.of(finite(12), [5])]),
+    "dyadic(3)": (dyadic(3), tuple(range(8)), (), [EventSet.of(dyadic(3), [7, 0, 2]), EventSet.full(dyadic(3))]),
+}
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A generator on one of four spaces (iid, or a two-point grid mixture
+    with a realized latent), events, a grid, a tolerance and a seed. On the
+    countable space a little mass sits past cell 63: the marginal stays Radon
+    (under 1/1024 of it lies past the default compacts), while a path that
+    draws there early is not tight."""
+    name = draw(st.sampled_from(sorted(PIPELINE_SPACES)))
+    space, near, far, events = PIPELINE_SPACES[name]
+
+    def measure():
+        raw = draw(st.lists(st.integers(0, 9), min_size=len(near), max_size=len(near)).filter(sum))
+        far_total = F(draw(st.integers(0, 1)), 2048) if far else F(0)
+        weights = {c: (1 - far_total) * F(r, sum(raw)) for c, r in zip(near, raw)}
+        weights.update({c: far_total / len(far) for c in far})
+        return ProbMeasure(space, weights)
+
+    parts = [measure() for _ in range(draw(st.integers(1, 2)))]
+    if len(parts) == 1:
+        gen = IIDProcess(parts[0])
+    else:
+        w = F(draw(st.integers(1, 3)), 4)
+        gen = GridMixtureProcess(((w, 0), (1 - w, 1)), MarkovKernel(space, lambda i: parts[i]))
+    chosen = draw(st.lists(st.sampled_from(events), min_size=1, max_size=3, unique=True))
+    grid = draw(st.sampled_from([(100, 500, 1000, 2000), (50, 200, 400, 800, 1000), (10, 40), (200, 1000, 3000)]))
+    tol = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    return gen, chosen, grid, tol, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline_cases())
+def test_path_table_route_equals_the_mass_route(case):
+    gen, events, grid, tol, seed = case
+    n_paths = 3
+    rep = construct_rcd_from_empiricals(gen, events, n_grid=grid, n_paths=n_paths, tol=tol, master_seed=seed)
+    layout = _Layout(gen.space, events)
+    latents, freqs = [], []
+    for i, got in enumerate(rep.paths):
+        path = gen.sample_path(grid[-1], seed, path_index=i)
+        seq = empirical_sequence(path, grid)
+        latents.append(path.latent)
+        freqs.append(grid_counts(path.observations, events, (grid[-1],))[:, 0] / grid[-1])
+        expected = _reference_extract(seq, tol)
+        # the public MeasureSequence route and the path table both match mass()
+        assert _extraction_fields(seq, tol) == expected[:2]
+        atoms = _path_counts(path.observations, grid, layout.width) / np.array(grid)[:, None]
+        try:
+            ext, _ = _extract(layout, atoms, tol)
+            from_table = ("ok", _fields(ext))
+        except NotTightError:
+            from_table = ("not_tight", _tight(layout, atoms).witnesses)
+        except NoConvergenceAtTolError:
+            from_table = ("no_convergence", ())
+        assert from_table == expected[:2]
+
+        assert (got.seed_label, got.status) == (path.seed_label, expected[0])
+        if expected[0] != "ok":
+            continue
+        limit = expected[2]
+        final = seq[len(seq) - 1]
+        limit_masses = [float(mass(limit, ev)) for ev in events]
+        event_gaps = tuple(abs(m - float(mass(final, ev))) for m, ev in zip(limit_masses, events))
+        targets = [gen.path_target(path, ev) for ev in events]
+        kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets)) if None not in targets else ()
+        assert got.subsequence_length == len(expected[1][0])
+        assert got.tight_witness == expected[1][1][-1][1]
+        assert got.limit.weights_dict() == limit.weights_dict()
+        assert got.event_gaps == event_gaps
+        assert got.kernel_gaps == kernel_gaps
+    if gen.latent_kernel() is not None:
+        assert rep.kernel_report == rcd_verdict(gen.latent_kernel(), events, latents, freqs, grid[-1])
+
+
+@st.composite
+def measure_sequences(draw):
+    """Short sequences of exact or float measures on the four spaces, some
+    with mass past the default compacts."""
+    name = draw(st.sampled_from(sorted(PIPELINE_SPACES)))
+    space, near, far, _ = PIPELINE_SPACES[name]
+    cells = near + far
+    as_float = draw(st.booleans())
+    measures = []
+    for _ in range(draw(st.integers(1, 8))):
+        raw = draw(st.lists(st.integers(0, 4), min_size=len(cells), max_size=len(cells)).filter(sum))
+        weights = {c: F(r, sum(raw)) for c, r in zip(cells, raw)}
+        if as_float:
+            weights = {c: float(w) for c, w in weights.items()}
+        measures.append(ProbMeasure(space, weights))
+    return MeasureSequence(space, tuple(measures)), draw(st.sampled_from([0, 1e-9, 0.05, F(1, 4)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(measure_sequences())
+def test_measure_sequence_route_equals_the_mass_route(case):
+    seq, tol = case
+    assert family_tight(seq) == _reference_tight(seq)
+    assert _extraction_fields(seq, tol) == _reference_extract(seq, tol)[:2]
+    closed = default_closed_family(seq.space)
+    for candidate in (seq[0], seq[len(seq) - 1]):
+        assert a_converges(seq, candidate, closed, tol) == _reference_a_converges(seq, candidate, closed, tol)

@@ -516,6 +516,14 @@ def test_mc_checks_reject_bad_tolerance(tol):
         df_product_identity_check(coin(F(1, 2)), CylinderEvent((ONES,)), n_grid=(10,), n_paths=4, tol=tol)
 
 
+@pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5])
+def test_slln_checks_reject_bad_coverage(coverage):
+    with pytest.raises(ValueError, match="coverage"):
+        slln_exchangeable_check(mixture(), ONES, n_grid=(10, 100), n_paths=4, coverage=coverage)
+    with pytest.raises(ValueError, match="coverage"):
+        slln_condiid_check(mixture(), ONES, n_grid=(10, 100), n_paths=4, coverage=coverage)
+
+
 def test_convergence_report_to_dict_and_validation():
     rep = slln_exchangeable_check(mixture(), ONES, n_grid=(10, 100), n_paths=5, master_seed=0)
     d = rep.to_dict()

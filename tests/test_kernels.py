@@ -180,6 +180,23 @@ def test_verify_rcd_rejects_bad_tolerance(tol):
         verify_rcd(gen.latent_kernel(), gen, events, n_paths=5, n_steps=10, tol=tol)
 
 
+@pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5, float("inf")])
+def test_verify_rcd_rejects_bad_coverage(coverage):
+    # the wrong kernel of test_verify_rcd_flags_a_wrong_kernel: coverage 0 or
+    # -1 used to let it pass
+    gen = BetaBernoulliProcess(1, 1)
+    wrong = constant_kernel(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    events = [EventSet.of(finite(2), [1])]
+    with pytest.raises(ValueError, match="coverage"):
+        verify_rcd(wrong, gen, events, n_paths=60, n_steps=4000, master_seed=11, coverage=coverage)
+
+
+def test_verify_rcd_accepts_full_coverage():
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 3)))
+    events = [EventSet.of(finite(2), [1])]
+    assert verify_rcd(gen.latent_kernel(), gen, events, n_paths=5, n_steps=100, coverage=1).coverage == 1
+
+
 def test_verify_rcd_iid_degenerate_case():
     gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 3)))
     events = [EventSet.of(finite(2), [1])]

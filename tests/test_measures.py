@@ -6,7 +6,7 @@ Hand-computed oracles are spelled out next to each assertion.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exchkit.measures
@@ -326,7 +326,7 @@ def test_tightness_scan_matches_per_eps_oracle(case):
 def _classify_radon_nested(mu):
     """The classifier as one outer-regularity call per (compact, eps) pair."""
     compacts = default_compact_family(mu.space)
-    tight = is_tight(mu, compacts, DEFAULT_EPS_SCHEDULE)
+    tight = _tightness_scan_per_eps((mu,), compacts, DEFAULT_EPS_SCHEDULE)
     full = EventSet.full(mu.space)
     outer_ok = True
     outer = []
@@ -351,8 +351,22 @@ def _construct_rcd_marginal():
         lambda: ProbMeasure.uniform(finite(5)),
         lambda: ProbMeasure.from_weights(dyadic(2), [F(1, 8), F(3, 8), F(3, 8), F(1, 8)]),
         lambda: ProbMeasure.geometric(countable(), 0.25),
+        # the other measures that the radon-classify commands of the benchmark classify
+        lambda: ProbMeasure.delta(finite(7), 3),
+        lambda: ProbMeasure.bernoulli(finite(2), F(1, 3)),
+        lambda: ProbMeasure.from_weights(finite(3), [F(1, 5), F(1, 5), F(3, 5)]),
     ],
-    ids=["geometric-1/2", "construct-rcd-marginal", "geometric-1/1000", "uniform-5", "dyadic-2", "float-geometric"],
+    ids=[
+        "geometric-1/2",
+        "construct-rcd-marginal",
+        "geometric-1/1000",
+        "uniform-5",
+        "dyadic-2",
+        "float-geometric",
+        "delta-3-of-7",
+        "bern-1/3",
+        "weights-3",
+    ],
 )
 def test_classifier_report_matches_nested_oracle(make_mu):
     mu = make_mu()
@@ -365,9 +379,96 @@ def test_classifier_evaluates_each_compact_mass_once(monkeypatch):
     real_mass = exchkit.measures.mass
     monkeypatch.setattr(exchkit.measures, "mass", lambda m, ev: calls.append(ev) or real_mass(m, ev))
     assert classify_radon(mu).radon
-    # 64 compacts: three masses each (K as target, K and the full space as
-    # candidates) plus the tightness scan; one call per (compact, eps) pair made 1,397
-    assert len(calls) <= 320
+    # the 64 compact masses are one running sum over the atoms, read by both
+    # the tightness scan and outer regularity; only the full space is a mass
+    # call (one call per (compact, eps) pair made 1,397, one per use 309)
+    assert calls == [EventSet.full(countable())]
+
+
+@st.composite
+def geometric_mixtures(draw):
+    """Exact or float mixtures of one to three geometric laws, with a finite
+    part on the first cells, on the countable space."""
+    parts = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 12)), min_size=1, max_size=3))
+    raw = draw(st.lists(st.integers(0, 5), max_size=4))
+    total = sum(w for w, _ in parts) + sum(raw)
+    comps = [GeometricComponent(F(w, total), F(1, q)) for w, q in parts]
+    weights = {j: F(r, total) for j, r in enumerate(raw)}
+    if draw(st.booleans()):
+        comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
+        weights = {j: float(w) for j, w in weights.items()}
+    return ProbMeasure(countable(), weights, comps)
+
+
+def _classify_radon_fresh_masses(mu):
+    """The classifier from one fresh mass() per compact, per epsilon and per
+    (compact, epsilon) pair; faster than the nested oracle on exact laws."""
+    compacts = default_compact_family(mu.space)
+    full = EventSet.full(mu.space)
+    masses = {k: mass(mu, k) for k in compacts}
+    full_mass = mass(mu, full)
+    tight = tuple((eps, next((k for k in compacts if masses[k] > 1 - eps), None)) for eps in DEFAULT_EPS_SCHEDULE)
+    outer = tuple(
+        (k, eps, k if masses[k] <= masses[k] + eps else full if full_mass <= masses[k] + eps else None)
+        for k in compacts
+        for eps in DEFAULT_EPS_SCHEDULE
+    )
+    is_tight_ = all(w is not None for _, w in tight)
+    outer_ok = all(w is not None for _, _, w in outer)
+    return RegularityReport(is_tight_, tight, outer_ok, outer, is_tight_ and outer_ok)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometric_mixtures())
+def test_classifier_on_geometric_mixtures_matches_fresh_masses(mu):
+    assert classify_radon(mu).to_dict() == _classify_radon_fresh_masses(mu).to_dict()
+
+
+@st.composite
+def families(draw):
+    """An inclusion-increasing family on the countable space or finite(70):
+    initial segments (a chain), or sets grown by random cells in random
+    order, whose cell order need not extend the previous member's."""
+    space = draw(st.sampled_from([countable(), finite(70)]))
+    if draw(st.booleans()):
+        tops = draw(st.lists(st.integers(1, 70), min_size=1, max_size=8, unique=True))
+        return CompactFamily(space, tuple(EventSet.initial_segment(space, m) for m in sorted(tops)))
+    members, cells = [], set()
+    for new in draw(st.lists(st.lists(st.integers(0, 69), min_size=1, max_size=5), min_size=1, max_size=6)):
+        cells |= set(new)
+        members.append(EventSet.of(space, sorted(cells, key=lambda c: (c * 37) % 71)))
+    return CompactFamily(space, tuple(members))
+
+
+@settings(deadline=None)
+@given(families(), geometric_mixtures())
+def test_running_family_masses_equal_fresh_mass(family, mixture):
+    from exchkit.measures import _chain_order, _family_masses
+
+    if family.space.is_countable:
+        mu = mixture
+    else:  # the mixture's first 69 atoms, the rest of its mass on cell 69
+        atoms = [mixture.atom_mass(j) for j in range(69)]
+        mu = ProbMeasure.from_weights(family.space, atoms + [1 - sum(atoms)])
+    chain = _chain_order(family)
+    assert list(_family_masses(mu, family, chain)) == [mass(mu, k) for k in family]
+    # tightness_scan runs on the same sums
+    schedule = [F(1, 2), F(1, 64), F(1, 1024)]
+    assert tightness_scan((mu,), family.space, family, schedule) == _tightness_scan_per_eps((mu,), family, schedule)
+
+
+@pytest.mark.parametrize("space", [countable(), finite(2), finite(12), dyadic(3)], ids=str)
+def test_default_compact_families_are_chains(space):
+    from exchkit.measures import _chain_order
+
+    order, ends = _chain_order(default_compact_family(space))
+    assert order == sorted(order) and ends == sorted(ends)
+
+
+def test_default_floors_are_exact():
+    from exchkit.measures import _DEFAULT_FLOORS
+
+    assert all(Fraction(f) == 1 - eps for f, eps in zip(_DEFAULT_FLOORS, DEFAULT_EPS_SCHEDULE))
 
 
 def test_classifier_passes_geometric_with_witnesses():
