@@ -18,10 +18,11 @@ built once per space) and ``DEFAULT_EPS_SCHEDULE``. ``a_converges`` and, in
 schedule for any other choice.
 
 Every mass the pipeline reads comes from one atom-mass table: ``A[g, j]`` is
-the mass of cell j under the g-th measure, for each cell up to the largest
-that the default compact and closed families or the requested events name,
-then a zero column that pads event sums (a cofinite event's mass is 1 minus
-its excluded cells, as in :func:`mass`, so no other cell is read).
+the mass of the j-th named cell under the g-th measure, one column per cell
+that the default compact and closed families or the requested events name
+(however large its index), then a zero column that pads event sums (a
+cofinite event's mass is 1 minus its excluded cells, as in :func:`mass`, so
+no unnamed cell is read).
 Tightness, extraction, :func:`a_converges` and the limsup certificates all
 read it. A path fills it from one ``bincount`` per grid segment, summed over
 the segments and divided by n; a :class:`MeasureSequence` fills it from
@@ -124,15 +125,17 @@ def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequen
 # the atom-mass table
 
 
-def _width(events) -> int:
-    """One column per cell up to the largest cell any of the events names."""
-    return 1 + max((max(ev.indices, default=-1) for ev in events), default=-1)
+def _columns(events) -> np.ndarray:
+    """The table's columns: the sorted cells that any of the events names."""
+    return np.array(sorted({j for ev in events for j in ev.indices}))
 
 
-def _cell_index(events: Sequence[EventSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Each event's cells in the order :func:`mass` sums them, padded with
-    -1 (the table's zero column), and which events are cofinite."""
-    orders = [list(ev.indices) for ev in events]
+def _cell_index(events: Sequence[EventSet], cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's column positions, in the order :func:`mass` sums its
+    cells, padded with -1 (the table's zero column), and which events are
+    cofinite."""
+    position = {j: p for p, j in enumerate(cols.tolist())}
+    orders = [[position[j] for j in ev.indices] for ev in events]
     depth = max(map(len, orders), default=0) or 1
     index = np.array([o + [-1] * (depth - len(o)) for o in orders], dtype=np.intp)
     return index.reshape(len(orders), depth), np.array([ev.cofinite for ev in events], dtype=bool)
@@ -157,29 +160,47 @@ class _Layout:
     def __init__(self, space: SpaceDescriptor, events: Sequence[EventSet] = ()):
         self.space = space
         self.compacts = default_compact_family(space)
-        self.chain = _chain_order(self.compacts)  # never None for a default family
         self.closed = default_closed_family(space)
-        self.closed_cells = _cell_index(self.closed.members)
-        self.event_cells = _cell_index(events)
-        self.width = _width((*self.compacts, *self.closed, *events))
+        self.cols = _columns((*self.compacts, *self.closed, *events))
+        order, ends = _chain_order(self.compacts)
+        self.chain = np.searchsorted(self.cols, order), np.subtract(ends, 1)
+        self.closed_cells = _cell_index(self.closed.members, self.cols)
+        self.event_cells = _cell_index(events, self.cols)
+
+    def positions(self, cells: Sequence[int]) -> np.ndarray:
+        """The columns of the named ``cells``."""
+        return np.searchsorted(self.cols, cells)
 
 
-def _measure_table(measures: Sequence[ProbMeasure], width: int) -> np.ndarray:
-    """Row g holds ``measures[g].atom_mass(j)`` for j < width, then the zero
-    pad; object dtype when any measure is exact, so Fractions stay exact."""
+def _measure_table(measures: Sequence[ProbMeasure], cols: np.ndarray) -> np.ndarray:
+    """Row g holds ``measures[g].atom_mass(j)`` for each column's cell j, then
+    the zero pad; object dtype when any measure is exact, so Fractions stay
+    exact."""
     dtype = object if any(mu.mode == EXACT for mu in measures) else np.float64
-    return np.array([[mu.atom_mass(j) for j in range(width)] + [0] for mu in measures], dtype=dtype)
+    cells = cols.tolist()
+    return np.array([[mu.atom_mass(j) for j in cells] + [0] for mu in measures], dtype=dtype)
 
 
-def _path_counts(obs: np.ndarray, grid: Sequence[int], width: int) -> np.ndarray:
-    """G x (width + 1) integers: how many of the first ``grid[g]`` draws fall
-    in cell j < width, with a zero last column; one bincount per grid
-    segment, accumulated."""
+def _path_counts(obs: np.ndarray, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
+    """G x (len(cols) + 1) integers: how many of the first ``grid[g]`` draws
+    fall in each column's cell, with a zero last column; one bincount per
+    grid segment, accumulated. Draws in unnamed cells are not counted.
+
+    Cells below the first gap in ``cols`` are their own columns; only the
+    draws past it are looked up."""
+    width = len(cols)
+    dense = next((p for p, j in enumerate(cols.tolist()) if p != j), width)
+    pos = np.array(obs, dtype=np.intp)
+    far = pos >= dense
+    if far.any():
+        cells = pos[far]
+        found = np.searchsorted(cols, cells)
+        found[cols[np.minimum(found, width - 1)] != cells] = width  # unnamed
+        pos[far] = found
     bounds = (0, *grid)
     counts = np.zeros((len(grid), width + 1), dtype=np.int64)
     for row, lo, hi in zip(counts, bounds, bounds[1:]):
-        seg = obs[lo:hi]
-        row[:width] = np.bincount(seg[seg < width], minlength=width)
+        row[:width] = np.bincount(pos[lo:hi], minlength=width + 1)[:width]
     return np.cumsum(counts, axis=0)
 
 
@@ -188,7 +209,7 @@ def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
     sequential cumsum along their chain, then the smallest over the rows."""
     order, ends = layout.chain
     running = np.cumsum(atoms[:, order], axis=1)
-    smallest = running[:, np.subtract(ends, 1)].min(axis=0).tolist()
+    smallest = running[:, ends].min(axis=0).tolist()
     return _tightness(layout.compacts, smallest, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
 
 
@@ -222,7 +243,8 @@ def a_converges(
         raise SpaceMismatchError("sequence, candidate and family must share a space")
     if len(closed) == 0:
         raise ValueError("closed family must be non-empty")
-    masses = _masses(_measure_table((*seq.measures, candidate), _width(closed)), _cell_index(closed.members))
+    cols = _columns(closed)
+    masses = _masses(_measure_table((*seq.measures, candidate), cols), _cell_index(closed.members, cols))
     worst = _worst_closed(closed, masses[:-1], masses[-1], tol)
     return worst is None, worst
 
@@ -245,7 +267,7 @@ def family_tight(seq: MeasureSequence) -> TightnessResult:
     ``DEFAULT_EPS_SCHEDULE``, a single default compact K with
     mu_n(K) > 1 - eps for ALL n."""
     layout = _Layout(seq.space)
-    return _tight(layout, _measure_table(seq.measures, layout.width))
+    return _tight(layout, _measure_table(seq.measures, layout.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +369,7 @@ def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> Extraction
     """
     _check_tol(tol)
     layout = _Layout(seq.space)
-    return _extract(layout, _measure_table(seq.measures, layout.width), tol)[0]
+    return _extract(layout, _measure_table(seq.measures, layout.cols), tol)[0]
 
 
 def _extract(layout: _Layout, atoms: np.ndarray, tol) -> tuple[ExtractionResult, np.ndarray]:
@@ -360,7 +382,7 @@ def _extract(layout: _Layout, atoms: np.ndarray, tol) -> tuple[ExtractionResult,
 
     witness = ft.witnesses[-1][1]  # the schedule decreases: the smallest epsilon's
     cells = sorted(witness.indices)
-    cell_values = dict(zip(cells, atoms[:, cells].T.tolist()))
+    cell_values = dict(zip(cells, atoms[:, layout.positions(cells)].T.tolist()))
     positions = list(range(len(atoms)))
     for c in cells:
         positions = _refine_positions(positions, cell_values[c], tol)
@@ -375,7 +397,7 @@ def _extract(layout: _Layout, atoms: np.ndarray, tol) -> tuple[ExtractionResult,
     weights = {c: w / total for c, w in raw.items() if w > 0}
     limit = ProbMeasure(layout.space, weights)
     limit_row = np.zeros(atoms.shape[1], dtype=atoms.dtype)
-    limit_row[list(weights)] = list(weights.values())
+    limit_row[layout.positions(list(weights))] = list(weights.values())
 
     masses = _masses(np.vstack((atoms, limit_row)), layout.closed_cells)
     masses, limit_masses = masses[:-1], masses[-1]
@@ -659,7 +681,7 @@ def construct_rcd_from_empiricals(
     latents, freqs = [], []
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
-        counts = _path_counts(path.observations, grid, layout.width)
+        counts = _path_counts(path.observations, grid, layout.cols)
         if kernel is not None:
             latents.append(path.latent)
             freqs.append(_masses(counts[-1:], layout.event_cells, whole=big_n)[0] / big_n)

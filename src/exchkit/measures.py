@@ -229,31 +229,28 @@ class TightnessResult:
     witnesses: tuple[tuple[object, EventSet | None], ...]
 
 
-def _chain_order(compacts: CompactFamily) -> tuple[list[int], list[int]] | None:
+def _chain_order(compacts: CompactFamily) -> tuple[list[int], list[int]]:
     """The last member's cells in the order :func:`mass` sums them, and each
-    member's count of them, when every member's cells (in that order) begin
-    with the previous member's; None otherwise. Along such a chain, as along
-    every default compact family, one running sum passes through each
-    member's mass by the same additions as :func:`mass`."""
+    member's count of them. Every default compact family is a chain: each
+    member's cells, in that order, begin with the previous member's, so one
+    running sum passes through each member's mass by the same additions as
+    :func:`mass`."""
     order: list[int] = []
     ends = []
     for k in compacts:
         cells = list(k.indices)
-        if k.cofinite or cells[: len(order)] != order:
-            return None
+        assert not k.cofinite and cells[: len(order)] == order, "compact family is not a chain"
         order = cells
         ends.append(len(cells))
     return order, ends
 
 
-def _family_masses(mu: ProbMeasure, compacts: CompactFamily, chain) -> list:
-    """mass(mu, K) for each member K: one running sum over the atoms when
-    ``chain`` is the family's :func:`_chain_order`, a mass call each when None."""
+def _family_masses(mu: ProbMeasure, compacts: CompactFamily) -> list:
+    """mass(mu, K) for each member K of a chain family, from one running sum
+    over the atoms."""
     if mu.space != compacts.space:
         raise SpaceMismatchError(f"compacts on {compacts.space}, measure on {mu.space}")
-    if chain is None:
-        return [mass(mu, k) for k in compacts]
-    order, ends = chain
+    order, ends = _chain_order(compacts)
     zero = Fraction(0) if mu.mode == EXACT else 0.0
     running = list(accumulate((mu.atom_mass(j) for j in order), initial=zero))
     return [running[end] for end in ends]
@@ -277,18 +274,23 @@ def tightness_scan(
     """Per epsilon, the first compact K with mu(K) > 1 - eps for EVERY listed
     measure (a uniform witness), or None where no family member works.
 
-    Each compact's smallest mass over the measures is computed once (one
-    running sum per measure along a chain family); every epsilon's witness
-    is read from that list."""
+    Each compact's smallest mass over the measures is computed once, in
+    family order, until the tightest floor 1 - min(eps) is met; every
+    epsilon's witness is read from that list."""
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
     if not all(e > 0 for e in epsilons):  # rejects NaN as well
         raise ValueError("epsilons must be positive")
     if compacts.space != space:
         raise SpaceMismatchError("compact family on wrong space")
-    chain = _chain_order(compacts)
-    masses = [min(ms) for ms in zip(*(_family_masses(mu, compacts, chain) for mu in measures))]
-    return _tightness(compacts, masses, epsilons, [1 - eps for eps in epsilons])
+    floors = [1 - eps for eps in epsilons]
+    tightest = max(floors)
+    masses = []
+    for k in compacts:
+        masses.append(min(mass(mu, k) for mu in measures))
+        if masses[-1] > tightest:
+            break
+    return _tightness(compacts, masses, epsilons, floors)
 
 
 def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
@@ -368,7 +370,7 @@ def classify_radon(mu: ProbMeasure) -> RegularityReport:
     is honest for every supported kind.
     """
     compacts = default_compact_family(mu.space)
-    masses = _family_masses(mu, compacts, _chain_order(compacts))
+    masses = _family_masses(mu, compacts)
     tight = _tightness(compacts, masses, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
     full = EventSet.full(mu.space)
     full_mass = mass(mu, full)

@@ -42,7 +42,7 @@ from exchkit.processes import (
     MarkovChainProcess,
     PolyaUrnProcess,
 )
-from exchkit.spaces import SpaceMismatchError, event_spec
+from exchkit.spaces import ClosedFamily, SpaceMismatchError, event_spec
 
 B2 = finite(2)
 NN = countable()
@@ -539,6 +539,8 @@ NN_EVENTS = [
     EventSet.of(NN, [70]),
     EventSet.cofinite_of(NN, [0, 70]),
     EventSet.of(NN, [3, 64, 66]),
+    EventSet.of(NN, [10**12]),
+    EventSet.cofinite_of(NN, [10**12, 1]),
 ]
 PIPELINE_SPACES = {
     "countable": (NN, (0, 1, 2, 3, 4, 5, 6, 7), (64, 66, 70, 71), NN_EVENTS),
@@ -577,11 +579,9 @@ def pipeline_cases(draw):
     return gen, chosen, grid, tol, draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=40, deadline=None)
-@given(pipeline_cases())
-def test_path_table_route_equals_the_mass_route(case):
-    gen, events, grid, tol, seed = case
-    n_paths = 3
+def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
+    """construct_rcd_from_empiricals, path by path, against the mass() route
+    on empirical_sequence."""
     rep = construct_rcd_from_empiricals(gen, events, n_grid=grid, n_paths=n_paths, tol=tol, master_seed=seed)
     layout = _Layout(gen.space, events)
     latents, freqs = [], []
@@ -593,7 +593,7 @@ def test_path_table_route_equals_the_mass_route(case):
         expected = _reference_extract(seq, tol)
         # the public MeasureSequence route and the path table both match mass()
         assert _extraction_fields(seq, tol) == expected[:2]
-        atoms = _path_counts(path.observations, grid, layout.width) / np.array(grid)[:, None]
+        atoms = _path_counts(path.observations, grid, layout.cols) / np.array(grid)[:, None]
         try:
             ext, _ = _extract(layout, atoms, tol)
             from_table = ("ok", _fields(ext))
@@ -619,6 +619,39 @@ def test_path_table_route_equals_the_mass_route(case):
         assert got.kernel_gaps == kernel_gaps
     if gen.latent_kernel() is not None:
         assert rep.kernel_report == rcd_verdict(gen.latent_kernel(), events, latents, freqs, grid[-1])
+    return rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline_cases())
+def test_path_table_route_equals_the_mass_route(case):
+    _assert_matches_mass_route(*case)
+
+
+FAR = 10**12
+
+
+def test_far_cells_cost_one_column_each():
+    """The table holds one column per named cell, however large its index."""
+    events = [EventSet.of(NN, [FAR]), EventSet.cofinite_of(NN, [0, FAR])]
+    assert _Layout(NN, events).cols.tolist() == [*range(64), FAR]
+    # finitely supported laws: an exact geometric's atom at a far cell is a
+    # Fraction with about FAR bits
+    parts = [ProbMeasure(NN, {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}), ProbMeasure(NN, {0: F(1, 4), 3: F(3, 4)})]
+    gen = GridMixtureProcess(((F(1, 2), 0), (F(1, 2), 1)), MarkovKernel(NN, lambda i: parts[i]))
+    rep = _assert_matches_mass_route(gen, events, (50, 200, 400), 0.1, 7, n_paths=4)
+    ok = [p for p in rep.paths if p.status == "ok"]
+    assert ok and all(p.event_gaps[0] == 0 for p in ok)
+
+
+def test_a_converges_on_a_closed_family_with_far_cells():
+    for far in (FAR, 10**30):  # past int64 the columns are Python integers
+        a, b = EventSet.of(NN, [0]), EventSet.of(NN, [far])
+        closed = ClosedFamily(NN, (EventSet.empty(NN), a, b, a.union(b), EventSet.full(NN)))
+        seq = MeasureSequence(NN, tuple(ProbMeasure(NN, {0: w, far: 1 - w}) for w in (0.5, 0.25, 0.75, 0.5)))
+        for candidate in (ProbMeasure(NN, {0: 0.5, far: 0.5}), ProbMeasure.delta(NN, 0)):
+            got = a_converges(seq, candidate, closed, 0.01)
+            assert got == _reference_a_converges(seq, candidate, closed, 0.01)
 
 
 @st.composite
