@@ -28,17 +28,19 @@ import traceback
 from datetime import datetime, timezone
 
 import click
+import numpy as np
 
 from .config import (
     RunReport,
     ScenarioConfig,
     SpecParseError,
+    csv_lines,
     emit_report,
     merge_config,
     resolve_out_path,
 )
 from .convergence import construct_rcd_from_empiricals
-from .empirical import slln_exchangeable_check
+from .empirical import slln_exchangeable_checks
 from .kernels import verify_rcd
 from .measures import classify_radon
 from .processes import check_exchangeable
@@ -76,7 +78,7 @@ def _guarded(fn):
 
 def _emit(cfg: ScenarioConfig, merged, results, passed, started, seeds=(), header=(), rows=()):
     """Write the JSON artifact, and the CSV one for a command with a table
-    header, and print the verdict."""
+    header, and print the verdict; ``rows`` are finished CSV lines."""
     report = RunReport(
         command=cfg.command,
         config=cfg.echo(),
@@ -132,17 +134,26 @@ def main() -> None:
 @config_option
 @_guarded
 def cmd_simulate(config_path, **flags):
-    """Sample paths; CSV columns are seed, step, value."""
+    """Sample paths; CSV columns are seed, step, value.
+
+    \f
+    A path's lines are built in bulk with object arrays: its seed label, the
+    ``,step,`` strings (made once per call) and one ``value\\n`` string per
+    distinct cell the path visits. They skip the csv module, which would
+    leave every field as it is: each is an integer or a ``master:index``
+    label, and neither holds a comma, a quote or a line break.
+    """
     started = time.monotonic()
     cfg, merged = _load("simulate", config_path, flags)
+    steps = np.array([f",{step}," for step in range(1, cfg.n + 1)], dtype=object)
     rows = []
     seeds = []
     for i in range(cfg.n_paths):
         path = cfg.gen.sample_path(cfg.n, cfg.seed, path_index=i)
-        label = path.seed_label  # one string shared by the path's rows
-        seeds.append(label)
-        for step, value in enumerate(path.observations, start=1):
-            rows.append((label, step, int(value)))
+        seeds.append(path.seed_label)
+        cells, which = np.unique(path.observations, return_inverse=True)
+        values = np.array([f"{int(c)}\n" for c in cells], dtype=object)[which]
+        rows.extend((path.seed_label + steps + values).tolist())
     results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(rows)}
     return _emit(cfg, merged, results, True, started, seeds=seeds, header=("seed", "step", "value"), rows=rows)
 
@@ -182,25 +193,19 @@ def cmd_estimate_mixing(config_path, **flags):
     """Track per-path empirical masses along the grid; compare to targets."""
     started = time.monotonic()
     cfg, merged = _load("estimate-mixing", config_path, flags)
-    per_event = []
-    rows = []
-    passed = True
-    for ev in cfg.events:
-        rep = slln_exchangeable_check(
-            cfg.gen,
-            ev,
-            n_grid=cfg.n_grid,
-            n_paths=cfg.n_paths,
-            tol=cfg.tol,
-            master_seed=cfg.seed,
-            coverage=cfg.coverage,
-        )
-        per_event.append(rep.to_dict())
-        rows.extend(rep.rows())
-        if rep.passed is False:
-            passed = False
+    reports = slln_exchangeable_checks(
+        cfg.gen,
+        cfg.events,
+        n_grid=cfg.n_grid,
+        n_paths=cfg.n_paths,
+        tol=cfg.tol,
+        master_seed=cfg.seed,
+        coverage=cfg.coverage,
+    )
     # passed=None events carry no per-path target; they stay informational
-    results = {"events": per_event}
+    passed = all(rep.passed is not False for rep in reports)
+    rows = csv_lines(row for rep in reports for row in rep.rows())
+    results = {"events": [rep.to_dict() for rep in reports]}
     seeds = path_seed_labels(cfg.seed, cfg.n_paths)
     return _emit(cfg, merged, results, passed, started, seeds=seeds, header=MIXING_CSV_HEADER, rows=rows)
 

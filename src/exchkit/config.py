@@ -396,8 +396,10 @@ class RunReport:
     """Everything a run produced, ready for deterministic emission.
 
     ``results`` is the owning check's ``to_dict`` payload. ``csv_rows`` is
-    the flat-table view of the same numbers; commands without a table leave
-    it empty and a CSV emission is then just the header.
+    the flat-table view of the same numbers as finished CSV lines, one
+    string per row ending in a newline (see :func:`csv_lines`), so its length
+    is the row count; commands without a table leave it empty and a CSV
+    emission is then just the header.
     """
 
     command: str
@@ -406,7 +408,7 @@ class RunReport:
     results: dict
     passed: bool
     csv_header: tuple[str, ...] = ()
-    csv_rows: tuple[tuple, ...] = ()
+    csv_rows: tuple[str, ...] = ()
 
     def to_json(self, timestamp: str, wall_clock_s: float) -> str:
         body = {
@@ -424,13 +426,22 @@ class RunReport:
         return json.dumps(body, indent=2, default=_json_default) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if self.csv_header:
-            writer.writerow(self.csv_header)
-        for row in self.csv_rows:
-            writer.writerow(["" if c is None else str(c) for c in row])
-        return buf.getvalue()
+        header = csv_lines([self.csv_header]) if self.csv_header else []
+        return "".join([*header, *self.csv_rows])
+
+
+def csv_lines(rows) -> list[str]:
+    """Each row as one finished CSV line; the csv module quotes the fields
+    and None becomes an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    lines = []
+    for row in rows:
+        writer.writerow(["" if c is None else str(c) for c in row])
+        lines.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return lines
 
 
 def resolve_out_path(filename: str, out_dir: str | None = None) -> str:

@@ -679,6 +679,8 @@ def construct_rcd_from_empiricals(
     results = []
     not_tight = 0
     latents, freqs = [], []
+    # a path's target depends on the path only through its latent
+    target_of: dict = {}
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
         counts = _path_counts(path.observations, grid, layout.cols)
@@ -708,7 +710,10 @@ def construct_rcd_from_empiricals(
         event_gaps = tuple(abs(m - f) for m, f in zip(limit_masses, final_masses))
         ok = all(g <= tol for g in event_gaps)
         kernel_gaps = ()
-        targets = [gen.path_target(path, ev) for ev in events]
+        for ev in events:
+            if (path.latent, ev) not in target_of:
+                target_of[path.latent, ev] = gen.path_target(path, ev)
+        targets = [target_of[path.latent, ev] for ev in events]
         if all(t is not None for t in targets):
             kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
             ok = ok and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))

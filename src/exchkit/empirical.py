@@ -151,15 +151,16 @@ class ConvergenceReport:
 
 def _slln_run(
     gen: ProcessGenerator,
-    event: EventSet,
+    events: Sequence[EventSet],
     n_grid: Sequence[int],
     n_paths: int,
     master_seed: int,
     tol: float | None,
     coverage: float,
-) -> ConvergenceReport:
+) -> tuple[ConvergenceReport, ...]:
+    """One report per event, all from one sampling of the paths."""
     grid = _validate_grid(n_grid)
-    if event.space != gen.space:
+    if any(ev.space != gen.space for ev in events):
         raise SpaceMismatchError("event on the wrong space for the generator")
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -167,44 +168,56 @@ def _slln_run(
     validate_coverage(coverage)
     big_n = grid[-1]
 
-    labels, traces, finals, targets, gaps, tols = [], [], [], [], [], []
+    labels = []
+    traces = [[] for _ in events]
+    targets = [[] for _ in events]
+    # a path's target depends on the path only through its latent
+    target_of: dict = {}
     for i in range(n_paths):
         path = gen.sample_path(big_n, master_seed, path_index=i)
-        trace = EmpiricalTrace.compute(path, (event,), grid).values[0]
         labels.append(path.seed_label)
-        traces.append(trace)
-        finals.append(trace[-1])
-        t = gen.path_target(path, event)
-        targets.append(t)
-        if t is None:
-            gaps.append(None)
-            tols.append(None)
-        else:
-            tols.append(float(tol) if tol is not None else binomial_band(t, big_n))
-            gaps.append(abs(trace[-1] - t))
+        values = EmpiricalTrace.compute(path, events, grid).values
+        for k, ev in enumerate(events):
+            if (path.latent, ev) not in target_of:
+                target_of[path.latent, ev] = gen.path_target(path, ev)
+            traces[k].append(values[k])
+            targets[k].append(target_of[path.latent, ev])
 
-    with_target = [(g, t) for g, t in zip(gaps, tols) if g is not None]
-    if with_target:
-        pass_fraction = sum(g <= t for g, t in with_target) / len(with_target)
-        passed = pass_fraction >= coverage
-    else:
-        pass_fraction = None
-        passed = None
-    return ConvergenceReport(
-        gen.spec_label(),
-        event,
-        grid,
-        n_paths,
-        tuple(labels),
-        tuple(traces),
-        tuple(finals),
-        tuple(targets),
-        tuple(gaps),
-        tuple(tols),
-        coverage,
-        pass_fraction,
-        passed,
-    )
+    reports = []
+    for k, ev in enumerate(events):
+        finals = [trace[-1] for trace in traces[k]]
+        gaps, tols = [], []
+        for final, t in zip(finals, targets[k]):
+            if t is None:
+                gaps.append(None)
+                tols.append(None)
+            else:
+                tols.append(float(tol) if tol is not None else binomial_band(t, big_n))
+                gaps.append(abs(final - t))
+
+        with_target = [(g, t) for g, t in zip(gaps, tols) if g is not None]
+        if with_target:
+            pass_fraction = sum(g <= t for g, t in with_target) / len(with_target)
+            passed = pass_fraction >= coverage
+        else:
+            pass_fraction = None
+            passed = None
+        reports.append(ConvergenceReport(
+            gen.spec_label(),
+            ev,
+            grid,
+            n_paths,
+            tuple(labels),
+            tuple(traces[k]),
+            tuple(finals),
+            tuple(targets[k]),
+            tuple(gaps),
+            tuple(tols),
+            coverage,
+            pass_fraction,
+            passed,
+        ))
+    return tuple(reports)
 
 
 def slln_exchangeable_check(
@@ -219,9 +232,23 @@ def slln_exchangeable_check(
     """Long-run frequencies settle path by path; against the conditional mean
     where a realized latent provides one, otherwise reported for the caller
     to test at the distribution level."""
+    return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, tol, master_seed, coverage)[0]
+
+
+def slln_exchangeable_checks(
+    gen: ProcessGenerator,
+    events: Sequence[EventSet],
+    n_grid: Sequence[int] = DEFAULT_N_GRID,
+    n_paths: int = 400,
+    tol: float | None = None,
+    master_seed: int = 0,
+    coverage: float = 0.95,
+) -> tuple[ConvergenceReport, ...]:
+    """:func:`slln_exchangeable_check` for each event, in order, on one
+    sampling of the paths; each report equals the single-event one."""
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    return _slln_run(gen, event, n_grid, n_paths, master_seed, tol, coverage)
+    return _slln_run(gen, events, n_grid, n_paths, master_seed, tol, coverage)
 
 
 def slln_condiid_check(
@@ -237,7 +264,7 @@ def slln_condiid_check(
     construction, so a per-path kernel target always exists."""
     if not gen.is_conditionally_iid:
         raise ValueError("generator is not of mixture/iid form")
-    return _slln_run(gen, event, n_grid, n_paths, master_seed, tol, coverage)
+    return _slln_run(gen, (event,), n_grid, n_paths, master_seed, tol, coverage)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,14 @@ def rcd_verdict(
     draws and ``latents[i]`` its realized latent parameter."""
     per_event_gaps: list[list[float]] = [[] for _ in events]
     per_event_tols: list[list[float]] = [[] for _ in events]
+    # one kernel image per distinct (latent, event); the dict lives for this
+    # call alone, as kernels on one space compare equal whatever their law
+    target_of: dict = {}
     for latent, row in zip(latents, freqs):
         for k, ev in enumerate(events):
-            target = float(kernel_mass(kappa, latent, ev))
+            if (latent, ev) not in target_of:
+                target_of[latent, ev] = float(kernel_mass(kappa, latent, ev))
+            target = target_of[latent, ev]
             per_event_gaps[k].append(abs(float(row[k]) - target))
             if tol is None:
                 per_event_tols[k].append(binomial_band(target, n_steps))

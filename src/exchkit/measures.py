@@ -22,6 +22,7 @@ family and schedule for any other choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -39,6 +40,10 @@ from .spaces import (
 
 FLOAT_MASS_TOL = 1e-12
 
+# An exact geometric mass at cell j holds (1 - q)**j, a Fraction of about
+# j * log2(denominator) bits; past this size it is refused, not computed.
+MAX_EXACT_POWER_BITS = 10**6
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -55,12 +60,23 @@ class GeometricComponent:
     ratio: object  # q in (0, 1]
 
     def atom_mass(self, j: int):
-        q = self.ratio
-        return self.weight * q * (1 - q) ** j
+        return self.weight * self.ratio * self._survival(j)
 
     def tail_mass(self, m: int):
         """Mass of atoms {m, m+1, ...}: weight * (1-q)**m."""
-        return self.weight * (1 - self.ratio) ** m
+        return self.weight * self._survival(m)
+
+    def _survival(self, j: int):
+        """(1-q)**j; ValueError when exact and over MAX_EXACT_POWER_BITS bits."""
+        base = 1 - self.ratio
+        if _is_exact(base):
+            bits = j * math.log2(max(base.numerator, base.denominator))
+            if bits > MAX_EXACT_POWER_BITS:
+                raise ValueError(
+                    f"cell {j} is too far out for the exact law Geom({self.ratio}): its mass "
+                    f"needs (1-q)**{j}, about {bits:.3g} bits (limit {MAX_EXACT_POWER_BITS})"
+                )
+        return base**j
 
 
 class ProbMeasure:

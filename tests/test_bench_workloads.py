@@ -52,3 +52,20 @@ def test_rcd_pipeline_outputs_are_byte_identical(workloads, seed, tmp_path):
     for check in workloads.rcd_pipeline(seed, True, str(tmp_path)):
         digest.update(check.judge(check.call())[1].encode())
     assert digest.hexdigest() == RCD_PIPELINE_TEXT_SHA256[seed]
+
+
+# the same guard for the tiny mc-paths checks, as they printed when simulate
+# wrote per-row tuples through csv.writer and estimate-mixing sampled the
+# paths once per event
+MC_PATHS_TEXT_SHA256 = {
+    0: "037d4ced4228878e7c666f3121cb11c1a4442280e0c3682f3cb746ad67306da4",
+    3: "c22c31206367225efad31c0c4d8d32352071b2a28022341e3e99e04c52e05f6a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MC_PATHS_TEXT_SHA256))
+def test_mc_paths_outputs_are_byte_identical(workloads, seed, tmp_path):
+    digest = hashlib.sha256()
+    for check in workloads.mc_paths(seed, True, str(tmp_path)):
+        digest.update(check.judge(check.call())[1].encode())
+    assert digest.hexdigest() == MC_PATHS_TEXT_SHA256[seed]

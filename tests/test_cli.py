@@ -1,13 +1,21 @@
 """End-to-end CLI tests: exit codes, config merging, deterministic artifacts."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exchkit.cli import MIXING_CSV_HEADER, main
+from exchkit.config import parse_events, parse_generator
+from exchkit.empirical import slln_exchangeable_check
+from exchkit.processes import ProcessGenerator
 
 runner = CliRunner()
 
@@ -61,6 +69,50 @@ def test_simulate_reruns_byte_identically(tmp_path):
     csv_b = (tmp_path / "simulate.csv").read_text()
     assert csv_a == csv_b
     assert stable_lines(json_a) == stable_lines(json_b)
+
+
+def csv_module_text(header, rows) -> str:
+    """The reference CSV: the csv module writing the header and each row's
+    fields as strings, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if c is None else str(c) for c in row])
+    return buf.getvalue()
+
+
+def read_csv(path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+SIMULATE_GENS = [
+    "iid:bern:1/3",  # finite(2)
+    "iid:uniform:5",  # finite(5)
+    "mixture:grid(1/40,1/2):geom",  # countable, cells past 9 and 99
+    "polya:2,1",
+    "markov:1/4,3/4",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIMULATE_GENS), st.integers(1, 80), st.integers(1, 4), st.integers(0, 2**64 - 1))
+@example("mixture:grid(1/40,1/2):geom", 80, 3, 0)
+def test_simulate_lines_equal_the_csv_module(spec, n, paths, seed):
+    """The prebuilt simulate lines against csv.writer over (label, step,
+    value) tuples, byte for byte."""
+    gen = parse_generator(spec)
+    rows = []
+    for i in range(paths):
+        path = gen.sample_path(n, seed, path_index=i)
+        rows.extend((path.seed_label, step, int(v)) for step, v in enumerate(path.observations, start=1))
+    with tempfile.TemporaryDirectory() as out:
+        res = run_cli("simulate", "--gen", spec, "--n", str(n), "--paths", str(paths), "--seed", str(seed),
+                      "--out-dir", out)
+        assert res.exit_code == 0
+        assert read_csv(os.path.join(out, "simulate.csv")) == csv_module_text(("seed", "step", "value"), rows)
+        assert json.loads(read_csv(os.path.join(out, "simulate.json")))["results"]["rows_written"] == n * paths
 
 
 def test_json_and_csv_flags_name_the_artifacts(tmp_path):
@@ -318,6 +370,44 @@ def test_estimate_mixing_csv_table(tmp_path):
     assert doc["results"]["events"][0]["passed"] is True
 
 
+def test_estimate_mixing_samples_each_path_once_for_all_events(tmp_path, monkeypatch):
+    """Three events share one sampling of the paths; the report and CSV equal
+    the three single-event runs joined, and the scenario label, which holds
+    a comma, stays quoted."""
+    spec, events = "mixture:grid(1/4,1/2):geom", ["cells:0", "cells:1,2", "not:0"]
+    args = ["--gen", spec, "--n-grid", "10,100,500", "--paths", "6", "--seed", "5"]
+    sampled = []
+    sample_path = ProcessGenerator.sample_path
+
+    def counting(self, *a, **kw):
+        sampled.append(1)
+        return sample_path(self, *a, **kw)
+
+    monkeypatch.setattr(ProcessGenerator, "sample_path", counting)
+    res = run_cli("estimate-mixing", *args, "--events", ";".join(events), "--out-dir", str(tmp_path / "all"))
+    assert res.exit_code == 0 and len(sampled) == 6
+    joint_doc = json.loads((tmp_path / "all" / "estimate-mixing.json").read_text())
+    joint_csv = read_csv(tmp_path / "all" / "estimate-mixing.csv")
+
+    docs, bodies = [], []
+    for k, ev in enumerate(events):
+        assert run_cli("estimate-mixing", *args, "--events", ev, "--out-dir", str(tmp_path / str(k))).exit_code == 0
+        docs.extend(json.loads((tmp_path / str(k) / "estimate-mixing.json").read_text())["results"]["events"])
+        bodies.append(read_csv(tmp_path / str(k) / "estimate-mixing.csv").split("\n", 1)[1])
+    assert len(sampled) == 6 + 3 * 6
+    assert joint_doc["results"]["events"] == docs
+    assert joint_csv == ",".join(MIXING_CSV_HEADER) + "\n" + "".join(bodies)
+
+    gen = parse_generator(spec)
+    rows = [
+        row
+        for ev in parse_events(gen.space, ";".join(events))
+        for row in slln_exchangeable_check(gen, ev, n_grid=(10, 100, 500), n_paths=6, master_seed=5).rows()
+    ]
+    assert joint_csv == csv_module_text(MIXING_CSV_HEADER, rows)
+    assert joint_csv.count('\n"mixture(grid=1/4,1/2)",5:') == 3 * 6 * 3
+
+
 def test_estimate_mixing_urn_is_informational_pass(tmp_path):
     # No per-path latent target: the run reports but cannot fail.
     res = run_cli(
@@ -424,3 +514,14 @@ def test_cli_leaves_no_temp_files(tmp_path):
     )
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".exchkit-tmp-")]
     assert leftovers == []
+
+
+def test_far_cell_of_an_exact_geometric_law_exits_2(tmp_path):
+    """The exact mass of cell 10**11 under Geom(1/2) is a Fraction of about
+    10**11 bits; it is refused at once instead of computed."""
+    res = run_cli(
+        "construct-rcd", "--gen", "iid:geom:1/2", "--events", "cells:100000000000;not:0,100000000000",
+        "--n-grid", "50,200,1000", "--paths", "5", "--seed", "0", "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "cell 100000000000" in res.stderr

@@ -628,6 +628,29 @@ def test_path_table_route_equals_the_mass_route(case):
     _assert_matches_mass_route(*case)
 
 
+def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):
+    """Two latents and three events: path targets and the frequency
+    certificate each build six kernel images, however many paths; the
+    values are the uncached ones (test_path_table_route_equals_the_mass_route)."""
+    import exchkit.kernels
+    import exchkit.processes
+
+    calls = []
+    kernel_mass = exchkit.kernels.kernel_mass
+
+    def counting(*args):
+        calls.append(args[1:])
+        return kernel_mass(*args)
+
+    monkeypatch.setattr(exchkit.kernels, "kernel_mass", counting)
+    monkeypatch.setattr(exchkit.processes, "kernel_mass", counting)
+    events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
+    grid = (100, 1000, 4000, 6000, 8000, 10_000)
+    rep = construct_rcd_from_empiricals(geom_mixture(), events, n_grid=grid, n_paths=20, master_seed=1)
+    assert sum(p.status == "ok" for p in rep.paths) >= 10
+    assert len(calls) == 2 * len(set(calls)) == 2 * 2 * 3
+
+
 FAR = 10**12
 
 

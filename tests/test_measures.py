@@ -109,6 +109,22 @@ def test_geometric_atoms_and_tail():
     assert mu.tail_mass(3) == F(1, 8)
 
 
+def test_far_cells_of_an_exact_geometric_law_are_refused():
+    """(1-q)**j is refused past MAX_EXACT_POWER_BITS bits, naming the cell;
+    float laws and nearer cells are computed as before."""
+    exact = ProbMeasure.geometric(countable(), F(1, 1000))  # about 9.97 bits per power
+    assert exact.atom_mass(100_000) == F(1, 1000) * F(999, 1000) ** 100_000
+    for far in (101_000, 10**11):
+        with pytest.raises(ValueError, match=f"cell {far} "):
+            exact.atom_mass(far)
+        with pytest.raises(ValueError, match=f"cell {far} "):
+            exact.tail_mass(far)
+        with pytest.raises(ValueError, match=f"cell {far} "):
+            mass(exact, EventSet.cofinite_of(countable(), [0, far]))
+    assert ProbMeasure.geometric(countable(), 0.001).atom_mass(10**11) == 0.0
+    assert ProbMeasure.geometric(countable(), F(1)).tail_mass(10**11) == 0
+
+
 def test_mass_of_cofinite_event():
     mu = ProbMeasure.geometric(countable(), F(1, 2))
     ev = EventSet.cofinite_of(countable(), [0])
