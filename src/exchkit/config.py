@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .kernels import bernoulli_kernel, geometric_kernel
+from .kernels import bernoulli_kernel, geometric_kernel, validate_coverage, validate_tol
 from .measures import ProbMeasure
 from .processes import (
     BetaBernoulliProcess,
@@ -358,12 +357,10 @@ class ScenarioConfig:
                 raise SpecParseError("seed must lie in [0, 2**64)")
         if "tol" in raw:
             cfg.tol = _parse_float(raw["tol"], "tol")
-            if not (math.isfinite(cfg.tol) and cfg.tol > 0):
-                raise SpecParseError("tol must be finite and positive")
+            validate_tol(cfg.tol)
         if "coverage" in raw:
             cfg.coverage = _parse_float(raw["coverage"], "coverage")
-            if not 0 < cfg.coverage <= 1:
-                raise SpecParseError("coverage must lie in (0, 1]")
+            validate_coverage(cfg.coverage)
         if "steps" in raw:
             cfg.steps = _parse_int(raw["steps"], "step count")
             if cfg.steps < 1:

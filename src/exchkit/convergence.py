@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .empirical import _validate_grid
-from .kernels import binomial_band, grid_counts, rcd_verdict, validate_coverage, validate_tol
+from .kernels import binomial_band, grid_counts, kernel_mass, rcd_verdict, validate_coverage, validate_tol
 from .measures import (
     _DEFAULT_FLOORS,
     DEFAULT_EPS_SCHEDULE,
@@ -639,7 +639,7 @@ def construct_rcd_from_empiricals(
     Pipeline per path: empirical masses along the grid, uniform tightness,
     deterministic extraction to a limit mu_w; then (a) mu_w must match the
     final empirical mass on each requested event within tol, and (b) where
-    the generator exposes a realized latent, mu_w must match the latent
+    the generator declares a latent kernel, mu_w must match that
     kernel within 3 binomial standard errors, and the frequency-level
     verdict of :func:`verify_rcd` is taken on the same paths as an
     independent certificate.
@@ -710,11 +710,11 @@ def construct_rcd_from_empiricals(
         event_gaps = tuple(abs(m - f) for m, f in zip(limit_masses, final_masses))
         ok = all(g <= tol for g in event_gaps)
         kernel_gaps = ()
-        for ev in events:
-            if (path.latent, ev) not in target_of:
-                target_of[path.latent, ev] = gen.path_target(path, ev)
-        targets = [target_of[path.latent, ev] for ev in events]
-        if all(t is not None for t in targets):
+        if kernel is not None:
+            for ev in events:
+                if (path.latent, ev) not in target_of:
+                    target_of[path.latent, ev] = float(kernel_mass(kernel, path.latent, ev))
+            targets = [target_of[path.latent, ev] for ev in events]
             kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
             ok = ok and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))
         results.append(

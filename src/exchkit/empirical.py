@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import CylinderEvent, binomial_band, grid_counts, sigma_band, validate_coverage, validate_tol
+from .kernels import CylinderEvent, grid_counts, rcd_verdict, sigma_band, validate_coverage, validate_tol
 from .measures import ProbMeasure, mass
 from .processes import (
     GridMixtureProcess,
@@ -106,7 +106,8 @@ def estimate_directing_measure(
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-path final empirical masses against latent targets, aggregated."""
+    """Per-path empirical masses along the grid and, where the generator
+    declares a latent kernel, the :func:`rcd_verdict` of the final ones."""
 
     scenario: str
     event: EventSet
@@ -114,10 +115,8 @@ class ConvergenceReport:
     n_paths: int
     seed_labels: tuple[str, ...]
     traces: tuple[tuple[float, ...], ...]
-    finals: tuple[float, ...]
     targets: tuple[float | None, ...]
     gaps: tuple[float | None, ...]
-    tolerances: tuple[float | None, ...]
     coverage: float
     pass_fraction: float | None
     passed: bool | None
@@ -125,6 +124,10 @@ class ConvergenceReport:
     def __post_init__(self) -> None:
         if self.pass_fraction is not None and not 0 <= self.pass_fraction <= 1:
             raise ValueError("pass fraction outside [0,1]")
+
+    @property
+    def finals(self) -> tuple[float, ...]:
+        return tuple(trace[-1] for trace in self.traces)
 
     def rows(self) -> list[tuple]:
         """CSV rows: scenario, seed, n, event_id, empirical_mass, target, abs_gap."""
@@ -149,77 +152,6 @@ class ConvergenceReport:
         }
 
 
-def _slln_run(
-    gen: ProcessGenerator,
-    events: Sequence[EventSet],
-    n_grid: Sequence[int],
-    n_paths: int,
-    master_seed: int,
-    tol: float | None,
-    coverage: float,
-) -> tuple[ConvergenceReport, ...]:
-    """One report per event, all from one sampling of the paths."""
-    grid = _validate_grid(n_grid)
-    if any(ev.space != gen.space for ev in events):
-        raise SpaceMismatchError("event on the wrong space for the generator")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    validate_tol(tol)
-    validate_coverage(coverage)
-    big_n = grid[-1]
-
-    labels = []
-    traces = [[] for _ in events]
-    targets = [[] for _ in events]
-    # a path's target depends on the path only through its latent
-    target_of: dict = {}
-    for i in range(n_paths):
-        path = gen.sample_path(big_n, master_seed, path_index=i)
-        labels.append(path.seed_label)
-        values = EmpiricalTrace.compute(path, events, grid).values
-        for k, ev in enumerate(events):
-            if (path.latent, ev) not in target_of:
-                target_of[path.latent, ev] = gen.path_target(path, ev)
-            traces[k].append(values[k])
-            targets[k].append(target_of[path.latent, ev])
-
-    reports = []
-    for k, ev in enumerate(events):
-        finals = [trace[-1] for trace in traces[k]]
-        gaps, tols = [], []
-        for final, t in zip(finals, targets[k]):
-            if t is None:
-                gaps.append(None)
-                tols.append(None)
-            else:
-                tols.append(float(tol) if tol is not None else binomial_band(t, big_n))
-                gaps.append(abs(final - t))
-
-        with_target = [(g, t) for g, t in zip(gaps, tols) if g is not None]
-        if with_target:
-            pass_fraction = sum(g <= t for g, t in with_target) / len(with_target)
-            passed = pass_fraction >= coverage
-        else:
-            pass_fraction = None
-            passed = None
-        reports.append(ConvergenceReport(
-            gen.spec_label(),
-            ev,
-            grid,
-            n_paths,
-            tuple(labels),
-            tuple(traces[k]),
-            tuple(finals),
-            tuple(targets[k]),
-            tuple(gaps),
-            tuple(tols),
-            coverage,
-            pass_fraction,
-            passed,
-        ))
-    return tuple(reports)
-
-
 def slln_exchangeable_check(
     gen: ProcessGenerator,
     event: EventSet,
@@ -230,7 +162,7 @@ def slln_exchangeable_check(
     coverage: float = 0.95,
 ) -> ConvergenceReport:
     """Long-run frequencies settle path by path; against the conditional mean
-    where a realized latent provides one, otherwise reported for the caller
+    where a latent kernel provides one, otherwise reported for the caller
     to test at the distribution level."""
     return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, tol, master_seed, coverage)[0]
 
@@ -245,10 +177,42 @@ def slln_exchangeable_checks(
     coverage: float = 0.95,
 ) -> tuple[ConvergenceReport, ...]:
     """:func:`slln_exchangeable_check` for each event, in order, on one
-    sampling of the paths; each report equals the single-event one."""
+    sampling of the paths; each report equals the single-event one.
+
+    Targets, gaps, pass fraction and verdict are those of :func:`rcd_verdict`
+    on the frequencies at the last grid point; all None when the generator
+    declares no latent kernel."""
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    return _slln_run(gen, events, n_grid, n_paths, master_seed, tol, coverage)
+    grid = _validate_grid(n_grid)
+    if any(ev.space != gen.space for ev in events):
+        raise SpaceMismatchError("event on the wrong space for the generator")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    validate_tol(tol)
+    validate_coverage(coverage)
+
+    labels, latents, traces = [], [], []  # traces[i][k]: path i, events[k]
+    for i in range(n_paths):
+        path = gen.sample_path(grid[-1], master_seed, path_index=i)
+        labels.append(path.seed_label)
+        latents.append(path.latent)
+        traces.append(EmpiricalTrace.compute(path, events, grid).values)
+    kernel = gen.latent_kernel()
+    if kernel is None:
+        none = (None,) * n_paths
+        verdicts = [(none, none, None, None)] * len(events)
+    else:
+        finals = [[trace[-1] for trace in values] for values in traces]
+        rep = rcd_verdict(kernel, events, latents, finals, grid[-1], tol, coverage)
+        verdicts = [(r.targets, r.gaps, r.pass_fraction, r.pass_fraction >= coverage) for r in rep.per_event]
+    return tuple(
+        ConvergenceReport(
+            gen.spec_label(), ev, grid, n_paths, tuple(labels),
+            tuple(values[k] for values in traces), targets, gaps, coverage, frac, passed,
+        )
+        for k, (ev, (targets, gaps, frac, passed)) in enumerate(zip(events, verdicts))
+    )
 
 
 def slln_condiid_check(
@@ -260,11 +224,11 @@ def slln_condiid_check(
     master_seed: int = 0,
     coverage: float = 0.95,
 ) -> ConvergenceReport:
-    """Same contract, but only for generators that are conditionally iid by
-    construction, so a per-path kernel target always exists."""
-    if not gen.is_conditionally_iid:
+    """Same contract, but only for generators that declare a latent kernel,
+    so a per-path kernel target always exists."""
+    if gen.latent_kernel() is None:
         raise ValueError("generator is not of mixture/iid form")
-    return _slln_run(gen, (event,), n_grid, n_paths, master_seed, tol, coverage)[0]
+    return slln_exchangeable_check(gen, event, n_grid, n_paths, tol, master_seed, coverage)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,12 @@ def product_cylinder_mass(kappa: MarkovKernel, param, cyl: CylinderEvent):
 
 @dataclass(frozen=True)
 class RcdEventResult:
+    """Per path: the kernel mass at its latent and its final frequency's gap."""
+
     event: EventSet
     pass_fraction: float
+    targets: tuple[float, ...]
     gaps: tuple[float, ...]
-    tolerances: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,8 @@ def verify_rcd(
     """
     if not events:
         raise ValueError("event list must be non-empty")
-    if not getattr(gen, "realized_latent", False):
-        raise ValueError("generator does not expose a realized latent parameter")
+    if gen.latent_kernel() is None:
+        raise ValueError("generator declares no latent kernel")
     if n_paths < 1:
         raise ValueError("need at least one path")
     validate_tol(tol)
@@ -170,34 +172,26 @@ def rcd_verdict(
 ) -> RcdReport:
     """The verdict of :func:`verify_rcd` over already sampled paths:
     ``freqs[i][k]`` is path i's frequency of ``events[k]`` after ``n_steps``
-    draws and ``latents[i]`` its realized latent parameter."""
-    per_event_gaps: list[list[float]] = [[] for _ in events]
-    per_event_tols: list[list[float]] = [[] for _ in events]
+    draws and ``latents[i]`` its realized latent parameter. Each frequency is
+    judged against kappa(latents[i], events[k]) within ``tol``, or within
+    :func:`binomial_band` at that target when ``tol`` is None."""
     # one kernel image per distinct (latent, event); the dict lives for this
     # call alone, as kernels on one space compare equal whatever their law
     target_of: dict = {}
-    for latent, row in zip(latents, freqs):
-        for k, ev in enumerate(events):
+    results = []
+    for k, ev in enumerate(events):
+        targets, gaps, hits = [], [], 0
+        for latent, row in zip(latents, freqs):
             if (latent, ev) not in target_of:
                 target_of[latent, ev] = float(kernel_mass(kappa, latent, ev))
             target = target_of[latent, ev]
-            per_event_gaps[k].append(abs(float(row[k]) - target))
-            if tol is None:
-                per_event_tols[k].append(binomial_band(target, n_steps))
-            else:
-                per_event_tols[k].append(float(tol))
-
-    n_paths = len(latents)
-    results = []
-    all_ok = True
-    for k, ev in enumerate(events):
-        hits = sum(g <= t for g, t in zip(per_event_gaps[k], per_event_tols[k]))
-        frac = hits / n_paths
-        results.append(
-            RcdEventResult(ev, frac, tuple(per_event_gaps[k]), tuple(per_event_tols[k]))
-        )
-        all_ok = all_ok and frac >= coverage
-    return RcdReport(n_paths, n_steps, coverage, tuple(results), all_ok)
+            gap = abs(float(row[k]) - target)
+            hits += gap <= (binomial_band(target, n_steps) if tol is None else float(tol))
+            targets.append(target)
+            gaps.append(gap)
+        results.append(RcdEventResult(ev, hits / len(latents), tuple(targets), tuple(gaps)))
+    passed = all(r.pass_fraction >= coverage for r in results)
+    return RcdReport(len(latents), n_steps, coverage, tuple(results), passed)
 
 
 def sigma_band(se: float, n: int) -> float:

@@ -22,6 +22,7 @@ family and schedule for any other choice.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,16 +227,29 @@ def tv_distance(mu: ProbMeasure, nu: ProbMeasure):
     if mu.is_finitely_supported and nu.is_finitely_supported:
         cells = set(mu.weights_dict()) | set(nu.weights_dict())
         return sum((abs(mu.atom_mass(j) - nu.atom_mass(j)) for j in cells), Fraction(0)) / 2
-    # Truncate: |sum_{j>=M} |mu_j - nu_j|| <= tail_mu(M) + tail_nu(M).
+    # Truncate: |sum_{j>=M} |mu_j - nu_j|| <= tail_mu(M) + tail_nu(M), all in
+    # floats: an exact law gives what its float twin gives, at the same cost.
+    mu, nu = _in_floats(mu), _in_floats(nu)
     m = 1
-    while float(mu.tail_mass(m)) + float(nu.tail_mass(m)) > 1e-13:
+    while mu.tail_mass(m) + nu.tail_mass(m) > 1e-13:
         m *= 2
         if m > 1 << 20:
             raise ValueError("tails decay too slowly for tv_distance truncation")
     acc = 0.0
     for j in range(m):
-        acc += abs(float(mu.atom_mass(j)) - float(nu.atom_mass(j)))
+        acc += abs(mu.atom_mass(j) - nu.atom_mass(j))
     return acc / 2
+
+
+def _in_floats(mu: ProbMeasure) -> ProbMeasure:
+    """mu with float weights and ratios; a float law is returned as it is."""
+    if mu.mode == FLOAT:
+        return mu
+    out = copy.copy(mu)
+    out.mode = FLOAT
+    out._weights = {j: float(w) for j, w in mu._weights.items()}
+    out._components = tuple(GeometricComponent(float(c.weight), float(c.ratio)) for c in mu._components)
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ Generator variants:
   with no realized latent at sampling time.
 * ``MarkovChainProcess``    -- a deliberately non-exchangeable control.
 
+``latent_kernel()`` is the one declaration of a generator's directing kernel,
+the map from a path's ``latent`` to the conditional law of its coordinates
+(iid: constant at the base measure; urn and control: None). Every kernel
+target, kernel verdict and conditionally-iid precondition asks it.
+
 Every exact oracle counts the entries it would enumerate before it starts,
 factor by factor so that a huge n is refused within a few factors, and raises
 ``ValueError`` naming the oracle cap above ``_ORACLE_WORK_CAP`` (10**8):
@@ -58,10 +63,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import MarkovKernel, bernoulli_kernel, kernel_mass
-from .measures import ProbMeasure, mass
+from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
+from .measures import ProbMeasure, mix_measures
 from .rng import path_stream
-from .spaces import EventSet, SpaceDescriptor, finite
+from .spaces import SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
@@ -187,7 +192,6 @@ class ProcessGenerator:
 
     space: SpaceDescriptor
     exchangeable: bool
-    is_conditionally_iid: bool
 
     def sample_path(self, n: int, master_seed: int, path_index: int = 0) -> PathSample:
         if n < 1:
@@ -207,19 +211,9 @@ class ProcessGenerator:
         raise NotImplementedError
 
     def latent_kernel(self) -> MarkovKernel | None:
-        """Kernel mapping the realized latent to the conditional law, if any."""
+        """Kernel mapping a path's latent to the conditional law of its
+        coordinates; None when the generator declares no directing kernel."""
         return None
-
-    def path_target(self, path: PathSample, event: EventSet) -> float | None:
-        """Conditional mass of the event given the path's latent, if defined."""
-        kernel = self.latent_kernel()
-        if kernel is not None and path.latent is not None:
-            return float(kernel_mass(kernel, path.latent, event))
-        return None
-
-    @property
-    def realized_latent(self) -> bool:
-        return self.latent_kernel() is not None
 
     def spec_label(self) -> str:
         return type(self).__name__
@@ -230,7 +224,6 @@ class IIDProcess(ProcessGenerator):
     base: ProbMeasure
 
     exchangeable = True
-    is_conditionally_iid = True
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -247,12 +240,7 @@ class IIDProcess(ProcessGenerator):
 
     def latent_kernel(self) -> MarkovKernel | None:
         # Degenerate conditioning: the directing measure is the marginal.
-        from .kernels import constant_kernel
-
         return constant_kernel(self.base)
-
-    def path_target(self, path, event):
-        return float(mass(self.base, event))
 
     def spec_label(self) -> str:
         return "iid"
@@ -266,7 +254,6 @@ class GridMixtureProcess(ProcessGenerator):
     component: MarkovKernel
 
     exchangeable = True
-    is_conditionally_iid = True
 
     def __post_init__(self) -> None:
         total = sum(w for w, _ in self.prior)
@@ -293,8 +280,6 @@ class GridMixtureProcess(ProcessGenerator):
         return _mixture_pattern_law(self.space, parts, n)
 
     def marginal(self) -> ProbMeasure:
-        from .measures import mix_measures
-
         return mix_measures([(w, self.component.measure(t)) for w, t in self.prior])
 
     def latent_kernel(self) -> MarkovKernel | None:
@@ -317,7 +302,6 @@ class BetaBernoulliProcess(ProcessGenerator):
     b: object
 
     exchangeable = True
-    is_conditionally_iid = True
 
     def __post_init__(self) -> None:
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
@@ -377,7 +361,6 @@ class PolyaUrnProcess(ProcessGenerator):
     b: object
 
     exchangeable = True
-    is_conditionally_iid = False
 
     def __post_init__(self) -> None:
         if not (1 <= self.a < math.inf and 1 <= self.b < math.inf):
@@ -468,7 +451,6 @@ class MarkovChainProcess(ProcessGenerator):
     rows: tuple[ProbMeasure, ...]
 
     exchangeable = False
-    is_conditionally_iid = False
 
     def __post_init__(self) -> None:
         k = self.initial.space.num_cells

@@ -69,3 +69,22 @@ def test_mc_paths_outputs_are_byte_identical(workloads, seed, tmp_path):
     for check in workloads.mc_paths(seed, True, str(tmp_path)):
         digest.update(check.judge(check.call())[1].encode())
     assert digest.hexdigest() == MC_PATHS_TEXT_SHA256[seed]
+
+
+# the same guard for the tiny exact-oracles and long-paths checks, as they
+# printed before latent_kernel() became the one source of per-path targets
+# and rcd_verdict the one band count
+TEXT_SHA256 = {
+    ("exact-oracles", 0): "0d6098102833ff917c140a679c286fdf1e2f12caa0ffc553a6d69f0c7f8aa39e",
+    ("exact-oracles", 3): "7a43d6267561526a8b1bb79711b4a9adc09c8ca6e8476ef12f359811f16f1512",
+    ("long-paths", 0): "422583367f7b33b2abcc9882a4668be6da1519effcaabaa336070f45e158f25e",
+    ("long-paths", 3): "422583367f7b33b2abcc9882a4668be6da1519effcaabaa336070f45e158f25e",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TEXT_SHA256))
+def test_tiny_outputs_are_byte_identical(workloads, name, seed, tmp_path):
+    digest = hashlib.sha256()
+    for check in workloads.WORKLOADS[name](seed, True, str(tmp_path)):
+        digest.update(check.judge(check.call())[1].encode())
+    assert digest.hexdigest() == TEXT_SHA256[name, seed]

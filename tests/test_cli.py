@@ -212,6 +212,14 @@ def test_exit_code_two_on_negative_tol(tmp_path):
     assert "tol must be finite and positive" in res.stderr
 
 
+def test_exit_code_two_on_coverage_outside_the_unit_interval(tmp_path):
+    res = run_cli("verify-rcd", *TOL_COMMANDS["verify-rcd"], "--events", "cells:1",
+                  "--seed", "0", "--coverage", "1.5", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "coverage must lie in (0, 1]" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_two_on_seed_past_64_bits(tmp_path):
     res = run_cli("simulate", "--gen", "iid:bern:1/2", "--n", "5",
                   "--seed", "100000000000000000000000", "--out-dir", str(tmp_path))

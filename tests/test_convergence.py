@@ -34,7 +34,7 @@ from exchkit.convergence import (
     uniform_smallness_check,
 )
 from exchkit.convergence import _extract, _Layout, _path_counts, _refine_positions, _tight
-from exchkit.kernels import MarkovKernel, geometric_kernel, grid_counts, rcd_verdict, verify_rcd
+from exchkit.kernels import MarkovKernel, geometric_kernel, grid_counts, kernel_mass, rcd_verdict, verify_rcd
 from exchkit.measures import TightnessResult
 from exchkit.processes import (
     GridMixtureProcess,
@@ -610,8 +610,10 @@ def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
         final = seq[len(seq) - 1]
         limit_masses = [float(mass(limit, ev)) for ev in events]
         event_gaps = tuple(abs(m - float(mass(final, ev))) for m, ev in zip(limit_masses, events))
-        targets = [gen.path_target(path, ev) for ev in events]
-        kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets)) if None not in targets else ()
+        kernel = gen.latent_kernel()
+        kernel_gaps = () if kernel is None else tuple(
+            abs(m - float(kernel_mass(kernel, path.latent, ev))) for m, ev in zip(limit_masses, events)
+        )
         assert got.subsequence_length == len(expected[1][0])
         assert got.tight_witness == expected[1][1][-1][1]
         assert got.limit.weights_dict() == limit.weights_dict()
@@ -632,8 +634,8 @@ def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):
     """Two latents and three events: path targets and the frequency
     certificate each build six kernel images, however many paths; the
     values are the uncached ones (test_path_table_route_equals_the_mass_route)."""
+    import exchkit.convergence
     import exchkit.kernels
-    import exchkit.processes
 
     calls = []
     kernel_mass = exchkit.kernels.kernel_mass
@@ -643,7 +645,7 @@ def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):
         return kernel_mass(*args)
 
     monkeypatch.setattr(exchkit.kernels, "kernel_mass", counting)
-    monkeypatch.setattr(exchkit.processes, "kernel_mass", counting)
+    monkeypatch.setattr(exchkit.convergence, "kernel_mass", counting)
     events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
     grid = (100, 1000, 4000, 6000, 8000, 10_000)
     rep = construct_rcd_from_empiricals(geom_mixture(), events, n_grid=grid, n_paths=20, master_seed=1)

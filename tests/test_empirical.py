@@ -23,7 +23,7 @@ from exchkit.empirical import (
     slln_condiid_check,
     slln_exchangeable_check,
 )
-from exchkit.kernels import CylinderEvent, bernoulli_kernel
+from exchkit.kernels import CylinderEvent, bernoulli_kernel, binomial_band
 from exchkit.processes import (
     BetaBernoulliProcess,
     GridMixtureProcess,
@@ -460,6 +460,21 @@ def test_slln_mixture_targets_coincide_between_checks():
         assert min(abs(f - 0.25), abs(f - 0.75)) < 0.1
 
 
+def test_slln_verdict_counts_final_gaps_inside_the_band():
+    # targets are the latents, gaps are final minus target, and the pass
+    # fraction counts gaps inside the 3-sigma band at the largest n
+    gen = mixture()
+    rep = slln_exchangeable_check(gen, ONES, n_grid=(10, 2000), n_paths=40, master_seed=2)
+    targets = tuple(float(gen.sample_path(2000, 2, path_index=i).latent) for i in range(40))
+    gaps = tuple(abs(f - t) for f, t in zip(rep.finals, targets))
+    assert rep.finals == tuple(trace[-1] for trace in rep.traces)
+    assert (rep.targets, rep.gaps) == (targets, gaps)
+    assert rep.pass_fraction == sum(g <= binomial_band(t, 2000) for g, t in zip(gaps, targets)) / 40
+    assert rep.passed == (rep.pass_fraction >= 0.95)
+    tight = slln_exchangeable_check(gen, ONES, n_grid=(10, 2000), n_paths=40, master_seed=2, tol=0.01)
+    assert tight.pass_fraction == sum(g <= 0.01 for g in gaps) / 40
+
+
 def test_slln_full_space_event_is_constant_one():
     rep = slln_exchangeable_check(mixture(), FULL, n_grid=(10, 100), n_paths=10, master_seed=0)
     assert all(v == 1.0 for trace in rep.traces for v in trace)
@@ -537,10 +552,8 @@ def test_convergence_report_to_dict_and_validation():
             n_paths=1,
             seed_labels=("0:0",),
             traces=((0.5,),),
-            finals=(0.5,),
             targets=(None,),
             gaps=(None,),
-            tolerances=(None,),
             coverage=0.95,
             pass_fraction=1.5,
             passed=None,

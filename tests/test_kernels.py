@@ -15,6 +15,7 @@ from exchkit import (
     ProbMeasure,
     countable,
     finite,
+    parse_generator,
 )
 from exchkit.kernels import (
     CylinderEvent,
@@ -157,6 +158,24 @@ def test_verify_rcd_flags_a_wrong_kernel():
     report = verify_rcd(wrong, gen, events, n_paths=60, n_steps=4000, master_seed=11)
     # latent biases are spread over (0,1); a fixed 1/2 target misses most paths
     assert not report.passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_rcd_rejects_a_kernel_two_bands_off(seed):
+    """The true kernel passes and p -> Bern(p + 1/25) fails. 1/25 is about
+    two 3-sigma bands at 4000 steps (0.0205 at p = 1/4 and 3/4). Over master
+    seeds 0-99, 60 paths each, the true kernel passed 100 times and the
+    shifted one 0 times; with every band three times as wide the shifted
+    kernel passed 100 times, so this test pins the band's width."""
+    gen = parse_generator("mixture:grid(1/4,3/4):bern")
+    events = [EventSet.of(finite(2), [1])]
+    shifted = MarkovKernel(finite(2), lambda p: ProbMeasure.bernoulli(finite(2), p + F(1, 25)))
+    kw = dict(n_paths=60, n_steps=4000, master_seed=seed)
+    assert verify_rcd(gen.latent_kernel(), gen, events, **kw).passed
+    report = verify_rcd(shifted, gen, events, **kw)
+    assert not report.passed
+    assert report.per_event[0].pass_fraction <= 1 / 60
+    assert set(report.per_event[0].targets) == {0.29, 0.79}
 
 
 def test_verify_rcd_needs_a_realized_latent():

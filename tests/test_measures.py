@@ -156,6 +156,17 @@ def test_tv_geometric_vs_delta_truncates():
     assert tv_distance(mu, nu) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_tv_distance_reads_exact_analytic_laws_in_floats():
+    """An exact slow tail is truncated where its float twin is, instead of
+    being refused at a cell the caller never named."""
+    nn = countable()
+    exact = tv_distance(ProbMeasure.geometric(nn, F(1, 10000)), ProbMeasure.geometric(nn, F(1, 2)))
+    assert exact == tv_distance(ProbMeasure.geometric(nn, 1e-4), ProbMeasure.geometric(nn, 0.5))
+    assert exact == pytest.approx(0.99858, abs=1e-5)
+    fast = tv_distance(ProbMeasure.geometric(nn, F(1, 3)), ProbMeasure.geometric(nn, F(1, 2)))
+    assert fast == pytest.approx(7 / 36, abs=1e-15)
+
+
 @given(exact_measures(), exact_measures(), exact_measures())
 def test_tv_is_a_metric(a, b, c):
     assert tv_distance(a, a) == 0

@@ -28,7 +28,7 @@ from exchkit import (
 )
 from exchkit import processes
 from exchkit.empirical import LatentCondition, _exact_weighted_patterns
-from exchkit.kernels import MarkovKernel, bernoulli_kernel, geometric_kernel
+from exchkit.kernels import MarkovKernel, bernoulli_kernel, geometric_kernel, kernel_mass
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
@@ -329,26 +329,27 @@ def test_grid_mixture_latent_comes_from_the_grid():
     assert len(seen) == 2
 
 
-def test_path_target_uses_the_latent():
+def test_latent_kernel_maps_the_latent():
     gen = GridMixtureProcess(
         ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))), bernoulli_kernel(B2)
     )
     path = gen.sample_path(5, 0)
     ones = EventSet.of(B2, [1])
-    assert gen.path_target(path, ones) == float(path.latent)
+    assert float(kernel_mass(gen.latent_kernel(), path.latent, ones)) == float(path.latent)
 
 
-def test_iid_path_target_is_the_marginal():
+def test_iid_latent_kernel_is_the_marginal():
     gen = coin(F(1, 3))
     path = gen.sample_path(5, 0)
-    assert gen.path_target(path, EventSet.of(B2, [1])) == pytest.approx(1 / 3)
+    assert path.latent is None
+    assert float(kernel_mass(gen.latent_kernel(), path.latent, EventSet.of(B2, [1]))) == pytest.approx(1 / 3)
 
 
-def test_polya_has_no_path_target():
+def test_polya_has_no_latent_kernel():
     gen = PolyaUrnProcess(1, 1)
     path = gen.sample_path(5, 0)
-    assert gen.path_target(path, EventSet.of(B2, [1])) is None
-    assert not gen.realized_latent
+    assert path.latent is None
+    assert gen.latent_kernel() is None
 
 
 def test_sampling_matches_exact_law_roughly():
