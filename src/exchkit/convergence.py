@@ -24,26 +24,27 @@ that the default compact and closed families or the requested events name
 cofinite event's mass is 1 minus its excluded cells, as in :func:`mass`, so
 no unnamed cell is read).
 Tightness, extraction, :func:`a_converges` and the limsup certificates all
-read it. A path fills it from one ``bincount`` per grid segment, summed over
-the segments and divided by n; a :class:`MeasureSequence` fills it from
-``atom_mass``, as Python objects when a measure is exact. An event's mass is
-a left-to-right sum over its cells in the order :func:`mass` takes them, and
-the compacts' masses are one sequential cumulative sum along their chain, so
-every witness, limit, gap and certificate is bit-identical to per-measure
-:func:`mass` calls.
+read it. A path's table is the count table that ``kernels._sampled_paths``
+fills for every Monte Carlo check, divided by n; a :class:`MeasureSequence`
+fills it from ``atom_mass``, as Python objects when a measure is exact. An
+event's mass is a left-to-right sum over its cells in the order :func:`mass`
+takes them, and the compacts' masses are one sequential cumulative sum along
+their chain, so every witness, limit, gap and certificate is bit-identical to
+per-measure :func:`mass` calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .empirical import _validate_grid
-from .kernels import binomial_band, grid_counts, kernel_mass, rcd_verdict, validate_coverage, validate_tol
+from .kernels import (_cell_index, _columns, _masses, _sampled_paths, binomial_band, rcd_verdict,
+                      validate_coverage, validate_tol)
 from .measures import (
     _DEFAULT_FLOORS,
     DEFAULT_EPS_SCHEDULE,
@@ -125,34 +126,6 @@ def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequen
 # the atom-mass table
 
 
-def _columns(events) -> np.ndarray:
-    """The table's columns: the sorted cells that any of the events names."""
-    return np.array(sorted({j for ev in events for j in ev.indices}))
-
-
-def _cell_index(events: Sequence[EventSet], cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each event's column positions, in the order :func:`mass` sums its
-    cells, padded with -1 (the table's zero column), and which events are
-    cofinite."""
-    position = {j: p for p, j in enumerate(cols.tolist())}
-    orders = [[position[j] for j in ev.indices] for ev in events]
-    depth = max(map(len, orders), default=0) or 1
-    index = np.array([o + [-1] * (depth - len(o)) for o in orders], dtype=np.intp)
-    return index.reshape(len(orders), depth), np.array([ev.cofinite for ev in events], dtype=bool)
-
-
-def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) -> np.ndarray:
-    """R x E masses, under the R table rows, of the events whose
-    :func:`_cell_index` is ``cells``.
-
-    Each is a left-to-right sum over the event's cells, as in :func:`mass`,
-    so float masses are bit-identical to it; a cofinite event takes ``whole``
-    minus the sum over the cells it excludes."""
-    index, cofinite = cells
-    sums = np.add.accumulate(atoms[:, index], axis=2)[:, :, -1]
-    return np.where(cofinite, whole - sums, sums)
-
-
 class _Layout:
     """What a table answers on one space: the default compact chain and
     closed family plus any requested events, and the cell columns they name."""
@@ -179,29 +152,6 @@ def _measure_table(measures: Sequence[ProbMeasure], cols: np.ndarray) -> np.ndar
     dtype = object if any(mu.mode == EXACT for mu in measures) else np.float64
     cells = cols.tolist()
     return np.array([[mu.atom_mass(j) for j in cells] + [0] for mu in measures], dtype=dtype)
-
-
-def _path_counts(obs: np.ndarray, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
-    """G x (len(cols) + 1) integers: how many of the first ``grid[g]`` draws
-    fall in each column's cell, with a zero last column; one bincount per
-    grid segment, accumulated. Draws in unnamed cells are not counted.
-
-    Cells below the first gap in ``cols`` are their own columns; only the
-    draws past it are looked up."""
-    width = len(cols)
-    dense = next((p for p, j in enumerate(cols.tolist()) if p != j), width)
-    pos = np.array(obs, dtype=np.intp)
-    far = pos >= dense
-    if far.any():
-        cells = pos[far]
-        found = np.searchsorted(cols, cells)
-        found[cols[np.minimum(found, width - 1)] != cells] = width  # unnamed
-        pos[far] = found
-    bounds = (0, *grid)
-    counts = np.zeros((len(grid), width + 1), dtype=np.int64)
-    for row, lo, hi in zip(counts, bounds, bounds[1:]):
-        row[:width] = np.bincount(pos[lo:hi], minlength=width + 1)[:width]
-    return np.cumsum(counts, axis=0)
 
 
 def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
@@ -463,19 +413,11 @@ def markov_bound_check(
     The marginal precondition is verified against the generator's exact
     marginal, not sampled.
     """
-    if event.space != gen.space:
-        raise SpaceMismatchError("event on the wrong space")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
         raise ValueError(f"marginal mass {marginal} exceeds eps^2 = {eps * eps}")
-    violating = 0
-    for i in range(n_paths):
-        path = gen.sample_path(n_steps, master_seed, path_index=i)
-        freq = float(grid_counts(path.observations, (event,), (n_steps,))[0, 0] / n_steps)
-        if freq >= eps:
-            violating += 1
+    violating = sum(float(freqs[-1, 0]) >= eps for _, _, freqs in paths)
     frac = violating / n_paths
     eps_f = float(eps)
     bound = eps_f + 3.0 * math.sqrt(eps_f * (1.0 - eps_f) / n_paths)
@@ -531,17 +473,11 @@ def uniform_smallness_check(
             raise ValueError("event chain must be inclusion-decreasing")
     if not eps_list:
         raise ValueError("epsilon list must be non-empty")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     grid = _validate_grid(n_grid)
-    big_n = grid[-1]
-    grid_arr = np.array(grid, dtype=np.float64)
+    paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
 
     # max over the grid of mu_{w,n}(B_m), per path and per chain member
-    sup_mass = np.zeros((n_paths, len(events)))
-    for i in range(n_paths):
-        path = gen.sample_path(big_n, master_seed, path_index=i)
-        sup_mass[i] = np.max(grid_counts(path.observations, events, grid) / grid_arr, axis=1)
+    sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
 
     profiles = []
     fractions = []
@@ -649,11 +585,12 @@ def construct_rcd_from_empiricals(
     fraction as well) and the frequency-level certificate agrees.
 
     The empirical measures mu_{w,n} are never built. Each path's draws are
-    counted once, one ``bincount`` per grid segment accumulated over the
-    grid, into a table of counts per cell; divided by n it is the atom-mass
-    table (see the module docstring) that tightness, extraction and the
-    certificates read, and its last row gives the final event frequencies for
-    the kernel certificate. The results equal those of
+    counted once, by the count table that ``kernels._sampled_paths`` fills for
+    every Monte Carlo check; divided by n it is the atom-mass table (see the
+    module docstring) that tightness, extraction and the certificates read,
+    and its last row gives the final event frequencies for the kernel
+    certificate. Each path's kernel targets are the certificate's, so each
+    kernel image is built once. The results equal those of
     :func:`extract_convergent_subsequence` on :func:`empirical_sequence`.
     """
     if not gen.exchangeable:
@@ -661,10 +598,8 @@ def construct_rcd_from_empiricals(
     if not events:
         raise ValueError("event list must be non-empty")
     grid = _validate_grid(n_grid)
-    if any(ev.space != gen.space for ev in events):
-        raise SpaceMismatchError("event on the wrong space for the generator")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    layout = _Layout(gen.space, events)
+    paths = _sampled_paths(gen, events, grid, n_paths, master_seed, layout.cols)
     validate_tol(tol)
     validate_coverage(coverage)
 
@@ -672,34 +607,23 @@ def construct_rcd_from_empiricals(
     if not regularity.radon:
         raise ValueError("generator marginal failed the Radon classification")
 
-    kernel = gen.latent_kernel()
     big_n = grid[-1]
-    layout = _Layout(gen.space, events)
     lengths = np.array(grid)[:, None]
-    results = []
-    not_tight = 0
-    latents, freqs = [], []
-    # a path's target depends on the path only through its latent
-    target_of: dict = {}
-    for i in range(n_paths):
-        path = gen.sample_path(big_n, master_seed, path_index=i)
-        counts = _path_counts(path.observations, grid, layout.cols)
-        if kernel is not None:
-            latents.append(path.latent)
-            freqs.append(_masses(counts[-1:], layout.event_cells, whole=big_n)[0] / big_n)
+    results, limits = [], []  # limits[i]: path i's limit masses of the events, or None
+    latents, finals = [], []
+    for path, counts, freqs in paths:
+        latents.append(path.latent)
+        finals.append(freqs[-1])
         atoms = counts / lengths
         try:
             ext, limit_row = _extract(layout, atoms, tol)
         except NotTightError:
-            not_tight += 1
-            results.append(
-                RcdPathResult(path.seed_label, "not_tight", None, None, None, (), (), False)
-            )
+            results.append(RcdPathResult(path.seed_label, "not_tight", None, None, None, (), (), False))
+            limits.append(None)
             continue
         except NoConvergenceAtTolError:
-            results.append(
-                RcdPathResult(path.seed_label, "no_convergence", None, None, None, (), (), False)
-            )
+            results.append(RcdPathResult(path.seed_label, "no_convergence", None, None, None, (), (), False))
+            limits.append(None)
             continue
 
         # extraction raised NotTightError unless every eps has a witness
@@ -709,33 +633,26 @@ def construct_rcd_from_empiricals(
         ).tolist()
         event_gaps = tuple(abs(m - f) for m, f in zip(limit_masses, final_masses))
         ok = all(g <= tol for g in event_gaps)
-        kernel_gaps = ()
-        if kernel is not None:
-            for ev in events:
-                if (path.latent, ev) not in target_of:
-                    target_of[path.latent, ev] = float(kernel_mass(kernel, path.latent, ev))
-            targets = [target_of[path.latent, ev] for ev in events]
-            kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
-            ok = ok and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))
         results.append(
-            RcdPathResult(
-                path.seed_label,
-                "ok",
-                len(ext.indices),
-                witness,
-                ext.limit,
-                event_gaps,
-                kernel_gaps,
-                ok,
-            )
+            RcdPathResult(path.seed_label, "ok", len(ext.indices), witness, ext.limit, event_gaps, (), ok)
         )
+        limits.append(limit_masses)
 
+    kernel = gen.latent_kernel()
     kernel_report = None
-    freq_ok = True
     if kernel is not None:
-        kernel_report = rcd_verdict(kernel, events, latents, freqs, big_n, coverage=coverage)
-        freq_ok = kernel_report.passed
+        # each path's kernel targets are the certificate's
+        kernel_report = rcd_verdict(kernel, events, latents, finals, big_n, coverage=coverage)
+        for i, limit_masses in enumerate(limits):
+            if limit_masses is None:
+                continue
+            targets = [r.targets[i] for r in kernel_report.per_event]
+            kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
+            ok = results[i].passed and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))
+            results[i] = replace(results[i], kernel_gaps=kernel_gaps, passed=ok)
 
+    not_tight = sum(r.status == "not_tight" for r in results)
+    freq_ok = kernel_report is None or kernel_report.passed
     pass_fraction = sum(r.passed for r in results) / n_paths
     passed = pass_fraction >= coverage and freq_ok
     return RcdConstructionReport(

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import CylinderEvent, grid_counts, rcd_verdict, sigma_band, validate_coverage, validate_tol
+from .kernels import (CylinderEvent, _cell_index, _columns, _count_table, _frequencies, _sampled_paths, rcd_verdict,
+                      sigma_band, validate_coverage, validate_tol)
 from .measures import ProbMeasure, mass
 from .processes import (
     GridMixtureProcess,
@@ -82,9 +83,9 @@ class EmpiricalTrace:
         grid = _validate_grid(n_grid)
         if not events:
             raise ValueError("event list must be non-empty")
-        counts = grid_counts(path.observations, events, grid)
-        rows = tuple(tuple(float(c) / n for c, n in zip(row, grid)) for row in counts)
-        return EmpiricalTrace(path, tuple(events), grid, rows)
+        cols = _columns(events)
+        freqs = _frequencies(_count_table(path.observations, grid, cols), _cell_index(events, cols), grid)
+        return EmpiricalTrace(path, tuple(events), grid, tuple(map(tuple, freqs.T.tolist())))
 
 
 def estimate_directing_measure(
@@ -185,19 +186,15 @@ def slln_exchangeable_checks(
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
     grid = _validate_grid(n_grid)
-    if any(ev.space != gen.space for ev in events):
-        raise SpaceMismatchError("event on the wrong space for the generator")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
     validate_tol(tol)
     validate_coverage(coverage)
 
     labels, latents, traces = [], [], []  # traces[i][k]: path i, events[k]
-    for i in range(n_paths):
-        path = gen.sample_path(grid[-1], master_seed, path_index=i)
+    for path, _, freqs in paths:
         labels.append(path.seed_label)
         latents.append(path.latent)
-        traces.append(EmpiricalTrace.compute(path, events, grid).values)
+        traces.append(tuple(map(tuple, freqs.T.tolist())))
     kernel = gen.latent_kernel()
     if kernel is None:
         none = (None,) * n_paths
@@ -472,29 +469,24 @@ def df_product_identity_check(
         raise ValueError("conditioning event must be one of the admissible forms")
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    if cyl.space != gen.space:
-        raise SpaceMismatchError("cylinder on the wrong space")
     grid = _validate_grid(n_grid)
     if n_paths < 2:
         raise ValueError("need at least two paths for an error estimate")
+    paths = _sampled_paths(gen, cyl.events, grid, n_paths, master_seed)
     validate_tol(tol)
     m = cyl.m
-    big_n = grid[-1]
-    if m > big_n:
+    if m > grid[-1]:
         raise ValueError("cylinder has more coordinates than the largest grid point")
-    grid_arr = np.array(grid, dtype=np.float64)
 
     lhs_terms = np.zeros((n_paths, len(grid)))
     rhs_terms = np.zeros(n_paths)
-    for i in range(n_paths):
-        path = gen.sample_path(big_n, master_seed, path_index=i)
-        obs = np.asarray(path.observations)
+    for i, (path, _, freqs) in enumerate(paths):
         e = 1.0 if conditioning.path_indicator(path) else 0.0
         prods = np.ones(len(grid))
-        for row in grid_counts(obs, cyl.events, grid):
-            prods *= row / grid_arr
+        for k in range(m):
+            prods *= freqs[:, k]
         lhs_terms[i] = e * prods
-        hit = all(cyl.events[j].contains(int(obs[j])) for j in range(m))
+        hit = all(cyl.events[j].contains(int(path.observations[j])) for j in range(m))
         rhs_terms[i] = e * (1.0 if hit else 0.0)
 
     corr = np.array([float(correction_factor(n, m)) for n in grid])

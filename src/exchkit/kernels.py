@@ -1,10 +1,20 @@
-"""Markov kernels, product-kernel cylinder masses, and the Monte Carlo
-regular-conditional-distribution verifier.
+"""Markov kernels, product-kernel cylinder masses, the Monte Carlo
+regular-conditional-distribution verifier, and the one counting routine
+behind every Monte Carlo check.
 
 A kernel is a parameter-indexed family of probability measures on a fixed
 target space. The infinite product kernel is represented only through its
 cylinder values: the mass of A_1 x ... x A_m x S x S x ... under parameter w
 is the product of the per-coordinate kernel masses.
+
+Every Monte Carlo check reads a path through the empirical frequencies
+mu_{w,n}(A) along an n-grid. :func:`_sampled_paths` samples the paths of a
+check once each and counts each path once with :func:`_count_table`: a
+G x (named cells + 1) table of how many of the first ``grid[g]`` draws fall
+in each cell that the check's events name, then a zero column that pads
+event sums. An event's count is the sum over its cells, or n minus the sum
+over the cells it excludes when it is cofinite (:func:`_masses`), so no
+unnamed cell is counted.
 """
 
 from __future__ import annotations
@@ -149,15 +159,13 @@ def verify_rcd(
         raise ValueError("event list must be non-empty")
     if gen.latent_kernel() is None:
         raise ValueError("generator declares no latent kernel")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
     validate_tol(tol)
     validate_coverage(coverage)
     latents, freqs = [], []
-    for i in range(n_paths):
-        path = gen.sample_path(n_steps, master_seed, path_index=i)
+    for path, _, path_freqs in paths:
         latents.append(path.latent)
-        freqs.append(grid_counts(path.observations, events, (n_steps,))[:, 0] / n_steps)
+        freqs.append(path_freqs[-1])
     return rcd_verdict(kappa, events, latents, freqs, n_steps, tol, coverage)
 
 
@@ -218,28 +226,109 @@ def validate_coverage(coverage) -> None:
 
 
 def indicator_array(obs: np.ndarray, event: EventSet) -> np.ndarray:
-    """Boolean membership of each observation in the event."""
+    """Boolean membership of each observation in the event; the test oracle of :func:`_count_table`."""
     if event.cofinite:
         return ~np.isin(obs, sorted(event.indices))
     return np.isin(obs, sorted(event.indices))
 
 
-def grid_counts(obs, events: Sequence[EventSet], grid: Sequence[int]) -> np.ndarray:
-    """E x G integer array: how many of the first ``grid[g]`` observations
-    fall in ``events[e]``.
+# ---------------------------------------------------------------------------
+# counting the draws of a path
 
-    ``grid`` must be strictly increasing and positive; draws past ``grid[-1]``
-    are ignored. Hits are counted segment by segment between grid points and
-    accumulated, so the only path-length temporary is one boolean array per
-    event.
-    """
+# a segment whose draws all lie below this cell is tallied by one bincount of
+# the segment itself; past it, draws are looked up among the named cells
+_TALLY_CELLS = 1 << 16
+
+
+def _columns(events) -> np.ndarray:
+    """The table's columns: the sorted cells that any of the events names."""
+    return np.array(sorted({j for ev in events for j in ev.indices}))
+
+
+def _cell_index(events: Sequence[EventSet], cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's column positions, in the order :func:`mass` sums its
+    cells, padded with -1 (the table's zero column), and which events are
+    cofinite."""
+    position = {j: p for p, j in enumerate(cols.tolist())}
+    orders = [[position[j] for j in ev.indices] for ev in events]
+    depth = max(map(len, orders), default=0) or 1
+    index = np.array([o + [-1] * (depth - len(o)) for o in orders], dtype=np.intp)
+    return index.reshape(len(orders), depth), np.array([ev.cofinite for ev in events], dtype=bool)
+
+
+def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) -> np.ndarray:
+    """R x E masses, under the R table rows, of the events whose
+    :func:`_cell_index` is ``cells``.
+
+    Each is a left-to-right sum over the event's cells, as in :func:`mass`,
+    so float masses are bit-identical to it; a cofinite event takes ``whole``
+    minus the sum over the cells it excludes."""
+    index, cofinite = cells
+    sums = np.add.accumulate(atoms[:, index], axis=2)[:, :, -1]
+    return np.where(cofinite, whole - sums, sums)
+
+
+def _count_table(obs, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
+    """G x (len(cols) + 1) integers: how many of the first ``grid[g]`` draws
+    fall in each column's cell, then a zero column. Draws past ``grid[-1]``
+    and draws in unnamed cells are not counted.
+
+    Each grid segment is tallied by one ``bincount`` of the segment itself,
+    sized by its largest draw, and the tallies are accumulated. Only draws at
+    or past ``_TALLY_CELLS`` are looked up among the columns, so no bincount
+    is sized by a named cell and, while the draws stay below that bound, no
+    path-length temporary is made."""
     if grid[-1] > len(obs):
         raise ValueError("grid exceeds the path length")
-    obs = np.asarray(obs)[: grid[-1]]
+    obs = np.asarray(obs)
+    width = len(cols)
+    near = int(np.searchsorted(cols, _TALLY_CELLS))
+    near_cells, far_cells = cols[:near].astype(np.intp), cols[near:]
     bounds = (0, *grid)
-    counts = np.empty((len(events), len(grid)), dtype=np.int64)
-    for e, ev in enumerate(events):
-        hits = indicator_array(obs, ev)
-        segments = [np.count_nonzero(hits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        np.cumsum(segments, out=counts[e])
-    return counts
+    counts = np.zeros((len(grid), width + 1), dtype=np.int64)
+    for row, lo, hi in zip(counts, bounds, bounds[1:]):
+        segment = obs[lo:hi]
+        if segment.max() < _TALLY_CELLS:
+            tally = np.bincount(segment)
+        else:
+            far = segment >= _TALLY_CELLS
+            tally = np.bincount(segment[~far])
+            if len(far_cells):
+                drawn = segment[far]
+                at = np.searchsorted(far_cells, drawn)
+                named = far_cells[np.minimum(at, len(far_cells) - 1)] == drawn
+                row[near:width] = np.bincount(at[named], minlength=len(far_cells))
+        seen = int(np.searchsorted(near_cells, len(tally)))  # the columns the tally reaches
+        row[:seen] = tally[near_cells[:seen]]
+    return np.cumsum(counts, axis=0)
+
+
+def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: Sequence[int]) -> np.ndarray:
+    """G x E: each event's count among the first ``grid[g]`` draws, read
+    from the count table, divided by ``grid[g]``."""
+    lengths = np.array(grid)[:, None]
+    return _masses(table, cells, whole=lengths) / lengths
+
+
+def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None):
+    """The paths of a Monte Carlo check: paths 0 .. n_paths-1 of ``gen`` under
+    ``master_seed``, each ``grid[-1]`` draws long and sampled once, as
+    (path, :func:`_count_table` over ``cols``, :func:`_frequencies` of the
+    events). ``cols`` defaults to the cells the events name.
+
+    The events' space and the number of paths are checked at the call; the
+    paths are sampled as they are iterated, so only one is held at a time."""
+    if any(ev.space != gen.space for ev in events):
+        raise SpaceMismatchError("event on the wrong space for the generator")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    cols = _columns(events) if cols is None else cols
+    cells = _cell_index(events, cols)
+
+    def paths():
+        for i in range(n_paths):
+            path = gen.sample_path(grid[-1], master_seed, path_index=i)
+            table = _count_table(path.observations, grid, cols)
+            yield path, table, _frequencies(table, cells, grid)
+
+    return paths()

@@ -33,14 +33,25 @@ from exchkit.convergence import (
     markov_bound_check,
     uniform_smallness_check,
 )
-from exchkit.convergence import _extract, _Layout, _path_counts, _refine_positions, _tight
-from exchkit.kernels import MarkovKernel, geometric_kernel, grid_counts, kernel_mass, rcd_verdict, verify_rcd
+from exchkit.convergence import _extract, _Layout, _refine_positions, _tight
+from exchkit.empirical import df_product_identity_check, slln_exchangeable_checks
+from exchkit.kernels import (
+    CylinderEvent,
+    MarkovKernel,
+    _count_table,
+    geometric_kernel,
+    indicator_array,
+    kernel_mass,
+    rcd_verdict,
+    verify_rcd,
+)
 from exchkit.measures import TightnessResult
 from exchkit.processes import (
     GridMixtureProcess,
     IIDProcess,
     MarkovChainProcess,
     PolyaUrnProcess,
+    ProcessGenerator,
 )
 from exchkit.spaces import ClosedFamily, SpaceMismatchError, event_spec
 
@@ -250,25 +261,61 @@ def test_markov_bound_requires_small_marginal():
         markov_bound_check(gen, ONES, F(1, 10), n_paths=10, n_steps=10)
 
 
-def test_markov_bound_rejects_wrong_space():
-    gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
-    with pytest.raises(SpaceMismatchError):
-        markov_bound_check(gen, EventSet.of(finite(3), [1]), F(1, 10), n_paths=10, n_steps=10)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_markov_bound_rejects_the_markov_control(seed):
+    """The Markov control starts at 0 (marginal mass 0 on {1}) and then
+    visits 1 about half the time, so every path's frequency of ones passes
+    1/10. Over master seeds 0-99 it failed 100 times, each with a violating
+    fraction of 1.0."""
+    control = MarkovChainProcess(
+        ProbMeasure.delta(B2, 0),
+        (ProbMeasure.from_weights(B2, [F(1, 4), F(3, 4)]), ProbMeasure.from_weights(B2, [F(3, 4), F(1, 4)])),
+    )
+    res = markov_bound_check(control, ONES, F(1, 10), n_paths=50, n_steps=1000, master_seed=seed)
+    assert not res.passed
+    assert res.marginal_mass == 0.0 and res.violating_fraction == 1.0
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda n: markov_bound_check(IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100))), ONES, F(1, 10), n, 10),
-        lambda n: uniform_smallness_check(geom_mixture(), [tail(2)], [F(1, 4)], (10,), n),
-        lambda n: verify_rcd(geometric_kernel(NN), geom_mixture(), [tail(2)], n, 10),
-    ],
-    ids=["markov_bound_check", "uniform_smallness_check", "verify_rcd"],
-)
-def test_path_checks_need_at_least_one_path(run):
-    # zero paths used to end in a ZeroDivisionError
+COIN = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
+# every Monte Carlo check, on the event ev and n paths of COIN
+MC_CHECKS = {
+    "verify_rcd": lambda ev, n: verify_rcd(COIN.latent_kernel(), COIN, [ev], n, 20),
+    "slln_exchangeable_checks": lambda ev, n: slln_exchangeable_checks(COIN, [ev], (10, 20), n),
+    "df_product_identity_check": lambda ev, n: df_product_identity_check(
+        COIN, CylinderEvent((ev, ev)), n_grid=(10, 20), n_paths=n
+    ),
+    "markov_bound_check": lambda ev, n: markov_bound_check(COIN, ev, F(1, 10), n, 20),
+    "uniform_smallness_check": lambda ev, n: uniform_smallness_check(COIN, [ev], [F(1, 4)], (10, 20), n),
+    "construct_rcd_from_empiricals": lambda ev, n: construct_rcd_from_empiricals(COIN, [ev], (10, 20), n),
+}
+
+
+@pytest.mark.parametrize("check", sorted(set(MC_CHECKS) - {"df_product_identity_check"}))
+def test_path_checks_need_at_least_one_path(check):
+    # zero paths used to end in a ZeroDivisionError; the identity check needs two
     with pytest.raises(ValueError, match="need at least one path"):
-        run(0)
+        MC_CHECKS[check](ONES, 0)
+
+
+@pytest.mark.parametrize("check", sorted(MC_CHECKS))
+def test_path_checks_reject_events_on_another_space(check):
+    # uniform_smallness_check used to pass here, every path finding the event
+    with pytest.raises(SpaceMismatchError):
+        MC_CHECKS[check](EventSet.of(finite(3), [1]), 5)
+
+
+@pytest.mark.parametrize("check", sorted(MC_CHECKS))
+def test_path_checks_sample_each_path_once(check, monkeypatch):
+    sampled = []
+    sample_path = ProcessGenerator.sample_path
+
+    def counting(self, *a, **kw):
+        sampled.append(kw["path_index"])
+        return sample_path(self, *a, **kw)
+
+    monkeypatch.setattr(ProcessGenerator, "sample_path", counting)
+    MC_CHECKS[check](ONES, 7)
+    assert sampled == list(range(7))
 
 
 # ---------------------------------------------------------------- uniform smallness
@@ -287,6 +334,21 @@ def test_uniform_smallness_geometric_tails():
     assert rep.found_fractions == (1.0, 1.0)
     # Every path records which chain member certified each epsilon.
     assert all(m is not None for profile in rep.m_profiles for m in profile)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_smallness_rejects_a_slow_geometric_tail(seed):
+    """The chain of test_uniform_smallness_geometric_tails, but the mixture's
+    second component is Geom(1/20): its tail past 19 keeps (19/20)**20 = 0.36
+    of the mass, so about half the paths find no chain member below 1/4.
+    Over master seeds 0-99 this mixture passed 0 times (found fractions
+    0.375-0.625) and the Geom(1/4)/Geom(1/2) mixture 100 times."""
+    gen = GridMixtureProcess(((F(1, 2), F(1, 4)), (F(1, 2), F(1, 20))), geometric_kernel(NN))
+    rep = uniform_smallness_check(
+        gen, [tail(2), tail(6), tail(12), tail(20)], [F(1, 4), F(1, 16)], (50, 200, 1000), 80, master_seed=seed
+    )
+    assert not rep.passed
+    assert max(rep.found_fractions) <= 0.7
 
 
 def test_uniform_smallness_trivial_epsilon():
@@ -589,11 +651,11 @@ def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
         path = gen.sample_path(grid[-1], seed, path_index=i)
         seq = empirical_sequence(path, grid)
         latents.append(path.latent)
-        freqs.append(grid_counts(path.observations, events, (grid[-1],))[:, 0] / grid[-1])
+        freqs.append([np.count_nonzero(indicator_array(path.observations, ev)) / grid[-1] for ev in events])
         expected = _reference_extract(seq, tol)
         # the public MeasureSequence route and the path table both match mass()
         assert _extraction_fields(seq, tol) == expected[:2]
-        atoms = _path_counts(path.observations, grid, layout.cols) / np.array(grid)[:, None]
+        atoms = _count_table(path.observations, grid, layout.cols) / np.array(grid)[:, None]
         try:
             ext, _ = _extract(layout, atoms, tol)
             from_table = ("ok", _fields(ext))
@@ -631,10 +693,9 @@ def test_path_table_route_equals_the_mass_route(case):
 
 
 def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):
-    """Two latents and three events: path targets and the frequency
-    certificate each build six kernel images, however many paths; the
+    """Two latents and three events: the frequency certificate builds six
+    kernel images, however many paths, and the path targets are its own; the
     values are the uncached ones (test_path_table_route_equals_the_mass_route)."""
-    import exchkit.convergence
     import exchkit.kernels
 
     calls = []
@@ -645,12 +706,11 @@ def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):
         return kernel_mass(*args)
 
     monkeypatch.setattr(exchkit.kernels, "kernel_mass", counting)
-    monkeypatch.setattr(exchkit.convergence, "kernel_mass", counting)
     events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
     grid = (100, 1000, 4000, 6000, 8000, 10_000)
     rep = construct_rcd_from_empiricals(geom_mixture(), events, n_grid=grid, n_paths=20, master_seed=1)
     assert sum(p.status == "ok" for p in rep.paths) >= 10
-    assert len(calls) == 2 * len(set(calls)) == 2 * 2 * 3
+    assert len(calls) == len(set(calls)) == 2 * 3
 
 
 FAR = 10**12

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchkit import (
@@ -18,12 +18,17 @@ from exchkit import (
     parse_generator,
 )
 from exchkit.kernels import (
+    _TALLY_CELLS,
     CylinderEvent,
     MarkovKernel,
+    _cell_index,
+    _columns,
+    _count_table,
+    _frequencies,
+    _masses,
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,
-    grid_counts,
     indicator_array,
     kernel_mass,
     product_cylinder_mass,
@@ -105,14 +110,22 @@ def test_indicator_array_both_representations():
     assert indicator_array(obs, cof).tolist() == [False, True, False, True]
 
 
+FAR = 10**12
+
+
 @st.composite
 def counting_cases(draw):
     """A path, events on its space (cofinite ones on the countable space), and
-    an increasing grid that may stop short of the path's end."""
+    an increasing grid that may stop short of the path's end. On the countable
+    space cells and draws reach the bincount's bound and the far cell 10**12,
+    so draws land past every named cell and in unnamed far cells."""
     space = draw(st.sampled_from([finite(2), finite(5), countable()]))
-    top = 7 if space.num_cells is None else space.num_cells - 1
-    obs = np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=300)), dtype=np.int64)
-    cells = st.frozensets(st.integers(0, top), max_size=4)
+    if space.num_cells is None:
+        cell = st.one_of(st.integers(0, 7), st.sampled_from([_TALLY_CELLS - 1, _TALLY_CELLS, 70_000, FAR]))
+    else:
+        cell = st.integers(0, space.num_cells - 1)
+    obs = np.array(draw(st.lists(cell, min_size=1, max_size=300)), dtype=np.int64)
+    cells = st.frozensets(cell, max_size=4)
     if space.is_countable:
         event = st.builds(EventSet, st.just(space), cells, st.booleans())
     else:
@@ -124,20 +137,31 @@ def counting_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(counting_cases())
+@example((np.array([0, 5, 1, FAR]), [EventSet.full(countable()), EventSet.empty(countable())], [4]))
+@example((np.array([3, FAR, 2, 9]), [EventSet.of(countable(), [FAR]), EventSet.cofinite_of(countable(), [1])], [2, 4]))
+@example((np.array([0, 1, 1, 0, 1]), [EventSet.of(finite(2), [1]), EventSet.full(finite(2))], [1, 3, 5]))
 def test_grid_counts_matches_per_event_cumsum(case):
     obs, events, grid = case
-    # the per-event route grid_counts replaced, kept as the oracle
+    # the per-event route the count table replaced, kept as the oracle
     idx = np.array(grid) - 1
-    oracle = [np.cumsum(indicator_array(obs, ev).astype(np.float64))[idx] for ev in events]
-    counts = grid_counts(obs, events, grid)
-    assert counts.shape == (len(events), len(grid))
+    oracle = np.array([np.cumsum(indicator_array(obs, ev))[idx] for ev in events]).T
+    cols = _columns(events)
+    table = _count_table(obs, grid, cols)
+    assert table.shape == (len(grid), len(cols) + 1) and table.dtype.kind == "i"
+    for p, j in enumerate(cols.tolist()):
+        assert np.array_equal(table[:, p], np.cumsum(obs == j)[idx])
+    assert not table[:, -1].any()
+    cells = _cell_index(events, cols)
+    counts = _masses(table, cells, whole=np.array(grid)[:, None])
     assert counts.dtype.kind == "i"
-    assert np.array_equal(counts, np.array(oracle))
+    assert np.array_equal(counts, oracle)
+    assert np.array_equal(_frequencies(table, cells, grid), oracle / np.array(grid)[:, None])
 
 
 def test_grid_counts_rejects_a_grid_past_the_path():
+    events = [EventSet.of(finite(2), [1])]
     with pytest.raises(ValueError, match="exceeds the path length"):
-        grid_counts(np.array([0, 1]), [EventSet.of(finite(2), [1])], (1, 3))
+        _count_table(np.array([0, 1]), (1, 3), _columns(events))
 
 
 # -- the Monte Carlo verifier --------------------------------------------------
@@ -176,6 +200,13 @@ def test_verify_rcd_rejects_a_kernel_two_bands_off(seed):
     assert not report.passed
     assert report.per_event[0].pass_fraction <= 1 / 60
     assert set(report.per_event[0].targets) == {0.29, 0.79}
+
+
+def test_verify_rcd_on_an_event_that_names_no_cell():
+    # the whole countable space names no cell: its count table has only the pad
+    gen = parse_generator("mixture:grid(1/4,1/2):geom")
+    report = verify_rcd(gen.latent_kernel(), gen, [EventSet.full(countable())], n_paths=5, n_steps=100)
+    assert report.passed and report.per_event[0].gaps == (0.0,) * 5
 
 
 def test_verify_rcd_needs_a_realized_latent():
