@@ -12,8 +12,11 @@ radon-classify      tightness and outer-regularity certificates
 
 Every setting can come from ``--config FILE`` (flat ``key = value`` lines)
 with command-line flags taking precedence. Monte Carlo subcommands refuse to
-run without a seed. Relative output names land in ``--out-dir``, else
-``$EXCHKIT_OUT_DIR``, else the working directory.
+run without a seed, and refuse (exit 2) more than 10**8 draws: paths times
+the path length, which is ``n`` for simulate, ``steps`` for verify-rcd and
+the largest ``n_grid`` point for estimate-mixing and construct-rcd. Relative
+output names land in ``--out-dir``, else ``$EXCHKIT_OUT_DIR``, else the
+working directory.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 spec or config error,
 3 I/O error, 4 internal error (an unexpected exception; a bug, not a verdict).

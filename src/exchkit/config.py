@@ -39,6 +39,8 @@ from .spaces import EventSet, SpaceDescriptor, countable, dyadic, event_spec, fi
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "EXCHKIT_OUT_DIR"
+# paths x path length that one Monte Carlo command may sample
+_MONTE_CARLO_DRAW_CAP = 10**8
 
 
 class SpecParseError(ValueError):
@@ -365,6 +367,13 @@ class ScenarioConfig:
             cfg.steps = _parse_int(raw["steps"], "step count")
             if cfg.steps < 1:
                 raise SpecParseError("steps must be at least 1")
+        # a Monte Carlo command samples paths x path length draws; others have no length
+        length = {"simulate": cfg.n, "verify-rcd": cfg.steps}.get(command, max(cfg.n_grid, default=None))
+        if length is not None and cfg.n_paths * length > _MONTE_CARLO_DRAW_CAP:
+            raise SpecParseError(
+                f"{cfg.n_paths} paths of length {length} exceed the cap of "
+                f"{_MONTE_CARLO_DRAW_CAP} Monte Carlo draws"
+            )
         return cfg
 
     def echo(self) -> dict[str, str]:

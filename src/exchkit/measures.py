@@ -30,6 +30,8 @@ from itertools import accumulate
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .spaces import (
     CompactFamily,
     EventSet,
@@ -235,10 +237,21 @@ def tv_distance(mu: ProbMeasure, nu: ProbMeasure):
         m *= 2
         if m > 1 << 20:
             raise ValueError("tails decay too slowly for tv_distance truncation")
-    acc = 0.0
-    for j in range(m):
-        acc += abs(mu.atom_mass(j) - nu.atom_mass(j))
-    return acc / 2
+
+    def atoms(law):
+        """law.atom_mass(j) for j < m, by the same float operations."""
+        out = np.zeros(m)
+        for j, w in law._weights.items():
+            if j < m:
+                out[j] = w
+        for c in law._components:
+            # CPython's ** as in _survival: np.power rounds some cells differently
+            base = 1 - c.ratio
+            out += c.weight * c.ratio * np.fromiter((base**j for j in range(m)), float, m)
+        return out
+
+    # cumsum adds in sequence, as a running sum over j would
+    return float(np.cumsum(np.abs(atoms(mu) - atoms(nu)))[-1]) / 2
 
 
 def _in_floats(mu: ProbMeasure) -> ProbMeasure:

@@ -33,7 +33,7 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 
 The two sequential samplers read the same ``stream.random(n)`` uniforms as a
 per-step loop and return the same observations bit for bit, but step through
-a path in fixed blocks of numpy operations, one path at a time:
+a path in blocks of numpy operations, one path at a time:
 
 * Markov: each step is a map from every state to the next one (one
   ``searchsorted`` per transition row). Its prefixes are composed by doubling,
@@ -41,16 +41,23 @@ a path in fixed blocks of numpy operations, one path at a time:
   state after step i. A block holds at most min(n, ``_MARKOV_BLOCK_CELLS``)
   (step, state) entries, or one step's k when k is larger. The work per step
   grows with k: past a few dozen states the scan is slower than a loop.
-* Polya: the block's draws are guessed from the opening ratio, then every
-  draw j is recomputed as ``u[j] < o/(o+z)`` with the counts the guess
-  implies. Draw j depends only on the draws before it, so every draw up to
-  and including the first one that changed is exact; those are committed and
-  the rest is solved again. The counts come from ``np.cumsum`` over
-  ``[count, 1.0, 1.0, ...]``, which adds in sequence as the loop's
-  ``+= 1.0`` does, so non-integer counts round alike. Each pass costs the rest
-  of the block; the passes needed grow with the uniforms that fall between
-  the guessed and the true ratio, about two per block on ``path_stream``
-  draws, up to one per draw for uniforms placed on the thresholds.
+* Polya: while the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls,
+  its ratio moves on every draw, so those draws run as the loop itself. Then
+  the path is solved in blocks of min(``_POLYA_BLOCK``, 4 x the balls in the
+  urn) draws, which bounds how far the ratio drifts inside a block; the rule
+  follows the urn's size, not the workload. A block's draws are guessed from
+  its opening ratio, then every draw j is recomputed as ``u[j] < o/(o+z)``
+  with the counts the guess implies. Draw j depends only on the draws before
+  it, so every draw up to and including the first one that changed is exact;
+  those are committed and the rest is solved again. The counts come from
+  ``np.cumsum`` over ``[count, 1.0, 1.0, ...]``, which adds in sequence as the
+  loop's ``+= 1.0`` does, and each draw is the loop's comparison on the
+  loop's carried counts, so block edges cannot change a draw and non-integer
+  counts round alike. Each pass costs the rest of the block. On
+  ``path_stream`` draws of Polya(1,1) at 10**4 draws (40 paths) a path takes
+  254 looped draws and about 11 passes over 25k elements, against 18 passes
+  over 114k for 8192-draw blocks from the first draw; uniforms placed on the
+  thresholds need up to one pass per draw.
 """
 
 from __future__ import annotations
@@ -70,7 +77,9 @@ from .spaces import SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
-# sequential samplers: draws per Polya block, (step, state) entries per Markov block
+# sequential samplers: the urn size the Polya draws are looped to, then draws
+# per Polya block and (step, state) entries per Markov block
+_POLYA_WARMUP_BALLS = 256
 _POLYA_BLOCK = 8192
 _MARKOV_BLOCK_CELLS = 16384
 
@@ -121,7 +130,14 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     """Draw n iid cells from a measure using the given stream.
 
     Finitely supported measures consume one uniform per draw; measures with
-    geometric components consume two (branch choice, then inverse cdf).
+    geometric components consume two blocks of n uniforms, u1 for the branch
+    (the finite part, then each component) and u2 for the cell within it (a
+    ``searchsorted`` on the finite part, the inverse cdf on a component).
+    When the cumulative branch weights reach 1.0 at the first branch of
+    positive weight (a single live branch, as in every ``geometric_kernel``
+    image), every u1 in [0, 1) selects that branch. Then u1 is still read, so
+    the stream moves on as before, but it is not searched, and the cells are
+    computed in place in u2.
     """
     finite_weights = mu.weights_dict()
     cells = np.array(sorted(finite_weights), dtype=np.int64)
@@ -139,26 +155,34 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     branch_cum[-1] = 1.0
     u1 = stream.random(n)
     u2 = stream.random(n)
-    branch = np.searchsorted(branch_cum, u1, side="right")
-    out = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
 
-    mask0 = branch == 0
-    if mask0.any():
-        if probs.sum() <= 0:
-            raise ValueError("branch selected an empty finite part")
-        cum = np.cumsum(probs / probs.sum())
-        cum[-1] = 1.0
-        out[mask0] = cells[np.searchsorted(cum, u2[mask0], side="right")]
-    for b, comp in enumerate(comps, start=1):
-        maskb = branch == b
-        if not maskb.any():
-            continue
-        q = float(comp.ratio)
-        if q >= 1.0:
-            out[maskb] = 0
+    def fill(b, where):
+        """The cells of branch b at ``where``: a mask, or ... for all draws."""
+        u = u2[where]  # a copy under a mask, u2 itself under ...
+        if b == 0:
+            if probs.sum() <= 0:
+                raise ValueError("branch selected an empty finite part")
+            cum = np.cumsum(probs / probs.sum())
+            cum[-1] = 1.0
+            out[where] = cells[np.searchsorted(cum, u, side="right")]
+        elif (q := float(comps[b - 1].ratio)) >= 1.0:
+            out[where] = 0
         else:
-            u = np.clip(u2[maskb], 1e-300, 1.0 - 1e-16)
-            out[maskb] = np.floor(np.log(u) / math.log1p(-q)).astype(np.int64)
+            np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+            np.log(u, out=u)
+            u /= math.log1p(-q)
+            out[where] = np.floor(u, out=u)
+
+    first = int(np.searchsorted(branch_cum, 0.0, side="right"))
+    if branch_cum[first] >= 1.0:
+        fill(first, ...)
+        return out
+    branch = np.searchsorted(branch_cum, u1, side="right")
+    for b in range(len(branch_cum)):
+        mask = branch == b
+        if mask.any():
+            fill(b, mask)
     return out
 
 
@@ -375,19 +399,32 @@ class PolyaUrnProcess(ProcessGenerator):
         ones = float(self.a)
         zeros = float(self.b)
         obs = np.empty(n, dtype=np.int64)
-        block = min(n, _POLYA_BLOCK)
+        # warm-up: a nearly empty urn moves its ratio on every draw, so the
+        # draws that fill it to _POLYA_WARMUP_BALLS balls are looped
+        start = min(n, max(0, math.ceil(_POLYA_WARMUP_BALLS - (self.a + self.b))))
+        warm = []
+        for ui in u[:start].tolist():
+            if ui < ones / (ones + zeros):
+                ones += 1.0
+                warm.append(1)
+            else:
+                zeros += 1.0
+                warm.append(0)
+        obs[:start] = warm
+        cap = min(n - start, _POLYA_BLOCK)
         # Scratch for the whole path, written with out=: allocating in every
         # pass fragmented the heap around the path-sized arrays and raised the
         # peak RSS of later long paths by about 6 MB.
-        fill = np.ones(block + 1)
-        o, z = np.empty(block + 1), np.empty(block + 1)
-        o_buf, z_buf = np.empty(block), np.empty(block)
-        ones_buf, zeros_buf = np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64)
-        x, y_buf, changed_buf = (np.empty(block, dtype=bool) for _ in range(3))
-        steps = np.arange(block)
-        for start in range(0, n, block):
-            ub = u[start:start + block]
-            m = len(ub)
+        fill = np.ones(cap + 1)
+        o, z = np.empty(cap + 1), np.empty(cap + 1)
+        o_buf, z_buf = np.empty(cap), np.empty(cap)
+        ones_buf, zeros_buf = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+        x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(3))
+        steps = np.arange(cap)
+        while start < n:
+            # a block of at most 4x the balls in the urn, so its ratio drifts little
+            m = min(n - start, cap, int(4 * (ones + zeros)))
+            ub = u[start:start + m]
             # o[j], z[j]: the counts after j more balls of that color
             fill[0] = ones
             np.cumsum(fill[:m + 1], out=o[:m + 1])
@@ -418,6 +455,7 @@ class PolyaUrnProcess(ProcessGenerator):
             obs[start:start + m] = x[:m]
             ones = o[ones_done]
             zeros = z[m - ones_done]
+            start += m
         return None, obs
 
     def prefix_pattern_law(self, n):

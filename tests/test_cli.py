@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchkit.cli import MIXING_CSV_HEADER, main
-from exchkit.config import parse_events, parse_generator
+from exchkit.config import ScenarioConfig, SpecParseError, parse_events, parse_generator
 from exchkit.empirical import slln_exchangeable_check
 from exchkit.processes import ProcessGenerator
 
@@ -256,6 +256,33 @@ def test_exit_code_two_when_the_oracle_work_exceeds_its_cap(tmp_path):
     assert res.exit_code == 2
     assert "oracle cap" in res.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# one draw past the cap on each Monte Carlo command: paths x path length
+DRAW_CAP_RUNS = {
+    "simulate": ("--n", "1000001", "--paths", "100"),
+    "verify-rcd": ("--events", "cells:1", "--steps", "1000001", "--paths", "100"),
+    "estimate-mixing": ("--events", "cells:1", "--n-grid", "10,1000001", "--paths", "100"),
+    "construct-rcd": ("--events", "cells:1", "--n-grid", "10,1000001", "--paths", "100"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DRAW_CAP_RUNS))
+def test_exit_code_two_past_the_monte_carlo_draw_cap(tmp_path, monkeypatch, command):
+    sampled = []
+    monkeypatch.setattr(ProcessGenerator, "sample_path", lambda self, *a, **kw: sampled.append(1))
+    res = run_cli(command, "--gen", "mixture:grid(1/4,3/4):bern", *DRAW_CAP_RUNS[command],
+                  "--seed", "0", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "100 paths of length 1000001 exceed the cap of 100000000 Monte Carlo draws" in res.stderr
+    assert sampled == [] and list(tmp_path.iterdir()) == []
+
+
+def test_the_draw_cap_admits_exactly_its_draws():
+    raw = {"gen": "polya:1,1", "n": "1000000", "paths": "100", "seed": "0"}
+    assert ScenarioConfig.from_strings("simulate", raw).n_paths == 100
+    with pytest.raises(SpecParseError, match="101 paths of length 1000000"):
+        ScenarioConfig.from_strings("simulate", {**raw, "paths": "101"})
 
 
 def test_the_oracle_bound_setting_is_gone(tmp_path):

@@ -167,6 +167,44 @@ def test_tv_distance_reads_exact_analytic_laws_in_floats():
     assert fast == pytest.approx(7 / 36, abs=1e-15)
 
 
+def tv_distance_loop(mu, nu):
+    """The truncated series one ``atom_mass`` call per cell and law, kept as
+    the oracle for analytic laws."""
+    mu, nu = exchkit.measures._in_floats(mu), exchkit.measures._in_floats(nu)
+    m = 1
+    while mu.tail_mass(m) + nu.tail_mass(m) > 1e-13:
+        m *= 2
+    acc = 0.0
+    for j in range(m):
+        acc += abs(mu.atom_mass(j) - nu.atom_mass(j))
+    return acc / 2
+
+
+NN = countable()
+TV_PAIRS = {
+    "slow exact tail": (ProbMeasure.geometric(NN, F(1, 10000)), ProbMeasure.geometric(NN, F(1, 2))),
+    "slow float tail": (ProbMeasure.geometric(NN, 1e-4), ProbMeasure.geometric(NN, 0.5)),
+    "finite parts": (
+        ProbMeasure(NN, {0: F(1, 4), 3: F(1, 8)}, [GeometricComponent(F(5, 8), F(1, 5))]),
+        ProbMeasure.geometric_mixture(NN, [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 20))]),
+    ),
+    "float parts and q = 1": (
+        ProbMeasure(NN, {2: 0.25, 40: 0.125}, [GeometricComponent(0.375, 1.0), GeometricComponent(0.25, 0.1)]),
+        ProbMeasure(NN, {0: F(1, 2), 7: F(1, 4)}, [GeometricComponent(F(1, 4), F(2, 3))]),
+    ),
+    "finite against analytic": (ProbMeasure(NN, {0: 0.5, 2: 0.25, 100: 0.25}), ProbMeasure.geometric(NN, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TV_PAIRS))
+def test_tv_distance_sums_as_the_atom_mass_loop(name):
+    mu, nu = TV_PAIRS[name]
+    got = tv_distance(mu, nu)
+    assert type(got) is float
+    assert got == tv_distance_loop(mu, nu)
+    assert tv_distance(nu, mu) == tv_distance_loop(nu, mu)
+
+
 @given(exact_measures(), exact_measures(), exact_measures())
 def test_tv_is_a_metric(a, b, c):
     assert tv_distance(a, a) == 0

@@ -29,9 +29,11 @@ from exchkit import (
 from exchkit import processes
 from exchkit.empirical import LatentCondition, _exact_weighted_patterns
 from exchkit.kernels import MarkovKernel, bernoulli_kernel, geometric_kernel, kernel_mass
+from exchkit.measures import GeometricComponent
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
+    _POLYA_WARMUP_BALLS,
     all_patterns,
     beta_binomial_pattern_prob,
     encode_pattern,
@@ -431,8 +433,37 @@ def assert_same_draws(gen, oracle, n, seed, index):
 
 
 PB = _POLYA_BLOCK
-URN_COUNTS = [(1, 1), (2, 1), (1, 99), (F(4, 3), F(7, 3)), (1.1, 2.7)]
+URN_COUNTS = [
+    (1, 1), (2, 1), (1, 99), (F(4, 3), F(7, 3)), (1.1, 2.7),
+    # 255, 256 and 257 balls: just below, at and above the warm-up's 256
+    (254, 1), (255, 1), (128, 128), (1, 255), (200, 57),
+]
 URN_LENGTHS = [1, PB - 1, PB, PB + 1, 3 * PB + 17]
+
+
+def warm_up_edges(a, b):
+    """The looped draws, then the ends of the first two blocks, by the rule
+    of the module docstring: blocks of min(_POLYA_BLOCK, 4 x balls)."""
+    balls = Fraction(a) + Fraction(b)
+    warm = max(0, math.ceil(_POLYA_WARMUP_BALLS - balls))
+    first = warm + min(PB, math.floor(4 * (balls + warm)))
+    second = first + min(PB, math.floor(4 * (balls + first)))
+    return warm, first, second
+
+
+def lengths_around_the_warm_up(a, b):
+    """Lengths ending inside the warm-up, on its last draw and just past it,
+    and on each side of the first two block edges."""
+    warm, first, second = warm_up_edges(a, b)
+    near = {warm // 2, warm - 1, warm, warm + 1, first - 1, first, first + 1, second - 1, second, second + 1}
+    return sorted(n for n in near if n >= 1)
+
+
+@pytest.mark.parametrize(
+    "a, b, n", [(a, b, n) for a, b in URN_COUNTS for n in lengths_around_the_warm_up(a, b)]
+)
+def test_polya_matches_the_loop_around_the_warm_up(a, b, n):
+    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, 0, 1)
 
 
 @pytest.mark.parametrize("a, b", URN_COUNTS)
@@ -467,18 +498,22 @@ class ThresholdStream:
 @pytest.mark.parametrize("a, b", [(F(4, 3), F(7, 3)), (1.1, 2.7)])
 def test_polya_counts_round_as_the_loop_on_threshold_uniforms(a, b):
     # every draw sits on its threshold, so each block is solved one draw at a
-    # time (quadratic in the block): one block and a bit keeps this short
-    n = PB + 500
+    # time (quadratic in the block): the warm-up, both growing blocks and 500
+    # draws into the first full one keep this short
+    n = warm_up_edges(a, b)[2] + 500
     _, obs = PolyaUrnProcess(a, b)._draw(ThresholdStream(a, b, 3), n)
     assert np.array_equal(obs, (np.arange(n) % 3 == 0).astype(np.int64))
 
 
 urn_counts = st.one_of(
     st.integers(1, 60),
+    st.integers(100, 300),
     st.fractions(min_value=1, max_value=60, max_denominator=12),
     st.floats(min_value=1, max_value=60, allow_nan=False),
 )
-lengths_around_urn_blocks = st.one_of(st.sampled_from(URN_LENGTHS), st.integers(1, 3 * PB + 17))
+lengths_around_urn_blocks = st.one_of(
+    st.sampled_from(URN_LENGTHS), st.integers(1, 2 * _POLYA_WARMUP_BALLS), st.integers(1, 3 * PB + 17)
+)
 
 
 @given(urn_counts, urn_counts, lengths_around_urn_blocks, st.integers(0, 2**32), st.integers(0, 5))
@@ -487,6 +522,70 @@ lengths_around_urn_blocks = st.one_of(st.sampled_from(URN_LENGTHS), st.integers(
 @settings(deadline=None, max_examples=40)
 def test_polya_blocks_match_the_loop(a, b, n, seed, index):
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
+
+
+def sample_from_measure_masked(mu, stream, n):
+    """The masked sampler: every draw searches its branch, kept as the oracle."""
+    finite_weights = mu.weights_dict()
+    cells = np.array(sorted(finite_weights), dtype=np.int64)
+    probs = np.array([float(finite_weights[j]) for j in cells])
+    comps = mu._components
+    if not comps:
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        return cells[np.searchsorted(cum, stream.random(n), side="right")]
+    branch_cum = np.cumsum(np.concatenate([[probs.sum()], [float(c.weight) for c in comps]]))
+    branch_cum[-1] = 1.0
+    u1 = stream.random(n)
+    u2 = stream.random(n)
+    branch = np.searchsorted(branch_cum, u1, side="right")
+    out = np.zeros(n, dtype=np.int64)
+    mask0 = branch == 0
+    if mask0.any():
+        cum = np.cumsum(probs / probs.sum())
+        cum[-1] = 1.0
+        out[mask0] = cells[np.searchsorted(cum, u2[mask0], side="right")]
+    for b, comp in enumerate(comps, start=1):
+        maskb = branch == b
+        if not maskb.any():
+            continue
+        q = float(comp.ratio)
+        if q >= 1.0:
+            out[maskb] = 0
+        else:
+            u = np.clip(u2[maskb], 1e-300, 1.0 - 1e-16)
+            out[maskb] = np.floor(np.log(u) / math.log1p(-q)).astype(np.int64)
+    return out
+
+
+@st.composite
+def countable_laws(draw):
+    """A finite part (possibly empty: a zero-weight branch) plus 0-3 geometric
+    components with q in [1/1000, 1]; exact or float."""
+    cells = draw(st.dictionaries(st.integers(0, 40), st.integers(0, 5), max_size=4))
+    comps = draw(st.lists(st.tuples(st.integers(1, 5), st.fractions(F(1, 1000), 1)), max_size=3))
+    if not any(cells.values()) and not comps:
+        comps = [(1, F(1, 4))]
+    total = sum(cells.values()) + sum(w for w, _ in comps)
+    as_number = float if draw(st.booleans()) else Fraction
+    weights = {j: as_number(F(w, total)) for j, w in cells.items()}
+    parts = [GeometricComponent(as_number(F(w, total)), as_number(q)) for w, q in comps]
+    return ProbMeasure(countable(), weights, parts)
+
+
+@given(countable_laws(), st.integers(1, 3000), st.integers(0, 2**32))
+@example(ProbMeasure.geometric(countable(), F(1, 4)), 10_000, 0)  # one live branch
+@example(ProbMeasure.geometric(countable(), 0.25), 10_000, 0)
+@example(ProbMeasure.geometric(countable(), F(1)), 100, 0)  # q = 1: every draw is cell 0
+@example(ProbMeasure(countable(), {3: F(1, 2)}, [GeometricComponent(F(1, 2), F(1))]), 100, 0)
+@example(ProbMeasure.from_weights(finite(3), [F(1, 2), 0, F(1, 2)]), 100, 0)  # no component
+@settings(deadline=None, max_examples=80)
+def test_sample_from_measure_matches_the_masked_sampler(mu, n, seed):
+    s1, s2 = path_stream(seed, 3), path_stream(seed, 3)
+    draws = sample_from_measure(mu, s1, n)
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws, sample_from_measure_masked(mu, s2, n))
+    assert s1.random() == s2.random()  # both uniform blocks were read
 
 
 def chain_of(weights_rows, initial):
