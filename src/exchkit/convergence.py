@@ -31,13 +31,26 @@ event's mass is a left-to-right sum over its cells in the order :func:`mass`
 takes them, and the compacts' masses are one sequential cumulative sum along
 their chain, so every witness, limit, gap and certificate is bit-identical to
 per-measure :func:`mass` calls.
+
+Extraction has one routine, ``_extract_rows``, over the stacked tables of P
+sequences (P x G x (C + 1)); its bisection runs in lockstep over the paths
+with per-path masks, intervals and cells.
+:func:`extract_convergent_subsequence` is its one-row call and the only
+caller that builds :class:`ClosedSetCertificate` objects.
+:func:`construct_rcd_from_empiricals` samples and counts its paths one at a
+time and stacks only their tables, ``_BATCH_ENTRIES`` (2**14) entries to a
+batch: 42 paths of acceptance 09 (6 grid points, 65 columns). No temporary
+of a batch is larger than its 130 KB table, so the acceptance 09
+construction peaks at about 0.83 MB of traced allocations; 200 paths in one
+batch would peak at about 2.2 MB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -137,12 +150,12 @@ class _Layout:
         self.cols = _columns((*self.compacts, *self.closed, *events))
         order, ends = _chain_order(self.compacts)
         self.chain = np.searchsorted(self.cols, order), np.subtract(ends, 1)
+        # in_compact[k, c]: the c-th column's cell lies in the k-th compact
+        rank = np.full(len(self.cols), len(order))
+        rank[self.chain[0]] = np.arange(len(order))
+        self.in_compact = rank < np.array(ends)[:, None]
         self.closed_cells = _cell_index(self.closed.members, self.cols)
         self.event_cells = _cell_index(events, self.cols)
-
-    def positions(self, cells: Sequence[int]) -> np.ndarray:
-        """The columns of the named ``cells``."""
-        return np.searchsorted(self.cols, cells)
 
 
 def _measure_table(measures: Sequence[ProbMeasure], cols: np.ndarray) -> np.ndarray:
@@ -154,13 +167,29 @@ def _measure_table(measures: Sequence[ProbMeasure], cols: np.ndarray) -> np.ndar
     return np.array([[mu.atom_mass(j) for j in cells] + [0] for mu in measures], dtype=dtype)
 
 
-def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
-    """Uniform tightness from the table: the default compacts' masses are one
-    sequential cumsum along their chain, then the smallest over the rows."""
+def _smallest(layout: _Layout, atoms: np.ndarray) -> np.ndarray:
+    """Each default compact's smallest mass over the rows of a ... x G x
+    (C + 1) table: one sequential cumsum along the compacts' chain."""
     order, ends = layout.chain
-    running = np.cumsum(atoms[:, order], axis=1)
-    smallest = running[:, ends].min(axis=0).tolist()
-    return _tightness(layout.compacts, smallest, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
+    running = np.cumsum(atoms[..., order], axis=-1)
+    return running[..., ends].min(axis=-2)
+
+
+# the floors 1 - eps as Fractions, which exact masses compare with faster
+# than with the equal floats of _DEFAULT_FLOORS
+_EXACT_FLOORS = tuple(1 - eps for eps in DEFAULT_EPS_SCHEDULE)
+
+
+def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
+    """Uniform tightness of the measures whose G x (C + 1) table is ``atoms``."""
+    floors = _EXACT_FLOORS if atoms.dtype == object else _DEFAULT_FLOORS
+    return _tightness(layout.compacts, _smallest(layout, atoms).tolist(), DEFAULT_EPS_SCHEDULE, floors)
+
+
+@cache
+def _default_layout(space: SpaceDescriptor) -> _Layout:
+    """The layout of a sequence of measures on ``space``, built once per space."""
+    return _Layout(space)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +245,7 @@ def family_tight(seq: MeasureSequence) -> TightnessResult:
     """Uniform tightness over the whole sequence: for each epsilon of
     ``DEFAULT_EPS_SCHEDULE``, a single default compact K with
     mu_n(K) > 1 - eps for ALL n."""
-    layout = _Layout(seq.space)
+    layout = _default_layout(seq.space)
     return _tight(layout, _measure_table(seq.measures, layout.cols))
 
 
@@ -273,39 +302,6 @@ class ExtractionResult:
         }
 
 
-def _refine_positions(positions: list[int], values: list, tol) -> list[int]:
-    """Bisect [0,1] around the dominant mass cluster.
-
-    Keeps the better-populated half at each split (ties go to the half
-    holding the earliest selected index) until the surviving values span at
-    most tol/2.
-    """
-    lo, hi = 0.0, 1.0
-    current = positions
-    while True:
-        vals = [values[p] for p in current]
-        if max(vals) - min(vals) <= tol / 2:
-            return current
-        if len(current) < 2:
-            raise NoConvergenceAtTolError(
-                "cluster refinement exhausted the sequence before reaching tol"
-            )
-        mid = (lo + hi) / 2
-        lower = [p for p in current if values[p] < mid]
-        upper = [p for p in current if values[p] >= mid]
-        if len(lower) > len(upper):
-            pick, hi = lower, mid
-        elif len(upper) > len(lower):
-            pick, lo = upper, mid
-        elif current[0] in lower:
-            pick, hi = lower, mid
-        else:
-            pick, lo = upper, mid
-        if not pick:
-            raise NoConvergenceAtTolError("empty mass cluster at tol")
-        current = pick
-
-
 def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> ExtractionResult:
     """Deterministic diagonal extraction of a convergent subsequence.
 
@@ -318,58 +314,124 @@ def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> Extraction
     whole sequence is returned. Certificates cover the default closed family.
     """
     _check_tol(tol)
-    layout = _Layout(seq.space)
-    return _extract(layout, _measure_table(seq.measures, layout.cols), tol)[0]
+    layout = _default_layout(seq.space)
+    return _extract(layout, _measure_table(seq.measures, layout.cols), tol)
 
 
-def _extract(layout: _Layout, atoms: np.ndarray, tol) -> tuple[ExtractionResult, np.ndarray]:
-    """:func:`extract_convergent_subsequence` on a table, with the limit's
-    own table row."""
+@dataclass(frozen=True)
+class _Extracted:
+    """What :func:`_extract_rows` finds for each of P tables (paths)."""
+
+    witness: np.ndarray  # P: the compact at the smallest epsilon, or -1 when not tight
+    surviving: np.ndarray  # P x G: the indices left after bisection
+    converged: np.ndarray  # P: two or more survivors and positive witness mass at the last
+    limit: np.ndarray  # P x (C + 1): the limit's table row, zero unless converged
+    closed: np.ndarray  # P x G x F: the default closed sets' masses
+    closed_limit: np.ndarray  # P x F: their masses under the limit
+    full: np.ndarray  # P: the whole sequence converges to the limit
+
+
+def _extract_rows(layout: _Layout, atoms: np.ndarray, tol) -> _Extracted:
+    """Extraction of P sequences at once from their stacked P x G x (C + 1)
+    tables, by the recipe of :func:`extract_convergent_subsequence`.
+
+    Bisection runs in lockstep. At each step every path moves to the first
+    witness cell whose surviving values still span more than tol/2; as the
+    survivors only shrink, that is the cell the path's own cell-by-cell loop
+    would be refining. On a new cell its interval restarts at [0, 1]. It then
+    keeps the better-populated half of its interval, ties going to the half
+    that holds its earliest survivor. A single survivor spans 0, so a cluster
+    never empties; a path fails to converge when fewer than two indices
+    survive or its witness cells carry no mass at the last survivor."""
+    n_paths, n_grid, _ = atoms.shape
+    rows = np.arange(n_paths)
+    reach = _smallest(layout, atoms) > max(_DEFAULT_FLOORS)
+    witness = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
+    member = layout.in_compact[witness] & (witness >= 0)[:, None]
+    # the columns up to the last witness cell of any path, and at least one
+    width = int(np.max(np.flatnonzero(member.any(axis=0)), initial=0)) + 1
+    member, values = member[:, :width], atoms[:, :, :width]
+
+    surviving = np.ones((n_paths, n_grid), dtype=bool)
+    cell = np.full(n_paths, -1)
+    lo, hi = np.zeros(n_paths), np.ones(n_paths)
+    todo = rows  # a path with no cell left to refine never gets one back
+    while todo.size:
+        kept = surviving[todo, :, None]
+        part = values[todo]
+        spread = np.where(kept, part, -np.inf).max(axis=1) - np.where(kept, part, np.inf).min(axis=1)
+        need = member[todo] & (spread > tol / 2)
+        busy = need.any(axis=1)
+        todo, nxt = todo[busy], need[busy].argmax(axis=1)
+        fresh = todo[nxt != cell[todo]]
+        lo[fresh], hi[fresh], cell[todo] = 0.0, 1.0, nxt
+        mid = (lo[todo] + hi[todo]) / 2
+        below = values[todo, :, nxt] < mid[:, None]
+        current = surviving[todo]
+        lower, upper = current & below, current & ~below
+        n_lower, n_upper = lower.sum(axis=1), upper.sum(axis=1)
+        earliest_below = below[np.arange(todo.size), current.argmax(axis=1)]
+        pick_lower = (n_lower > n_upper) | ((n_lower == n_upper) & earliest_below)
+        surviving[todo] = np.where(pick_lower[:, None], lower, upper)
+        hi[todo[pick_lower]] = mid[pick_lower]
+        lo[todo[~pick_lower]] = mid[~pick_lower]
+
+    last = n_grid - 1 - surviving[:, ::-1].argmax(axis=1)
+    raw = np.where(member, values[rows, last], 0)
+    total = np.cumsum(raw, axis=1)[:, -1]  # in cell order, as a sequential sum
+    if atoms.dtype == object:
+        total = total + Fraction(0)  # integer weights keep an exact quotient
+    converged = (witness >= 0) & (surviving.sum(axis=1) >= 2) & (total > 0)
+    limit = np.zeros_like(atoms[:, 0])
+    share = converged[:, None] & (raw > 0)
+    limit[:, :width] = np.where(share, raw / np.where(converged, total, 1)[:, None], limit[:, :width])
+
+    closed = _masses(atoms, layout.closed_cells)
+    closed_limit = _masses(limit, layout.closed_cells)
+    excess = closed[:, n_grid // 2 :].max(axis=1) - closed_limit - tol  # the tail half's limsup
+    full = converged & ~(excess > 0).any(axis=1)
+    return _Extracted(witness, surviving, converged, limit, closed, closed_limit, full)
+
+
+def _limit_measure(layout: _Layout, row: np.ndarray) -> ProbMeasure:
+    """The measure whose table row is ``row``."""
+    cells = np.flatnonzero(row[:-1])
+    return ProbMeasure(layout.space, dict(zip(layout.cols[cells].tolist(), row[cells].tolist())))
+
+
+def _extract(layout: _Layout, atoms: np.ndarray, tol) -> ExtractionResult:
+    """:func:`extract_convergent_subsequence` on one G x (C + 1) table: the
+    one-row call of :func:`_extract_rows`, and the only caller that builds
+    certificates."""
     ft = _tight(layout, atoms)
     if not ft.tight:
         missing = [str(e) for e, w in ft.witnesses if w is None]
         raise NotTightError(f"no uniform compact witness at eps in {{{', '.join(missing)}}}")
-
-    witness = ft.witnesses[-1][1]  # the schedule decreases: the smallest epsilon's
-    cells = sorted(witness.indices)
-    cell_values = dict(zip(cells, atoms[:, layout.positions(cells)].T.tolist()))
-    positions = list(range(len(atoms)))
-    for c in cells:
-        positions = _refine_positions(positions, cell_values[c], tol)
-    if len(positions) < 2:
+    found = _extract_rows(layout, atoms[None], tol)
+    surviving = np.flatnonzero(found.surviving[0]).tolist()
+    if len(surviving) < 2:
         raise NoConvergenceAtTolError("fewer than two indices survived refinement")
-
-    last = positions[-1]
-    raw = {c: cell_values[c][last] for c in cells}
-    total = sum(raw.values(), Fraction(0))  # a Fraction start keeps integer weights exact
-    if total <= 0:
+    if not found.converged[0]:
         raise NoConvergenceAtTolError("all witness cells carry zero mass at the limit")
-    weights = {c: w / total for c, w in raw.items() if w > 0}
-    limit = ProbMeasure(layout.space, weights)
-    limit_row = np.zeros(atoms.shape[1], dtype=atoms.dtype)
-    limit_row[layout.positions(list(weights))] = list(weights.values())
 
-    masses = _masses(np.vstack((atoms, limit_row)), layout.closed_cells)
-    masses, limit_masses = masses[:-1], masses[-1]
-    full_ok = _worst_closed(layout.closed, masses, limit_masses, tol) is None
-    selected = list(range(len(atoms))) if full_ok else positions
-
-    sub = masses[selected]  # at least two rows, so the head half is never empty
+    full_ok = bool(found.full[0])
+    selected = list(range(len(atoms))) if full_ok else surviving
+    sub = found.closed[0][selected]  # at least two rows, so the head half is never empty
     certs = []
     for f, limsup, head_max, limit_mass in zip(
         layout.closed,
         _tail_half(sub).max(axis=0).tolist(),
         sub[: len(sub) // 2].max(axis=0).tolist(),
-        limit_masses.tolist(),
+        found.closed_limit[0].tolist(),
     ):
         ok = limsup <= limit_mass + tol
         certs.append(
             ClosedSetCertificate(f, float(limsup), float(limit_mass), float(head_max - limsup), ok)
         )
-    result = ExtractionResult(
+    limit = _limit_measure(layout, found.limit[0])
+    return ExtractionResult(
         tuple(selected), limit, tuple(certs), all(c.ok for c in certs), ft.witnesses, full_ok
     )
-    return result, limit_row
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +623,35 @@ class RcdConstructionReport:
         }
 
 
+# table entries (paths x grid points x columns, or x closed sets where those
+# are more) that construct_rcd_from_empiricals stacks in one batch of paths;
+# every temporary of the batch's extraction is within that size
+_BATCH_ENTRIES = 1 << 14
+
+
+def _batch_paths(layout: _Layout, n_grid: int) -> int:
+    """How many paths' tables make one batch: ``_BATCH_ENTRIES`` over one
+    path's entries, and at least one path."""
+    return max(1, _BATCH_ENTRIES // (n_grid * max(len(layout.cols) + 1, len(layout.closed))))
+
+
+def _path_limits(layout: _Layout, atoms: np.ndarray, tol) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """For a batch of paths' stacked P x G x (C + 1) tables: each path's
+    status, subsequence length, tightness witness at the smallest epsilon and
+    limit measure (the last three None unless ok), then P x E masses of the
+    requested events under the limits and their gaps to the last rows'."""
+    found = _extract_rows(layout, atoms, tol)
+    status = np.where(found.converged, "ok", np.where(found.witness < 0, "not_tight", "no_convergence"))
+    length = np.where(found.full, atoms.shape[1], found.surviving.sum(axis=1))
+    per_path = [
+        (s, n, layout.compacts.members[k], _limit_measure(layout, row)) if ok else (s, None, None, None)
+        for s, n, k, row, ok in zip(status.tolist(), length.tolist(), found.witness.tolist(), found.limit,
+                                    found.converged.tolist())
+    ]
+    limit_masses = _masses(found.limit, layout.event_cells)
+    return per_path, limit_masses, np.abs(limit_masses - _masses(atoms[:, -1], layout.event_cells))
+
+
 def construct_rcd_from_empiricals(
     gen: ProcessGenerator,
     events: Sequence[EventSet],
@@ -587,11 +678,15 @@ def construct_rcd_from_empiricals(
     The empirical measures mu_{w,n} are never built. Each path's draws are
     counted once, by the count table that ``kernels._sampled_paths`` fills for
     every Monte Carlo check; divided by n it is the atom-mass table (see the
-    module docstring) that tightness, extraction and the certificates read,
-    and its last row gives the final event frequencies for the kernel
-    certificate. Each path's kernel targets are the certificate's, so each
-    kernel image is built once. The results equal those of
-    :func:`extract_convergent_subsequence` on :func:`empirical_sequence`.
+    module docstring) that tightness and extraction read. The tables of up to
+    ``_BATCH_ENTRIES`` entries' worth of paths are stacked, and one call of
+    the batched extraction gives each path's status, witness, surviving
+    indices, limit, full-sequence test and event gaps; no certificate is
+    built. The kernel gaps and bands are arrays over all paths, and each
+    path's kernel targets are the frequency certificate's, so each kernel
+    image is built once. The results equal those of
+    :func:`extract_convergent_subsequence` on :func:`empirical_sequence`,
+    path by path.
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
@@ -609,48 +704,39 @@ def construct_rcd_from_empiricals(
 
     big_n = grid[-1]
     lengths = np.array(grid)[:, None]
-    results, limits = [], []  # limits[i]: path i's limit masses of the events, or None
-    latents, finals = [], []
-    for path, counts, freqs in paths:
+    batch = min(n_paths, _batch_paths(layout, len(grid)))
+    atoms = np.empty((batch, len(grid), len(layout.cols) + 1))
+    labels, latents, finals, extracted, limit_masses, event_gaps = [], [], [], [], [], []
+    for i, (path, counts, freqs) in enumerate(paths):
+        labels.append(path.seed_label)
         latents.append(path.latent)
         finals.append(freqs[-1])
-        atoms = counts / lengths
-        try:
-            ext, limit_row = _extract(layout, atoms, tol)
-        except NotTightError:
-            results.append(RcdPathResult(path.seed_label, "not_tight", None, None, None, (), (), False))
-            limits.append(None)
-            continue
-        except NoConvergenceAtTolError:
-            results.append(RcdPathResult(path.seed_label, "no_convergence", None, None, None, (), (), False))
-            limits.append(None)
-            continue
+        np.divide(counts, lengths, out=atoms[i % batch])
+        if i % batch == batch - 1 or i == n_paths - 1:
+            per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], tol)
+            extracted += per_path
+            limit_masses.append(masses)
+            event_gaps.append(gaps)
+    limit_masses, event_gaps = np.concatenate(limit_masses), np.concatenate(event_gaps)
 
-        # extraction raised NotTightError unless every eps has a witness
-        witness = ext.tight_witnesses[-1][1]
-        final_masses, limit_masses = _masses(
-            np.vstack((atoms[-1], limit_row)), layout.event_cells
-        ).tolist()
-        event_gaps = tuple(abs(m - f) for m, f in zip(limit_masses, final_masses))
-        ok = all(g <= tol for g in event_gaps)
-        results.append(
-            RcdPathResult(path.seed_label, "ok", len(ext.indices), witness, ext.limit, event_gaps, (), ok)
-        )
-        limits.append(limit_masses)
-
+    path_ok = np.array([s == "ok" for s, *_ in extracted]) & (event_gaps <= tol).all(axis=1)
     kernel = gen.latent_kernel()
-    kernel_report = None
+    kernel_report, kernel_gaps = None, np.empty((n_paths, 0))
     if kernel is not None:
         # each path's kernel targets are the certificate's
         kernel_report = rcd_verdict(kernel, events, latents, finals, big_n, coverage=coverage)
-        for i, limit_masses in enumerate(limits):
-            if limit_masses is None:
-                continue
-            targets = [r.targets[i] for r in kernel_report.per_event]
-            kernel_gaps = tuple(abs(m - t) for m, t in zip(limit_masses, targets))
-            ok = results[i].passed and all(g <= binomial_band(t, big_n) for g, t in zip(kernel_gaps, targets))
-            results[i] = replace(results[i], kernel_gaps=kernel_gaps, passed=ok)
+        targets = np.array([r.targets for r in kernel_report.per_event]).T
+        kernel_gaps = np.abs(limit_masses - targets)
+        bands = np.array([[binomial_band(t, big_n) for t in row] for row in targets.tolist()])
+        path_ok &= (kernel_gaps <= bands).all(axis=1)
 
+    results = tuple(
+        RcdPathResult(label, s, n, w, mu, tuple(eg), tuple(kg), ok) if s == "ok"
+        else RcdPathResult(label, s, None, None, None, (), (), False)
+        for label, (s, n, w, mu), eg, kg, ok in zip(
+            labels, extracted, event_gaps.tolist(), kernel_gaps.tolist(), path_ok.tolist()
+        )
+    )
     not_tight = sum(r.status == "not_tight" for r in results)
     freq_ok = kernel_report is None or kernel_report.passed
     pass_fraction = sum(r.passed for r in results) / n_paths
@@ -663,7 +749,7 @@ def construct_rcd_from_empiricals(
         coverage,
         float(tol),
         regularity,
-        tuple(results),
+        results,
         not_tight / n_paths,
         pass_fraction,
         kernel_report,

@@ -257,14 +257,17 @@ def _cell_index(events: Sequence[EventSet], cols: np.ndarray) -> tuple[np.ndarra
 
 
 def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) -> np.ndarray:
-    """R x E masses, under the R table rows, of the events whose
-    :func:`_cell_index` is ``cells``.
+    """... x E masses, under the rows (last axis: columns) of a table, of the
+    events whose :func:`_cell_index` is ``cells``.
 
     Each is a left-to-right sum over the event's cells, as in :func:`mass`,
     so float masses are bit-identical to it; a cofinite event takes ``whole``
-    minus the sum over the cells it excludes."""
+    minus the sum over the cells it excludes. The sums run one cell position
+    at a time, so no temporary is larger than the result."""
     index, cofinite = cells
-    sums = np.add.accumulate(atoms[:, index], axis=2)[:, :, -1]
+    sums = atoms[..., index[:, 0]]
+    for column in index.T[1:]:
+        sums = sums + atoms[..., column]
     return np.where(cofinite, whole - sums, sums)
 
 

@@ -72,7 +72,7 @@ import numpy as np
 
 from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
 from .measures import ProbMeasure, mix_measures
-from .rng import path_stream
+from .rng import path_stream, skip_uniforms
 from .spaces import SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
@@ -135,9 +135,10 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     ``searchsorted`` on the finite part, the inverse cdf on a component).
     When the cumulative branch weights reach 1.0 at the first branch of
     positive weight (a single live branch, as in every ``geometric_kernel``
-    image), every u1 in [0, 1) selects that branch. Then u1 is still read, so
-    the stream moves on as before, but it is not searched, and the cells are
-    computed in place in u2.
+    image), every u1 in [0, 1) selects that branch. Then u1 is not generated:
+    :func:`skip_uniforms` moves the stream past it by counter arithmetic, so
+    the stream ends where it would have, and the cells are computed in place
+    in u2.
     """
     finite_weights = mu.weights_dict()
     cells = np.array(sorted(finite_weights), dtype=np.int64)
@@ -153,7 +154,12 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     branch_probs = np.concatenate([[probs.sum()], [float(c.weight) for c in comps]])
     branch_cum = np.cumsum(branch_probs)
     branch_cum[-1] = 1.0
-    u1 = stream.random(n)
+    first = int(np.searchsorted(branch_cum, 0.0, side="right"))
+    single = branch_cum[first] >= 1.0
+    if single:
+        skip_uniforms(stream, n)
+    else:
+        u1 = stream.random(n)
     u2 = stream.random(n)
     out = np.empty(n, dtype=np.int64)
 
@@ -174,8 +180,7 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
             u /= math.log1p(-q)
             out[where] = np.floor(u, out=u)
 
-    first = int(np.searchsorted(branch_cum, 0.0, side="right"))
-    if branch_cum[first] >= 1.0:
+    if single:
         fill(first, ...)
         return out
     branch = np.searchsorted(branch_cum, u1, side="right")
@@ -277,6 +282,9 @@ class GridMixtureProcess(ProcessGenerator):
     prior: tuple[tuple[object, object], ...]  # ((weight, parameter), ...)
     component: MarkovKernel
 
+    # the component's image at each prior parameter, built once
+    images: tuple[ProbMeasure, ...] = field(init=False, compare=False, repr=False)
+
     exchangeable = True
 
     def __post_init__(self) -> None:
@@ -285,8 +293,8 @@ class GridMixtureProcess(ProcessGenerator):
             raise ValueError(f"prior weights sum to {total}, not 1")
         if any(w < 0 for w, _ in self.prior):
             raise ValueError("prior weights must be non-negative")
-        for _, theta in self.prior:
-            self.component.measure(theta)  # validates the image
+        # MarkovKernel.measure validates each image
+        object.__setattr__(self, "images", tuple(self.component.measure(theta) for _, theta in self.prior))
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -296,15 +304,16 @@ class GridMixtureProcess(ProcessGenerator):
         cum = np.cumsum([float(w) for w, _ in self.prior])
         cum[-1] = 1.0
         idx = int(np.searchsorted(cum, stream.random(), side="right"))
-        theta = self.prior[idx][1]
-        return theta, sample_from_measure(self.component.measure(theta), stream, n)
+        return self.prior[idx][1], sample_from_measure(self.images[idx], stream, n)
+
+    def _parts(self) -> list[tuple[object, ProbMeasure]]:
+        return [(w, mu) for (w, _), mu in zip(self.prior, self.images)]
 
     def prefix_pattern_law(self, n):
-        parts = [(w, self.component.measure(theta)) for w, theta in self.prior]
-        return _mixture_pattern_law(self.space, parts, n)
+        return _mixture_pattern_law(self.space, self._parts(), n)
 
     def marginal(self) -> ProbMeasure:
-        return mix_measures([(w, self.component.measure(t)) for w, t in self.prior])
+        return mix_measures(self._parts())
 
     def latent_kernel(self) -> MarkovKernel | None:
         return self.component

@@ -20,6 +20,33 @@ def path_stream(master_seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def skip_uniforms(stream: np.random.Generator, s: int) -> None:
+    """Move ``stream`` on as ``stream.random(s)`` would, without generating
+    the s doubles.
+
+    Each double reads one 64-bit Philox output, and Philox makes its outputs
+    four to a counter step. The outputs still buffered are read first; past
+    them, ``advance`` steps the counter over whole blocks of four, and
+    ``random_raw`` reads the rest. ``advance`` also drops a half-read 32-bit
+    output, which doubles leave alone, so it is put back. Any other bit
+    generator draws the doubles."""
+    bg = stream.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        stream.random(s)
+        return
+    state = bg.state
+    left = 4 - state["buffer_pos"]
+    if s <= left:
+        bg.random_raw(s)
+        return
+    bg.advance((s - left) // 4)
+    bg.random_raw((s - left) % 4)
+    if state["has_uint32"]:
+        moved = bg.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bg.state = moved
+
+
 def path_seed_labels(master_seed: int, n_paths: int) -> list[str]:
     """Stable per-path stream identities, echoed into reports and CSVs."""
     return [f"{master_seed}:{i}" for i in range(n_paths)]

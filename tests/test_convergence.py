@@ -1,6 +1,7 @@
 """Tests for subsequence extraction, tightness checks, and limit construction."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +20,7 @@ from exchkit import (
     is_tight,
     mass,
 )
+from exchkit import convergence
 from exchkit.convergence import (
     ClosedSetCertificate,
     MeasureSequence,
@@ -33,7 +35,7 @@ from exchkit.convergence import (
     markov_bound_check,
     uniform_smallness_check,
 )
-from exchkit.convergence import _extract, _Layout, _refine_positions, _tight
+from exchkit.convergence import _batch_paths, _extract, _Layout, _tight
 from exchkit.empirical import df_product_identity_check, slln_exchangeable_checks
 from exchkit.kernels import (
     CylinderEvent,
@@ -524,6 +526,37 @@ def _reference_a_converges(seq, candidate, closed, tol):
     return worst is None, worst
 
 
+def _refine_positions(positions, values, tol):
+    """Bisect [0,1] around the dominant mass cluster of one cell: the
+    per-path loop that the batched extraction replaced, kept as its oracle.
+
+    Keeps the better-populated half at each split (ties go to the half
+    holding the earliest selected index) until the surviving values span at
+    most tol/2."""
+    lo, hi = 0.0, 1.0
+    current = positions
+    while True:
+        vals = [values[p] for p in current]
+        if max(vals) - min(vals) <= tol / 2:
+            return current
+        if len(current) < 2:
+            raise NoConvergenceAtTolError("cluster refinement exhausted the sequence before reaching tol")
+        mid = (lo + hi) / 2
+        lower = [p for p in current if values[p] < mid]
+        upper = [p for p in current if values[p] >= mid]
+        if len(lower) > len(upper):
+            pick, hi = lower, mid
+        elif len(upper) > len(lower):
+            pick, lo = upper, mid
+        elif current[0] in lower:
+            pick, hi = lower, mid
+        else:
+            pick, lo = upper, mid
+        if not pick:
+            raise NoConvergenceAtTolError("empty mass cluster at tol")
+        current = pick
+
+
 def _reference_extract(seq, tol):
     """The fields of extract_convergent_subsequence, from mass() alone."""
     closed = default_closed_family(seq.space)
@@ -657,7 +690,7 @@ def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
         assert _extraction_fields(seq, tol) == expected[:2]
         atoms = _count_table(path.observations, grid, layout.cols) / np.array(grid)[:, None]
         try:
-            ext, _ = _extract(layout, atoms, tol)
+            ext = _extract(layout, atoms, tol)
             from_table = ("ok", _fields(ext))
         except NotTightError:
             from_table = ("not_tight", _tight(layout, atoms).witnesses)
@@ -690,6 +723,107 @@ def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
 @given(pipeline_cases())
 def test_path_table_route_equals_the_mass_route(case):
     _assert_matches_mass_route(*case)
+
+
+def _far_mixture(raws, far_total):
+    """A two-point grid mixture on the countable space whose components put
+    ``far_total`` on the cells 64, 66, 70 and 71, past the default compacts."""
+    def measure(raw):
+        weights = {c: (1 - far_total) * F(r, sum(raw)) for c, r in enumerate(raw)}
+        weights.update({c: far_total / 4 for c in (64, 66, 70, 71)})
+        return ProbMeasure(NN, weights)
+
+    parts = [measure(raw) for raw in raws]
+    return GridMixtureProcess(((F(1, 2), 0), (F(1, 2), 1)), MarkovKernel(NN, lambda i: parts[i]))
+
+
+FAR_MIXTURE = _far_mixture(([5, 3, 1, 1], [1, 1, 2, 3, 1, 1, 0, 1]), F(1, 2048))
+FAR_EVENTS = [EventSet.of(NN, [0]), EventSet.cofinite_of(NN, [0, 70]), EventSet.of(NN, [3, 64, 66])]
+
+
+def test_paths_of_one_batch_keep_to_themselves():
+    """36 paths in one batch, 16 not tight (a draw past cell 63 within the
+    first 1000), 9 that do not converge and 11 ok: each matches its own
+    mass() route, so no path's mask, interval or cell leaks into another."""
+    grid = (20, 100, 1000)
+    assert _batch_paths(_Layout(NN, FAR_EVENTS), len(grid)) >= 36
+    rep = _assert_matches_mass_route(FAR_MIXTURE, FAR_EVENTS, grid, 0.1, 0, n_paths=36)
+    statuses = [p.status for p in rep.paths]
+    assert {s: statuses.count(s) for s in set(statuses)} == {"not_tight": 16, "no_convergence": 9, "ok": 11}
+
+
+@st.composite
+def batch_cases(draw):
+    """30-40 paths of a far-mass mixture, short enough grids that ok,
+    not-tight and non-converging paths share a batch."""
+    raws = [draw(st.lists(st.integers(0, 9), min_size=8, max_size=8).filter(sum)) for _ in range(2)]
+    gen = _far_mixture(raws, draw(st.sampled_from([F(1, 2048), F(1, 4096), F(0)])))  # Radon: under 1/1024
+    grid = draw(st.sampled_from([(20, 100, 1000), (50, 200, 400, 800, 1000), (10, 40, 1000)]))
+    tol = draw(st.sampled_from([0.05, 0.1]))
+    return gen, FAR_EVENTS, grid, tol, draw(st.integers(0, 2**32)), draw(st.integers(30, 40))
+
+
+@settings(max_examples=15, deadline=None)
+@given(batch_cases())
+def test_batched_paths_equal_the_mass_route(case):
+    _assert_matches_mass_route(*case)
+
+
+def test_batch_size_does_not_change_the_report(monkeypatch):
+    """Batches of 1, 7 and all 36 paths give the same report."""
+    def report():
+        return construct_rcd_from_empiricals(FAR_MIXTURE, FAR_EVENTS, (20, 100, 1000), 36, tol=0.1).to_dict()
+
+    whole = report()
+    per_path = 3 * max(len(_Layout(NN, FAR_EVENTS).cols) + 1, len(default_closed_family(NN)))
+    for paths in (1, 7):
+        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", paths * per_path)
+        assert _batch_paths(_Layout(NN, FAR_EVENTS), 3) == paths
+        assert report() == whole
+
+
+class SwappedKernelMixture(GridMixtureProcess):
+    """The grid mixture with a wrong directing kernel: each grid parameter is
+    sent to the other one's image."""
+
+    def latent_kernel(self):
+        (_, a), (_, b) = self.prior
+        return MarkovKernel(self.space, lambda t: self.component.measure(b if t == a else a))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_construct_rcd_rejects_a_swapped_kernel(seed):
+    """Named alternative at the acceptance 09 sizes. Over master seeds 0-99
+    the true kernel passed 100 times and the swapped one failed 100 times,
+    every path failing."""
+    events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
+    grid = (100, 1000, 4000, 6000, 8000, 10_000)
+    prior = ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)))
+    null = construct_rcd_from_empiricals(GridMixtureProcess(prior, geometric_kernel(NN)), events, grid, 200,
+                                         master_seed=seed)
+    alt = construct_rcd_from_empiricals(SwappedKernelMixture(prior, geometric_kernel(NN)), events, grid, 200,
+                                        master_seed=seed)
+    assert null.passed
+    assert not alt.passed and alt.pass_fraction == 0 and not alt.kernel_report.passed
+    # the extraction does not read the kernel: only the kernel verdicts differ
+    assert [p.status for p in alt.paths] == [p.status for p in null.paths]
+
+
+def test_construct_rcd_memory_stays_bounded():
+    """The acceptance 09 construction (200 paths of 10**4 draws) peaks under
+    1.5 MB of traced allocations: paths are sampled one at a time and only
+    their count tables are stacked, in batches of ``_BATCH_ENTRIES``."""
+    events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
+    grid = (100, 1000, 4000, 6000, 8000, 10_000)
+    construct_rcd_from_empiricals(geom_mixture(), events, grid, 1)  # the per-space caches
+    tracemalloc.start()
+    try:
+        rep = construct_rcd_from_empiricals(geom_mixture(), events, grid, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):

@@ -41,7 +41,7 @@ from exchkit.processes import (
     product_space,
     sample_from_measure,
 )
-from exchkit.rng import path_stream
+from exchkit.rng import path_stream, skip_uniforms
 
 F = Fraction
 B2 = finite(2)
@@ -586,6 +586,48 @@ def test_sample_from_measure_matches_the_masked_sampler(mu, n, seed):
     assert draws.dtype == np.int64
     assert np.array_equal(draws, sample_from_measure_masked(mu, s2, n))
     assert s1.random() == s2.random()  # both uniform blocks were read
+
+
+def _unread(stream):
+    """The Philox state that later draws read: the counter, the buffered
+    outputs not yet read and a half-read 32-bit output."""
+    state = stream.bit_generator.state
+    pos = state["buffer_pos"]
+    half = state["uinteger"] if state["has_uint32"] else None
+    return state["state"]["counter"].tolist(), state["buffer"][pos:].tolist(), half
+
+
+@given(
+    st.integers(0, 8),
+    st.one_of(st.integers(0, 20), st.integers(0, 20_000)),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@example(0, 10_000, False, 0)
+@example(1, 10_000, False, 0)  # the grid mixture's latent draw leaves three outputs buffered
+@example(3, 2, True, 7)
+@settings(deadline=None, max_examples=200)
+def test_skip_uniforms_lands_where_drawing_does(before, s, half_read, seed):
+    """Skipping s doubles leaves the stream where drawing them does: at every
+    buffer offset, for short and long skips, with or without a half-read
+    32-bit output."""
+    drawn, skipped = path_stream(seed, 5), path_stream(seed, 5)
+    for stream in (drawn, skipped):
+        stream.random(before)
+        if half_read:
+            stream.integers(0, 2**31, dtype=np.int32)
+    drawn.random(s)
+    skip_uniforms(skipped, s)
+    assert _unread(skipped) == _unread(drawn)
+    assert np.array_equal(skipped.random(50), drawn.random(50))
+    assert np.array_equal(skipped.integers(0, 2**31, size=3, dtype=np.int32), drawn.integers(0, 2**31, size=3, dtype=np.int32))
+
+
+def test_skip_uniforms_draws_on_other_bit_generators():
+    drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
+    drawn.random(7)
+    skip_uniforms(skipped, 7)
+    assert skipped.random() == drawn.random()
 
 
 def chain_of(weights_rows, initial):
