@@ -8,7 +8,8 @@ check-exchangeable  exact permutation-invariance of the prefix law, refused
 estimate-mixing     per-path empirical masses along a grid vs latent targets
 verify-rcd          kernel masses against long-run frequencies
 construct-rcd       build the directing measure per path and verify it
-radon-classify      tightness and outer-regularity certificates
+radon-classify      tightness witnesses from the tail and outer regularity;
+                    an exact law too slow to compute exits 2
 
 Every setting can come from ``--config FILE`` (flat ``key = value`` lines)
 with command-line flags taking precedence. Monte Carlo subcommands refuse to

@@ -13,9 +13,10 @@ holding the earliest index), so identical inputs select identical indices.
 The pipeline has one fixed configuration: ``family_tight``,
 ``extract_convergent_subsequence`` and ``construct_rcd_from_empiricals`` use
 the space's ``default_compact_family`` and ``default_closed_family`` (each
-built once per space) and ``DEFAULT_EPS_SCHEDULE``. ``a_converges`` and, in
-``measures``, ``is_tight`` and ``tightness_scan`` take an explicit family and
-schedule for any other choice.
+built once per space) and ``DEFAULT_EPS_SCHEDULE``; ``a_converges`` takes an
+explicit closed family. Mass past the 64 initial segments of the countable
+space counts as escaping; ``classify_radon`` needs no such horizon for one
+measure, as it reads the measure's tail.
 
 Every mass the pipeline reads comes from one atom-mass table: ``A[g, j]`` is
 the mass of the j-th named cell under the g-th measure, one column per cell
@@ -59,13 +60,11 @@ from .empirical import _validate_grid
 from .kernels import (_cell_index, _columns, _masses, _sampled_paths, binomial_band, rcd_verdict,
                       validate_coverage, validate_tol)
 from .measures import (
-    _DEFAULT_FLOORS,
     DEFAULT_EPS_SCHEDULE,
     EXACT,
     ProbMeasure,
     RegularityReport,
     TightnessResult,
-    _chain_order,
     _tightness,
     classify_radon,
     mass,
@@ -73,6 +72,7 @@ from .measures import (
 from .processes import PathSample, ProcessGenerator
 from .spaces import (
     ClosedFamily,
+    CompactFamily,
     EventSet,
     SpaceDescriptor,
     SpaceMismatchError,
@@ -139,6 +139,22 @@ def empirical_sequence(path: PathSample, n_grid: Sequence[int]) -> MeasureSequen
 # the atom-mass table
 
 
+def _chain_order(compacts: CompactFamily) -> tuple[list[int], list[int]]:
+    """The last member's cells in the order :func:`mass` sums them, and each
+    member's count of them. Every default compact family is a chain: each
+    member's cells, in that order, begin with the previous member's, so one
+    running sum passes through each member's mass by the same additions as
+    :func:`mass`."""
+    order: list[int] = []
+    ends = []
+    for k in compacts:
+        cells = list(k.indices)
+        assert not k.cofinite and cells[: len(order)] == order, "compact family is not a chain"
+        order = cells
+        ends.append(len(cells))
+    return order, ends
+
+
 class _Layout:
     """What a table answers on one space: the default compact chain and
     closed family plus any requested events, and the cell columns they name."""
@@ -178,6 +194,9 @@ def _smallest(layout: _Layout, atoms: np.ndarray) -> np.ndarray:
 # the floors 1 - eps as Fractions, which exact masses compare with faster
 # than with the equal floats of _DEFAULT_FLOORS
 _EXACT_FLOORS = tuple(1 - eps for eps in DEFAULT_EPS_SCHEDULE)
+# 1 - 2**-k is exact in float64, so a float mass compares with these exactly
+# as with the Fraction floors
+_DEFAULT_FLOORS = tuple(float(f) for f in _EXACT_FLOORS)
 
 
 def _tight(layout: _Layout, atoms: np.ndarray) -> TightnessResult:
@@ -699,8 +718,6 @@ def construct_rcd_from_empiricals(
     validate_coverage(coverage)
 
     regularity = classify_radon(gen.marginal())
-    if not regularity.radon:
-        raise ValueError("generator marginal failed the Radon classification")
 
     big_n = grid[-1]
     lengths = np.array(grid)[:, None]

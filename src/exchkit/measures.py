@@ -13,11 +13,14 @@ Arithmetic modes, inferred from the weights and ratios:
 * ``float`` -- float64 weights; total mass within 1e-12 of 1. Used by Monte
   Carlo runs.
 
-The Radon classifier has one fixed configuration: the space's
-``default_compact_family`` (64 initial segments on the countable space, the
-full space otherwise) and ``DEFAULT_EPS_SCHEDULE`` (1/2, 1/4, ..., 1/1024).
-``is_tight``, ``tightness_scan`` and ``is_outer_regular_on`` take an explicit
-family and schedule for any other choice.
+The Radon classifier takes its tightness witnesses from the tail: for each
+epsilon of ``DEFAULT_EPS_SCHEDULE`` (1/2, 1/4, ..., 1/1024), the shortest
+initial segment whose complement has mass below epsilon, however long. Every
+probability on a countable discrete space is Radon (Ulam's theorem), so a
+witness always exists; only an exact law too far out to compute is refused.
+Outer regularity needs no search, as each default compact is itself open.
+``is_tight`` and ``is_outer_regular_on`` check an explicit family and
+schedule.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -37,8 +40,6 @@ from .spaces import (
     EventSet,
     SpaceDescriptor,
     SpaceMismatchError,
-    default_compact_family,
-    event_spec,
 )
 
 FLOAT_MASS_TOL = 1e-12
@@ -69,16 +70,24 @@ class GeometricComponent:
         """Mass of atoms {m, m+1, ...}: weight * (1-q)**m."""
         return self.weight * self._survival(m)
 
-    def _survival(self, j: int):
-        """(1-q)**j; ValueError when exact and over MAX_EXACT_POWER_BITS bits."""
+    @cached_property
+    def last_cell(self):
+        """The farthest cell whose (1-q)**j, about j * log2(denominator) bits,
+        fits in MAX_EXACT_POWER_BITS; math.inf for a float or a point mass."""
         base = 1 - self.ratio
-        if _is_exact(base):
-            bits = j * math.log2(max(base.numerator, base.denominator))
-            if bits > MAX_EXACT_POWER_BITS:
-                raise ValueError(
-                    f"cell {j} is too far out for the exact law Geom({self.ratio}): its mass "
-                    f"needs (1-q)**{j}, about {bits:.3g} bits (limit {MAX_EXACT_POWER_BITS})"
-                )
+        if _is_exact(base) and base:
+            return int(MAX_EXACT_POWER_BITS / math.log2(base.denominator))
+        return math.inf
+
+    def _survival(self, j: int):
+        """(1-q)**j; ValueError past :attr:`last_cell`."""
+        base = 1 - self.ratio
+        if j > self.last_cell:
+            bits = j * math.log2(base.denominator)
+            raise ValueError(
+                f"cell {j} is too far out for the exact law Geom({self.ratio}): its mass "
+                f"needs (1-q)**{j}, about {bits:.3g} bits (limit {MAX_EXACT_POWER_BITS})"
+            )
         return base**j
 
 
@@ -100,7 +109,8 @@ class ProbMeasure:
             if w < 0:
                 raise ValueError(f"negative weight at cell {j}")
         for comp in components:
-            if comp.weight <= 0 or not (0 < comp.ratio <= 1):
+            # a float ratio so small that 1 - q rounds to 1 would never lose mass
+            if comp.weight <= 0 or not (0 < comp.ratio <= 1 and 1 - comp.ratio < 1):
                 raise ValueError("geometric component needs weight > 0, 0 < ratio <= 1")
 
         values = list(weights.values()) + [c.weight for c in components] + [c.ratio for c in components]
@@ -272,33 +282,6 @@ class TightnessResult:
     witnesses: tuple[tuple[object, EventSet | None], ...]
 
 
-def _chain_order(compacts: CompactFamily) -> tuple[list[int], list[int]]:
-    """The last member's cells in the order :func:`mass` sums them, and each
-    member's count of them. Every default compact family is a chain: each
-    member's cells, in that order, begin with the previous member's, so one
-    running sum passes through each member's mass by the same additions as
-    :func:`mass`."""
-    order: list[int] = []
-    ends = []
-    for k in compacts:
-        cells = list(k.indices)
-        assert not k.cofinite and cells[: len(order)] == order, "compact family is not a chain"
-        order = cells
-        ends.append(len(cells))
-    return order, ends
-
-
-def _family_masses(mu: ProbMeasure, compacts: CompactFamily) -> list:
-    """mass(mu, K) for each member K of a chain family, from one running sum
-    over the atoms."""
-    if mu.space != compacts.space:
-        raise SpaceMismatchError(f"compacts on {compacts.space}, measure on {mu.space}")
-    order, ends = _chain_order(compacts)
-    zero = Fraction(0) if mu.mode == EXACT else 0.0
-    running = list(accumulate((mu.atom_mass(j) for j in order), initial=zero))
-    return [running[end] for end in ends]
-
-
 def _tightness(compacts: CompactFamily, masses: Sequence, epsilons: Sequence, floors: Sequence) -> TightnessResult:
     """Per epsilon, the first compact whose mass exceeds its floor 1 - eps."""
     witnesses = tuple(
@@ -308,37 +291,31 @@ def _tightness(compacts: CompactFamily, masses: Sequence, epsilons: Sequence, fl
     return TightnessResult(all(w is not None for _, w in witnesses), witnesses)
 
 
-def tightness_scan(
-    measures: Sequence[ProbMeasure],
-    space: SpaceDescriptor,
-    compacts: CompactFamily,
-    epsilons: Sequence,
-) -> TightnessResult:
-    """Per epsilon, the first compact K with mu(K) > 1 - eps for EVERY listed
-    measure (a uniform witness), or None where no family member works.
-
-    Each compact's smallest mass over the measures is computed once, in
-    family order, until the tightest floor 1 - min(eps) is met; every
-    epsilon's witness is read from that list."""
+def _check_epsilons(epsilons: Sequence) -> None:
     if not epsilons:
         raise ValueError("epsilon list must be non-empty")
     if not all(e > 0 for e in epsilons):  # rejects NaN as well
         raise ValueError("epsilons must be positive")
-    if compacts.space != space:
+
+
+def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
+    """Per epsilon, the first compact K of the family with mu(K) > 1 - eps,
+    or None where no member works.
+
+    Each compact's mass is computed once, in family order, until the
+    tightest floor 1 - min(eps) is met; every epsilon's witness is read from
+    that list."""
+    _check_epsilons(epsilons)
+    if compacts.space != mu.space:
         raise SpaceMismatchError("compact family on wrong space")
     floors = [1 - eps for eps in epsilons]
     tightest = max(floors)
     masses = []
     for k in compacts:
-        masses.append(min(mass(mu, k) for mu in measures))
+        masses.append(mass(mu, k))
         if masses[-1] > tightest:
             break
     return _tightness(compacts, masses, epsilons, floors)
-
-
-def is_tight(mu: ProbMeasure, compacts: CompactFamily, epsilons: Sequence) -> TightnessResult:
-    """Scan the compact family for a witness mu(K) > 1 - eps per epsilon."""
-    return tightness_scan((mu,), mu.space, compacts, epsilons)
 
 
 def is_outer_regular_on(
@@ -349,18 +326,12 @@ def is_outer_regular_on(
 ) -> tuple[tuple[object, EventSet | None], ...]:
     """Per epsilon, the first open superset O of target with
     mu(O) <= mu(target) + eps, or None where no candidate works."""
-    if not epsilons:
-        raise ValueError("epsilon list must be non-empty")
-    if not all(e > 0 for e in epsilons):  # rejects NaN as well
-        raise ValueError("epsilons must be positive")
+    _check_epsilons(epsilons)
     for o in opens:
         if not target.is_subset(o):
             raise ValueError("candidate open set does not contain the target")
-    return _outer_witnesses(mass(mu, target), opens, [mass(mu, o) for o in opens], epsilons)
-
-
-def _outer_witnesses(base, opens: Sequence[EventSet], masses: Sequence, epsilons: Sequence):
-    """Per epsilon, the first open set whose mass is at most base + eps."""
+    base = mass(mu, target)
+    masses = [mass(mu, o) for o in opens]
     return tuple(
         (eps, next((o for o, m in zip(opens, masses) if m <= base + eps), None))
         for eps in epsilons
@@ -372,11 +343,16 @@ class RegularityReport:
     """Outcome of the Radon classifier: tight and outer regular on compacts."""
 
     tight: bool
-    tight_witnesses: tuple[tuple[object, EventSet | None], ...]
+    # eps -> m: the initial segment {0..m-1} has mass > 1 - eps
+    tight_witnesses: tuple[tuple[object, int], ...]
     outer_regular_on_compacts: bool
-    # (compact K, eps) -> witnessing open superset, or None
-    outer_witnesses: tuple[tuple[EventSet, object, EventSet | None], ...]
     radon: bool
+
+    # why no compact needs an outer-regularity witness beyond itself
+    OUTER_REGULARITY = (
+        "each default compact is open: every event is open in the discrete convention, "
+        "and the dyadic space's only default compact is the full space"
+    )
 
     def __post_init__(self) -> None:
         if self.radon != (self.tight and self.outer_regular_on_compacts):
@@ -385,49 +361,50 @@ class RegularityReport:
     def to_dict(self) -> dict:
         return {
             "tight": self.tight,
-            "tight_witnesses": [
-                {"eps": str(e), "witness": event_spec(w)} for e, w in self.tight_witnesses
-            ],
+            "tight_witnesses": [{"eps": str(e), "segment_length": m} for e, m in self.tight_witnesses],
             "outer_regular_on_compacts": self.outer_regular_on_compacts,
-            "outer_witnesses": [
-                {"compact": event_spec(k), "eps": str(e), "witness": event_spec(w)}
-                for k, e, w in self.outer_witnesses
-            ],
+            "outer_regularity": self.OUTER_REGULARITY,
             "radon": self.radon,
         }
 
 
 DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2**k) for k in range(1, 11))
-# 1 - 2**-k is exact in float64, so a mass compares with these floats exactly
-# as with the Fraction floors
-_DEFAULT_FLOORS = tuple(float(1 - eps) for eps in DEFAULT_EPS_SCHEDULE)
 
 
 def classify_radon(mu: ProbMeasure) -> RegularityReport:
-    """Certify Radon-ness as tightness plus outer regularity on compacts,
-    over the space's default compact family and ``DEFAULT_EPS_SCHEDULE``.
+    """Certify Radon-ness as tightness plus outer regularity on compacts, for
+    each eps of ``DEFAULT_EPS_SCHEDULE``; by Ulam's theorem (every finite
+    Borel measure on a Polish space is Radon) it never reports a FAIL.
 
-    The open-superset candidates for a compact K are K itself and the full
-    space: in the discrete convention every event is open, and on the dyadic
-    space the only default compact is the full space, so the candidate list
-    is honest for every supported kind.
+    The witness for eps is the shortest initial segment {0..m-1} with
+    ``tail_mass(m) < eps``: the full space on a finite or dyadic space; on the
+    countable space, found by doubling m, clamped at the last cell the law
+    computes, then bisecting (the tail never increases): O(log m) tail
+    evaluations, exact for an exact law. ValueError names eps and that last
+    cell when the witness lies past it. Outer regularity holds with O = K,
+    for the reason ``RegularityReport.OUTER_REGULARITY`` states.
     """
-    compacts = default_compact_family(mu.space)
-    masses = _family_masses(mu, compacts)
-    tight = _tightness(compacts, masses, DEFAULT_EPS_SCHEDULE, _DEFAULT_FLOORS)
-    full = EventSet.full(mu.space)
-    full_mass = mass(mu, full)
-    outer_witnesses = tuple(
-        (k, eps, wit)
-        for k, m in zip(compacts, masses)
-        for eps, wit in _outer_witnesses(m, (k, full), (m, full_mass), DEFAULT_EPS_SCHEDULE)
-    )
-    outer_ok = all(wit is not None for _, _, wit in outer_witnesses)
-
-    return RegularityReport(
-        tight=tight.tight,
-        tight_witnesses=tight.witnesses,
-        outer_regular_on_compacts=outer_ok,
-        outer_witnesses=outer_witnesses,
-        radon=tight.tight and outer_ok,
-    )
+    if not mu.space.is_countable:
+        witnesses = tuple((eps, mu.space.num_cells) for eps in DEFAULT_EPS_SCHEDULE)
+        return RegularityReport(True, witnesses, True, True)
+    last = min((c.last_cell for c in mu._components), default=math.inf)
+    witnesses = []
+    m = 1  # tail_mass(m - 1) >= eps: tail_mass(0) = 1, then the last eps's
+    for eps in DEFAULT_EPS_SCHEDULE:
+        lo, hi = m - 1, min(m, last)
+        while not mu.tail_mass(hi) < eps:
+            if hi == last:
+                raise ValueError(
+                    f"no tightness witness for eps = {eps}: it needs an initial segment past cell {last}, "
+                    f"the last cell whose exact mass fits in {MAX_EXACT_POWER_BITS} bits"
+                )
+            lo, hi = hi, min(2 * hi, last)
+        while hi - lo > 1:  # tail_mass(lo) >= eps > tail_mass(hi)
+            mid = (lo + hi) // 2
+            if mu.tail_mass(mid) < eps:
+                hi = mid
+            else:
+                lo = mid
+        m = hi
+        witnesses.append((eps, m))
+    return RegularityReport(True, tuple(witnesses), True, True)

@@ -517,6 +517,39 @@ def test_radon_classify_geometric(tmp_path):
     assert doc["results"]["radon"] is True
 
 
+def test_radon_classify_report_stays_small(tmp_path):
+    # one segment length per epsilon and one line of reason for outer
+    # regularity; a table of (compact, eps, witness) triples was 168 KB
+    res = run_cli(
+        "radon-classify", "--space", "countable", "--measure", "geometric:1/2",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 0
+    assert (tmp_path / "radon-classify.json").stat().st_size < 4096
+
+
+def test_radon_classify_slow_geometric_is_radon(tmp_path):
+    # (99/100)**64 ~ 0.53 lies past the 64 default segments, but not past 690 cells
+    res = run_cli(
+        "radon-classify", "--space", "countable", "--measure", "geometric:1/100",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 0
+    results = json.loads((tmp_path / "radon-classify.json").read_text())["results"]
+    assert results["radon"] is True
+    assert results["tight_witnesses"][-1] == {"eps": "1/1024", "segment_length": 690}
+
+
+def test_radon_classify_refuses_a_law_past_the_exact_cap(tmp_path):
+    # Geom(1/100000) needs 69,315 cells at eps = 1/2; its exact masses stop at cell 60,205
+    res = run_cli(
+        "radon-classify", "--space", "countable", "--measure", "geometric:1/100000",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "eps = 1/2" in res.stderr and "cell 60205" in res.stderr
+
+
 def test_radon_classify_rejects_subprobability_weights(tmp_path):
     res = run_cli(
         "radon-classify", "--space", "finite:2", "--measure", "weights:1/2,1/4",

@@ -478,10 +478,17 @@ def test_construct_rcd_validates_inputs():
 
 
 def test_construct_rcd_gates_on_marginal_regularity():
-    # Geom(1/1000) keeps more than 1/2 of its mass past cell 63, so no default
-    # compact witnesses its tightness and the construction stops up front.
+    # Geom(1/1000) keeps more than 1/2 of its mass past cell 63, yet its
+    # marginal is Radon (witness 6,929 cells at 1/1024); only its paths, which
+    # draw past the 64-cell horizon of a sequence's tightness, are not tight
     gen = IIDProcess(ProbMeasure.geometric(NN, F(1, 1000)))
-    with pytest.raises(ValueError, match="failed the Radon classification"):
+    rep = construct_rcd_from_empiricals(gen, [EventSet.initial_segment(NN, 1)], n_grid=(10, 50), n_paths=2)
+    assert rep.marginal_regularity.radon
+    assert rep.marginal_regularity.tight_witnesses[-1] == (F(1, 1024), 6929)
+    assert {p.status for p in rep.paths} == {"not_tight"} and not rep.passed
+    # a marginal whose witness lies past the exact power cap is refused
+    gen = IIDProcess(ProbMeasure.geometric(NN, F(1, 100_000)))
+    with pytest.raises(ValueError, match=r"eps = 1/2: .* past cell 60205\b"):
         construct_rcd_from_empiricals(gen, [EventSet.initial_segment(NN, 1)], n_grid=(10, 50), n_paths=2)
 
 

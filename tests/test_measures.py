@@ -3,6 +3,7 @@
 Hand-computed oracles are spelled out next to each assertion.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from exchkit import (
     parse_generator,
     tv_distance,
 )
-from exchkit.measures import GeometricComponent, TightnessResult, tightness_scan
+from exchkit.measures import MAX_EXACT_POWER_BITS, GeometricComponent, TightnessResult
 from exchkit.spaces import CompactFamily
 
 F = Fraction
@@ -258,9 +259,12 @@ def test_tightness_witness_is_the_first_strict_segment():
 
 def test_tightness_fails_for_slow_tails():
     mu = ProbMeasure.geometric(countable(), F(1, 1000))
+    # (999/1000)^64 ~ 0.94, so no default 64-segment passes even eps = 1/2 ...
+    assert not is_tight(mu, default_compact_family(countable()), [F(1, 2)]).tight
+    # ... but a longer segment does: every probability on a countable space is Radon
     res = classify_radon(mu)
-    # (999/1000)^64 ~ 0.94, so no 64-segment passes even eps = 1/2
-    assert not res.tight and not res.radon
+    assert res.tight and res.radon
+    assert dict(res.tight_witnesses)[F(1, 2)] == 693  # (999/1000)^692 >= 1/2 > (999/1000)^693
 
 
 def test_tightness_requires_positive_epsilons():
@@ -344,7 +348,8 @@ def test_outer_regularity_schedule_matches_per_eps_oracle(case):
 
 
 def _tightness_scan_per_eps(measures, compacts, epsilons):
-    """The per-epsilon scan that the one-pass form replaced, kept as its oracle."""
+    """The per-epsilon scan that is_tight's one pass replaced, kept as its
+    oracle and as the classifier's old 64-segment route."""
     witnesses = []
     for eps in epsilons:
         floor = 1 - eps
@@ -355,52 +360,61 @@ def _tightness_scan_per_eps(measures, compacts, epsilons):
 
 @st.composite
 def tightness_cases(draw):
-    """One to four measures (exact or float, finite(6) or countable), a compact
-    chain that may stop short of the mass, and an unsorted epsilon schedule
-    that may hold values no compact meets."""
+    """A measure (exact or float, finite(6) or countable), a compact chain
+    that may stop short of the mass, and an unsorted epsilon schedule that
+    may hold values no compact meets."""
     on_countable = draw(st.booleans())
     space = countable() if on_countable else finite(6)
     as_float = draw(st.booleans())
-    measures = []
-    for _ in range(draw(st.integers(1, 4))):
-        raw = draw(st.lists(st.integers(0, 9), min_size=6, max_size=6))
-        geom = draw(st.integers(0, 9)) if on_countable else 0
-        total = sum(raw) + geom
-        if total == 0:
-            raw[0] = total = 1
-        weights = {j: F(r, total) for j, r in enumerate(raw)}
-        comps = [GeometricComponent(F(geom, total), draw(st.sampled_from([F(1, 2), F(1, 5), F(9, 10)])))] if geom else []
-        if as_float:
-            weights = {j: float(w) for j, w in weights.items()}
-            comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
-        measures.append(ProbMeasure(space, weights, comps))
+    raw = draw(st.lists(st.integers(0, 9), min_size=6, max_size=6))
+    geom = draw(st.integers(0, 9)) if on_countable else 0
+    total = sum(raw) + geom
+    if total == 0:
+        raw[0] = total = 1
+    weights = {j: F(r, total) for j, r in enumerate(raw)}
+    comps = [GeometricComponent(F(geom, total), draw(st.sampled_from([F(1, 2), F(1, 5), F(9, 10)])))] if geom else []
+    if as_float:
+        weights = {j: float(w) for j, w in weights.items()}
+        comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
+    mu = ProbMeasure(space, weights, comps)
     top = draw(st.integers(1, 12 if on_countable else 6))
     compacts = CompactFamily(space, tuple(EventSet.initial_segment(space, m) for m in range(1, top + 1)))
     schedule = draw(st.lists(st.fractions(F(1, 1024), 1), min_size=1, max_size=6, unique=True))
     if as_float:
         schedule = [float(e) for e in schedule]
-    return measures, space, compacts, schedule
+    return mu, compacts, schedule
 
 
 @given(tightness_cases())
-def test_tightness_scan_matches_per_eps_oracle(case):
-    measures, space, compacts, schedule = case
-    assert tightness_scan(measures, space, compacts, schedule) == _tightness_scan_per_eps(measures, compacts, schedule)
+def test_is_tight_matches_per_eps_oracle(case):
+    mu, compacts, schedule = case
+    assert is_tight(mu, compacts, schedule) == _tightness_scan_per_eps((mu,), compacts, schedule)
 
 
 def _classify_radon_nested(mu):
-    """The classifier as one outer-regularity call per (compact, eps) pair."""
+    """The classifier's old route, one scan of the 64 default segments nested
+    in each epsilon, with each compact its own outer-regularity witness. Past
+    those segments, a single geometric law takes the closed form
+    m = ceil(log eps / log(1 - q)), moved a cell at a time onto the exact
+    first crossing tail_mass(m) < eps <= tail_mass(m - 1)."""
     compacts = default_compact_family(mu.space)
     tight = _tightness_scan_per_eps((mu,), compacts, DEFAULT_EPS_SCHEDULE)
-    full = EventSet.full(mu.space)
-    outer_ok = True
-    outer = []
     for k in compacts:
         for eps in DEFAULT_EPS_SCHEDULE:
-            ok, wit = _outer_regular_per_eps(mu, k, [k, full], eps)
-            outer.append((k, eps, wit))
-            outer_ok = outer_ok and ok
-    return RegularityReport(tight.tight, tight.witnesses, outer_ok, tuple(outer), tight.tight and outer_ok)
+            assert _outer_regular_per_eps(mu, k, [k], eps) == (True, k)
+    witnesses = []
+    for eps, k in tight.witnesses:
+        if k is None:
+            (comp,) = mu._components
+            m = math.ceil(math.log(eps) / math.log(1 - comp.ratio))
+            while not mu.tail_mass(m) < eps:
+                m += 1
+            while mu.tail_mass(m - 1) < eps:
+                m -= 1
+        else:
+            m = len(k.indices)
+        witnesses.append((eps, m))
+    return RegularityReport(True, tuple(witnesses), True, True)
 
 
 def _construct_rcd_marginal():
@@ -438,23 +452,61 @@ def test_classifier_report_matches_nested_oracle(make_mu):
     assert classify_radon(mu).to_dict() == _classify_radon_nested(mu).to_dict()
 
 
-def test_classifier_evaluates_each_compact_mass_once(monkeypatch):
-    mu = _construct_rcd_marginal()
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 100), F(1, 1000)], ids=str)
+def test_classifier_evaluates_log_many_tails_per_eps(monkeypatch, q):
+    mu = ProbMeasure.geometric(countable(), q)
     calls = []
-    real_mass = exchkit.measures.mass
-    monkeypatch.setattr(exchkit.measures, "mass", lambda m, ev: calls.append(ev) or real_mass(m, ev))
-    assert classify_radon(mu).radon
-    # the 64 compact masses are one running sum over the atoms, read by both
-    # the tightness scan and outer regularity; only the full space is a mass
-    # call (one call per (compact, eps) pair made 1,397, one per use 309)
-    assert calls == [EventSet.full(countable())]
+    real_tail = ProbMeasure.tail_mass
+    monkeypatch.setattr(ProbMeasure, "tail_mass", lambda self, m: calls.append(m) or real_tail(self, m))
+    monkeypatch.setattr(exchkit.measures, "mass", None)  # no event mass is taken
+    report = classify_radon(mu)
+    # doubling then bisection: at most 2 * bit_length(m) + 2 tails per epsilon
+    # (Geom(1/1000) takes 143 for its ten witnesses, a linear scan 6,929)
+    assert len(calls) <= sum(2 * m.bit_length() + 2 for _, m in report.tight_witnesses)
+    assert max(calls) < 2 * report.tight_witnesses[-1][1]
+
+
+def test_classifier_witness_is_strict():
+    # tail(3) = 1/8 is not below 1/8, so the witness at 1/8 is {0..3}
+    report = classify_radon(ProbMeasure.geometric(countable(), F(1, 2)))
+    assert dict(report.tight_witnesses)[F(1, 8)] == 4
+
+
+def _half_plus(bits):
+    """Geom(q) with 1 - q = 1/2 + 2**-bits: about 1/2 per cell, but each cell
+    adds `bits` bits of exact arithmetic, so only cells up to
+    MAX_EXACT_POWER_BITS // bits are computed."""
+    return ProbMeasure.geometric(countable(), F(2 ** (bits - 1) - 1, 2**bits))
+
+
+def test_classifier_clamps_the_doubling_at_the_exact_cap():
+    mu = _half_plus(65_000)
+    assert mu._components[0].last_cell == 15
+    # the witness at 1/1024 is cell 11, within the cap; doubling from the
+    # witness at 1/512 (10) would probe cell 20 and be refused
+    witnesses = [m for _, m in classify_radon(mu).tight_witnesses]
+    assert witnesses == list(range(2, 12))
+
+
+def test_classifier_refuses_a_witness_past_the_exact_cap():
+    mu = _half_plus(100_000)
+    assert mu._components[0].last_cell == MAX_EXACT_POWER_BITS // 100_000 == 10
+    with pytest.raises(ValueError, match=r"eps = 1/1024: .* past cell 10\b"):
+        classify_radon(mu)
+
+
+def test_float_ratio_that_loses_no_mass_is_rejected():
+    # 1 - 1e-17 rounds to 1.0: every cell would keep the whole tail
+    with pytest.raises(ValueError, match="ratio"):
+        ProbMeasure.geometric(countable(), 1e-17)
 
 
 @st.composite
-def geometric_mixtures(draw):
-    """Exact or float mixtures of one to three geometric laws, with a finite
-    part on the first cells, on the countable space."""
-    parts = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 12)), min_size=1, max_size=3))
+def geometric_mixtures(draw, slowest=12):
+    """Exact or float mixtures of one to three geometric laws Geom(1/k),
+    k <= slowest, with a finite part on the first cells, on the countable
+    space."""
+    parts = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, slowest)), min_size=1, max_size=3))
     raw = draw(st.lists(st.integers(0, 5), max_size=4))
     total = sum(w for w, _ in parts) + sum(raw)
     comps = [GeometricComponent(F(w, total), F(1, q)) for w, q in parts]
@@ -465,70 +517,60 @@ def geometric_mixtures(draw):
     return ProbMeasure(countable(), weights, comps)
 
 
-def _classify_radon_fresh_masses(mu):
-    """The classifier from one fresh mass() per compact, per epsilon and per
-    (compact, epsilon) pair; faster than the nested oracle on exact laws."""
-    compacts = default_compact_family(mu.space)
-    full = EventSet.full(mu.space)
-    masses = {k: mass(mu, k) for k in compacts}
-    full_mass = mass(mu, full)
-    tight = tuple((eps, next((k for k in compacts if masses[k] > 1 - eps), None)) for eps in DEFAULT_EPS_SCHEDULE)
-    outer = tuple(
-        (k, eps, k if masses[k] <= masses[k] + eps else full if full_mass <= masses[k] + eps else None)
-        for k in compacts
-        for eps in DEFAULT_EPS_SCHEDULE
-    )
-    is_tight_ = all(w is not None for _, w in tight)
-    outer_ok = all(w is not None for _, _, w in outer)
-    return RegularityReport(is_tight_, tight, outer_ok, outer, is_tight_ and outer_ok)
+def _linear_tail_scan(mu):
+    """Per epsilon, the first m = 0, 1, 2, ... with tail_mass(m) < eps; one
+    pass, as the tail never increases and the schedule decreases."""
+    m, out = 0, []
+    for eps in DEFAULT_EPS_SCHEDULE:
+        while not mu.tail_mass(m) < eps:
+            m += 1
+        out.append(m)
+    return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(geometric_mixtures())
 def test_classifier_on_geometric_mixtures_matches_fresh_masses(mu):
-    assert classify_radon(mu).to_dict() == _classify_radon_fresh_masses(mu).to_dict()
+    """The bisected witness is the linear scan's first m, and, on an exact
+    law, the first of the 64 default segments whose fresh mass() clears
+    1 - eps, wherever one does."""
+    witnesses = [m for _, m in classify_radon(mu).tight_witnesses]
+    assert witnesses == _linear_tail_scan(mu)
+    if mu.mode == "exact":
+        old = _tightness_scan_per_eps((mu,), default_compact_family(countable()), DEFAULT_EPS_SCHEDULE)
+        assert all(k is None or len(k.indices) == m for (_, k), m in zip(old.witnesses, witnesses))
 
 
-@st.composite
-def chain_families(draw):
-    """Initial segments of the countable space or finite(70), a chain."""
-    space = draw(st.sampled_from([countable(), finite(70)]))
-    tops = draw(st.lists(st.integers(1, 70), min_size=1, max_size=8, unique=True))
-    return CompactFamily(space, tuple(EventSet.initial_segment(space, m) for m in sorted(tops)))
-
-
-@settings(deadline=None)
-@given(chain_families(), geometric_mixtures())
-def test_running_family_masses_equal_fresh_mass(family, mixture):
-    from exchkit.measures import _family_masses
-
-    if family.space.is_countable:
-        mu = mixture
-    else:  # the mixture's first 69 atoms, the rest of its mass on cell 69
-        atoms = [mixture.atom_mass(j) for j in range(69)]
-        mu = ProbMeasure.from_weights(family.space, atoms + [1 - sum(atoms)])
-    assert list(_family_masses(mu, family)) == [mass(mu, k) for k in family]
-
-
-def test_family_masses_need_a_chain():
-    from exchkit.measures import _family_masses
-
-    space = finite(4)
-    family = CompactFamily(space, (EventSet.of(space, [2]), EventSet.of(space, [0, 2])))
-    with pytest.raises(AssertionError):
-        _family_masses(ProbMeasure.uniform(space), family)
+@settings(max_examples=6, deadline=None)
+@given(geometric_mixtures(slowest=1400).filter(lambda mu: mu.mode == "exact"))
+def test_classifier_witness_is_the_first_tail_crossing(mu):
+    """On exact mixtures with witnesses up to 10**4 cells, each witness m is
+    where the tail first drops below eps. The tail never increases, so this
+    is the first m of a linear scan, which would take seconds per law."""
+    report = classify_radon(mu)
+    for eps, m in report.tight_witnesses:
+        assert m <= 10**4
+        assert mu.tail_mass(m) < eps <= mu.tail_mass(m - 1)
 
 
 @pytest.mark.parametrize("space", [countable(), finite(2), finite(12), dyadic(3)], ids=str)
 def test_default_compact_families_are_chains(space):
-    from exchkit.measures import _chain_order
+    from exchkit.convergence import _chain_order
 
     order, ends = _chain_order(default_compact_family(space))
     assert order == sorted(order) and ends == sorted(ends)
 
 
+def test_chain_order_needs_a_chain():
+    from exchkit.convergence import _chain_order
+
+    space = finite(4)
+    with pytest.raises(AssertionError):
+        _chain_order(CompactFamily(space, (EventSet.of(space, [2]), EventSet.of(space, [0, 2]))))
+
+
 def test_default_floors_are_exact():
-    from exchkit.measures import _DEFAULT_FLOORS
+    from exchkit.convergence import _DEFAULT_FLOORS
 
     assert all(Fraction(f) == 1 - eps for f, eps in zip(_DEFAULT_FLOORS, DEFAULT_EPS_SCHEDULE))
 
@@ -536,8 +578,8 @@ def test_default_floors_are_exact():
 def test_classifier_passes_geometric_with_witnesses():
     report = classify_radon(ProbMeasure.geometric(countable(), F(1, 2)))
     assert report.radon and report.tight and report.outer_regular_on_compacts
-    assert all(w is not None for _, w in report.tight_witnesses)
-    assert all(w is not None for _, _, w in report.outer_witnesses)
+    # 2**-m < eps = 2**-k first at m = k + 1
+    assert [m for _, m in report.tight_witnesses] == list(range(2, 12))
 
 
 def test_classifier_always_passes_finite_spaces():
@@ -548,7 +590,8 @@ def test_classifier_always_passes_finite_spaces():
 def test_classifier_report_serializes():
     d = classify_radon(ProbMeasure.geometric(countable(), F(1, 2))).to_dict()
     assert d["radon"] is True
-    assert d["tight_witnesses"][0]["witness"].startswith("cells:")
+    assert d["tight_witnesses"][0] == {"eps": "1/2", "segment_length": 2}
+    assert d["outer_regularity"] == RegularityReport.OUTER_REGULARITY
 
 
 def test_regularity_report_flag_consistency():
@@ -559,7 +602,6 @@ def test_regularity_report_flag_consistency():
             tight=True,
             tight_witnesses=(),
             outer_regular_on_compacts=False,
-            outer_witnesses=(),
             radon=True,
         )
 
