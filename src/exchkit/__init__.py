@@ -17,9 +17,7 @@ from .convergence import (
     UniformSmallnessReport,
     a_converges,
     construct_rcd_from_empiricals,
-    empirical_sequence,
     extract_convergent_subsequence,
-    family_tight,
     markov_bound_check,
     uniform_smallness_check,
 )
@@ -27,7 +25,6 @@ from .empirical import (
     ConditioningEvent,
     ConvergenceReport,
     DfIdentityReport,
-    EmpiricalTrace,
     ExactIdentityResult,
     FullCondition,
     LatentCondition,
@@ -35,10 +32,7 @@ from .empirical import (
     correction_factor,
     df_product_identity_check,
     df_product_identity_exact,
-    empirical_measure,
-    estimate_directing_measure,
     ks_distance_uniform,
-    slln_condiid_check,
     slln_exchangeable_check,
 )
 from .kernels import (
@@ -49,7 +43,6 @@ from .kernels import (
     constant_kernel,
     geometric_kernel,
     kernel_mass,
-    product_cylinder_mass,
     verify_rcd,
 )
 from .measures import (
@@ -59,8 +52,6 @@ from .measures import (
     RegularityReport,
     TightnessResult,
     classify_radon,
-    is_outer_regular_on,
-    is_tight,
     mass,
     mix_measures,
     tv_distance,
@@ -76,7 +67,6 @@ from .processes import (
     ProcessGenerator,
     check_exchangeable,
     polya_beta_equivalence,
-    prefix_law,
 )
 from .config import (
     RunReport,

@@ -186,7 +186,6 @@ def cmd_check_exchangeable(config_path, **flags):
 @click.option("--n-grid", "n_grid", default=None, help="comma-separated prefix lengths")
 @click.option("--paths", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="master seed (required)")
-@click.option("--tol", type=float, default=None, help="override the 3-sigma budget")
 @click.option("--coverage", type=float, default=None, help="required pass fraction")
 @csv_option
 @json_option
@@ -202,7 +201,6 @@ def cmd_estimate_mixing(config_path, **flags):
         cfg.events,
         n_grid=cfg.n_grid,
         n_paths=cfg.n_paths,
-        tol=cfg.tol,
         master_seed=cfg.seed,
         coverage=cfg.coverage,
     )
@@ -220,7 +218,6 @@ def cmd_estimate_mixing(config_path, **flags):
 @click.option("--steps", type=int, default=None, help="observations per path")
 @click.option("--paths", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="master seed (required)")
-@click.option("--tol", type=float, default=None)
 @click.option("--coverage", type=float, default=None)
 @json_option
 @out_dir_option
@@ -239,7 +236,6 @@ def cmd_verify_rcd(config_path, **flags):
         list(cfg.events),
         n_paths=cfg.n_paths,
         n_steps=cfg.steps,
-        tol=cfg.tol,
         master_seed=cfg.seed,
         coverage=cfg.coverage,
     )
@@ -253,7 +249,6 @@ def cmd_verify_rcd(config_path, **flags):
 @click.option("--n-grid", "n_grid", default=None, help="comma-separated prefix lengths")
 @click.option("--paths", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="master seed (required)")
-@click.option("--tol", type=float, default=None, help="event-gap budget (default 0.05)")
 @click.option("--coverage", type=float, default=None)
 @json_option
 @out_dir_option
@@ -268,7 +263,6 @@ def cmd_construct_rcd(config_path, **flags):
         list(cfg.events),
         cfg.n_grid,
         cfg.n_paths,
-        tol=0.05 if cfg.tol is None else cfg.tol,
         master_seed=cfg.seed,
         coverage=cfg.coverage,
     )

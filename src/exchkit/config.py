@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .kernels import bernoulli_kernel, geometric_kernel, validate_coverage, validate_tol
+from .kernels import DEFAULT_COVERAGE, bernoulli_kernel, geometric_kernel, validate_coverage
 from .measures import ProbMeasure
 from .processes import (
     BetaBernoulliProcess,
@@ -254,34 +254,30 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# Settings that must be present after merging the config file with the flags.
-REQUIRED_KEYS: dict[str, frozenset[str]] = {
-    "simulate": frozenset({"gen", "n", "seed"}),
-    "check-exchangeable": frozenset({"gen", "n"}),
-    "estimate-mixing": frozenset({"gen", "events", "seed"}),
-    "verify-rcd": frozenset({"gen", "events", "seed"}),
-    "construct-rcd": frozenset({"gen", "events", "seed"}),
-    "radon-classify": frozenset({"space", "measure"}),
-}
+# marks a setting that has no default: the file or a flag must give it
+REQUIRED = None
 
-_DEFAULTS: dict[str, str] = {
-    "paths": "100",
-    "n_grid": "10,100,1000,10000",
-    "coverage": "0.95",
-    "steps": "10000",
-}
-
-# The extraction bisects per-cell mass clusters, so it needs several grid
-# points inside the settled tail; a log-spaced grid starves it.
-_COMMAND_DEFAULTS: dict[str, dict[str, str]] = {
-    "construct-rcd": {"n_grid": "100,1000,4000,6000,8000,10000"},
+# Each command's settings, each with the default that fills it when unset.
+SETTINGS: dict[str, dict[str, str | None]] = {
+    "simulate": {"gen": REQUIRED, "n": REQUIRED, "paths": "100", "seed": REQUIRED},
+    "check-exchangeable": {"gen": REQUIRED, "n": REQUIRED},
+    "estimate-mixing": {"gen": REQUIRED, "events": REQUIRED, "n_grid": "10,100,1000,10000", "paths": "100",
+                        "seed": REQUIRED, "coverage": str(DEFAULT_COVERAGE)},
+    "verify-rcd": {"gen": REQUIRED, "events": REQUIRED, "steps": "10000", "paths": "100", "seed": REQUIRED,
+                   "coverage": str(DEFAULT_COVERAGE)},
+    # The extraction bisects per-cell mass clusters, so it needs several grid
+    # points inside the settled tail; a log-spaced grid starves it.
+    "construct-rcd": {"gen": REQUIRED, "events": REQUIRED, "n_grid": "100,1000,4000,6000,8000,10000",
+                      "paths": "100", "seed": REQUIRED, "coverage": str(DEFAULT_COVERAGE)},
+    "radon-classify": {"space": REQUIRED, "measure": REQUIRED},
 }
 
 
 def merge_config(
     command: str, flags: Mapping[str, object], config_path: str | None
 ) -> dict[str, str]:
-    """File keys, overridden by flags, with defaults filled in.
+    """File keys, overridden by flags, with the defaults of the command's
+    :data:`SETTINGS` row filled in.
 
     ``flags`` must carry every key the command accepts, None where unset (as
     click passes every declared option); those keys are the allowed ones.
@@ -297,13 +293,9 @@ def merge_config(
     for key, value in flags.items():
         if value is not None:
             merged[key] = str(value)
-    per_command = _COMMAND_DEFAULTS.get(command, {})
-    for key in allowed:
-        if key not in merged and key in per_command:
-            merged[key] = per_command[key]
-        elif key not in merged and key in _DEFAULTS:
-            merged[key] = _DEFAULTS[key]
-    missing = set(REQUIRED_KEYS[command]) - set(merged)
+    for key, default in SETTINGS[command].items():
+        merged.setdefault(key, default)
+    missing = [key for key, value in merged.items() if value is REQUIRED]
     if missing:
         raise SpecParseError(f"{command} is missing required settings: {', '.join(sorted(missing))}")
     return merged
@@ -323,8 +315,7 @@ class ScenarioConfig:
     n_grid: tuple[int, ...] = ()
     n_paths: int = 1
     seed: int | None = None
-    tol: float | None = None
-    coverage: float = 0.95
+    coverage: float = DEFAULT_COVERAGE
     steps: int | None = None
 
     @staticmethod
@@ -357,9 +348,6 @@ class ScenarioConfig:
             cfg.seed = _parse_int(raw["seed"], "master seed")
             if not 0 <= cfg.seed < 2**64:
                 raise SpecParseError("seed must lie in [0, 2**64)")
-        if "tol" in raw:
-            cfg.tol = _parse_float(raw["tol"], "tol")
-            validate_tol(cfg.tol)
         if "coverage" in raw:
             cfg.coverage = _parse_float(raw["coverage"], "coverage")
             validate_coverage(cfg.coverage)

@@ -57,8 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .empirical import _validate_grid
-from .kernels import (_cell_index, _columns, _masses, _sampled_paths, binomial_band, rcd_verdict,
-                      validate_coverage, validate_tol)
+from .kernels import (DEFAULT_COVERAGE, _cell_index, _columns, _masses, _sampled_paths, binomial_band,
+                      rcd_verdict, validate_coverage, validate_tol)
 from .measures import (
     DEFAULT_EPS_SCHEDULE,
     EXACT,
@@ -544,9 +544,9 @@ def uniform_smallness_check(
 
     The quantifier over all n is truncated to the grid; that surrogate is the
     point of the grid argument. The check passes when, at every epsilon, at
-    least 95% of the paths find such an event.
+    least ``DEFAULT_COVERAGE`` of the paths find such an event.
     """
-    coverage = 0.95
+    coverage = DEFAULT_COVERAGE
     if not events:
         raise ValueError("event chain must be non-empty")
     for big, small in zip(events, events[1:]):
@@ -678,7 +678,7 @@ def construct_rcd_from_empiricals(
     n_paths: int,
     tol: float = 0.05,
     master_seed: int = 0,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> RcdConstructionReport:
     """Build the directing measure path by path and verify it.
 

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import (CylinderEvent, _cell_index, _columns, _count_table, _frequencies, _sampled_paths, rcd_verdict,
-                      sigma_band, validate_coverage, validate_tol)
+from .kernels import (DEFAULT_COVERAGE, CylinderEvent, _cell_index, _columns, _count_table, _frequencies,
+                      _sampled_paths, rcd_verdict, sigma_band, validate_coverage)
 from .measures import ProbMeasure, mass
 from .processes import (
     GridMixtureProcess,
@@ -158,14 +158,16 @@ def slln_exchangeable_check(
     event: EventSet,
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
-    tol: float | None = None,
     master_seed: int = 0,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> ConvergenceReport:
-    """Long-run frequencies settle path by path; against the conditional mean
-    where a latent kernel provides one, otherwise reported for the caller
-    to test at the distribution level."""
-    return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, tol, master_seed, coverage)[0]
+    """Long-run frequencies settle path by path. Where a latent kernel
+    provides the conditional mean, each path's final frequency passes when it
+    lies within :func:`binomial_band` of that target at the largest grid
+    point, and the check passes when ``coverage`` of the paths do; otherwise
+    the frequencies are reported for the caller to test at the distribution
+    level."""
+    return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, master_seed, coverage)[0]
 
 
 def slln_exchangeable_checks(
@@ -173,21 +175,20 @@ def slln_exchangeable_checks(
     events: Sequence[EventSet],
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
-    tol: float | None = None,
     master_seed: int = 0,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> tuple[ConvergenceReport, ...]:
     """:func:`slln_exchangeable_check` for each event, in order, on one
     sampling of the paths; each report equals the single-event one.
 
     Targets, gaps, pass fraction and verdict are those of :func:`rcd_verdict`
-    on the frequencies at the last grid point; all None when the generator
-    declares no latent kernel."""
+    on the frequencies at the last grid point, each judged against its
+    :func:`binomial_band`; all None when the generator declares no latent
+    kernel."""
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
     grid = _validate_grid(n_grid)
     paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
-    validate_tol(tol)
     validate_coverage(coverage)
 
     labels, latents, traces = [], [], []  # traces[i][k]: path i, events[k]
@@ -201,7 +202,7 @@ def slln_exchangeable_checks(
         verdicts = [(none, none, None, None)] * len(events)
     else:
         finals = [[trace[-1] for trace in values] for values in traces]
-        rep = rcd_verdict(kernel, events, latents, finals, grid[-1], tol, coverage)
+        rep = rcd_verdict(kernel, events, latents, finals, grid[-1], coverage)
         verdicts = [(r.targets, r.gaps, r.pass_fraction, r.pass_fraction >= coverage) for r in rep.per_event]
     return tuple(
         ConvergenceReport(
@@ -217,15 +218,15 @@ def slln_condiid_check(
     event: EventSet,
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
-    tol: float | None = None,
     master_seed: int = 0,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> ConvergenceReport:
-    """Same contract, but only for generators that declare a latent kernel,
-    so a per-path kernel target always exists."""
+    """:func:`slln_exchangeable_check`, but only for generators that declare
+    a latent kernel, so every final frequency is judged against the
+    :func:`binomial_band` of its per-path kernel target."""
     if gen.latent_kernel() is None:
         raise ValueError("generator is not of mixture/iid form")
-    return slln_exchangeable_check(gen, event, n_grid, n_paths, tol, master_seed, coverage)
+    return slln_exchangeable_check(gen, event, n_grid, n_paths, master_seed, coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +455,15 @@ def df_product_identity_check(
     conditioning: ConditioningEvent | None = None,
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
-    tol: float | None = None,
     master_seed: int = 0,
 ) -> DfIdentityReport:
     """Estimate E[1_E * prod_i mu_{w,n}(A_i)] and correction * P(E, cylinder)
-    on the same paths; pass iff the gap at the largest n is inside the budget.
+    on the same paths; pass iff the gap at the largest n is within
+    :func:`sigma_band` of the standard error of the paired per-path
+    difference there, reported as ``tol``.
 
-    The default budget is 3 standard errors of the paired per-path difference
-    at the largest n. The repeated-index remainder is O(m^2/n) and shrinks
-    along the grid; the reported gap sequence shows it.
+    The repeated-index remainder is O(m^2/n) and shrinks along the grid; the
+    reported gap sequence shows it.
     """
     conditioning = conditioning or FullCondition()
     if not isinstance(conditioning, ConditioningEvent):
@@ -473,7 +474,6 @@ def df_product_identity_check(
     if n_paths < 2:
         raise ValueError("need at least two paths for an error estimate")
     paths = _sampled_paths(gen, cyl.events, grid, n_paths, master_seed)
-    validate_tol(tol)
     m = cyl.m
     if m > grid[-1]:
         raise ValueError("cylinder has more coordinates than the largest grid point")
@@ -493,10 +493,9 @@ def df_product_identity_check(
     lhs_means = lhs_terms.mean(axis=0)
     rhs_mean = float(rhs_terms.mean())
     gaps = np.abs(lhs_means - corr * rhs_mean)
-    if tol is None:
-        paired = lhs_terms[:, -1] - corr[-1] * rhs_terms
-        se = float(paired.std(ddof=1)) / math.sqrt(n_paths)
-        tol = sigma_band(se, n_paths)
+    paired = lhs_terms[:, -1] - corr[-1] * rhs_terms
+    se = float(paired.std(ddof=1)) / math.sqrt(n_paths)
+    tol = sigma_band(se, n_paths)
     passed = bool(gaps[-1] <= tol)
     return DfIdentityReport(
         conditioning.label,

@@ -29,6 +29,9 @@ import numpy as np
 from .measures import EXACT, ProbMeasure, mass
 from .spaces import EventSet, SpaceDescriptor, SpaceMismatchError, event_spec
 
+# the share of paths that a Monte Carlo check requires to pass, by default
+DEFAULT_COVERAGE = 0.95
+
 
 @dataclass(frozen=True)
 class MarkovKernel:
@@ -143,9 +146,8 @@ def verify_rcd(
     events: Sequence[EventSet],
     n_paths: int,
     n_steps: int,
-    tol: float | None = None,
     master_seed: int = 0,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> RcdReport:
     """Check that kappa is the conditional law of the generator's coordinates.
 
@@ -153,20 +155,19 @@ def verify_rcd(
     a kernel measure; the check compares kappa(latent, A) with the path's
     empirical frequency of A after ``n_steps`` observations. Almost-sure
     agreement is operationalized as: at least ``coverage`` of paths agree
-    within ``tol`` (default 3 binomial standard errors at the kernel mass).
+    within :func:`binomial_band` at the kernel mass and ``n_steps``.
     """
     if not events:
         raise ValueError("event list must be non-empty")
     if gen.latent_kernel() is None:
         raise ValueError("generator declares no latent kernel")
     paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
-    validate_tol(tol)
     validate_coverage(coverage)
     latents, freqs = [], []
     for path, _, path_freqs in paths:
         latents.append(path.latent)
         freqs.append(path_freqs[-1])
-    return rcd_verdict(kappa, events, latents, freqs, n_steps, tol, coverage)
+    return rcd_verdict(kappa, events, latents, freqs, n_steps, coverage)
 
 
 def rcd_verdict(
@@ -175,14 +176,13 @@ def rcd_verdict(
     latents: Sequence,
     freqs: Sequence[Sequence[float]],
     n_steps: int,
-    tol: float | None = None,
-    coverage: float = 0.95,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> RcdReport:
     """The verdict of :func:`verify_rcd` over already sampled paths:
     ``freqs[i][k]`` is path i's frequency of ``events[k]`` after ``n_steps``
-    draws and ``latents[i]`` its realized latent parameter. Each frequency is
-    judged against kappa(latents[i], events[k]) within ``tol``, or within
-    :func:`binomial_band` at that target when ``tol`` is None."""
+    draws and ``latents[i]`` its realized latent parameter. Each frequency
+    passes when it lies within :func:`binomial_band` of its target
+    kappa(latents[i], events[k]) at ``n_steps``."""
     # one kernel image per distinct (latent, event); the dict lives for this
     # call alone, as kernels on one space compare equal whatever their law
     target_of: dict = {}
@@ -194,7 +194,7 @@ def rcd_verdict(
                 target_of[latent, ev] = float(kernel_mass(kappa, latent, ev))
             target = target_of[latent, ev]
             gap = abs(float(row[k]) - target)
-            hits += gap <= (binomial_band(target, n_steps) if tol is None else float(tol))
+            hits += gap <= binomial_band(target, n_steps)
             targets.append(target)
             gaps.append(gap)
         results.append(RcdEventResult(ev, hits / len(latents), tuple(targets), tuple(gaps)))
@@ -203,8 +203,8 @@ def rcd_verdict(
 
 
 def sigma_band(se: float, n: int) -> float:
-    """The default pass band: 3 standard errors, floored at 3/n so a
-    zero-variance estimate still gets one count of slack."""
+    """The pass band of every Monte Carlo verdict: 3 standard errors, floored
+    at 3/n so a zero-variance estimate still gets one count of slack."""
     return 3.0 * max(se, 1.0 / n)
 
 
@@ -214,8 +214,9 @@ def binomial_band(p: float, n: int) -> float:
 
 
 def validate_tol(tol) -> None:
-    """A tolerance override must be finite and positive; None keeps the band."""
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
+    """The event-gap budget of ``construct_rcd_from_empiricals`` must be
+    finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 

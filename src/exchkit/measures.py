@@ -48,6 +48,10 @@ FLOAT_MASS_TOL = 1e-12
 # j * log2(denominator) bits; past this size it is refused, not computed.
 MAX_EXACT_POWER_BITS = 10**6
 
+# The uniform law holds one Fraction per cell; past the cells of dyadic:16 it
+# is refused, not built.
+MAX_UNIFORM_CELLS = 2**16
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -142,6 +146,8 @@ class ProbMeasure:
         n = space.num_cells
         if n is None:
             raise ValueError("no uniform measure on the countable space")
+        if n > MAX_UNIFORM_CELLS:
+            raise ValueError(f"a uniform law on {n} cells exceeds the cap of {MAX_UNIFORM_CELLS} cells")
         return ProbMeasure(space, {j: Fraction(1, n) for j in range(n)})
 
     @staticmethod

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchkit.cli import MIXING_CSV_HEADER, main
-from exchkit.config import ScenarioConfig, SpecParseError, parse_events, parse_generator
+from exchkit.config import SETTINGS, ScenarioConfig, SpecParseError, parse_events, parse_generator
 from exchkit.empirical import slln_exchangeable_check
 from exchkit.processes import ProcessGenerator
 
@@ -179,41 +180,33 @@ def test_exit_code_one_on_failed_check(tmp_path):
     assert doc["passed"] is False
 
 
-TOL_COMMANDS = {
+# a small run of each command whose verdict judges frequencies against their bands
+BAND_COMMANDS = {
     "verify-rcd": ("--gen", "mixture:grid(1/4,3/4):bern", "--steps", "50"),
     "estimate-mixing": ("--gen", "mixture:grid(1/4,3/4):bern", "--n-grid", "10,50"),
     "construct-rcd": ("--gen", "mixture:grid(1/4,3/4):bern", "--n-grid", "10,50"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
-def test_exit_code_two_on_infinite_tol(tmp_path, command):
-    # an infinite budget would pass every path: a spec error, not a PASS
-    res = run_cli(
-        command, *TOL_COMMANDS[command], "--events", "cells:1", "--paths", "2",
-        "--seed", "0", "--tol", "inf", "--out-dir", str(tmp_path),
-    )
+@pytest.mark.parametrize("command", sorted(BAND_COMMANDS))
+def test_the_tol_setting_is_gone(tmp_path, command):
+    # every frequency is judged against the band its target and n give, so
+    # neither a flag nor a config key can replace that band
+    args = (*BAND_COMMANDS[command], "--events", "cells:1", "--paths", "2", "--seed", "0",
+            "--out-dir", str(tmp_path))
+    res = run_cli(command, *args, "--tol", "0.05")
     assert res.exit_code == 2
-    assert "tol must be finite and positive" in res.stderr
-    assert not list(tmp_path.iterdir())
-
-
-def test_exit_code_two_on_nan_tol(tmp_path):
-    res = run_cli("verify-rcd", *TOL_COMMANDS["verify-rcd"], "--events", "cells:1",
-                  "--seed", "0", "--tol", "nan", "--out-dir", str(tmp_path))
+    assert "--tol" in res.stderr
+    conf = tmp_path / "run.conf"
+    conf.write_text("tol = 0.05\n")
+    res = run_cli(command, *args, "--config", str(conf))
     assert res.exit_code == 2
-    assert "tol must be finite and positive" in res.stderr
-
-
-def test_exit_code_two_on_negative_tol(tmp_path):
-    res = run_cli("estimate-mixing", *TOL_COMMANDS["estimate-mixing"], "--events", "cells:1",
-                  "--seed", "0", "--tol", "-1", "--out-dir", str(tmp_path))
-    assert res.exit_code == 2
-    assert "tol must be finite and positive" in res.stderr
+    assert f"unknown config keys for {command}: tol" in res.stderr
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 def test_exit_code_two_on_coverage_outside_the_unit_interval(tmp_path):
-    res = run_cli("verify-rcd", *TOL_COMMANDS["verify-rcd"], "--events", "cells:1",
+    res = run_cli("verify-rcd", *BAND_COMMANDS["verify-rcd"], "--events", "cells:1",
                   "--seed", "0", "--coverage", "1.5", "--out-dir", str(tmp_path))
     assert res.exit_code == 2
     assert "coverage must lie in (0, 1]" in res.stderr
@@ -283,6 +276,33 @@ def test_the_draw_cap_admits_exactly_its_draws():
     assert ScenarioConfig.from_strings("simulate", raw).n_paths == 100
     with pytest.raises(SpecParseError, match="101 paths of length 1000000"):
         ScenarioConfig.from_strings("simulate", {**raw, "paths": "101"})
+
+
+# the commands that write a CSV table next to their JSON report
+CSV_COMMANDS = {"simulate", "estimate-mixing"}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_each_option_is_a_setting_or_an_output(command):
+    # a setting added to the options but not to its SETTINGS row (or the
+    # reverse) would lose its default or its required check
+    outputs = {"json", "out_dir", "config_path"} | ({"csv"} if command in CSV_COMMANDS else set())
+    assert {p.name for p in main.commands[command].params} == set(SETTINGS[command]) | outputs
+
+
+@pytest.mark.parametrize("args", [
+    ("radon-classify", "--space", "finite:100000000", "--measure", "uniform"),
+    ("radon-classify", "--space", "dyadic:64", "--measure", "uniform"),
+    ("check-exchangeable", "--gen", "iid:uniform:100000000", "--n", "1"),
+])
+def test_exit_code_two_on_a_uniform_law_past_the_cell_cap(tmp_path, args):
+    # refused before one Fraction per cell is built, not after minutes
+    started = time.monotonic()
+    res = run_cli(*args, "--out-dir", str(tmp_path))
+    assert time.monotonic() - started < 1
+    assert res.exit_code == 2
+    assert "cells exceeds the cap of 65536 cells" in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_oracle_bound_setting_is_gone(tmp_path):

@@ -17,10 +17,10 @@ from exchkit import (
     default_compact_family,
     dyadic,
     finite,
-    is_tight,
     mass,
 )
 from exchkit import convergence
+from exchkit.config import parse_generator
 from exchkit.convergence import (
     ClosedSetCertificate,
     MeasureSequence,
@@ -41,13 +41,14 @@ from exchkit.kernels import (
     CylinderEvent,
     MarkovKernel,
     _count_table,
+    binomial_band,
     geometric_kernel,
     indicator_array,
     kernel_mass,
     rcd_verdict,
     verify_rcd,
 )
-from exchkit.measures import TightnessResult
+from exchkit.measures import TightnessResult, is_tight
 from exchkit.processes import (
     GridMixtureProcess,
     IIDProcess,
@@ -800,20 +801,25 @@ class SwappedKernelMixture(GridMixtureProcess):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_construct_rcd_rejects_a_swapped_kernel(seed):
-    """Named alternative at the acceptance 09 sizes. Over master seeds 0-99
-    the true kernel passed 100 times and the swapped one failed 100 times,
-    every path failing."""
+    """Named alternative at the acceptance 09 sizes, on the README's
+    ``mixture:grid(1/4,1/2):geom``. Over master seeds 0-99 the true kernel
+    passed 100 times (pass fractions 0.95-1.00) and the swapped one failed
+    100 times, every path failing its kernel bands and the frequency
+    certificate failing as well."""
     events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
     grid = (100, 1000, 4000, 6000, 8000, 10_000)
-    prior = ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)))
-    null = construct_rcd_from_empiricals(GridMixtureProcess(prior, geometric_kernel(NN)), events, grid, 200,
-                                         master_seed=seed)
-    alt = construct_rcd_from_empiricals(SwappedKernelMixture(prior, geometric_kernel(NN)), events, grid, 200,
+    gen = parse_generator("mixture:grid(1/4,1/2):geom")
+    null = construct_rcd_from_empiricals(gen, events, grid, 200, master_seed=seed)
+    alt = construct_rcd_from_empiricals(SwappedKernelMixture(gen.prior, gen.component), events, grid, 200,
                                         master_seed=seed)
     assert null.passed
     assert not alt.passed and alt.pass_fraction == 0 and not alt.kernel_report.passed
     # the extraction does not read the kernel: only the kernel verdicts differ
-    assert [p.status for p in alt.paths] == [p.status for p in null.paths]
+    assert [(p.status, p.event_gaps) for p in alt.paths] == [(p.status, p.event_gaps) for p in null.paths]
+    targets = zip(*(r.targets for r in alt.kernel_report.per_event))
+    for path, row in zip(alt.paths, targets):
+        if path.status == "ok":
+            assert any(g > binomial_band(t, grid[-1]) for g, t in zip(path.kernel_gaps, row))
 
 
 def test_construct_rcd_memory_stays_bounded():

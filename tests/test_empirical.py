@@ -471,8 +471,6 @@ def test_slln_verdict_counts_final_gaps_inside_the_band():
     assert (rep.targets, rep.gaps) == (targets, gaps)
     assert rep.pass_fraction == sum(g <= binomial_band(t, 2000) for g, t in zip(gaps, targets)) / 40
     assert rep.passed == (rep.pass_fraction >= 0.95)
-    tight = slln_exchangeable_check(gen, ONES, n_grid=(10, 2000), n_paths=40, master_seed=2, tol=0.01)
-    assert tight.pass_fraction == sum(g <= 0.01 for g in gaps) / 40
 
 
 def test_slln_full_space_event_is_constant_one():
@@ -521,14 +519,6 @@ def test_slln_input_validation():
         slln_exchangeable_check(gen, ONES, n_grid=(100, 10), n_paths=4)
     with pytest.raises(ValueError, match="positive lengths"):
         slln_exchangeable_check(gen, ONES, n_grid=(0, 10), n_paths=4)
-
-
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
-def test_mc_checks_reject_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="finite and positive"):
-        slln_exchangeable_check(mixture(), ONES, n_grid=(10, 100), n_paths=4, tol=tol)
-    with pytest.raises(ValueError, match="finite and positive"):
-        df_product_identity_check(coin(F(1, 2)), CylinderEvent((ONES,)), n_grid=(10,), n_paths=4, tol=tol)
 
 
 @pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5])

@@ -222,14 +222,6 @@ def test_verify_rcd_needs_events():
         verify_rcd(gen.latent_kernel(), gen, [], n_paths=5, n_steps=10)
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
-def test_verify_rcd_rejects_bad_tolerance(tol):
-    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
-    events = [EventSet.of(finite(2), [1])]
-    with pytest.raises(ValueError, match="finite and positive"):
-        verify_rcd(gen.latent_kernel(), gen, events, n_paths=5, n_steps=10, tol=tol)
-
-
 @pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5, float("inf")])
 def test_verify_rcd_rejects_bad_coverage(coverage):
     # the wrong kernel of test_verify_rcd_flags_a_wrong_kernel: coverage 0 or

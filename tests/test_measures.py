@@ -22,14 +22,13 @@ from exchkit import (
     default_compact_family,
     dyadic,
     finite,
-    is_outer_regular_on,
-    is_tight,
     mass,
     mix_measures,
     parse_generator,
     tv_distance,
 )
-from exchkit.measures import MAX_EXACT_POWER_BITS, GeometricComponent, TightnessResult
+from exchkit.measures import (MAX_EXACT_POWER_BITS, MAX_UNIFORM_CELLS, GeometricComponent, TightnessResult,
+                              is_outer_regular_on, is_tight)
 from exchkit.spaces import CompactFamily
 
 F = Fraction
@@ -92,6 +91,13 @@ def test_geometric_ratio_range_enforced():
 def test_uniform_needs_a_sized_space():
     with pytest.raises(ValueError):
         ProbMeasure.uniform(countable())
+
+
+def test_uniform_law_is_capped_at_the_cells_of_dyadic_16():
+    assert MAX_UNIFORM_CELLS == dyadic(16).num_cells
+    assert len(ProbMeasure.uniform(dyadic(16)).weights_dict()) == MAX_UNIFORM_CELLS
+    with pytest.raises(ValueError, match="uniform law on 65537 cells exceeds the cap of 65536 cells"):
+        ProbMeasure.uniform(finite(MAX_UNIFORM_CELLS + 1))
 
 
 def test_support_of_analytic_law_is_refused():

@@ -24,7 +24,6 @@ from exchkit import (
     countable,
     finite,
     polya_beta_equivalence,
-    prefix_law,
 )
 from exchkit import processes
 from exchkit.empirical import LatentCondition, _exact_weighted_patterns
@@ -38,6 +37,7 @@ from exchkit.processes import (
     beta_binomial_pattern_prob,
     encode_pattern,
     ensure_oracle_domain,
+    prefix_law,
     product_space,
     sample_from_measure,
 )
