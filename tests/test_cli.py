@@ -188,18 +188,43 @@ BAND_COMMANDS = {
 }
 
 
+def run_with_tol(tmp_path, command, value):
+    return run_cli(command, *BAND_COMMANDS[command], "--events", "cells:1", "--paths", "2",
+                   "--seed", "0", "--tol", value, "--out-dir", str(tmp_path))
+
+
+# every frequency is judged against the band its target and n give, so no
+# --tol value, finite or not, can replace that band: the flag is unknown
+
+
 @pytest.mark.parametrize("command", sorted(BAND_COMMANDS))
-def test_the_tol_setting_is_gone(tmp_path, command):
-    # every frequency is judged against the band its target and n give, so
-    # neither a flag nor a config key can replace that band
-    args = (*BAND_COMMANDS[command], "--events", "cells:1", "--paths", "2", "--seed", "0",
-            "--out-dir", str(tmp_path))
-    res = run_cli(command, *args, "--tol", "0.05")
+def test_exit_code_two_on_infinite_tol(tmp_path, command):
+    res = run_with_tol(tmp_path, command, "inf")
     assert res.exit_code == 2
-    assert "--tol" in res.stderr
+    assert "No such option '--tol'" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_exit_code_two_on_nan_tol(tmp_path):
+    res = run_with_tol(tmp_path, "verify-rcd", "nan")
+    assert res.exit_code == 2
+    assert "No such option '--tol'" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_exit_code_two_on_negative_tol(tmp_path):
+    res = run_with_tol(tmp_path, "estimate-mixing", "-1")
+    assert res.exit_code == 2
+    assert "No such option '--tol'" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(BAND_COMMANDS))
+def test_the_tol_config_key_is_gone(tmp_path, command):
     conf = tmp_path / "run.conf"
     conf.write_text("tol = 0.05\n")
-    res = run_cli(command, *args, "--config", str(conf))
+    res = run_cli(command, *BAND_COMMANDS[command], "--events", "cells:1", "--paths", "2",
+                  "--seed", "0", "--config", str(conf), "--out-dir", str(tmp_path))
     assert res.exit_code == 2
     assert f"unknown config keys for {command}: tol" in res.stderr
     assert list(tmp_path.iterdir()) == [conf]
