@@ -456,6 +456,13 @@ def _extract(layout: _Layout, atoms: np.ndarray, tol) -> ExtractionResult:
 # ---------------------------------------------------------------------------
 # bound and uniform-smallness checks
 
+def _least_double_at_least(x) -> float:
+    """The least double >= x (a Fraction or a float): a double f holds
+    f >= x exactly when f >= this, so one float comparison replaces an exact one."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 @dataclass(frozen=True)
 class MarkovBoundResult:
     """Frequency of paths whose empirical mass of a rare event reaches eps."""
@@ -498,7 +505,8 @@ def markov_bound_check(
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
         raise ValueError(f"marginal mass {marginal} exceeds eps^2 = {eps * eps}")
-    violating = sum(float(freqs[-1, 0]) >= eps for _, _, freqs in paths)
+    threshold = _least_double_at_least(eps)
+    violating = sum(float(freqs[-1, 0]) >= threshold for _, _, freqs in paths)
     frac = violating / n_paths
     eps_f = float(eps)
     bound = eps_f + 3.0 * math.sqrt(eps_f * (1.0 - eps_f) / n_paths)

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +49,10 @@ FLOAT_MASS_TOL = 1e-12
 # j * log2(denominator) bits; past this size it is refused, not computed.
 MAX_EXACT_POWER_BITS = 10**6
 
+# The Radon classifier reaches a tail within this many cells of the last one
+# it computed from that one's powers.
+_POWER_STEP = 64
+
 # The uniform law holds one Fraction per cell; past the cells of dyadic:16 it
 # is refused, not built.
 MAX_UNIFORM_CELLS = 2**16
@@ -58,6 +63,16 @@ FLOAT = "float"
 
 def _is_exact(x) -> bool:
     return isinstance(x, Rational)
+
+
+def _exact_sum(values: Iterable) -> Fraction:
+    """sum(values) of rationals, adding the numerators of each denominator
+    first: a law of many cells over few denominators (the uniform law) costs
+    integer additions, not a Fraction addition with its gcd per cell."""
+    per_denominator: dict[int, int] = {}
+    for v in values:
+        per_denominator[v.denominator] = per_denominator.get(v.denominator, 0) + v.numerator
+    return sum((Fraction(num, den) for den, num in per_denominator.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -107,28 +122,34 @@ class ProbMeasure:
         weights = dict(weights or {})
         if components and not space.is_countable:
             raise ValueError("geometric components exist only on the countable space")
+        positive = {}
         for j, w in weights.items():
             if not space.valid_index(j):
                 raise ValueError(f"cell index {j} invalid for {space}")
             if w < 0:
                 raise ValueError(f"negative weight at cell {j}")
+            if w:  # > 0 here, or NaN, which fails the total below
+                positive[j] = w
         for comp in components:
             # a float ratio so small that 1 - q rounds to 1 would never lose mass
             if comp.weight <= 0 or not (0 < comp.ratio <= 1 and 1 - comp.ratio < 1):
                 raise ValueError("geometric component needs weight > 0, 0 < ratio <= 1")
 
-        values = list(weights.values()) + [c.weight for c in components] + [c.ratio for c in components]
-        self.mode = EXACT if all(_is_exact(v) for v in values) else FLOAT
+        # one type check per distinct type: a law of many cells repeats one
+        types = {type(v) for v in chain(weights.values(), *((c.weight, c.ratio) for c in components))}
+        self.mode = EXACT if all(issubclass(t, Rational) for t in types) else FLOAT
 
-        total = sum(weights.values()) + sum(c.weight for c in components)
         if self.mode == EXACT:
+            total = _exact_sum(chain(weights.values(), (c.weight for c in components)))
             if total != 1:
                 raise ValueError(f"total mass {total} != 1")
-        elif not abs(total - 1) <= FLOAT_MASS_TOL:  # written so a NaN total fails
-            raise ValueError(f"total mass {total} not within {FLOAT_MASS_TOL} of 1")
+        else:
+            total = sum(weights.values()) + sum(c.weight for c in components)
+            if not abs(total - 1) <= FLOAT_MASS_TOL:  # written so a NaN total fails
+                raise ValueError(f"total mass {total} not within {FLOAT_MASS_TOL} of 1")
 
         self.space = space
-        self._weights = {j: w for j, w in weights.items() if w > 0}
+        self._weights = positive
         self._components = tuple(components)
 
     # -- constructors ------------------------------------------------------
@@ -148,7 +169,7 @@ class ProbMeasure:
             raise ValueError("no uniform measure on the countable space")
         if n > MAX_UNIFORM_CELLS:
             raise ValueError(f"a uniform law on {n} cells exceeds the cap of {MAX_UNIFORM_CELLS} cells")
-        return ProbMeasure(space, {j: Fraction(1, n) for j in range(n)})
+        return ProbMeasure(space, dict.fromkeys(range(n), Fraction(1, n)))
 
     @staticmethod
     def bernoulli(space: SpaceDescriptor, p) -> "ProbMeasure":
@@ -196,6 +217,13 @@ class ProbMeasure:
 
     def weights_dict(self) -> dict[int, object]:
         return dict(self._weights)
+
+    @cached_property
+    def _float_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite part's cells in increasing order and their float
+        weights, built once for the samplers."""
+        cells = sorted(self._weights)
+        return np.array(cells, dtype=np.int64), np.array([float(self._weights[j]) for j in cells])
 
 
 def mix_measures(parts: Sequence[tuple]) -> ProbMeasure:
@@ -377,6 +405,36 @@ class RegularityReport:
 DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2**k) for k in range(1, 11))
 
 
+def _tail_below(mu: ProbMeasure, m: int, eps, powers: dict) -> bool:
+    """``mu.tail_mass(m) < eps``, for m up to the law's last computable cell.
+
+    An exact law's tails are summed as one unreduced fraction and compared
+    by cross-multiplying: reducing each sum of two tails near the power cap
+    costs a gcd of up to 10**6 bits. ``powers`` keeps, per component with
+    1 - q = a/b, the last (m, a**m, b**m); a cell within ``_POWER_STEP`` of
+    that one is reached by a short product or an exact division, not a new
+    power."""
+    if mu.mode != EXACT:
+        return mu.tail_mass(m) < eps
+    tail = sum((v for j, v in mu._weights.items() if j >= m), Fraction(0))
+    num, den = tail.numerator, tail.denominator
+    for i, comp in enumerate(mu._components):
+        base = 1 - comp.ratio
+        a, b = base.numerator, base.denominator
+        m0, am, bm = powers.get(i, (0, 1, 1))
+        if a and 0 <= m - m0 <= _POWER_STEP:
+            am, bm = am * a ** (m - m0), bm * b ** (m - m0)
+        elif a and 0 < m0 - m <= _POWER_STEP:
+            am, bm = am // a ** (m0 - m), bm // b ** (m0 - m)
+        else:
+            am, bm = a**m, b**m
+        powers[i] = (m, am, bm)
+        w = comp.weight
+        num, den = num * w.denominator * bm + w.numerator * am * den, den * w.denominator * bm
+    eps = Fraction(eps)
+    return num * eps.denominator < eps.numerator * den
+
+
 def classify_radon(mu: ProbMeasure) -> RegularityReport:
     """Certify Radon-ness as tightness plus outer regularity on compacts, for
     each eps of ``DEFAULT_EPS_SCHEDULE``; by Ulam's theorem (every finite
@@ -384,30 +442,51 @@ def classify_radon(mu: ProbMeasure) -> RegularityReport:
 
     The witness for eps is the shortest initial segment {0..m-1} with
     ``tail_mass(m) < eps``: the full space on a finite or dyadic space; on the
-    countable space, found by doubling m, clamped at the last cell the law
-    computes, then bisecting (the tail never increases): O(log m) tail
-    evaluations, exact for an exact law. ValueError names eps and that last
-    cell when the witness lies past it. Outer regularity holds with O = K,
+    countable space, searched from ceil(log eps / log(1 - q)) of the
+    component of least q (the witness when that component is the whole law),
+    by steps that double down or up, clamped at the last cell the law
+    computes, then by bisection (the tail never increases): O(log d) tail
+    evaluations for a witness d cells from that start, two for a single
+    Geom(q), exact for an exact law. ValueError names eps and that last cell when the
+    witness lies past it. Outer regularity holds with O = K,
     for the reason ``RegularityReport.OUTER_REGULARITY`` states.
     """
     if not mu.space.is_countable:
         witnesses = tuple((eps, mu.space.num_cells) for eps in DEFAULT_EPS_SCHEDULE)
         return RegularityReport(True, witnesses, True, True)
     last = min((c.last_cell for c in mu._components), default=math.inf)
+    # -log(1 - q) of the slowest component: inf for q = 1 or no component,
+    # 0 when q underflows a float
+    q = min((float(c.ratio) for c in mu._components), default=1.0)
+    rate = -math.log1p(-q) if q < 1 else math.inf
     witnesses = []
+    powers = {}
     m = 1  # tail_mass(m - 1) >= eps: tail_mass(0) = 1, then the last eps's
     for eps in DEFAULT_EPS_SCHEDULE:
-        lo, hi = m - 1, min(m, last)
-        while not mu.tail_mass(hi) < eps:
-            if hi == last:
-                raise ValueError(
-                    f"no tightness witness for eps = {eps}: it needs an initial segment past cell {last}, "
-                    f"the last cell whose exact mass fits in {MAX_EXACT_POWER_BITS} bits"
-                )
-            lo, hi = hi, min(2 * hi, last)
+        # start at the slowest component's closed form, where Geom(q) alone
+        # falls below eps, then gallop down or up to a bracket and bisect
+        start = math.ceil(math.log(eps) / -rate) if rate else last
+        lo, hi = m - 1, min(max(m, start), last)
+        step = 1
+        if _tail_below(mu, hi, eps, powers):
+            while hi - step > lo and _tail_below(mu, hi - step, eps, powers):
+                hi -= step
+                step *= 2
+            lo = max(lo, hi - step)
+        else:
+            while True:  # tail_mass(hi) >= eps
+                if hi == last:
+                    raise ValueError(
+                        f"no tightness witness for eps = {eps}: it needs an initial segment past cell {last}, "
+                        f"the last cell whose exact mass fits in {MAX_EXACT_POWER_BITS} bits"
+                    )
+                lo, hi = hi, min(hi + step, last)
+                step *= 2
+                if _tail_below(mu, hi, eps, powers):
+                    break
         while hi - lo > 1:  # tail_mass(lo) >= eps > tail_mass(hi)
             mid = (lo + hi) // 2
-            if mu.tail_mass(mid) < eps:
+            if _tail_below(mu, mid, eps, powers):
                 hi = mid
             else:
                 lo = mid

@@ -33,31 +33,47 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 
 The two sequential samplers read the same ``stream.random(n)`` uniforms as a
 per-step loop and return the same observations bit for bit, but step through
-a path in blocks of numpy operations, one path at a time:
+a path in blocks of numpy operations, one path at a time. No temporary is
+longer than a block; the Polya and two-state samplers write into scratch
+that each path allocates once:
 
-* Markov: each step is a map from every state to the next one (one
-  ``searchsorted`` per transition row). Its prefixes are composed by doubling,
-  a Hillis-Steele scan, so row i of the block maps the carried state to the
-  state after step i. A block holds at most min(n, ``_MARKOV_BLOCK_CELLS``)
-  (step, state) entries, or one step's k when k is larger. The work per step
-  grows with k: past a few dozen states the scan is slower than a loop.
+* Markov: every state reads the step's uniform, so a step is a map from each
+  state to the next (the grand coupling), and a step whose map is constant
+  fixes the state whatever came before: the chains coalesce (Propp & Wilson
+  1996). With two states, every chain the CLI builds, a step compares its
+  uniform with each row's one inner boundary, and a step that does not fix
+  the state is the identity or the swap. So the state is the last fixed state
+  xor the parity of the swaps since, one running sum per block of
+  ``_MARKOV_BLOCK_CELLS`` / 2 steps (``_two_state_steps``). With k > 2 states
+  each row maps a block by one ``searchsorted``, and the maps are composed by
+  doubling, a Hillis-Steele scan (Blelloch 1990), until every row's map is
+  constant or reaches the block start; a block holds at most
+  min(n, ``_MARKOV_BLOCK_CELLS``) (step, state) entries, or one step's k when
+  k is larger. Rows that coalesce fast stop the scan early; 64 distinct rows
+  are still slower than a loop.
 * Polya: while the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls,
   its ratio moves on every draw, so those draws run as the loop itself. Then
   the path is solved in blocks of min(``_POLYA_BLOCK``, 4 x the balls in the
   urn) draws, which bounds how far the ratio drifts inside a block; the rule
-  follows the urn's size, not the workload. A block's draws are guessed from
-  its opening ratio, then every draw j is recomputed as ``u[j] < o/(o+z)``
-  with the counts the guess implies. Draw j depends only on the draws before
-  it, so every draw up to and including the first one that changed is exact;
-  those are committed and the rest is solved again. The counts come from
-  ``np.cumsum`` over ``[count, 1.0, 1.0, ...]``, which adds in sequence as the
-  loop's ``+= 1.0`` does, and each draw is the loop's comparison on the
+  follows the urn's size, not the workload. Before draw j of a block the
+  counts lie between (o, z + j) and (o + j, z), so every ratio the loop can
+  compute there lies in a band that ``_ratio_bounds`` widens for rounding. A
+  uniform below the band draws a one and one at or above it a zero,
+  whatever the draws before it: this screen settles them with one comparison
+  each. It runs where the band is narrower than ``_SCREEN_MAX_BAND``, which
+  a young urn's block is not; on 10**6-draw Polya(1,1) paths 6% of the
+  draws stay open, half of them in the young blocks. The open draws are
+  guessed from the opening ratio, then every open draw is recomputed as
+  ``u[j] < o/(o+z)`` with the counts the settled draws and the guess imply.
+  A draw depends only on the draws before it, so every draw up to and
+  including the first one that changed is exact; those are committed and
+  the rest is solved again. The counts are the loop's own: after j balls
+  they are ``count + j`` while that is an integer below 2**53, else
+  ``np.cumsum`` over ``[count, 1.0, 1.0, ...]``, which adds in sequence as
+  the loop's ``+= 1.0`` does. Each draw is the loop's comparison on the
   loop's carried counts, so block edges cannot change a draw and non-integer
-  counts round alike. Each pass costs the rest of the block. On
-  ``path_stream`` draws of Polya(1,1) at 10**4 draws (40 paths) a path takes
-  254 looped draws and about 11 passes over 25k elements, against 18 passes
-  over 114k for 8192-draw blocks from the first draw; uniforms placed on the
-  thresholds need up to one pass per draw.
+  counts round alike. Each pass costs the rest of the open draws; uniforms
+  placed on the thresholds need up to one pass per draw.
 """
 
 from __future__ import annotations
@@ -77,10 +93,21 @@ from .spaces import SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
-# sequential samplers: the urn size the Polya draws are looped to, then draws
-# per Polya block and (step, state) entries per Markov block
+# Sequential samplers. The urn size that the Polya draws are looped to, then
+# the most draws per Polya block: with the screen, a block's cost is a few
+# comparisons per draw plus passes over its open draws.
 _POLYA_WARMUP_BALLS = 256
 _POLYA_BLOCK = 8192
+# The loop's ratio fl(o / fl(o + z)) lies within a factor (1 +- 2**-52) of
+# o / (o + z) while it is a normal float; the screen widens its band by this
+# wider factor, so every draw it settles is the loop's.
+_SCREEN_MARGIN = 2.0**-48
+# The screen runs on a block whose band of reachable ratios is narrower than
+# this, so it settles at least 3/4 of the draws on average; on a wider band
+# its extra passes over the block cost more than it saves.
+_SCREEN_MAX_BAND = 0.25
+# (step, state) entries per Markov block: 8192 steps of a two-state chain,
+# each scratch array of a block 64 KB or less
 _MARKOV_BLOCK_CELLS = 16384
 
 
@@ -140,9 +167,7 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     the stream ends where it would have, and the cells are computed in place
     in u2.
     """
-    finite_weights = mu.weights_dict()
-    cells = np.array(sorted(finite_weights), dtype=np.int64)
-    probs = np.array([float(finite_weights[j]) for j in cells])
+    cells, probs = mu._float_table
     comps = mu._components
 
     if not comps:
@@ -189,6 +214,66 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
         if mask.any():
             fill(b, mask)
     return out
+
+
+def _ratio_bounds(o_min, z_max, o_max, z_min) -> tuple[float, float]:
+    """(low, high) such that the loop's ratio ``o / (o + z)``, for float
+    counts o in [o_min, o_max] and z in [z_min, z_max], is >= low and <= high.
+
+    o / (o + z) grows with o and falls with z, so its extremes are at the
+    corners; each is widened by ``_SCREEN_MARGIN``. Where a corner is not a
+    normal float below 1 (an urn of about 1e308 balls, or with 1e16 times
+    more of one color), the bounds are (0, 1) and screen nothing."""
+    low = o_min / (o_min + z_max)
+    high = o_max / (o_max + z_min)
+    if not (2.0**-1000 < low and high < 1.0):
+        return 0.0, 1.0
+    return low * (1.0 - _SCREEN_MARGIN), high * (1.0 + _SCREEN_MARGIN)
+
+
+def _running_counts(count, balls, out):
+    """out[j] = the float count after j more balls, as the loop's ``+= 1.0``
+    makes it: in one addition while every partial sum is an integer below
+    2**53 (so exact), else by ``np.cumsum``, which adds in sequence."""
+    if count.is_integer() and count + len(out) <= 2.0**53:
+        np.add(balls, count, out=out)
+    else:
+        out[0] = count
+        out[1:] = 1.0
+        np.cumsum(out, out=out)
+
+
+def _two_state_steps(u, obs, b0, b1, block):
+    """Fill obs[1:] of a two-state chain from obs[0]: step i moves to state 1
+    iff u[i] >= b_s, the inner boundary of the row of the state s it leaves.
+
+    Over GF(2) a step maps s to g0 + (g0 + g1) s, with g_s = [u[i] >= b_s].
+    Where g0 = g1 it is constant: the step fixes the state whatever came
+    before (the chains coalesce). Elsewhere it is the identity (g0 = 0) or the
+    swap (g0 = 1). So, with B the running sum of g0 and f <= i the last step
+    that fixes the state, the state after step i is B[i] - B[f - 1] mod 2.
+    Each block prepends its carried state as a fixing step, and B[f - 1] is
+    the running maximum of B[i - 1] over the fixing steps i, as B never falls.
+    """
+    n = len(obs)
+    m_max = min(block, n - 1)
+    g0, g1, fixes = (np.empty(m_max + 1, dtype=bool) for _ in range(3))
+    sums, floor = np.empty(m_max + 1, dtype=np.int64), np.empty(m_max + 1, dtype=np.int64)
+    fixes[0] = True
+    floor[0] = 0
+    for start in range(1, n, block):
+        ub = u[start:start + block]
+        m = len(ub)
+        g0[0] = obs[start - 1]
+        np.greater_equal(ub, b0, out=g0[1:m + 1])
+        np.greater_equal(ub, b1, out=g1[1:m + 1])
+        np.equal(g0[1:m + 1], g1[1:m + 1], out=fixes[1:m + 1])
+        np.cumsum(g0[:m + 1], out=sums[:m + 1])
+        np.multiply(fixes[1:m + 1], sums[:m], out=floor[1:m + 1])
+        np.maximum.accumulate(floor[:m + 1], out=floor[:m + 1])
+        out = obs[start:start + m]
+        np.subtract(sums[1:m + 1], floor[1:m + 1], out=out)
+        np.bitwise_and(out, 1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +367,10 @@ class GridMixtureProcess(ProcessGenerator):
     prior: tuple[tuple[object, object], ...]  # ((weight, parameter), ...)
     component: MarkovKernel
 
-    # the component's image at each prior parameter, built once
+    # the component's image at each prior parameter, and the prior's
+    # cumulative float weights (the last set to 1.0), built once
     images: tuple[ProbMeasure, ...] = field(init=False, compare=False, repr=False)
+    _prior_cum: np.ndarray = field(init=False, compare=False, repr=False)
 
     exchangeable = True
 
@@ -295,15 +382,16 @@ class GridMixtureProcess(ProcessGenerator):
             raise ValueError("prior weights must be non-negative")
         # MarkovKernel.measure validates each image
         object.__setattr__(self, "images", tuple(self.component.measure(theta) for _, theta in self.prior))
+        cum = np.cumsum([float(w) for w, _ in self.prior])
+        cum[-1] = 1.0
+        object.__setattr__(self, "_prior_cum", cum)
 
     @property
     def space(self) -> SpaceDescriptor:
         return self.component.target
 
     def _draw(self, stream, n):
-        cum = np.cumsum([float(w) for w, _ in self.prior])
-        cum[-1] = 1.0
-        idx = int(np.searchsorted(cum, stream.random(), side="right"))
+        idx = int(np.searchsorted(self._prior_cum, stream.random(), side="right"))
         return self.prior[idx][1], sample_from_measure(self.images[idx], stream, n)
 
     def _parts(self) -> list[tuple[object, ProbMeasure]]:
@@ -422,48 +510,75 @@ class PolyaUrnProcess(ProcessGenerator):
         obs[:start] = warm
         cap = min(n - start, _POLYA_BLOCK)
         # Scratch for the whole path, written with out=: allocating in every
-        # pass fragmented the heap around the path-sized arrays and raised the
-        # peak RSS of later long paths by about 6 MB.
-        fill = np.ones(cap + 1)
+        # block fragmented the heap around the path-sized arrays and raised the
+        # peak RSS of later long paths by about 6 MB. Each further array costs
+        # a short path its page faults, so the solve shares one count buffer.
+        steps, balls = np.arange(cap), np.arange(cap + 1, dtype=float)
         o, z = np.empty(cap + 1), np.empty(cap + 1)
-        o_buf, z_buf = np.empty(cap), np.empty(cap)
-        ones_buf, zeros_buf = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
-        x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(3))
-        steps = np.arange(cap)
+        at, base, counts = (np.empty(cap, dtype=np.int64) for _ in range(3))
+        uo_buf, oj_buf, zj_buf = np.empty(cap), np.empty(cap), np.empty(cap)
+        low_ones, open_, x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(5))
         while start < n:
             # a block of at most 4x the balls in the urn, so its ratio drifts little
             m = min(n - start, cap, int(4 * (ones + zeros)))
             ub = u[start:start + m]
             # o[j], z[j]: the counts after j more balls of that color
-            fill[0] = ones
-            np.cumsum(fill[:m + 1], out=o[:m + 1])
-            fill[0] = zeros
-            np.cumsum(fill[:m + 1], out=z[:m + 1])
-            np.less(ub, ones / (ones + zeros), out=x[:m])  # guess: every draw at the opening ratio
-            done = ones_done = 0
-            while done < m:
-                r = m - done
-                guess = x[done:m]
-                ones_before, zeros_before = ones_buf[:r], zeros_buf[:r]  # in the block, before each draw
-                oj, zj, y, changed = o_buf[:r], z_buf[:r], y_buf[:r], changed_buf[:r]
-                np.cumsum(guess, out=ones_before)
-                ones_before -= guess
-                ones_before += ones_done
-                np.subtract(steps[done:m], ones_before, out=zeros_before)
-                np.take(o, ones_before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
-                np.take(z, zeros_before, out=zj, mode="clip")
+            _running_counts(ones, balls[:m + 1], o[:m + 1])
+            _running_counts(zeros, balls[:m + 1], z[:m + 1])
+            # the screen: a draw below the lowest ratio the block can reach is
+            # a one, at or above the highest a zero; only the rest are solved
+            low, high = _ratio_bounds(ones, z[m - 1], o[m - 1], zeros)
+            screened = high - low < _SCREEN_MAX_BAND
+            if screened:
+                ones_low, opened = low_ones[:m], open_[:m]
+                np.less(ub, low, out=ones_low)
+                np.less(ub, high, out=opened)
+                np.greater(opened, ones_low, out=opened)
+                obs[start:start + m] = ones_low
+                r = int(np.count_nonzero(opened))
+                pos, uo = at[:r], uo_buf[:r]
+                np.compress(opened, steps[:m], out=pos)
+                np.take(ub, pos, out=uo, mode="clip")
+                np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
+                settled = int(counts[m - 1])
+                np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
+            else:
+                r, settled = m, 0
+                pos, uo = steps[:m], ub
+            # solve the open draws: guess each at the opening ratio, then
+            # recompute every draw as ``u < o/(o+z)`` with the counts the guess
+            # implies; all draws up to the first that changed are exact
+            np.less(uo, ones / (ones + zeros), out=x[:r])
+            done = ones_done = 0  # ones_done: among the open draws
+            while done < r:
+                rest = r - done
+                guess = x[done:r]
+                before, oj, zj = counts[:rest], oj_buf[:rest], zj_buf[:rest]
+                y, changed = y_buf[:rest], changed_buf[:rest]
+                np.cumsum(guess, out=before)  # the ones before each draw in the block
+                before -= guess
+                before += ones_done
+                if screened:
+                    before += base[done:r]
+                np.take(o, before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
+                np.subtract(pos[done:], before, out=before)  # now the zeros before each draw
+                np.take(z, before, out=zj, mode="clip")
                 np.add(oj, zj, out=zj)
                 np.divide(oj, zj, out=oj)
-                np.less(ub[done:m], oj, out=y)
+                np.less(uo[done:], oj, out=y)
                 np.not_equal(y, guess, out=changed)
                 first = int(changed.argmax())
-                end = first + 1 if changed[first] else r
+                end = first + 1 if changed[first] else rest
                 ones_done += int(np.count_nonzero(y[:end]))
                 done += end
                 guess[:] = y  # y[:end] is exact; the rest is the next guess
-            obs[start:start + m] = x[:m]
-            ones = o[ones_done]
-            zeros = z[m - ones_done]
+            if screened:
+                np.put(obs[start:start + m], pos, x[:r])
+            else:
+                obs[start:start + m] = x[:m]
+            ones_done += settled
+            ones = float(o[ones_done])
+            zeros = float(z[m - ones_done])
             start += m
         return None, obs
 
@@ -497,6 +612,11 @@ class MarkovChainProcess(ProcessGenerator):
     initial: ProbMeasure
     rows: tuple[ProbMeasure, ...]
 
+    # the cumulative float weights of the initial law and of each row (k x k),
+    # the last entry of each set to 1.0; built once
+    _init_cum: np.ndarray = field(init=False, compare=False, repr=False)
+    _row_cums: np.ndarray = field(init=False, compare=False, repr=False)
+
     exchangeable = False
 
     def __post_init__(self) -> None:
@@ -506,6 +626,10 @@ class MarkovChainProcess(ProcessGenerator):
         for row in self.rows:
             if row.space != self.initial.space:
                 raise ValueError("transition rows on wrong space")
+        cums = np.cumsum([[float(mu.atom_mass(j)) for j in range(k)] for mu in (self.initial, *self.rows)], axis=1)
+        cums[:, -1] = 1.0
+        object.__setattr__(self, "_init_cum", cums[0])
+        object.__setattr__(self, "_row_cums", cums[1:])
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -514,25 +638,27 @@ class MarkovChainProcess(ProcessGenerator):
     def _draw(self, stream, n):
         u = stream.random(n)
         k = self.space.num_cells
-        cums = []
-        for row in self.rows:
-            c = np.cumsum([float(row.atom_mass(j)) for j in range(k)])
-            c[-1] = 1.0
-            cums.append(c)
-        init_cum = np.cumsum([float(self.initial.atom_mass(j)) for j in range(k)])
-        init_cum[-1] = 1.0
+        cums = self._row_cums
         obs = np.empty(n, dtype=np.int64)
-        state = int(np.searchsorted(init_cum, u[0], side="right"))
+        state = int(np.searchsorted(self._init_cum, u[0], side="right"))
         obs[0] = state
         block = max(1, min(n, _MARKOV_BLOCK_CELLS) // k)
+        if k == 2:
+            _two_state_steps(u, obs, cums[0, 0], cums[1, 0], block)
+            return None, obs
+        g_buf = np.empty((min(block, n - 1), k), dtype=np.int64)
         for start in range(1, n, block):
             ub = u[start:start + block]
             # g[i, s]: the state after step i of the block, from state s before step i
-            g = np.empty((len(ub), k), dtype=np.int64)
+            g = g_buf[:len(ub)]
             for s, c in enumerate(cums):
                 g[:, s] = np.searchsorted(c, ub, side="right")
             d = 1
-            while d < len(g):  # compose prefixes: g[i] becomes steps 0..i in turn
+            # compose prefixes: before the round with shift d, row i maps the
+            # state before step i - d + 1 to the state after step i, so the
+            # rows below d reach the block start; a constant row (coalesced
+            # chains) needs no earlier step, so the scan stops when all are
+            while d < len(g) and not (g[d:] == g[d:, :1]).all():
                 g[d:] = np.take_along_axis(g[d:], g[:-d], axis=1)
                 d *= 2
             obs[start:start + len(ub)] = g[:, state]

@@ -1,12 +1,13 @@
 """Tests for subsequence extraction, tightness checks, and limit construction."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchkit import (
@@ -35,7 +36,7 @@ from exchkit.convergence import (
     markov_bound_check,
     uniform_smallness_check,
 )
-from exchkit.convergence import _batch_paths, _extract, _Layout, _tight
+from exchkit.convergence import _batch_paths, _extract, _least_double_at_least, _Layout, _tight
 from exchkit.empirical import df_product_identity_check, slln_exchangeable_checks
 from exchkit.kernels import (
     CylinderEvent,
@@ -262,6 +263,37 @@ def test_markov_bound_requires_small_marginal():
     gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 2)))
     with pytest.raises(ValueError, match="exceeds eps"):
         markov_bound_check(gen, ONES, F(1, 10), n_paths=10, n_steps=10)
+
+
+def ulps_away(f, k):
+    """The double k ulps above f (below it for k < 0)."""
+    for _ in range(abs(k)):
+        f = math.nextafter(f, math.copysign(math.inf, k))
+    return f
+
+
+@given(
+    st.fractions(min_value=F(1, 10**6), max_value=1, max_denominator=10**12)
+    .filter(lambda e: e.denominator & (e.denominator - 1)),  # not dyadic: float(eps) != eps
+    st.integers(-2, 2),
+)
+@example(F(1, 10), -1)
+@example(F(1, 10), 0)
+@example(F(1, 10), 1)
+@example(F(1, 3), 0)
+@settings(max_examples=300)
+def test_markov_bound_threshold_decides_as_the_exact_comparison(eps, ulps):
+    """One float threshold decides f >= eps as the exact Fraction comparison
+    does, for frequencies from two ulps below float(eps) to two above."""
+    threshold = _least_double_at_least(eps)
+    f = ulps_away(float(eps), ulps)
+    assert (f >= threshold) == (F(f) >= eps)
+    assert F(threshold) >= eps > F(math.nextafter(threshold, -math.inf))
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(3, 8), 0.1, 1])
+def test_markov_bound_threshold_is_eps_when_eps_is_a_double(eps):
+    assert _least_double_at_least(eps) == eps
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

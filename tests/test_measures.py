@@ -458,18 +458,36 @@ def test_classifier_report_matches_nested_oracle(make_mu):
     assert classify_radon(mu).to_dict() == _classify_radon_nested(mu).to_dict()
 
 
+def counted_tails(monkeypatch):
+    """The cells m at which classify_radon compares a tail with eps."""
+    calls = []
+    real = exchkit.measures._tail_below
+    monkeypatch.setattr(exchkit.measures, "_tail_below", lambda mu, m, eps, powers: calls.append(m) or real(mu, m, eps, powers))
+    monkeypatch.setattr(exchkit.measures, "mass", None)  # no event mass is taken
+    return calls
+
+
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 100), F(1, 1000)], ids=str)
 def test_classifier_evaluates_log_many_tails_per_eps(monkeypatch, q):
     mu = ProbMeasure.geometric(countable(), q)
-    calls = []
-    real_tail = ProbMeasure.tail_mass
-    monkeypatch.setattr(ProbMeasure, "tail_mass", lambda self, m: calls.append(m) or real_tail(self, m))
-    monkeypatch.setattr(exchkit.measures, "mass", None)  # no event mass is taken
+    calls = counted_tails(monkeypatch)
     report = classify_radon(mu)
     # doubling then bisection: at most 2 * bit_length(m) + 2 tails per epsilon
-    # (Geom(1/1000) takes 143 for its ten witnesses, a linear scan 6,929)
+    # (a linear scan takes 6,929 for Geom(1/1000))
     assert len(calls) <= sum(2 * m.bit_length() + 2 for _, m in report.tight_witnesses)
     assert max(calls) < 2 * report.tight_witnesses[-1][1]
+
+
+@pytest.mark.parametrize("q", [F(1, 7), F(1, 1000), F(1, 10000), 0.001], ids=str)
+def test_classifier_starts_a_single_geometric_at_its_witness(monkeypatch, q):
+    # the closed form ceil(log eps / log(1 - q)) is the witness of Geom(q)
+    # when it is not an integer (1 - q = 1/2 makes it one): two tails per
+    # eps, the witness and the cell before it
+    mu = ProbMeasure.geometric(countable(), q)
+    calls = counted_tails(monkeypatch)
+    witnesses = classify_radon(mu).tight_witnesses
+    assert calls == [c for _, m in witnesses for c in (m, m - 1)]
+
 
 
 def test_classifier_witness_is_strict():
@@ -521,6 +539,22 @@ def geometric_mixtures(draw, slowest=12):
         comps = [GeometricComponent(float(c.weight), float(c.ratio)) for c in comps]
         weights = {j: float(w) for j, w in weights.items()}
     return ProbMeasure(countable(), weights, comps)
+
+
+@given(
+    geometric_mixtures(slowest=40),
+    st.lists(st.one_of(st.integers(0, 400), st.integers(-70, 70)), min_size=1, max_size=6),
+    st.fractions(F(1, 10**6), 1),
+)
+@settings(deadline=None, max_examples=150)
+def test_tail_below_decides_as_the_reduced_tail(mu, moves, eps):
+    """Cells far apart (fresh powers) and near each other (powers carried by
+    a product or an exact division), against the reduced Fraction tail."""
+    powers = {}
+    m = 0
+    for move in moves:
+        m = max(0, m + move)
+        assert exchkit.measures._tail_below(mu, m, eps, powers) == (mu.tail_mass(m) < eps)
 
 
 def _linear_tail_scan(mu):

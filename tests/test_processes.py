@@ -33,6 +33,8 @@ from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
     _POLYA_WARMUP_BALLS,
+    _SCREEN_MAX_BAND,
+    _ratio_bounds,
     all_patterns,
     beta_binomial_pattern_prob,
     encode_pattern,
@@ -524,6 +526,80 @@ def test_polya_blocks_match_the_loop(a, b, n, seed, index):
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
 
 
+def screened_blocks(a, b, count=3):
+    """The first ``count`` blocks that the screen runs on, as (start, end)
+    draw indices, by the rule of the module docstring: blocks of
+    min(_POLYA_BLOCK, 4 x balls) after the warm-up, screened where the band
+    of ratios a block can reach, (m - 1) / (balls + m - 1), is below
+    _SCREEN_MAX_BAND."""
+    balls = Fraction(a) + Fraction(b)
+    start = max(0, math.ceil(_POLYA_WARMUP_BALLS - balls))
+    found = []
+    while len(found) < count:
+        m = min(PB, math.floor(4 * (balls + start)))
+        if Fraction(m - 1, 1) / (balls + start + m - 1) < _SCREEN_MAX_BAND:
+            found.append((start, start + m))
+        start += m
+    return found
+
+
+def lengths_around_the_screen(a, b):
+    """Lengths ending on each side of the first screened block's edges and
+    just past the next two."""
+    (s1, e1), (_, e2), (_, e3) = screened_blocks(a, b)
+    return sorted({s1 - 1, s1, s1 + 1, e1 - 1, e1, e1 + 1, e2 + 1, e3 + 1})
+
+
+@pytest.mark.parametrize(
+    "a, b, n", [(a, b, n) for a, b in URN_COUNTS for n in lengths_around_the_screen(a, b)]
+)
+def test_polya_matches_the_loop_around_the_screened_blocks(a, b, n):
+    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, 0, 1)
+
+
+@given(urn_counts, urn_counts, st.integers(30_000, 80_000), st.integers(0, 2**32), st.integers(0, 5))
+@example(F(4, 3), F(7, 3), 60_001, 0, 0)
+@example(1.1, 2.7, 60_001, 0, 0)
+@settings(deadline=None, max_examples=15)
+def test_polya_screened_blocks_match_the_loop(a, b, n, seed, index):
+    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
+
+
+def loop_counts(start, m):
+    """The counts ``start`` takes after 0 .. m-1 more balls, by the loop's ``+= 1.0``."""
+    out = [float(start)]
+    for _ in range(m - 1):
+        out.append(out[-1] + 1.0)
+    return out
+
+
+big_or_odd_counts = st.one_of(
+    urn_counts,
+    st.floats(min_value=1, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([2.0**52, 2.0**53 - 3, 2.0**53 + 2, 1e16, 1e17, 1e300]),
+)
+
+
+@given(big_or_odd_counts, big_or_odd_counts, st.integers(1, 40))
+@example(F(4, 3), F(7, 3), 40)
+@example(1.1, 2.7, 40)
+@example(1e17, 1.0, 5)  # one color 1e17-fold: the highest ratio rounds to 1.0
+@example(1.0, 1e300, 5)  # a ratio near 1e-300
+@example(1e300, 1e300, 5)  # o + z overflows
+@settings(max_examples=300)
+def test_screen_bounds_hold_every_ratio_the_loop_computes(a, b, m):
+    """Every ratio ``o / (o + z)`` the loop computes in a block of m draws,
+    after a ones and b zeros with a + b <= m - 1, lies in the screen's
+    [low, high]: a uniform below low draws a one and one at or above high a
+    zero, whatever the draws before it."""
+    o, z = loop_counts(a, m), loop_counts(b, m)
+    low, high = _ratio_bounds(o[0], z[-1], o[-1], z[0])
+    assert 0.0 <= low <= high <= 1.0 + 2**-40
+    for i in range(m):
+        for j in range(m - i):
+            assert low <= o[i] / (o[i] + z[j]) <= high
+
+
 def sample_from_measure_masked(mu, stream, n):
     """The masked sampler: every draw searches its branch, kept as the oracle."""
     finite_weights = mu.weights_dict()
@@ -669,6 +745,42 @@ def test_markov_scan_matches_the_loop(gen, n, seed):
     assert_same_draws(gen, markov_loop, n, seed, 0)
 
 
+TWO_STATE = {
+    # rows [P(0,0), P(0,1)], [P(1,0), P(1,1)]: a step fixes the state when
+    # its uniform lies below both rows' first boundary or at or above both
+    "identity, never fixes": chain_of([[1, 0], [0, 1]], [1, 1]),
+    "swap, never fixes": chain_of([[0, 1], [1, 0]], [1, 1]),
+    "mostly identity, fixes 1/1000": chain_of([[1999, 1], [1, 1999]], [1, 1]),
+    "mostly swap, fixes 1/1000": chain_of([[1, 1999], [1999, 1]], [1, 1]),
+    "control, fixes 1/2": chain_of([[1, 3], [3, 1]], [1, 0]),
+    "one row, always fixes": chain_of([[1, 2], [1, 2]], [1, 2]),
+}
+# three states: _MARKOV_BLOCK_CELLS // 3 steps per block after the first draw
+M3 = MC // 3
+THREE_STATE_LENGTHS = [1 + j * M3 + d for j in (1, 2, 3) for d in (-1, 0, 1)]
+THREE_STATE = {
+    "cycle, never fixes": chain_of([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 1, 1]),
+    "mostly cycle, fixes rarely": chain_of([[1, 998, 1], [1, 1, 998], [998, 1, 1]], [1, 1, 1]),
+    "uniform rows, always fixes": chain_of([[1, 1, 1]] * 3, [1, 1, 1]),
+}
+
+
+@given(
+    st.sampled_from(sorted(TWO_STATE)),
+    st.one_of(st.sampled_from(CHAIN_LENGTHS), st.integers(1, 3 * MC)),
+    st.integers(0, 2**32),
+)
+@settings(deadline=None, max_examples=60)
+def test_two_state_chains_match_the_loop_however_rarely_they_coalesce(name, n, seed):
+    assert_same_draws(TWO_STATE[name], markov_loop, n, seed, 0)
+
+
+@pytest.mark.parametrize("name", sorted(THREE_STATE))
+@pytest.mark.parametrize("n", THREE_STATE_LENGTHS)
+def test_three_state_scan_matches_the_loop_at_block_edges(name, n):
+    assert_same_draws(THREE_STATE[name], markov_loop, n, 0, 1)
+
+
 # sha256 of the observations' int64 bytes, computed with the per-step loops,
 # at the lengths and seeds of the long-path workloads
 GOLDEN = [
@@ -682,6 +794,41 @@ GOLDEN = [
 @pytest.mark.parametrize("gen, n, index, digest", GOLDEN, ids=["markov-0:0", "markov-0:1", "polya11", "polya21"])
 def test_long_paths_keep_their_random_stream(gen, n, index, digest):
     obs = gen.sample_path(n, 0, path_index=index).observations
+    assert obs.dtype == np.int64
+    assert hashlib.sha256(obs.tobytes()).hexdigest() == digest
+
+
+# the same, for the Markov-control and Polya(1,99) paths of the long-path
+# workload at the master seeds it shifts them to: (gen, n, seed, index, digest)
+GOLDEN_SHIFTED = [
+    (flip_chain(), 200_000, 1, 0, "bcbfe063d4dfc68200d7554c4384f1e4108e442e665671dd94216748e6686a4e"),
+    (flip_chain(), 200_000, 1, 1, "36c48016519765127ab9369b1f7cc992bb82862f7d8062fce2cdfb275ddaf62a"),
+    (flip_chain(), 200_000, 2, 0, "9395af29604c185ce53e4aceb541e395ebcb0945b7b52ff3bb38a6088e4cdbf1"),
+    (flip_chain(), 200_000, 2, 1, "bb7821cd29db89644e1a1f669650d254a71a1ac73d9dad0d481f75be5446b354"),
+    (flip_chain(), 200_000, 3, 0, "1aba23f6b05e2ae594f3bd154f982163ade9772c03c051dab5407edbe3e08195"),
+    (flip_chain(), 200_000, 3, 1, "efedaf50e3e405829e1db7cd073a62d6632fe217261737e0a53abc812d98d585"),
+    (PolyaUrnProcess(1, 99), 200_000, 1, 0, "f33494381b591ee7b640e763b2fe2a1146d2bf5650163a89cdc75bfdf222a0f6"),
+    (PolyaUrnProcess(1, 99), 200_000, 1, 1, "ec797e9dca2f59a0c09150756b48b0e8a758f68ab96d06b6be544fbc33ee2375"),
+    (PolyaUrnProcess(1, 99), 200_000, 1, 2, "87d06a5fc8f95811c527fd70545356a2df9c22c81dbde69c387957c61e7e43ef"),
+    (PolyaUrnProcess(1, 99), 200_000, 1, 3, "2cc69fd26db5aee143797fd4f2d50d9a618a7d484183adb9219c576ea129b067"),
+    (PolyaUrnProcess(1, 99), 200_000, 2, 0, "d4a0b1ad37fbb466687ae0213277d940e243b59816e53ce1029638f5e59135f9"),
+    (PolyaUrnProcess(1, 99), 200_000, 2, 1, "a5e902bca482d536974673cf7733128a75cf31dc1663aa5f9457bff509bb4f65"),
+    (PolyaUrnProcess(1, 99), 200_000, 2, 2, "21eb6a1d5ee669070e2bf4f5ec110c658ce805715a40571f0e1afce4dbb994dd"),
+    (PolyaUrnProcess(1, 99), 200_000, 2, 3, "85caf9890b513115f61b61cc700e22144b9cc6774aa34ff7ebe8f9e74bc14b6f"),
+    (PolyaUrnProcess(1, 99), 200_000, 3, 0, "c520e71592299674ae957901e7af2f53adf40c6dfc20c9609d0856929a07dec5"),
+    (PolyaUrnProcess(1, 99), 200_000, 3, 1, "1d4aa8e3c170c53556320c651b2b5404a698116b2c6c542fba1870927d338837"),
+    (PolyaUrnProcess(1, 99), 200_000, 3, 2, "2b785b175484e48b6de3a6c7d9ad53d273c00b2d19c0f15cd9fce4d8bcbde6c5"),
+    (PolyaUrnProcess(1, 99), 200_000, 3, 3, "cbe8591586aa147bf70ac3bfaa2808c7df48212623e0b828f60aebbdfa4ba5d1"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, n, seed, index, digest",
+    GOLDEN_SHIFTED,
+    ids=[f"{g.spec_label()}-{seed}:{index}" for g, _, seed, index, _ in GOLDEN_SHIFTED],
+)
+def test_long_paths_keep_their_random_stream_at_shifted_seeds(gen, n, seed, index, digest):
+    obs = gen.sample_path(n, seed, path_index=index).observations
     assert obs.dtype == np.int64
     assert hashlib.sha256(obs.tobytes()).hexdigest() == digest
 
