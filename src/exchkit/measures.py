@@ -465,7 +465,10 @@ def classify_radon(mu: ProbMeasure) -> RegularityReport:
     for eps in DEFAULT_EPS_SCHEDULE:
         # start at the slowest component's closed form, where Geom(q) alone
         # falls below eps, then gallop down or up to a bracket and bisect
-        start = math.ceil(math.log(eps) / -rate) if rate else last
+        # (compared with the last cell before the ceiling: a subnormal q
+        # puts the quotient past every float)
+        x = math.log(eps) / -rate if rate else math.inf
+        start = last if x >= last else math.ceil(x)
         lo, hi = m - 1, min(max(m, start), last)
         step = 1
         if _tail_below(mu, hi, eps, powers):

@@ -60,11 +60,10 @@ that each path allocates once:
   compute there lies in a band that ``_ratio_bounds`` widens for rounding. A
   uniform below the band draws a one and one at or above it a zero,
   whatever the draws before it: this screen settles them with one comparison
-  each. It runs where the band is narrower than ``_SCREEN_MAX_BAND``, which
-  a young urn's block is not; on 10**6-draw Polya(1,1) paths 6% of the
-  draws stay open, half of them in the young blocks. The open draws are
-  guessed from the opening ratio, then every open draw is recomputed as
-  ``u[j] < o/(o+z)`` with the counts the settled draws and the guess imply.
+  each, in every block; on 10**6-draw Polya(1,1) paths 4% of the draws stay
+  open. The open draws are guessed from the opening ratio, then every open
+  draw is recomputed as ``u[j] < o/(o+z)`` with the counts the settled draws
+  and the guess imply.
   A draw depends only on the draws before it, so every draw up to and
   including the first one that changed is exact; those are committed and
   the rest is solved again. The counts are the loop's own: after j balls
@@ -102,10 +101,6 @@ _POLYA_BLOCK = 8192
 # o / (o + z) while it is a normal float; the screen widens its band by this
 # wider factor, so every draw it settles is the loop's.
 _SCREEN_MARGIN = 2.0**-48
-# The screen runs on a block whose band of reachable ratios is narrower than
-# this, so it settles at least 3/4 of the draws on average; on a wider band
-# its extra passes over the block cost more than it saves.
-_SCREEN_MAX_BAND = 0.25
 # (step, state) entries per Markov block: 8192 steps of a two-state chain,
 # each scratch array of a block 64 KB or less
 _MARKOV_BLOCK_CELLS = 16384
@@ -517,7 +512,7 @@ class PolyaUrnProcess(ProcessGenerator):
         o, z = np.empty(cap + 1), np.empty(cap + 1)
         at, base, counts = (np.empty(cap, dtype=np.int64) for _ in range(3))
         uo_buf, oj_buf, zj_buf = np.empty(cap), np.empty(cap), np.empty(cap)
-        low_ones, open_, x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(5))
+        x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(3))
         while start < n:
             # a block of at most 4x the balls in the urn, so its ratio drifts little
             m = min(n - start, cap, int(4 * (ones + zeros)))
@@ -528,23 +523,18 @@ class PolyaUrnProcess(ProcessGenerator):
             # the screen: a draw below the lowest ratio the block can reach is
             # a one, at or above the highest a zero; only the rest are solved
             low, high = _ratio_bounds(ones, z[m - 1], o[m - 1], zeros)
-            screened = high - low < _SCREEN_MAX_BAND
-            if screened:
-                ones_low, opened = low_ones[:m], open_[:m]
-                np.less(ub, low, out=ones_low)
-                np.less(ub, high, out=opened)
-                np.greater(opened, ones_low, out=opened)
-                obs[start:start + m] = ones_low
-                r = int(np.count_nonzero(opened))
-                pos, uo = at[:r], uo_buf[:r]
-                np.compress(opened, steps[:m], out=pos)
-                np.take(ub, pos, out=uo, mode="clip")
-                np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
-                settled = int(counts[m - 1])
-                np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
-            else:
-                r, settled = m, 0
-                pos, uo = steps[:m], ub
+            ones_low, opened = y_buf[:m], changed_buf[:m]  # free until the passes
+            np.less(ub, low, out=ones_low)
+            np.less(ub, high, out=opened)
+            np.greater(opened, ones_low, out=opened)
+            obs[start:start + m] = ones_low
+            r = int(np.count_nonzero(opened))
+            pos, uo = at[:r], uo_buf[:r]
+            np.compress(opened, steps[:m], out=pos)
+            np.take(ub, pos, out=uo, mode="clip")
+            np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
+            settled = int(counts[m - 1])
+            np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
             # solve the open draws: guess each at the opening ratio, then
             # recompute every draw as ``u < o/(o+z)`` with the counts the guess
             # implies; all draws up to the first that changed are exact
@@ -558,8 +548,7 @@ class PolyaUrnProcess(ProcessGenerator):
                 np.cumsum(guess, out=before)  # the ones before each draw in the block
                 before -= guess
                 before += ones_done
-                if screened:
-                    before += base[done:r]
+                before += base[done:r]
                 np.take(o, before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
                 np.subtract(pos[done:], before, out=before)  # now the zeros before each draw
                 np.take(z, before, out=zj, mode="clip")
@@ -572,10 +561,7 @@ class PolyaUrnProcess(ProcessGenerator):
                 ones_done += int(np.count_nonzero(y[:end]))
                 done += end
                 guess[:] = y  # y[:end] is exact; the rest is the next guess
-            if screened:
-                np.put(obs[start:start + m], pos, x[:r])
-            else:
-                obs[start:start + m] = x[:m]
+            np.put(obs[start:start + m], pos, x[:r])
             ones_done += settled
             ones = float(o[ones_done])
             zeros = float(z[m - ones_done])

@@ -595,6 +595,17 @@ def test_radon_classify_refuses_a_law_past_the_exact_cap(tmp_path):
     assert "eps = 1/2" in res.stderr and "cell 60205" in res.stderr
 
 
+def test_radon_classify_refuses_a_subnormal_ratio_past_the_exact_cap(tmp_path):
+    # float(q) = 1e-310 is subnormal: the closed-form start overflows every
+    # float, so the search starts at the last exact cell and is refused there
+    res = run_cli(
+        "radon-classify", "--space", "countable", "--measure", "geometric:1e-310",
+        "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "eps = 1/2" in res.stderr and "past cell" in res.stderr
+
+
 def test_radon_classify_rejects_subprobability_weights(tmp_path):
     res = run_cli(
         "radon-classify", "--space", "finite:2", "--measure", "weights:1/2,1/4",

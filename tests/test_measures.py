@@ -519,6 +519,15 @@ def test_classifier_refuses_a_witness_past_the_exact_cap():
         classify_radon(mu)
 
 
+def test_classifier_refuses_a_subnormal_ratio_at_the_exact_cap():
+    # float(q) = 1e-310 is subnormal, so log(eps) / log(1 - q) overflows to
+    # inf: the search starts at the last exact cell and is refused there
+    mu = ProbMeasure.geometric(countable(), F(1, 10**310))
+    last = mu._components[0].last_cell
+    with pytest.raises(ValueError, match=rf"eps = 1/2: .* past cell {last}\b"):
+        classify_radon(mu)
+
+
 def test_float_ratio_that_loses_no_mass_is_rejected():
     # 1 - 1e-17 rounds to 1.0: every cell would keep the whole tail
     with pytest.raises(ValueError, match="ratio"):

@@ -33,7 +33,6 @@ from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
     _POLYA_WARMUP_BALLS,
-    _SCREEN_MAX_BAND,
     _ratio_bounds,
     all_patterns,
     beta_binomial_pattern_prob,
@@ -455,7 +454,8 @@ def warm_up_edges(a, b):
 
 def lengths_around_the_warm_up(a, b):
     """Lengths ending inside the warm-up, on its last draw and just past it,
-    and on each side of the first two block edges."""
+    and on each side of the first two block edges; the screen runs on every
+    block, so these are also its first two."""
     warm, first, second = warm_up_edges(a, b)
     near = {warm // 2, warm - 1, warm, warm + 1, first - 1, first, first + 1, second - 1, second, second + 1}
     return sorted(n for n in near if n >= 1)
@@ -526,42 +526,12 @@ def test_polya_blocks_match_the_loop(a, b, n, seed, index):
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
 
 
-def screened_blocks(a, b, count=3):
-    """The first ``count`` blocks that the screen runs on, as (start, end)
-    draw indices, by the rule of the module docstring: blocks of
-    min(_POLYA_BLOCK, 4 x balls) after the warm-up, screened where the band
-    of ratios a block can reach, (m - 1) / (balls + m - 1), is below
-    _SCREEN_MAX_BAND."""
-    balls = Fraction(a) + Fraction(b)
-    start = max(0, math.ceil(_POLYA_WARMUP_BALLS - balls))
-    found = []
-    while len(found) < count:
-        m = min(PB, math.floor(4 * (balls + start)))
-        if Fraction(m - 1, 1) / (balls + start + m - 1) < _SCREEN_MAX_BAND:
-            found.append((start, start + m))
-        start += m
-    return found
-
-
-def lengths_around_the_screen(a, b):
-    """Lengths ending on each side of the first screened block's edges and
-    just past the next two."""
-    (s1, e1), (_, e2), (_, e3) = screened_blocks(a, b)
-    return sorted({s1 - 1, s1, s1 + 1, e1 - 1, e1, e1 + 1, e2 + 1, e3 + 1})
-
-
-@pytest.mark.parametrize(
-    "a, b, n", [(a, b, n) for a, b in URN_COUNTS for n in lengths_around_the_screen(a, b)]
-)
-def test_polya_matches_the_loop_around_the_screened_blocks(a, b, n):
-    assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, 0, 1)
-
-
 @given(urn_counts, urn_counts, st.integers(30_000, 80_000), st.integers(0, 2**32), st.integers(0, 5))
 @example(F(4, 3), F(7, 3), 60_001, 0, 0)
 @example(1.1, 2.7, 60_001, 0, 0)
 @settings(deadline=None, max_examples=15)
 def test_polya_screened_blocks_match_the_loop(a, b, n, seed, index):
+    # paths that reach full blocks, where the band is narrowest
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
 
 
