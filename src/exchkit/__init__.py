@@ -69,12 +69,7 @@ from .processes import (
     polya_beta_equivalence,
 )
 from .config import (
-    RunReport,
-    ScenarioConfig,
     SpecParseError,
-    atomic_write_text,
-    emit_report,
-    merge_config,
     parse_event,
     parse_events,
     parse_generator,
@@ -82,8 +77,6 @@ from .config import (
     parse_measure,
     parse_number,
     parse_space,
-    read_config_file,
-    resolve_out_path,
 )
 from .rng import path_seed_labels, path_stream
 from .spaces import (

@@ -66,6 +66,13 @@ def _parse_int(text: str, what: str) -> int:
         raise SpecParseError(f"expected an integer {what}, got {text!r}") from None
 
 
+def _positive_int(text: str, key: str, what: str) -> int:
+    value = _parse_int(text, what)
+    if value < 1:
+        raise SpecParseError(f"{key} must be at least 1")
+    return value
+
+
 def _parse_float(text: str, what: str) -> float:
     try:
         return float(text.strip())
@@ -285,9 +292,8 @@ def merge_config(
     Every value is normalized to a string; parsing happens exactly once, in
     :meth:`ScenarioConfig.from_strings`.
     """
-    allowed = set(flags)
-    merged = dict(read_config_file(config_path)) if config_path else {}
-    unknown = set(merged) - allowed
+    merged = read_config_file(config_path) if config_path else {}
+    unknown = set(merged) - set(flags)
     if unknown:
         raise SpecParseError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     for key, value in flags.items():
@@ -335,15 +341,11 @@ class ScenarioConfig:
                 raise SpecParseError("an events spec needs a generator or space")
             cfg.events = parse_events(host, raw["events"])
         if "n" in raw:
-            cfg.n = _parse_int(raw["n"], "sequence length")
-            if cfg.n < 1:
-                raise SpecParseError("n must be at least 1")
+            cfg.n = _positive_int(raw["n"], "n", "sequence length")
         if "n_grid" in raw:
             cfg.n_grid = parse_grid(raw["n_grid"])
         if "paths" in raw:
-            cfg.n_paths = _parse_int(raw["paths"], "path count")
-            if cfg.n_paths < 1:
-                raise SpecParseError("paths must be at least 1")
+            cfg.n_paths = _positive_int(raw["paths"], "paths", "path count")
         if "seed" in raw:
             cfg.seed = _parse_int(raw["seed"], "master seed")
             if not 0 <= cfg.seed < 2**64:
@@ -352,12 +354,10 @@ class ScenarioConfig:
             cfg.coverage = _parse_float(raw["coverage"], "coverage")
             validate_coverage(cfg.coverage)
         if "steps" in raw:
-            cfg.steps = _parse_int(raw["steps"], "step count")
-            if cfg.steps < 1:
-                raise SpecParseError("steps must be at least 1")
-        # a Monte Carlo command samples paths x path length draws; others have no length
-        length = {"simulate": cfg.n, "verify-rcd": cfg.steps}.get(command, max(cfg.n_grid, default=None))
-        if length is not None and cfg.n_paths * length > _MONTE_CARLO_DRAW_CAP:
+            cfg.steps = _positive_int(raw["steps"], "steps", "step count")
+        # a command with a paths setting samples paths x (n, steps or n_grid's top) draws
+        length = max(cfg.n or 0, cfg.steps or 0, *cfg.n_grid)
+        if "paths" in raw and cfg.n_paths * length > _MONTE_CARLO_DRAW_CAP:
             raise SpecParseError(
                 f"{cfg.n_paths} paths of length {length} exceed the cap of "
                 f"{_MONTE_CARLO_DRAW_CAP} Monte Carlo draws"

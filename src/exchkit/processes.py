@@ -32,10 +32,10 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 ``SymmetricPrefixCondition`` k**m*m predicate calls.
 
 The two sequential samplers read the same ``stream.random(n)`` uniforms as a
-per-step loop and return the same observations bit for bit, but step through
-a path in blocks of numpy operations, one path at a time. No temporary is
-longer than a block; the Polya and two-state samplers write into scratch
-that each path allocates once:
+per-step loop and return the same observations bit for bit. The Polya and
+two-state samplers step through a path in blocks of numpy operations, one
+path at a time; no temporary is longer than a block, and they write into
+scratch that each path allocates once:
 
 * Markov: every state reads the step's uniform, so a step is a map from each
   state to the next (the grand coupling), and a step whose map is constant
@@ -45,12 +45,7 @@ that each path allocates once:
   the state is the identity or the swap. So the state is the last fixed state
   xor the parity of the swaps since, one running sum per block of
   ``_MARKOV_BLOCK_CELLS`` / 2 steps (``_two_state_steps``). With k > 2 states
-  each row maps a block by one ``searchsorted``, and the maps are composed by
-  doubling, a Hillis-Steele scan (Blelloch 1990), until every row's map is
-  constant or reaches the block start; a block holds at most
-  min(n, ``_MARKOV_BLOCK_CELLS``) (step, state) entries, or one step's k when
-  k is larger. Rows that coalesce fast stop the scan early; 64 distinct rows
-  are still slower than a loop.
+  the chain steps one draw at a time, bisecting its row's cumulative list.
 * Polya: while the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls,
   its ratio moves on every draw, so those draws run as the loop itself. Then
   the path is solved in blocks of min(``_POLYA_BLOCK``, 4 x the balls in the
@@ -78,6 +73,7 @@ that each path allocates once:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
@@ -623,32 +619,20 @@ class MarkovChainProcess(ProcessGenerator):
 
     def _draw(self, stream, n):
         u = stream.random(n)
-        k = self.space.num_cells
         cums = self._row_cums
         obs = np.empty(n, dtype=np.int64)
         state = int(np.searchsorted(self._init_cum, u[0], side="right"))
         obs[0] = state
-        block = max(1, min(n, _MARKOV_BLOCK_CELLS) // k)
-        if k == 2:
-            _two_state_steps(u, obs, cums[0, 0], cums[1, 0], block)
+        if len(cums) == 2:
+            _two_state_steps(u, obs, cums[0, 0], cums[1, 0], max(1, min(n, _MARKOV_BLOCK_CELLS) // 2))
             return None, obs
-        g_buf = np.empty((min(block, n - 1), k), dtype=np.int64)
-        for start in range(1, n, block):
-            ub = u[start:start + block]
-            # g[i, s]: the state after step i of the block, from state s before step i
-            g = g_buf[:len(ub)]
-            for s, c in enumerate(cums):
-                g[:, s] = np.searchsorted(c, ub, side="right")
-            d = 1
-            # compose prefixes: before the round with shift d, row i maps the
-            # state before step i - d + 1 to the state after step i, so the
-            # rows below d reach the block start; a constant row (coalesced
-            # chains) needs no earlier step, so the scan stops when all are
-            while d < len(g) and not (g[d:] == g[d:, :1]).all():
-                g[d:] = np.take_along_axis(g[d:], g[:-d], axis=1)
-                d *= 2
-            obs[start:start + len(ub)] = g[:, state]
-            state = int(g[-1, state])
+        # bisect_right makes searchsorted(side="right")'s comparison, c <= u
+        rows = cums.tolist()
+        states = []
+        for ui in u[1:].tolist():
+            state = bisect_right(rows[state], ui)
+            states.append(state)
+        obs[1:] = states
         return None, obs
 
     def prefix_pattern_law(self, n):

@@ -315,6 +315,37 @@ def test_each_option_is_a_setting_or_an_output(command):
     assert {p.name for p in main.commands[command].params} == set(SETTINGS[command]) | outputs
 
 
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_help_states_each_setting_default_or_required(command):
+    res = run_cli(command, "--help")
+    assert res.exit_code == 0
+    # click wraps the help; each option's entry runs up to the next flag
+    entries = {e.split()[0]: e for e in " ".join(res.output.split()).split(" --")[1:]}
+    for key, default in SETTINGS[command].items():
+        note = "required" if default is None else f"default {default}"
+        assert entries[key.replace("_", "-")].endswith(f"({note})")
+
+
+# one value per setting; every length setting holds `length`, with 100 paths
+def settings_with_length(command, length):
+    values = {"gen": "mixture:grid(1/4,3/4):bern", "events": "cells:1", "seed": "0", "paths": "100",
+              "coverage": "0.9", "space": "countable", "measure": "geometric:1/2",
+              "n": str(length), "steps": str(length), "n_grid": f"10,{length}"}
+    return {key: values[key] for key in SETTINGS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_the_draw_cap_binds_exactly_the_commands_with_paths(command):
+    # 100 paths of 10**6 draws reach the cap of 10**8; a length past the
+    # cap on its own binds no command without paths
+    assert ScenarioConfig.from_strings(command, settings_with_length(command, 10**6))
+    if "paths" not in SETTINGS[command]:
+        assert ScenarioConfig.from_strings(command, settings_with_length(command, 10**8 + 1))
+        return
+    with pytest.raises(SpecParseError, match="100 paths of length 1000001 exceed the cap"):
+        ScenarioConfig.from_strings(command, settings_with_length(command, 10**6 + 1))
+
+
 @pytest.mark.parametrize("args", [
     ("radon-classify", "--space", "finite:100000000", "--measure", "uniform"),
     ("radon-classify", "--space", "dyadic:64", "--measure", "uniform"),
