@@ -37,6 +37,7 @@ import numpy as np
 from .config import (
     REQUIRED,
     SETTINGS,
+    CsvBody,
     RunReport,
     ScenarioConfig,
     SpecParseError,
@@ -108,7 +109,7 @@ def command(name: str, header: tuple[str, ...] = ()):
     ``--json``, ``--out-dir`` and ``--config``, and ``--csv`` when ``header``
     names the columns of a CSV table. It merges the file and the flags,
     parses them once, runs ``run``, which returns (results, passed, seeds, CSV
-    lines), writes the reports and prints the verdict.
+    body), writes the reports and prints the verdict.
     """
 
     def option(key, kind, text):
@@ -128,8 +129,8 @@ def command(name: str, header: tuple[str, ...] = ()):
         def callback(config_path, **flags):
             started = time.monotonic()
             cfg = ScenarioConfig.from_strings(name, merge_config(name, flags, config_path))
-            results, passed, seeds, rows = run(cfg)
-            report = RunReport(name, cfg.echo(), tuple(seeds), results, passed, header, tuple(rows))
+            results, passed, seeds, body = run(cfg)
+            report = RunReport(name, cfg.echo(), tuple(seeds), results, passed, header, body)
             timestamp = datetime.now(timezone.utc).isoformat()
             wall = time.monotonic() - started
             formats = ("json", "csv") if header else ("json",)
@@ -153,21 +154,26 @@ def cmd_simulate(cfg):
     """Sample paths; CSV columns are seed, step, value.
 
     \f
-    A path's lines are built in bulk with object arrays: its seed label, the
-    ``,step,`` strings (made once per call) and one ``value\\n`` string per
-    distinct cell the path visits. They skip the csv module, which would
-    leave every field as it is: each is an integer or a ``master:index``
-    label, and neither holds a comma, a quote or a line break.
+    Each path's lines are built as one text block, one join over an object
+    array of line parts: the path's seed label, the ``,step,`` strings (made
+    once per call) and one ``value\\n`` string per distinct cell the path
+    visits. No string is made per row, so the CSV body costs about its own
+    bytes. The lines skip the csv module, which would leave every field as
+    it is: each is an integer or a ``master:index`` label, and neither holds
+    a comma, a quote or a line break.
     """
-    steps = np.array([f",{step}," for step in range(1, cfg.n + 1)], dtype=object)
-    rows = []
+    parts = np.empty((cfg.n, 3), dtype=object)
+    parts[:, 1] = [f",{step}," for step in range(1, cfg.n + 1)]
+    blocks = []
     for i in range(cfg.n_paths):
         path = cfg.gen.sample_path(cfg.n, cfg.seed, path_index=i)
         cells, which = np.unique(path.observations, return_inverse=True)
-        values = np.array([f"{int(c)}\n" for c in cells], dtype=object)[which]
-        rows.extend((path.seed_label + steps + values).tolist())
-    results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(rows)}
-    return results, True, path_seed_labels(cfg.seed, cfg.n_paths), rows
+        parts[:, 0] = path.seed_label
+        parts[:, 2] = np.array([f"{int(c)}\n" for c in cells], dtype=object)[which]
+        blocks.append("".join(parts.ravel().tolist()))
+    body = CsvBody(tuple(blocks), cfg.n * cfg.n_paths)
+    results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(body)}
+    return results, True, path_seed_labels(cfg.seed, cfg.n_paths), body
 
 
 @command("check-exchangeable")
@@ -177,7 +183,7 @@ def cmd_check_exchangeable(cfg):
     click.echo(
         f"exchangeable={res.exchangeable} max_discrepancy={res.max_discrepancy}"
     )
-    return res.to_dict(), res.exchangeable, (), ()
+    return res.to_dict(), res.exchangeable, (), CsvBody()
 
 
 @command("estimate-mixing", header=MIXING_CSV_HEADER)
@@ -193,9 +199,9 @@ def cmd_estimate_mixing(cfg):
     )
     # passed=None events carry no per-path target; they stay informational
     passed = all(rep.passed is not False for rep in reports)
-    rows = csv_lines(row for rep in reports for row in rep.rows())
+    body = csv_lines(row for rep in reports for row in rep.rows())
     results = {"events": [rep.to_dict() for rep in reports]}
-    return results, passed, path_seed_labels(cfg.seed, cfg.n_paths), rows
+    return results, passed, path_seed_labels(cfg.seed, cfg.n_paths), body
 
 
 @command("verify-rcd")
@@ -213,7 +219,7 @@ def cmd_verify_rcd(cfg):
         master_seed=cfg.seed,
         coverage=cfg.coverage,
     )
-    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), ()
+    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), CsvBody()
 
 
 @command("construct-rcd")
@@ -230,7 +236,7 @@ def cmd_construct_rcd(cfg):
     click.echo(
         f"pass_fraction={rep.pass_fraction} not_tight_fraction={rep.not_tight_fraction}"
     )
-    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), ()
+    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), CsvBody()
 
 
 @command("radon-classify")
@@ -238,7 +244,7 @@ def cmd_radon_classify(cfg):
     """Certify tightness plus outer regularity on compacts, with witnesses."""
     rep = classify_radon(cfg.measure)
     click.echo(f"tight={rep.tight} outer_regular={rep.outer_regular_on_compacts} radon={rep.radon}")
-    return rep.to_dict(), rep.radon, (), ()
+    return rep.to_dict(), rep.radon, (), CsvBody()
 
 
 if __name__ == "__main__":

@@ -385,15 +385,31 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+@dataclass(frozen=True)
+class CsvBody:
+    """A CSV table body: ``blocks`` of whole lines, each line ending in a
+    newline, holding ``rows`` data rows in all.
+
+    A command builds a few large blocks (one per path, or one per table)
+    instead of one string per row, so the body costs about its own bytes.
+    ``len`` is the number of data rows, not of blocks.
+    """
+
+    blocks: tuple[str, ...] = ()
+    rows: int = 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 @dataclass
 class RunReport:
     """Everything a run produced, ready for deterministic emission.
 
     ``results`` is the owning check's ``to_dict`` payload. ``csv_rows`` is
-    the flat-table view of the same numbers as finished CSV lines, one
-    string per row ending in a newline (see :func:`csv_lines`), so its length
-    is the row count; commands without a table leave it empty and a CSV
-    emission is then just the header.
+    the flat-table view of the same numbers as a :class:`CsvBody`, so its
+    length is the data row count; commands without a table leave it empty
+    and a CSV emission is then just the header.
     """
 
     command: str
@@ -402,7 +418,7 @@ class RunReport:
     results: dict
     passed: bool
     csv_header: tuple[str, ...] = ()
-    csv_rows: tuple[str, ...] = ()
+    csv_rows: CsvBody = CsvBody()
 
     def to_json(self, timestamp: str, wall_clock_s: float) -> str:
         body = {
@@ -420,22 +436,21 @@ class RunReport:
         return json.dumps(body, indent=2, default=_json_default) + "\n"
 
     def to_csv(self) -> str:
-        header = csv_lines([self.csv_header]) if self.csv_header else []
-        return "".join([*header, *self.csv_rows])
+        header = csv_lines([self.csv_header]).blocks if self.csv_header else ()
+        return "".join([*header, *self.csv_rows.blocks])
 
 
-def csv_lines(rows) -> list[str]:
-    """Each row as one finished CSV line; the csv module quotes the fields
-    and None becomes an empty field."""
+def csv_lines(rows) -> CsvBody:
+    """All rows through one csv.writer into a single block of finished CSV
+    lines; the csv module quotes the fields and None becomes an empty
+    field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    lines = []
+    count = 0
     for row in rows:
         writer.writerow(["" if c is None else str(c) for c in row])
-        lines.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-    return lines
+        count += 1
+    return CsvBody((buf.getvalue(),), count)
 
 
 def resolve_out_path(filename: str, out_dir: str | None = None) -> str:

@@ -7,12 +7,14 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exchkit import cli
 from exchkit.cli import MIXING_CSV_HEADER, main
 from exchkit.config import SETTINGS, ScenarioConfig, SpecParseError, parse_events, parse_generator
 from exchkit.empirical import slln_exchangeable_check
@@ -94,12 +96,15 @@ SIMULATE_GENS = [
     "mixture:grid(1/40,1/2):geom",  # countable, cells past 9 and 99
     "polya:2,1",
     "markov:1/4,3/4",
+    "iid:uniform:12",  # finite(12), cells 10 and 11 take two digits
 ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SIMULATE_GENS), st.integers(1, 80), st.integers(1, 4), st.integers(0, 2**64 - 1))
 @example("mixture:grid(1/40,1/2):geom", 80, 3, 0)
+@example("iid:uniform:12", 1, 3, 0)  # one row per path
+@example("polya:2,1", 20, 12, 5)  # seed labels 5:0 .. 5:11 go from one digit to two
 def test_simulate_lines_equal_the_csv_module(spec, n, paths, seed):
     """The prebuilt simulate lines against csv.writer over (label, step,
     value) tuples, byte for byte."""
@@ -114,6 +119,56 @@ def test_simulate_lines_equal_the_csv_module(spec, n, paths, seed):
         assert res.exit_code == 0
         assert read_csv(os.path.join(out, "simulate.csv")) == csv_module_text(("seed", "step", "value"), rows)
         assert json.loads(read_csv(os.path.join(out, "simulate.json")))["results"]["rows_written"] == n * paths
+
+
+ROW_COUNT_RUNS = {
+    # 12 paths, so the seed labels go from one digit to two
+    "simulate": (("--gen", "polya:2,1", "--n", "30", "--paths", "12", "--seed", "7"), 30 * 12),
+    # 4 paths x 3 grid points x 2 events; the scenario label holds a quoted comma
+    "estimate-mixing": (("--gen", "mixture:grid(1/4,1/2):geom", "--events", "cells:0;not:0",
+                         "--n-grid", "10,100,500", "--paths", "4", "--seed", "5"), 4 * 3 * 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROW_COUNT_RUNS))
+def test_report_row_count_is_the_csv_data_line_count(tmp_path, monkeypatch, command):
+    """``len(report.csv_rows)``, the count a caller of ``emit_report`` reads,
+    is the number of data rows: the CSV's lines after the header and, for
+    simulate, the report's ``rows_written``."""
+    args, rows = ROW_COUNT_RUNS[command]
+    reports = []
+    emit_report = cli.emit_report
+
+    def capture(report, *rest):
+        reports.append(report)
+        emit_report(report, *rest)
+
+    monkeypatch.setattr("exchkit.cli.emit_report", capture)
+    assert run_cli(command, *args, "--out-dir", str(tmp_path)).exit_code == 0
+    assert len(reports) == 2 and reports[0] is reports[1]
+    data_lines = read_csv(tmp_path / f"{command}.csv").count("\n") - 1
+    assert len(reports[0].csv_rows) == rows == data_lines
+    if command == "simulate":
+        assert json.loads(read_csv(tmp_path / "simulate.json"))["results"]["rows_written"] == rows
+
+
+def test_simulate_holds_about_its_csv_bytes(tmp_path):
+    """The traced peak of a simulate run stays within 4x the bytes of the CSV
+    it writes: each path's lines are one text block, and the report's text
+    and its encoding are the other two copies. One string per row read
+    8.6x here."""
+    args = ("simulate", "--gen", "polya:2,1", "--n", "10000", "--paths", "50", "--seed", "7",
+            "--out-dir", str(tmp_path))
+    # a first run keeps imports and first-call set-up out of the trace
+    assert run_cli(*args).exit_code == 0
+    tracemalloc.start()
+    try:
+        res = run_cli(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0
+    assert peak <= 4 * os.path.getsize(tmp_path / "simulate.csv")
 
 
 def test_json_and_csv_flags_name_the_artifacts(tmp_path):

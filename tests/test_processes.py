@@ -725,7 +725,9 @@ TWO_STATE = {
     "control, fixes 1/2": chain_of([[1, 3], [3, 1]], [1, 0]),
     "one row, always fixes": chain_of([[1, 2], [1, 2]], [1, 2]),
 }
-# three states: _MARKOV_BLOCK_CELLS // 3 steps per block after the first draw
+# A chain of three states steps one bisect_right of its row per draw, with no
+# blocks, so these lengths hold no block edge: they spread the paths from about
+# 5,000 to 16,000 draws, around multiples of MC // 3.
 M3 = MC // 3
 THREE_STATE_LENGTHS = [1 + j * M3 + d for j in (1, 2, 3) for d in (-1, 0, 1)]
 THREE_STATE = {
@@ -748,6 +750,9 @@ def test_two_state_chains_match_the_loop_however_rarely_they_coalesce(name, n, s
 @pytest.mark.parametrize("name", sorted(THREE_STATE))
 @pytest.mark.parametrize("n", THREE_STATE_LENGTHS)
 def test_three_state_scan_matches_the_loop_at_block_edges(name, n):
+    # The name predates the per-draw bisection, which this checks against
+    # markov_loop draw for draw, on rows that never fix the state, fix it
+    # rarely and always fix it.
     assert_same_draws(THREE_STATE[name], markov_loop, n, 0, 1)
 
 
