@@ -128,7 +128,7 @@ def command(name: str, header: tuple[str, ...] = ()):
     def register(run):
         def callback(config_path, **flags):
             started = time.monotonic()
-            cfg = ScenarioConfig.from_strings(name, merge_config(name, flags, config_path))
+            cfg = ScenarioConfig.from_strings(merge_config(name, flags, config_path))
             results, passed, seeds, body = run(cfg)
             report = RunReport(name, cfg.echo(), tuple(seeds), results, passed, header, body)
             timestamp = datetime.now(timezone.utc).isoformat()

@@ -7,7 +7,9 @@ be re-run by copying its config block back into a file.
 Config files are flat ``key = value`` lines; ``#`` starts a comment, blank
 lines are ignored, later keys win. Command-line flags override file keys.
 
-Reports are JSON with a fixed field order. The two volatile fields
+Reports are JSON with a fixed field order: a check's results are its
+:class:`~exchkit.spaces.Record`'s ``to_dict``, keys in field order, and must
+be plain JSON (anything else raises). The two volatile fields
 (timestamp, wall clock) are emitted as the final two lines of the document
 so determinism checks can strip them and compare the rest byte for byte.
 """
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from .kernels import DEFAULT_COVERAGE, bernoulli_kernel, geometric_kernel, validate_coverage
 from .measures import ProbMeasure
 from .processes import (
@@ -35,7 +35,7 @@ from .processes import (
     PolyaUrnProcess,
     ProcessGenerator,
 )
-from .spaces import EventSet, SpaceDescriptor, countable, dyadic, event_spec, finite
+from .spaces import EventSet, SpaceDescriptor, countable, dyadic, finite
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "EXCHKIT_OUT_DIR"
@@ -311,7 +311,6 @@ def merge_config(
 class ScenarioConfig:
     """One subcommand's resolved inputs, plus the raw strings for the echo."""
 
-    command: str
     raw: dict[str, str]
     gen: ProcessGenerator | None = None
     space: SpaceDescriptor | None = None
@@ -325,8 +324,8 @@ class ScenarioConfig:
     steps: int | None = None
 
     @staticmethod
-    def from_strings(command: str, raw: Mapping[str, str]) -> "ScenarioConfig":
-        cfg = ScenarioConfig(command=command, raw=dict(raw))
+    def from_strings(raw: Mapping[str, str]) -> "ScenarioConfig":
+        cfg = ScenarioConfig(raw=dict(raw))
         if "gen" in raw:
             cfg.gen = parse_generator(raw["gen"])
         if "space" in raw:
@@ -373,18 +372,6 @@ class ScenarioConfig:
 # reports
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, EventSet):
-        return event_spec(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 @dataclass(frozen=True)
 class CsvBody:
     """A CSV table body: ``blocks`` of whole lines, each line ending in a
@@ -406,10 +393,10 @@ class CsvBody:
 class RunReport:
     """Everything a run produced, ready for deterministic emission.
 
-    ``results`` is the owning check's ``to_dict`` payload. ``csv_rows`` is
-    the flat-table view of the same numbers as a :class:`CsvBody`, so its
-    length is the data row count; commands without a table leave it empty
-    and a CSV emission is then just the header.
+    ``results`` is the owning check's ``to_dict`` payload, plain JSON.
+    ``csv_rows`` is the flat-table view of the same numbers as a
+    :class:`CsvBody`, so its length is the data row count; commands without
+    a table leave it empty and a CSV emission is then just the header.
     """
 
     command: str
@@ -433,7 +420,7 @@ class RunReport:
             "timestamp": timestamp,
             "wall_clock_s": wall_clock_s,
         }
-        return json.dumps(body, indent=2, default=_json_default) + "\n"
+        return json.dumps(body, indent=2) + "\n"
 
     def to_csv(self) -> str:
         header = csv_lines([self.csv_header]).blocks if self.csv_header else ()

@@ -65,6 +65,7 @@ from .measures import (
     ProbMeasure,
     RegularityReport,
     TightnessResult,
+    _check_epsilons,
     _tightness,
     classify_radon,
     mass,
@@ -74,11 +75,12 @@ from .spaces import (
     ClosedFamily,
     CompactFamily,
     EventSet,
+    Record,
     SpaceDescriptor,
     SpaceMismatchError,
     default_closed_family,
     default_compact_family,
-    event_spec,
+    report_value,
 )
 
 
@@ -272,25 +274,16 @@ def family_tight(seq: MeasureSequence) -> TightnessResult:
 # deterministic extraction
 
 @dataclass(frozen=True)
-class ClosedSetCertificate:
+class ClosedSetCertificate(Record):
     event: EventSet
     limsup: float
     limit_mass: float
     drift: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "event": event_spec(self.event),
-            "limsup": self.limsup,
-            "limit_mass": self.limit_mass,
-            "drift": self.drift,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     """A selected subsequence, its limit, and limsup certificates.
 
     ``full_sequence`` records the shortcut: when the entire sequence already
@@ -309,16 +302,14 @@ class ExtractionResult:
             raise ValueError("selected indices must be strictly increasing")
 
     def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
+        return report_value({
+            "indices": self.indices,
             "subsequence_length": len(self.indices),
             "full_sequence": self.full_sequence,
             "a_converged": self.a_converged,
-            "tight_witnesses": [
-                {"eps": str(e), "witness": event_spec(w)} for e, w in self.tight_witnesses
-            ],
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
+            "tight_witnesses": [{"eps": e, "witness": w} for e, w in self.tight_witnesses],
+            "certificates": self.certificates,
+        })
 
 
 def extract_convergent_subsequence(seq: MeasureSequence, tol=1e-9) -> ExtractionResult:
@@ -464,7 +455,7 @@ def _least_double_at_least(x) -> float:
 
 
 @dataclass(frozen=True)
-class MarkovBoundResult:
+class MarkovBoundResult(Record):
     """Frequency of paths whose empirical mass of a rare event reaches eps."""
 
     passed: bool
@@ -474,17 +465,6 @@ class MarkovBoundResult:
     eps: float
     n_paths: int
     n_steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violating_fraction": self.violating_fraction,
-            "bound": self.bound,
-            "marginal_mass": self.marginal_mass,
-            "eps": self.eps,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-        }
 
 
 def markov_bound_check(
@@ -499,8 +479,10 @@ def markov_bound_check(
     empirical mass >= eps; checked with a 3 standard-error binomial margin.
 
     The marginal precondition is verified against the generator's exact
-    marginal, not sampled.
+    marginal, not sampled. ``eps`` must lie in (0, 1].
     """
+    if not 0 < eps <= 1:  # rejects NaN as well
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
@@ -514,29 +496,16 @@ def markov_bound_check(
 
 
 @dataclass(frozen=True)
-class UniformSmallnessReport:
+class UniformSmallnessReport(Record):
     """Per-path search results for a uniform tail index m per epsilon."""
 
     eps_list: tuple[float, ...]
     n_grid: tuple[int, ...]
     n_paths: int
     coverage: float
-    m_profiles: tuple[tuple[int | None, ...], ...]  # [eps][path]
     found_fractions: tuple[float, ...]
+    m_profiles: tuple[tuple[int | None, ...], ...]  # [eps][path]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_list": list(self.eps_list),
-            "n_grid": list(self.n_grid),
-            "n_paths": self.n_paths,
-            "coverage": self.coverage,
-            "found_fractions": list(self.found_fractions),
-            "m_profiles": [
-                [m for m in profile] for profile in self.m_profiles
-            ],
-            "passed": self.passed,
-        }
 
 
 def uniform_smallness_check(
@@ -555,13 +524,10 @@ def uniform_smallness_check(
     least ``DEFAULT_COVERAGE`` of the paths find such an event.
     """
     coverage = DEFAULT_COVERAGE
-    if not events:
-        raise ValueError("event chain must be non-empty")
     for big, small in zip(events, events[1:]):
         if not small.is_subset(big):
             raise ValueError("event chain must be inclusion-decreasing")
-    if not eps_list:
-        raise ValueError("epsilon list must be non-empty")
+    _check_epsilons(eps_list)
     grid = _validate_grid(n_grid)
     paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
 
@@ -584,8 +550,8 @@ def uniform_smallness_check(
         grid,
         n_paths,
         coverage,
-        tuple(profiles),
         tuple(fractions),
+        tuple(profiles),
         passed,
     )
 
@@ -594,7 +560,7 @@ def uniform_smallness_check(
 # end-to-end construction of the directing measure
 
 @dataclass(frozen=True)
-class RcdPathResult:
+class RcdPathResult(Record):
     seed_label: str
     status: str  # "ok", "not_tight", "no_convergence"
     subsequence_length: int | None
@@ -605,19 +571,19 @@ class RcdPathResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
+        return report_value({
             "seed": self.seed_label,
             "status": self.status,
             "subsequence_length": self.subsequence_length,
-            "tight_witness": event_spec(self.tight_witness),
-            "event_gaps": list(self.event_gaps),
-            "kernel_gaps": list(self.kernel_gaps),
+            "tight_witness": self.tight_witness,
+            "event_gaps": self.event_gaps,
+            "kernel_gaps": self.kernel_gaps,
             "passed": self.passed,
-        }
+        })
 
 
 @dataclass(frozen=True)
-class RcdConstructionReport:
+class RcdConstructionReport(Record):
     """Per-path directing measures with verification, plus aggregates."""
 
     scenario: str
@@ -627,27 +593,11 @@ class RcdConstructionReport:
     coverage: float
     tol: float
     marginal_regularity: RegularityReport
-    paths: tuple[RcdPathResult, ...]
     not_tight_fraction: float
     pass_fraction: float
     kernel_report: object | None  # RcdReport when a latent kernel exists
+    paths: tuple[RcdPathResult, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "events": [event_spec(ev) for ev in self.events],
-            "n_grid": list(self.n_grid),
-            "n_paths": self.n_paths,
-            "coverage": self.coverage,
-            "tol": self.tol,
-            "marginal_regularity": self.marginal_regularity.to_dict(),
-            "not_tight_fraction": self.not_tight_fraction,
-            "pass_fraction": self.pass_fraction,
-            "kernel_report": self.kernel_report.to_dict() if self.kernel_report else None,
-            "paths": [p.to_dict() for p in self.paths],
-            "passed": self.passed,
-        }
 
 
 # table entries (paths x grid points x columns, or x closed sets where those
@@ -717,8 +667,6 @@ def construct_rcd_from_empiricals(
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    if not events:
-        raise ValueError("event list must be non-empty")
     grid = _validate_grid(n_grid)
     layout = _Layout(gen.space, events)
     paths = _sampled_paths(gen, events, grid, n_paths, master_seed, layout.cols)
@@ -774,9 +722,9 @@ def construct_rcd_from_empiricals(
         coverage,
         float(tol),
         regularity,
-        results,
         not_tight / n_paths,
         pass_fraction,
         kernel_report,
+        results,
         passed,
     )

@@ -43,7 +43,7 @@ from .processes import (
     ensure_oracle_domain,
     ensure_oracle_work,
 )
-from .spaces import EventSet, SpaceMismatchError, event_spec
+from .spaces import EventSet, Record, SpaceMismatchError, event_spec, report_value
 
 DEFAULT_N_GRID = (10, 100, 1000, 10000)
 
@@ -106,7 +106,7 @@ def estimate_directing_measure(
 # strong-law checks
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Per-path empirical masses along the grid and, where the generator
     declares a latent kernel, the :func:`rcd_verdict` of the final ones."""
 
@@ -141,16 +141,16 @@ class ConvergenceReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
+        return report_value({
             "scenario": self.scenario,
-            "event": event_spec(self.event),
-            "n_grid": list(self.n_grid),
+            "event": self.event,
+            "n_grid": self.n_grid,
             "n_paths": self.n_paths,
             "coverage": self.coverage,
             "pass_fraction": self.pass_fraction,
             "max_final_gap": max((g for g in self.gaps if g is not None), default=None),
             "passed": self.passed,
-        }
+        })
 
 
 def slln_exchangeable_check(
@@ -420,7 +420,7 @@ def df_product_identity_exact(
 
 
 @dataclass(frozen=True)
-class DfIdentityReport:
+class DfIdentityReport(Record):
     """Monte Carlo comparison of the two sides along an n-grid."""
 
     conditioning: str
@@ -433,20 +433,6 @@ class DfIdentityReport:
     gaps: tuple[float, ...]
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "conditioning": self.conditioning,
-            "m": self.m,
-            "n_grid": list(self.n_grid),
-            "n_paths": self.n_paths,
-            "lhs_means": list(self.lhs_means),
-            "rhs_mean": self.rhs_mean,
-            "corrections": list(self.corrections),
-            "gaps": list(self.gaps),
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def df_product_identity_check(

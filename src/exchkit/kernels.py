@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import EXACT, ProbMeasure, mass
-from .spaces import EventSet, SpaceDescriptor, SpaceMismatchError, event_spec
+from .spaces import EventSet, Record, SpaceDescriptor, SpaceMismatchError, report_value
 
 # the share of paths that a Monte Carlo check requires to pass, by default
 DEFAULT_COVERAGE = 0.95
@@ -114,7 +114,7 @@ class RcdEventResult:
 
 
 @dataclass(frozen=True)
-class RcdReport:
+class RcdReport(Record):
     """Per-event agreement between kernel masses and long-run frequencies."""
 
     n_paths: int
@@ -124,20 +124,20 @@ class RcdReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
+        return report_value({
             "n_paths": self.n_paths,
             "n_steps": self.n_steps,
             "coverage": self.coverage,
             "events": [
                 {
-                    "event": event_spec(r.event),
+                    "event": r.event,
                     "pass_fraction": r.pass_fraction,
                     "max_gap": max(r.gaps) if r.gaps else None,
                 }
                 for r in self.per_event
             ],
             "passed": self.passed,
-        }
+        })
 
 
 def verify_rcd(
@@ -157,8 +157,6 @@ def verify_rcd(
     agreement is operationalized as: at least ``coverage`` of paths agree
     within :func:`binomial_band` at the kernel mass and ``n_steps``.
     """
-    if not events:
-        raise ValueError("event list must be non-empty")
     if gen.latent_kernel() is None:
         raise ValueError("generator declares no latent kernel")
     paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
@@ -320,8 +318,11 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
     (path, :func:`_count_table` over ``cols``, :func:`_frequencies` of the
     events). ``cols`` defaults to the cells the events name.
 
-    The events' space and the number of paths are checked at the call; the
-    paths are sampled as they are iterated, so only one is held at a time."""
+    The events (at least one, on the generator's space) and the number of
+    paths are checked at the call; the paths are sampled as they are
+    iterated, so only one is held at a time."""
+    if not events:
+        raise ValueError("event list must be non-empty")
     if any(ev.space != gen.space for ev in events):
         raise SpaceMismatchError("event on the wrong space for the generator")
     if n_paths < 1:

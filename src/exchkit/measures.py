@@ -39,8 +39,10 @@ import numpy as np
 from .spaces import (
     CompactFamily,
     EventSet,
+    Record,
     SpaceDescriptor,
     SpaceMismatchError,
+    report_value,
 )
 
 FLOAT_MASS_TOL = 1e-12
@@ -373,7 +375,7 @@ def is_outer_regular_on(
 
 
 @dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     """Outcome of the Radon classifier: tight and outer regular on compacts."""
 
     tight: bool
@@ -393,13 +395,13 @@ class RegularityReport:
             raise ValueError("radon flag must equal tight AND outer_regular_on_compacts")
 
     def to_dict(self) -> dict:
-        return {
+        return report_value({
             "tight": self.tight,
-            "tight_witnesses": [{"eps": str(e), "segment_length": m} for e, m in self.tight_witnesses],
+            "tight_witnesses": [{"eps": e, "segment_length": m} for e, m in self.tight_witnesses],
             "outer_regular_on_compacts": self.outer_regular_on_compacts,
             "outer_regularity": self.OUTER_REGULARITY,
             "radon": self.radon,
-        }
+        })
 
 
 DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2**k) for k in range(1, 11))

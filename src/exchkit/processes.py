@@ -84,7 +84,7 @@ import numpy as np
 from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
 from .measures import ProbMeasure, mix_measures
 from .rng import path_stream, skip_uniforms
-from .spaces import SpaceDescriptor, finite
+from .spaces import Record, SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
@@ -688,17 +688,10 @@ def prefix_law(gen: ProcessGenerator, n: int) -> ProbMeasure:
 
 
 @dataclass(frozen=True)
-class ExchangeabilityResult:
+class ExchangeabilityResult(Record):
     exchangeable: bool
     worst_permutation: tuple[int, ...] | None
     max_discrepancy: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "exchangeable": self.exchangeable,
-            "worst_permutation": list(self.worst_permutation) if self.worst_permutation else None,
-            "max_discrepancy": str(self.max_discrepancy),
-        }
 
 
 def check_exchangeable(gen: ProcessGenerator, n: int) -> ExchangeabilityResult:

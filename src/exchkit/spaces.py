@@ -16,7 +16,8 @@ and masses exactly computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -273,6 +274,33 @@ def event_spec(ev: EventSet | None) -> str | None:
         return "empty"
     cells = ",".join(str(j) for j in sorted(ev.indices))
     return f"not:{cells}" if ev.cofinite else f"cells:{cells}"
+
+
+class Record:
+    """A check result whose report is its fields, in declaration order, each
+    through :func:`report_value`: field order is the report's key order, and
+    reports are compared byte for byte. A record whose report renames,
+    derives or omits keys overrides ``to_dict``."""
+
+    def to_dict(self) -> dict:
+        return {f.name: report_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def report_value(value):
+    """An event as its spec, a ``Fraction`` as its text, a :class:`Record` as
+    its dict, and a tuple, list or dict as a list or dict of these; anything
+    else as it is, so a value that is not plain JSON fails at the write."""
+    if isinstance(value, EventSet):
+        return event_spec(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [report_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: report_value(v) for k, v in value.items()}
+    return value
 
 
 @cache

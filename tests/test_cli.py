@@ -8,6 +8,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -311,6 +312,23 @@ def test_exit_code_four_on_internal_error(tmp_path, monkeypatch):
     assert "internal error: RuntimeError: boom" in res.stderr
 
 
+def test_exit_code_four_on_a_report_value_that_is_not_plain_json(tmp_path, monkeypatch):
+    # results reach the report through report_value alone; a Fraction left
+    # in them is a bug, not text for a JSON fallback to make
+    class Unrendered:
+        exchangeable = True
+        max_discrepancy = Fraction(0)
+
+        def to_dict(self):
+            return {"max_discrepancy": self.max_discrepancy}
+
+    monkeypatch.setattr("exchkit.cli.check_exchangeable", lambda gen, n: Unrendered())
+    res = run_cli("check-exchangeable", "--gen", "polya:2,1", "--n", "3", "--out-dir", str(tmp_path))
+    assert res.exit_code == 4
+    assert "internal error: TypeError" in res.stderr
+    assert not (tmp_path / "check-exchangeable.json").exists()
+
+
 def test_check_exchangeable_passes_on_urn(tmp_path):
     res = run_cli(
         "check-exchangeable", "--gen", "polya:2,1", "--n", "3",
@@ -353,9 +371,9 @@ def test_exit_code_two_past_the_monte_carlo_draw_cap(tmp_path, monkeypatch, comm
 
 def test_the_draw_cap_admits_exactly_its_draws():
     raw = {"gen": "polya:1,1", "n": "1000000", "paths": "100", "seed": "0"}
-    assert ScenarioConfig.from_strings("simulate", raw).n_paths == 100
+    assert ScenarioConfig.from_strings(raw).n_paths == 100
     with pytest.raises(SpecParseError, match="101 paths of length 1000000"):
-        ScenarioConfig.from_strings("simulate", {**raw, "paths": "101"})
+        ScenarioConfig.from_strings({**raw, "paths": "101"})
 
 
 # the commands that write a CSV table next to their JSON report
@@ -393,12 +411,12 @@ def settings_with_length(command, length):
 def test_the_draw_cap_binds_exactly_the_commands_with_paths(command):
     # 100 paths of 10**6 draws reach the cap of 10**8; a length past the
     # cap on its own binds no command without paths
-    assert ScenarioConfig.from_strings(command, settings_with_length(command, 10**6))
+    assert ScenarioConfig.from_strings(settings_with_length(command, 10**6))
     if "paths" not in SETTINGS[command]:
-        assert ScenarioConfig.from_strings(command, settings_with_length(command, 10**8 + 1))
+        assert ScenarioConfig.from_strings(settings_with_length(command, 10**8 + 1))
         return
     with pytest.raises(SpecParseError, match="100 paths of length 1000001 exceed the cap"):
-        ScenarioConfig.from_strings(command, settings_with_length(command, 10**6 + 1))
+        ScenarioConfig.from_strings(settings_with_length(command, 10**6 + 1))
 
 
 @pytest.mark.parametrize("args", [

@@ -265,6 +265,20 @@ def test_markov_bound_requires_small_marginal():
         markov_bound_check(gen, ONES, F(1, 10), n_paths=10, n_steps=10)
 
 
+@pytest.mark.parametrize("eps", [F(2), F(-1, 2), 0, float("nan"), 1.5])
+def test_markov_bound_rejects_eps_outside_the_unit_interval(eps):
+    # the empty event meets the marginal precondition at every eps; 2 and
+    # -1/2 used to die in sqrt, NaN in the exact comparison, and 0 to FAIL
+    gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+        markov_bound_check(gen, EventSet.of(B2, []), eps, n_paths=10, n_steps=10)
+
+
+def test_markov_bound_accepts_eps_one():
+    gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 2)))
+    assert markov_bound_check(gen, ONES, 1, n_paths=10, n_steps=10).passed
+
+
 def ulps_away(f, k):
     """The double k ulps above f (below it for k < 0)."""
     for _ in range(abs(k)):
@@ -407,6 +421,13 @@ def test_uniform_smallness_validates_chain():
         uniform_smallness_check(gen, [], eps_list=[F(1, 4)], n_grid=(50,), n_paths=5)
     with pytest.raises(ValueError, match="epsilon list"):
         uniform_smallness_check(gen, [tail(2)], eps_list=[], n_grid=(50,), n_paths=5)
+
+
+@pytest.mark.parametrize("eps", [0, F(-1, 4), -1.0, float("nan")])
+def test_uniform_smallness_rejects_eps_that_are_not_positive(eps):
+    # as is_tight does; these used to report a FAIL
+    with pytest.raises(ValueError, match="epsilons must be positive"):
+        uniform_smallness_check(geom_mixture(), [tail(2)], eps_list=[F(1, 4), eps], n_grid=(50,), n_paths=5)
 
 
 # ---------------------------------------------------------------- limit construction

@@ -13,10 +13,13 @@ from exchkit import (
     IIDProcess,
     PolyaUrnProcess,
     ProbMeasure,
+    construct_rcd_from_empiricals,
     countable,
     finite,
     parse_generator,
+    uniform_smallness_check,
 )
+from exchkit.empirical import slln_exchangeable_checks
 from exchkit.kernels import (
     _TALLY_CELLS,
     CylinderEvent,
@@ -220,6 +223,20 @@ def test_verify_rcd_needs_events():
     gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
     with pytest.raises(ValueError):
         verify_rcd(gen.latent_kernel(), gen, [], n_paths=5, n_steps=10)
+
+
+@pytest.mark.parametrize("check", [
+    lambda gen: slln_exchangeable_checks(gen, [], n_grid=(10,), n_paths=2),
+    lambda gen: verify_rcd(gen.latent_kernel(), gen, [], n_paths=2, n_steps=10),
+    lambda gen: construct_rcd_from_empiricals(gen, [], (10, 20), 2),
+    lambda gen: uniform_smallness_check(gen, [], [F(1, 4)], (10,), 2),
+], ids=["slln_exchangeable_checks", "verify_rcd", "construct_rcd_from_empiricals", "uniform_smallness_check"])
+def test_every_monte_carlo_check_refuses_an_empty_event_list(check):
+    # one check, in the sampling routine that every Monte Carlo check calls;
+    # slln_exchangeable_checks used to return an empty result, checking nothing
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    with pytest.raises(ValueError, match="event list must be non-empty"):
+        check(gen)
 
 
 @pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5, float("inf")])
