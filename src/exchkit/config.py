@@ -41,6 +41,8 @@ SCHEMA_VERSION = 1
 OUT_DIR_ENV = "EXCHKIT_OUT_DIR"
 # paths x path length that one Monte Carlo command may sample
 _MONTE_CARLO_DRAW_CAP = 10**8
+# characters per write of a report's text (1 MiB)
+_WRITE_SLICE = 1 << 20
 
 
 class SpecParseError(ValueError):
@@ -449,13 +451,17 @@ def resolve_out_path(filename: str, out_dir: str | None = None) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write through a sibling temp file and rename; never a partial file."""
+    """Write through a sibling temp file and rename; never a partial file.
+
+    The text is written in slices of ``_WRITE_SLICE`` characters, so the
+    encoded copy that the text layer makes is one slice, not the whole text."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".exchkit-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         try:

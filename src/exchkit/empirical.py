@@ -255,6 +255,10 @@ class ConditioningEvent:
     def path_indicator(self, path: PathSample) -> bool:
         raise NotImplementedError
 
+    def draws_read(self) -> int:
+        """How many leading draws of a path :meth:`path_indicator` reads."""
+        return 0
+
 
 @dataclass(frozen=True)
 class FullCondition(ConditioningEvent):
@@ -314,6 +318,9 @@ class SymmetricPrefixCondition(ConditioningEvent):
     def path_indicator(self, path: PathSample) -> bool:
         prefix = tuple(int(x) for x in path.observations[: self.prefix_len])
         return bool(self.predicate(prefix))
+
+    def draws_read(self) -> int:
+        return self.prefix_len
 
 
 def _exact_weighted_patterns(
@@ -459,8 +466,8 @@ def df_product_identity_check(
     grid = _validate_grid(n_grid)
     if n_paths < 2:
         raise ValueError("need at least two paths for an error estimate")
-    paths = _sampled_paths(gen, cyl.events, grid, n_paths, master_seed)
     m = cyl.m
+    paths = _sampled_paths(gen, cyl.events, grid, n_paths, master_seed, head=max(m, conditioning.draws_read()))
     if m > grid[-1]:
         raise ValueError("cylinder has more coordinates than the largest grid point")
 

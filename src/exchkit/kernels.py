@@ -9,10 +9,10 @@ is the product of the per-coordinate kernel masses.
 
 Every Monte Carlo check reads a path through the empirical frequencies
 mu_{w,n}(A) along an n-grid. :func:`_sampled_paths` samples the paths of a
-check once each and counts each path once with :func:`_count_table`: a
-G x (named cells + 1) table of how many of the first ``grid[g]`` draws fall
-in each cell that the check's events name, then a zero column that pads
-event sums. An event's count is the sum over its cells, or n minus the sum
+check once each and counts each block of draws as it is drawn, with
+:func:`_block_counter`, into a G x (named cells + 1) table of how many of the
+first ``grid[g]`` draws fall in each cell that the check's events name, then
+a zero column that pads event sums. An event's count is the sum over its cells, or n minus the sum
 over the cells it excludes when it is cofinite (:func:`_masses`), so no
 unnamed cell is counted.
 """
@@ -20,6 +20,7 @@ unnamed cell is counted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -225,7 +226,7 @@ def validate_coverage(coverage) -> None:
 
 
 def indicator_array(obs: np.ndarray, event: EventSet) -> np.ndarray:
-    """Boolean membership of each observation in the event; the test oracle of :func:`_count_table`."""
+    """Boolean membership of each observation in the event; the test oracle of :func:`_block_counter`."""
     if event.cofinite:
         return ~np.isin(obs, sorted(event.indices))
     return np.isin(obs, sorted(event.indices))
@@ -270,39 +271,62 @@ def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) ->
     return np.where(cofinite, whole - sums, sums)
 
 
-def _count_table(obs, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
-    """G x (len(cols) + 1) integers: how many of the first ``grid[g]`` draws
-    fall in each column's cell, then a zero column. Draws past ``grid[-1]``
-    and draws in unnamed cells are not counted.
+def _block_counter(grid: Sequence[int], cols: np.ndarray):
+    """The count routine of a check: ``count(blocks, keep=0)`` returns the
+    G x (len(cols) + 1) count table of the draws that ``blocks`` yields in
+    order, and a copy of the first ``keep`` of them.
 
-    Each grid segment is tallied by one ``bincount`` of the segment itself,
-    sized by its largest draw, and the tallies are accumulated. Only draws at
-    or past ``_TALLY_CELLS`` are looked up among the columns, so no bincount
-    is sized by a named cell and, while the draws stay below that bound, no
-    path-length temporary is made."""
-    if grid[-1] > len(obs):
-        raise ValueError("grid exceeds the path length")
-    obs = np.asarray(obs)
+    ``table[g]`` holds how many of the first ``grid[g]`` draws fall in each
+    column's cell, then a zero column. Draws past ``grid[-1]`` and draws in
+    unnamed cells are not counted; fewer than ``grid[-1]`` draws raise.
+
+    Each block is split at the grid points, and each piece is tallied by one
+    ``bincount`` of the piece itself, sized by its largest draw, into its
+    grid segment's row; the rows are accumulated at the end. Only draws at or
+    past ``_TALLY_CELLS`` are looked up among the columns, so no bincount is
+    sized by a named cell and, while the draws stay below that bound, no
+    temporary is longer than a block."""
     width = len(cols)
     near = int(np.searchsorted(cols, _TALLY_CELLS))
     near_cells, far_cells = cols[:near].astype(np.intp), cols[near:]
-    bounds = (0, *grid)
-    counts = np.zeros((len(grid), width + 1), dtype=np.int64)
-    for row, lo, hi in zip(counts, bounds, bounds[1:]):
-        segment = obs[lo:hi]
-        if segment.max() < _TALLY_CELLS:
-            tally = np.bincount(segment)
-        else:
-            far = segment >= _TALLY_CELLS
-            tally = np.bincount(segment[~far])
-            if len(far_cells):
-                drawn = segment[far]
-                at = np.searchsorted(far_cells, drawn)
-                named = far_cells[np.minimum(at, len(far_cells) - 1)] == drawn
-                row[near:width] = np.bincount(at[named], minlength=len(far_cells))
-        seen = int(np.searchsorted(near_cells, len(tally)))  # the columns the tally reaches
-        row[:seen] = tally[near_cells[:seen]]
-    return np.cumsum(counts, axis=0)
+    near_list = near_cells.tolist()
+
+    def count(blocks, keep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.zeros((len(grid), width + 1), dtype=np.int64)
+        first = []
+        g = done = 0  # the grid segment being counted, the draws before the block
+        for block in blocks:
+            if done < keep:
+                first.append(block[:keep - done].copy())
+            lo = 0
+            while lo < len(block) and g < len(grid):
+                hi = min(len(block), grid[g] - done)
+                piece, row = block[lo:hi], counts[g]
+                if piece.max() < _TALLY_CELLS:
+                    tally = np.bincount(piece)
+                else:
+                    far = piece >= _TALLY_CELLS
+                    tally = np.bincount(piece[~far])
+                    if len(far_cells):
+                        drawn = piece[far]
+                        at = np.searchsorted(far_cells, drawn)
+                        named = far_cells[np.minimum(at, len(far_cells) - 1)] == drawn
+                        row[near:width] += np.bincount(at[named], minlength=len(far_cells))
+                seen = bisect_left(near_list, len(tally))  # the columns the tally reaches
+                row[:seen] += tally[near_cells[:seen]]
+                g += done + hi == grid[g]
+                lo = hi
+            done += len(block)
+        if g < len(grid):
+            raise ValueError("grid exceeds the path length")
+        return np.cumsum(counts, axis=0), np.concatenate(first or [np.empty(0, dtype=np.int64)])
+
+    return count
+
+
+def _count_table(obs, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
+    """The :func:`_block_counter` table of a whole path, as one block."""
+    return _block_counter(grid, cols)((np.asarray(obs),))[0]
 
 
 def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: Sequence[int]) -> np.ndarray:
@@ -312,15 +336,22 @@ def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: 
     return _masses(table, cells, whole=lengths) / lengths
 
 
-def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None):
+def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None,
+                   head: int = 1):
     """The paths of a Monte Carlo check: paths 0 .. n_paths-1 of ``gen`` under
     ``master_seed``, each ``grid[-1]`` draws long and sampled once, as
-    (path, :func:`_count_table` over ``cols``, :func:`_frequencies` of the
-    events). ``cols`` defaults to the cells the events name.
+    (path, :func:`_block_counter` table over ``cols``, :func:`_frequencies` of
+    the events). ``cols`` defaults to the cells the events name. Each path is
+    a :class:`PathSample` with its seed and latent that holds only its first
+    ``head`` draws (at least one, at most ``grid[-1]``): the draws a check
+    reads one by one.
 
     The events (at least one, on the generator's space) and the number of
-    paths are checked at the call; the paths are sampled as they are
-    iterated, so only one is held at a time."""
+    paths are checked at the call. The paths are sampled as they are
+    iterated and each block of draws is counted as it is drawn, so no
+    path-length array is made. Each path allocates its own block buffers:
+    buffers reused by every path of a check left the heap fragmented and
+    raised the peak RSS of runs of many short paths by about 3 MB."""
     if not events:
         raise ValueError("event list must be non-empty")
     if any(ev.space != gen.space for ev in events):
@@ -329,11 +360,16 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
         raise ValueError("need at least one path")
     cols = _columns(events) if cols is None else cols
     cells = _cell_index(events, cols)
+    count = _block_counter(grid, cols)
+    n = grid[-1]
+    keep = min(head, n)
 
     def paths():
+        from .processes import PathSample  # processes imports this module
+
         for i in range(n_paths):
-            path = gen.sample_path(grid[-1], master_seed, path_index=i)
-            table = _count_table(path.observations, grid, cols)
-            yield path, table, _frequencies(table, cells, grid)
+            latent, blocks = gen.sample_blocks(n, master_seed, i)
+            table, first = count(blocks, keep)
+            yield PathSample(gen, (master_seed, i), latent, first), table, _frequencies(table, cells, grid)
 
     return paths()

@@ -31,11 +31,19 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 ``df_product_identity_exact`` k**n*n**m (pattern, index tuple) steps and
 ``SymmetricPrefixCondition`` k**m*m predicate calls.
 
-The two sequential samplers read the same ``stream.random(n)`` uniforms as a
-per-step loop and return the same observations bit for bit. The Polya and
-two-state samplers step through a path in blocks of numpy operations, one
-path at a time; no temporary is longer than a block, and they write into
-scratch that each path allocates once:
+Every generator draws its path in blocks of at most ``_DRAW_BLOCK`` (2**16,
+in ``rng``) draws (``ProcessGenerator._blocks``): each block's uniforms are
+read into one reused buffer and its draws written into another, and the
+sequential samplers carry the urn's counts or the chain's state from block to
+block. The blocks read the uniforms of one ``stream.random(n)`` in order, so
+they are the whole path's draws bit for bit. A Monte Carlo check counts each
+block as it is drawn (``sample_blocks``); ``sample_path`` joins the blocks
+into the one path-length array, for ``simulate`` and the tests.
+
+The two sequential samplers return the observations of a per-step loop bit
+for bit. Within a draw block, the Polya and two-state samplers step in
+smaller blocks of numpy operations; no temporary is longer than such a block,
+and they write into scratch that each path allocates once:
 
 * Markov: every state reads the step's uniform, so a step is a map from each
   state to the next (the grand coupling), and a step whose map is constant
@@ -72,6 +80,7 @@ scratch that each path allocates once:
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -83,7 +92,7 @@ import numpy as np
 
 from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
 from .measures import ProbMeasure, mix_measures
-from .rng import path_stream, skip_uniforms
+from .rng import block_buffers, path_stream, skip_uniforms, uniform_blocks
 from .spaces import Record, SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
@@ -145,18 +154,26 @@ def _mixture_pattern_law(space: SpaceDescriptor, parts, n: int) -> dict:
 # sampling from a measure
 
 def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n iid cells from a measure using the given stream.
+    """Draw n iid cells from a measure using the given stream, as one array
+    (the blocks of :func:`_measure_blocks`)."""
+    return _concatenated(_measure_blocks(mu, stream, n, *block_buffers(n)), n)
+
+
+def _measure_blocks(mu: ProbMeasure, stream: np.random.Generator, n: int, u: np.ndarray, out: np.ndarray):
+    """n iid cells of a measure, as blocks of up to ``len(u)`` draws written
+    to ``out``, from the uniforms that :func:`uniform_blocks` reads into ``u``.
 
     Finitely supported measures consume one uniform per draw; measures with
-    geometric components consume two blocks of n uniforms, u1 for the branch
+    geometric components consume two runs of n uniforms, u1 for the branch
     (the finite part, then each component) and u2 for the cell within it (a
     ``searchsorted`` on the finite part, the inverse cdf on a component).
-    When the cumulative branch weights reach 1.0 at the first branch of
-    positive weight (a single live branch, as in every ``geometric_kernel``
-    image), every u1 in [0, 1) selects that branch. Then u1 is not generated:
-    :func:`skip_uniforms` moves the stream past it by counter arithmetic, so
-    the stream ends where it would have, and the cells are computed in place
-    in u2.
+    All of u1 is read before u2: with several live branches a copy of the
+    stream, moved past u1 by :func:`skip_uniforms`, reads the u2 blocks beside
+    the u1 blocks, and the stream ends where that copy does. When the
+    cumulative branch weights reach 1.0 at the first branch of positive weight
+    (a single live branch, as in every ``geometric_kernel`` image), every u1
+    in [0, 1) selects that branch. Then u1 is not generated: the stream skips
+    it, and the cells are computed in place in u2.
     """
     cells, probs = mu._float_table
     comps = mu._components
@@ -164,22 +181,16 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
     if not comps:
         cum = np.cumsum(probs)
         cum[-1] = 1.0
-        u = stream.random(n)
-        return cells[np.searchsorted(cum, u, side="right")]
+        for ub in uniform_blocks(stream, n, u):
+            yield np.take(cells, np.searchsorted(cum, ub, side="right"), out=out[:len(ub)])
+        return
 
     branch_probs = np.concatenate([[probs.sum()], [float(c.weight) for c in comps]])
     branch_cum = np.cumsum(branch_probs)
     branch_cum[-1] = 1.0
     first = int(np.searchsorted(branch_cum, 0.0, side="right"))
-    single = branch_cum[first] >= 1.0
-    if single:
-        skip_uniforms(stream, n)
-    else:
-        u1 = stream.random(n)
-    u2 = stream.random(n)
-    out = np.empty(n, dtype=np.int64)
 
-    def fill(b, where):
+    def fill(b, u2, obs, where):
         """The cells of branch b at ``where``: a mask, or ... for all draws."""
         u = u2[where]  # a copy under a mask, u2 itself under ...
         if b == 0:
@@ -187,24 +198,42 @@ def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) ->
                 raise ValueError("branch selected an empty finite part")
             cum = np.cumsum(probs / probs.sum())
             cum[-1] = 1.0
-            out[where] = cells[np.searchsorted(cum, u, side="right")]
+            obs[where] = cells[np.searchsorted(cum, u, side="right")]
         elif (q := float(comps[b - 1].ratio)) >= 1.0:
-            out[where] = 0
+            obs[where] = 0
         else:
             np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
             np.log(u, out=u)
             u /= math.log1p(-q)
-            out[where] = np.floor(u, out=u)
+            obs[where] = np.floor(u, out=u)
 
-    if single:
-        fill(first, ...)
-        return out
-    branch = np.searchsorted(branch_cum, u1, side="right")
-    for b in range(len(branch_cum)):
-        mask = branch == b
-        if mask.any():
-            fill(b, mask)
-    return out
+    if branch_cum[first] >= 1.0:
+        skip_uniforms(stream, n)
+        for u2 in uniform_blocks(stream, n, u):
+            fill(first, u2, out[:len(u2)], ...)
+            yield out[:len(u2)]
+        return
+    cell_stream = copy.deepcopy(stream)
+    skip_uniforms(cell_stream, n)
+    for u1, u2 in zip(uniform_blocks(stream, n, np.empty_like(u)), uniform_blocks(cell_stream, n, u)):
+        obs = out[:len(u2)]
+        branch = np.searchsorted(branch_cum, u1, side="right")
+        for b in range(len(branch_cum)):
+            mask = branch == b
+            if mask.any():
+                fill(b, u2, obs, mask)
+        yield obs
+    stream.bit_generator.state = cell_stream.bit_generator.state
+
+
+def _concatenated(blocks, n: int) -> np.ndarray:
+    """The n draws that ``blocks`` yields, in order, as one int64 array."""
+    obs = np.empty(n, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        obs[start:start + len(block)] = block
+        start += len(block)
+    return obs
 
 
 def _ratio_bounds(o_min, z_max, o_max, z_min) -> tuple[float, float]:
@@ -234,37 +263,40 @@ def _running_counts(count, balls, out):
         np.cumsum(out, out=out)
 
 
-def _two_state_steps(u, obs, b0, b1, block):
-    """Fill obs[1:] of a two-state chain from obs[0]: step i moves to state 1
-    iff u[i] >= b_s, the inner boundary of the row of the state s it leaves.
+def _two_state_steps(u, out, state, b0, b1):
+    """Fill out[i] with the state of a two-state chain after step i from
+    ``state``: step i moves to state 1 iff u[i] >= b_s, the inner boundary of
+    the row of the state s it leaves.
 
     Over GF(2) a step maps s to g0 + (g0 + g1) s, with g_s = [u[i] >= b_s].
     Where g0 = g1 it is constant: the step fixes the state whatever came
     before (the chains coalesce). Elsewhere it is the identity (g0 = 0) or the
     swap (g0 = 1). So, with B the running sum of g0 and f <= i the last step
     that fixes the state, the state after step i is B[i] - B[f - 1] mod 2.
-    Each block prepends its carried state as a fixing step, and B[f - 1] is
-    the running maximum of B[i - 1] over the fixing steps i, as B never falls.
+    Each block of ``_MARKOV_BLOCK_CELLS`` / 2 steps prepends its carried state
+    as a fixing step, and B[f - 1] is the running maximum of B[i - 1] over the
+    fixing steps i, as B never falls.
     """
-    n = len(obs)
-    m_max = min(block, n - 1)
+    n = len(u)
+    block = _MARKOV_BLOCK_CELLS // 2
+    m_max = min(block, n)
     g0, g1, fixes = (np.empty(m_max + 1, dtype=bool) for _ in range(3))
     sums, floor = np.empty(m_max + 1, dtype=np.int64), np.empty(m_max + 1, dtype=np.int64)
     fixes[0] = True
     floor[0] = 0
-    for start in range(1, n, block):
+    for start in range(0, n, block):
         ub = u[start:start + block]
         m = len(ub)
-        g0[0] = obs[start - 1]
+        g0[0] = out[start - 1] if start else state
         np.greater_equal(ub, b0, out=g0[1:m + 1])
         np.greater_equal(ub, b1, out=g1[1:m + 1])
         np.equal(g0[1:m + 1], g1[1:m + 1], out=fixes[1:m + 1])
         np.cumsum(g0[:m + 1], out=sums[:m + 1])
         np.multiply(fixes[1:m + 1], sums[:m], out=floor[1:m + 1])
         np.maximum.accumulate(floor[:m + 1], out=floor[:m + 1])
-        out = obs[start:start + m]
-        np.subtract(sums[1:m + 1], floor[1:m + 1], out=out)
-        np.bitwise_and(out, 1, out=out)
+        steps = out[start:start + m]
+        np.subtract(sums[1:m + 1], floor[1:m + 1], out=steps)
+        np.bitwise_and(steps, 1, out=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +337,28 @@ class ProcessGenerator:
         latent, obs = self._draw(stream, n)
         return PathSample(self, (master_seed, path_index), latent, obs)
 
+    def sample_blocks(self, n: int, master_seed: int, path_index: int = 0):
+        """The path of :meth:`sample_path` as (latent, blocks): the blocks of
+        :meth:`_blocks`, drawn as they are iterated, through buffers of
+        :func:`block_buffers` that the path allocates."""
+        if n < 1:
+            raise ValueError("path length must be >= 1")
+        return self._blocks(path_stream(master_seed, path_index), n, *block_buffers(n))
+
     def _draw(self, stream: np.random.Generator, n: int):
+        """(latent, the n draws of :meth:`_blocks` as one int64 array)."""
+        # The path is a copy, allocated after the buffers: returning a short
+        # path's draw buffer itself raised the peak RSS of a run of many
+        # short paths by up to 5 MB at some seeds (heap placement).
+        latent, blocks = self._blocks(stream, n, *block_buffers(n))
+        return latent, _concatenated(blocks, n)
+
+    def _blocks(self, stream: np.random.Generator, n: int, u: np.ndarray, out: np.ndarray):
+        """(latent, blocks): the latent is drawn first, then the n draws as
+        an iterator over consecutive blocks of up to ``len(u)`` draws, each a
+        view of ``out`` that the next block overwrites. The uniforms are read
+        into ``u`` by :func:`uniform_blocks`, in the order of one
+        ``stream.random(n)``."""
         raise NotImplementedError
 
     def prefix_pattern_law(self, n: int) -> dict[tuple[int, ...], Fraction]:
@@ -334,8 +387,8 @@ class IIDProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.base.space
 
-    def _draw(self, stream, n):
-        return None, sample_from_measure(self.base, stream, n)
+    def _blocks(self, stream, n, u, out):
+        return None, _measure_blocks(self.base, stream, n, u, out)
 
     def prefix_pattern_law(self, n):
         return _mixture_pattern_law(self.space, ((1, self.base),), n)
@@ -381,9 +434,9 @@ class GridMixtureProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.component.target
 
-    def _draw(self, stream, n):
+    def _blocks(self, stream, n, u, out):
         idx = int(np.searchsorted(self._prior_cum, stream.random(), side="right"))
-        return self.prior[idx][1], sample_from_measure(self.images[idx], stream, n)
+        return self.prior[idx][1], _measure_blocks(self.images[idx], stream, n, u, out)
 
     def _parts(self) -> list[tuple[object, ProbMeasure]]:
         return [(w, mu) for (w, _), mu in zip(self.prior, self.images)]
@@ -423,10 +476,9 @@ class BetaBernoulliProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return finite(2)
 
-    def _draw(self, stream, n):
+    def _blocks(self, stream, n, u, out):
         p = float(stream.beta(float(self.a), float(self.b)))
-        obs = (stream.random(n) < p).astype(np.int64)
-        return p, obs
+        return p, (np.less(ub, p, out=out[:len(ub)]) for ub in uniform_blocks(stream, n, u))
 
     def prefix_pattern_law(self, n):
         a, b = self.a, self.b
@@ -482,24 +534,16 @@ class PolyaUrnProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return finite(2)
 
-    def _draw(self, stream, n):
-        u = stream.random(n)
+    def _blocks(self, stream, n, u, out):
+        return None, self._urn_blocks(stream, n, u, out)
+
+    def _urn_blocks(self, stream, n, u, out):
         ones = float(self.a)
         zeros = float(self.b)
-        obs = np.empty(n, dtype=np.int64)
         # warm-up: a nearly empty urn moves its ratio on every draw, so the
         # draws that fill it to _POLYA_WARMUP_BALLS balls are looped
-        start = min(n, max(0, math.ceil(_POLYA_WARMUP_BALLS - (self.a + self.b))))
-        warm = []
-        for ui in u[:start].tolist():
-            if ui < ones / (ones + zeros):
-                ones += 1.0
-                warm.append(1)
-            else:
-                zeros += 1.0
-                warm.append(0)
-        obs[:start] = warm
-        cap = min(n - start, _POLYA_BLOCK)
+        warm = min(n, max(0, math.ceil(_POLYA_WARMUP_BALLS - (self.a + self.b))))
+        cap = min(n - warm, _POLYA_BLOCK)
         # Scratch for the whole path, written with out=: allocating in every
         # block fragmented the heap around the path-sized arrays and raised the
         # peak RSS of later long paths by about 6 MB. Each further array costs
@@ -509,60 +553,75 @@ class PolyaUrnProcess(ProcessGenerator):
         at, base, counts = (np.empty(cap, dtype=np.int64) for _ in range(3))
         uo_buf, oj_buf, zj_buf = np.empty(cap), np.empty(cap), np.empty(cap)
         x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(3))
-        while start < n:
-            # a block of at most 4x the balls in the urn, so its ratio drifts little
-            m = min(n - start, cap, int(4 * (ones + zeros)))
-            ub = u[start:start + m]
-            # o[j], z[j]: the counts after j more balls of that color
-            _running_counts(ones, balls[:m + 1], o[:m + 1])
-            _running_counts(zeros, balls[:m + 1], z[:m + 1])
-            # the screen: a draw below the lowest ratio the block can reach is
-            # a one, at or above the highest a zero; only the rest are solved
-            low, high = _ratio_bounds(ones, z[m - 1], o[m - 1], zeros)
-            ones_low, opened = y_buf[:m], changed_buf[:m]  # free until the passes
-            np.less(ub, low, out=ones_low)
-            np.less(ub, high, out=opened)
-            np.greater(opened, ones_low, out=opened)
-            obs[start:start + m] = ones_low
-            r = int(np.count_nonzero(opened))
-            pos, uo = at[:r], uo_buf[:r]
-            np.compress(opened, steps[:m], out=pos)
-            np.take(ub, pos, out=uo, mode="clip")
-            np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
-            settled = int(counts[m - 1])
-            np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
-            # solve the open draws: guess each at the opening ratio, then
-            # recompute every draw as ``u < o/(o+z)`` with the counts the guess
-            # implies; all draws up to the first that changed are exact
-            np.less(uo, ones / (ones + zeros), out=x[:r])
-            done = ones_done = 0  # ones_done: among the open draws
-            while done < r:
-                rest = r - done
-                guess = x[done:r]
-                before, oj, zj = counts[:rest], oj_buf[:rest], zj_buf[:rest]
-                y, changed = y_buf[:rest], changed_buf[:rest]
-                np.cumsum(guess, out=before)  # the ones before each draw in the block
-                before -= guess
-                before += ones_done
-                before += base[done:r]
-                np.take(o, before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
-                np.subtract(pos[done:], before, out=before)  # now the zeros before each draw
-                np.take(z, before, out=zj, mode="clip")
-                np.add(oj, zj, out=zj)
-                np.divide(oj, zj, out=oj)
-                np.less(uo[done:], oj, out=y)
-                np.not_equal(y, guess, out=changed)
-                first = int(changed.argmax())
-                end = first + 1 if changed[first] else rest
-                ones_done += int(np.count_nonzero(y[:end]))
-                done += end
-                guess[:] = y  # y[:end] is exact; the rest is the next guess
-            np.put(obs[start:start + m], pos, x[:r])
-            ones_done += settled
-            ones = float(o[ones_done])
-            zeros = float(z[m - ones_done])
-            start += m
-        return None, obs
+        for u_block in uniform_blocks(stream, n, u):
+            obs = out[:len(u_block)]
+            start = min(warm, len(u_block))
+            looped = []
+            for ui in u_block[:start].tolist():
+                if ui < ones / (ones + zeros):
+                    ones += 1.0
+                    looped.append(1)
+                else:
+                    zeros += 1.0
+                    looped.append(0)
+            obs[:start] = looped
+            warm -= start
+            # the solved blocks end at the draw block's end; the carried counts
+            # are the loop's, so that edge changes no draw
+            while start < len(u_block):
+                # a block of at most 4x the balls in the urn, so its ratio drifts little
+                m = min(len(u_block) - start, cap, int(4 * (ones + zeros)))
+                ub = u_block[start:start + m]
+                # o[j], z[j]: the counts after j more balls of that color
+                _running_counts(ones, balls[:m + 1], o[:m + 1])
+                _running_counts(zeros, balls[:m + 1], z[:m + 1])
+                # the screen: a draw below the lowest ratio the block can reach is
+                # a one, at or above the highest a zero; only the rest are solved
+                low, high = _ratio_bounds(ones, z[m - 1], o[m - 1], zeros)
+                ones_low, opened = y_buf[:m], changed_buf[:m]  # free until the passes
+                np.less(ub, low, out=ones_low)
+                np.less(ub, high, out=opened)
+                np.greater(opened, ones_low, out=opened)
+                obs[start:start + m] = ones_low
+                r = int(np.count_nonzero(opened))
+                pos, uo = at[:r], uo_buf[:r]
+                np.compress(opened, steps[:m], out=pos)
+                np.take(ub, pos, out=uo, mode="clip")
+                np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
+                settled = int(counts[m - 1])
+                np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
+                # solve the open draws: guess each at the opening ratio, then
+                # recompute every draw as ``u < o/(o+z)`` with the counts the guess
+                # implies; all draws up to the first that changed are exact
+                np.less(uo, ones / (ones + zeros), out=x[:r])
+                done = ones_done = 0  # ones_done: among the open draws
+                while done < r:
+                    rest = r - done
+                    guess = x[done:r]
+                    before, oj, zj = counts[:rest], oj_buf[:rest], zj_buf[:rest]
+                    y, changed = y_buf[:rest], changed_buf[:rest]
+                    np.cumsum(guess, out=before)  # the ones before each draw in the block
+                    before -= guess
+                    before += ones_done
+                    before += base[done:r]
+                    np.take(o, before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
+                    np.subtract(pos[done:], before, out=before)  # now the zeros before each draw
+                    np.take(z, before, out=zj, mode="clip")
+                    np.add(oj, zj, out=zj)
+                    np.divide(oj, zj, out=oj)
+                    np.less(uo[done:], oj, out=y)
+                    np.not_equal(y, guess, out=changed)
+                    first = int(changed.argmax())
+                    end = first + 1 if changed[first] else rest
+                    ones_done += int(np.count_nonzero(y[:end]))
+                    done += end
+                    guess[:] = y  # y[:end] is exact; the rest is the next guess
+                np.put(obs[start:start + m], pos, x[:r])
+                ones_done += settled
+                ones = float(o[ones_done])
+                zeros = float(z[m - ones_done])
+                start += m
+            yield obs
 
     def prefix_pattern_law(self, n):
         a0, b0 = Fraction(self.a), Fraction(self.b)
@@ -617,23 +676,32 @@ class MarkovChainProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.initial.space
 
-    def _draw(self, stream, n):
-        u = stream.random(n)
+    def _blocks(self, stream, n, u, out):
+        return None, self._chain_blocks(stream, n, u, out)
+
+    def _chain_blocks(self, stream, n, u, out):
         cums = self._row_cums
-        obs = np.empty(n, dtype=np.int64)
-        state = int(np.searchsorted(self._init_cum, u[0], side="right"))
-        obs[0] = state
-        if len(cums) == 2:
-            _two_state_steps(u, obs, cums[0, 0], cums[1, 0], max(1, min(n, _MARKOV_BLOCK_CELLS) // 2))
-            return None, obs
         # bisect_right makes searchsorted(side="right")'s comparison, c <= u
         rows = cums.tolist()
-        states = []
-        for ui in u[1:].tolist():
-            state = bisect_right(rows[state], ui)
-            states.append(state)
-        obs[1:] = states
-        return None, obs
+        state = None
+        for ub in uniform_blocks(stream, n, u):
+            obs = out[:len(ub)]
+            if state is None:  # the path's first uniform draws the initial state
+                state = int(np.searchsorted(self._init_cum, ub[0], side="right"))
+                obs[0] = state
+                ub, steps = ub[1:], obs[1:]
+            else:
+                steps = obs
+            if len(cums) == 2:
+                _two_state_steps(ub, steps, state, cums[0, 0], cums[1, 0])
+                state = int(obs[-1])
+            else:
+                states = []
+                for ui in ub.tolist():
+                    state = bisect_right(rows[state], ui)
+                    states.append(state)
+                steps[:] = states
+            yield obs
 
     def prefix_pattern_law(self, n):
         law = {}

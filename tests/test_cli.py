@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from exchkit import cli
 from exchkit.cli import MIXING_CSV_HEADER, main
-from exchkit.config import SETTINGS, ScenarioConfig, SpecParseError, parse_events, parse_generator
+from exchkit.config import SETTINGS, ScenarioConfig, SpecParseError, atomic_write_text, parse_events, parse_generator
 from exchkit.empirical import slln_exchangeable_check
 from exchkit.processes import ProcessGenerator
 
@@ -170,6 +170,29 @@ def test_simulate_holds_about_its_csv_bytes(tmp_path):
         tracemalloc.stop()
     assert res.exit_code == 0
     assert peak <= 4 * os.path.getsize(tmp_path / "simulate.csv")
+
+
+WRITE_TEXTS = {
+    "ascii": "0:1,12345,1\n" * 487_500,  # 5.85 MB
+    "multibyte": "é,ß,∞\n" * 300_000 + "x",  # slices end inside runs of 2- and 3-byte characters
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITE_TEXTS))
+def test_atomic_write_text_writes_in_slices(tmp_path, kind):
+    """The text is written a slice at a time, and the file holds its UTF-8
+    bytes. The 5.85 MB ASCII text peaked at 5.85 MB of traced allocations
+    when it was written whole."""
+    text, path = WRITE_TEXTS[kind], tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        atomic_write_text(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode("utf-8")
+    if kind == "ascii":
+        assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_json_and_csv_flags_name_the_artifacts(tmp_path):
@@ -361,7 +384,7 @@ DRAW_CAP_RUNS = {
 @pytest.mark.parametrize("command", sorted(DRAW_CAP_RUNS))
 def test_exit_code_two_past_the_monte_carlo_draw_cap(tmp_path, monkeypatch, command):
     sampled = []
-    monkeypatch.setattr(ProcessGenerator, "sample_path", lambda self, *a, **kw: sampled.append(1))
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda self, *a, **kw: sampled.append(1))
     res = run_cli(command, "--gen", "mixture:grid(1/4,3/4):bern", *DRAW_CAP_RUNS[command],
                   "--seed", "0", "--out-dir", str(tmp_path))
     assert res.exit_code == 2
@@ -561,13 +584,13 @@ def test_estimate_mixing_samples_each_path_once_for_all_events(tmp_path, monkeyp
     spec, events = "mixture:grid(1/4,1/2):geom", ["cells:0", "cells:1,2", "not:0"]
     args = ["--gen", spec, "--n-grid", "10,100,500", "--paths", "6", "--seed", "5"]
     sampled = []
-    sample_path = ProcessGenerator.sample_path
+    sample_blocks = ProcessGenerator.sample_blocks
 
     def counting(self, *a, **kw):
         sampled.append(1)
-        return sample_path(self, *a, **kw)
+        return sample_blocks(self, *a, **kw)
 
-    monkeypatch.setattr(ProcessGenerator, "sample_path", counting)
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", counting)
     res = run_cli("estimate-mixing", *args, "--events", ";".join(events), "--out-dir", str(tmp_path / "all"))
     assert res.exit_code == 0 and len(sampled) == 6
     joint_doc = json.loads((tmp_path / "all" / "estimate-mixing.json").read_text())

@@ -51,6 +51,7 @@ from exchkit.kernels import (
 )
 from exchkit.measures import TightnessResult, is_tight
 from exchkit.processes import (
+    BetaBernoulliProcess,
     GridMixtureProcess,
     IIDProcess,
     MarkovChainProcess,
@@ -356,13 +357,13 @@ def test_path_checks_reject_events_on_another_space(check):
 @pytest.mark.parametrize("check", sorted(MC_CHECKS))
 def test_path_checks_sample_each_path_once(check, monkeypatch):
     sampled = []
-    sample_path = ProcessGenerator.sample_path
+    sample_blocks = ProcessGenerator.sample_blocks
 
-    def counting(self, *a, **kw):
-        sampled.append(kw["path_index"])
-        return sample_path(self, *a, **kw)
+    def counting(self, n, master_seed, path_index):
+        sampled.append(path_index)
+        return sample_blocks(self, n, master_seed, path_index)
 
-    monkeypatch.setattr(ProcessGenerator, "sample_path", counting)
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", counting)
     MC_CHECKS[check](ONES, 7)
     assert sampled == list(range(7))
 
@@ -890,6 +891,36 @@ def test_construct_rcd_memory_stays_bounded():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+CONTROL = MarkovChainProcess(
+    ProbMeasure.delta(B2, 0),
+    (ProbMeasure.from_weights(B2, [F(1, 4), F(3, 4)]), ProbMeasure.from_weights(B2, [F(3, 4), F(1, 4)])),
+)
+BETA = BetaBernoulliProcess(1, 1)
+# (path length, check of two paths of that length): they held 33.1, 23.6 and
+# 4.8 MB when a check held whole paths
+LONG_CHECKS = {
+    "verify_rcd beta(1,1)": (2_000_000, lambda n: verify_rcd(BETA.latent_kernel(), BETA, [ONES], 2, n)),
+    "slln polya(1,1)": (1_000_000, lambda n: slln_exchangeable_checks(
+        PolyaUrnProcess(1, 1), [ONES], tuple(10**j for j in range(1, 7) if 10**j <= n), 2)),
+    "markov bound control": (200_000, lambda n: markov_bound_check(CONTROL, ONES, F(1, 10), 2, n)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LONG_CHECKS))
+def test_long_path_checks_hold_no_path(check):
+    """A Monte Carlo check holds blocks of draws, not paths: each of these
+    peaks under 3 MB of traced allocations."""
+    n, run = LONG_CHECKS[check]
+    run(10)  # first-call set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        run(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_kernel_targets_are_built_once_per_latent_and_event(monkeypatch):

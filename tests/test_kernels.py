@@ -24,11 +24,13 @@ from exchkit.kernels import (
     _TALLY_CELLS,
     CylinderEvent,
     MarkovKernel,
+    _block_counter,
     _cell_index,
     _columns,
     _count_table,
     _frequencies,
     _masses,
+    _sampled_paths,
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,
@@ -37,6 +39,7 @@ from exchkit.kernels import (
     product_cylinder_mass,
     verify_rcd,
 )
+from exchkit.rng import _DRAW_BLOCK
 
 F = Fraction
 
@@ -165,6 +168,59 @@ def test_grid_counts_rejects_a_grid_past_the_path():
     events = [EventSet.of(finite(2), [1])]
     with pytest.raises(ValueError, match="exceeds the path length"):
         _count_table(np.array([0, 1]), (1, 3), _columns(events))
+
+
+@st.composite
+def counting_blocks(draw):
+    """A counting case, its path cut into blocks at random points, and how
+    many leading draws to keep."""
+    obs, events, grid = draw(counting_cases())
+    cuts = sorted(draw(st.sets(st.integers(1, len(obs) - 1), max_size=8))) if len(obs) > 1 else []
+    keep = draw(st.integers(0, len(obs)))
+    return obs, events, grid, np.split(obs, cuts), keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(counting_blocks())
+@example((np.array([0, 1, 1, 0, 1]), [EventSet.of(finite(2), [1])], [2, 3], [np.array([0, 1]), np.array([1, 0, 1])], 3))
+@example((np.array([FAR, 0, _TALLY_CELLS]), [EventSet.empty(countable()), EventSet.of(countable(), [FAR])], [1, 3],
+          [np.array([FAR]), np.array([0]), np.array([_TALLY_CELLS])], 0))
+def test_block_counter_equals_the_one_block_table(case):
+    obs, events, grid, blocks, keep = case
+    cols = _columns(events)
+    table, first = _block_counter(grid, cols)(iter(blocks), keep)
+    assert np.array_equal(table, _count_table(obs, grid, cols))
+    assert first.dtype == np.int64 and np.array_equal(first, obs[:keep])
+
+
+def test_block_counter_rejects_a_grid_past_the_blocks():
+    count = _block_counter((1, 4), _columns([EventSet.of(finite(2), [1])]))
+    with pytest.raises(ValueError, match="exceeds the path length"):
+        count([np.array([0, 1]), np.array([1])])
+
+
+DB = _DRAW_BLOCK
+
+
+def test_sampled_paths_count_each_block_as_the_whole_path():
+    """Grid points on each side of the first two block edges, draws below,
+    at and past _TALLY_CELLS and at a far cell, and events that name no cell:
+    each path's table, first draws, latent and seed equal those of the whole
+    path that sample_path draws."""
+    space = countable()
+    law = ProbMeasure(space, {0: F(1, 4), 3: F(1, 8), _TALLY_CELLS - 1: F(1, 8), _TALLY_CELLS: F(1, 8),
+                              70_000: F(1, 8), FAR: F(1, 4)})
+    gen = IIDProcess(law)
+    events = [EventSet.of(space, [3, _TALLY_CELLS]), EventSet.cofinite_of(space, [FAR, 0]), EventSet.empty(space),
+              EventSet.full(space), EventSet.of(space, [_TALLY_CELLS - 1, 70_000, 5])]
+    grid = (1, DB - 1, DB, DB + 1, 2 * DB - 1, 2 * DB, 2 * DB + 1, 2 * DB + 17)
+    cols = _columns(events)
+    for i, (path, table, freqs) in enumerate(_sampled_paths(gen, events, grid, 2, 9, head=DB + 3)):
+        whole = gen.sample_path(grid[-1], 9, path_index=i)
+        assert path.seed == (9, i) and path.latent == whole.latent
+        assert np.array_equal(path.observations, whole.observations[:DB + 3])
+        assert np.array_equal(table, _count_table(whole.observations, grid, cols))
+        assert np.array_equal(freqs, _frequencies(table, _cell_index(events, cols), grid))
 
 
 # -- the Monte Carlo verifier --------------------------------------------------

@@ -42,7 +42,7 @@ from exchkit.processes import (
     product_space,
     sample_from_measure,
 )
-from exchkit.rng import path_stream, skip_uniforms
+from exchkit.rng import _DRAW_BLOCK, path_stream, skip_uniforms
 
 F = Fraction
 B2 = finite(2)
@@ -482,18 +482,19 @@ class ThresholdStream:
     """
 
     def __init__(self, a, b, period):
-        self.a, self.b, self.period = a, b, period
+        self.ones, self.zeros, self.period = float(a), float(b), period
+        self.drawn = 0
 
-    def random(self, n):
-        ones, zeros = float(self.a), float(self.b)
-        u = np.empty(n)
-        for i in range(n):
-            if i % self.period == 0:
+    def random(self, n=None, out=None):
+        u = np.empty(n) if out is None else out
+        for i in range(len(u)):
+            if self.drawn % self.period == 0:
                 u[i] = 0.0
-                ones += 1.0
+                self.ones += 1.0
             else:
-                u[i] = ones / (ones + zeros)
-                zeros += 1.0
+                u[i] = self.ones / (self.ones + self.zeros)
+                self.zeros += 1.0
+            self.drawn += 1
         return u
 
 
@@ -806,6 +807,83 @@ def test_long_paths_keep_their_random_stream_at_shifted_seeds(gen, n, seed, inde
     obs = gen.sample_path(n, seed, path_index=index).observations
     assert obs.dtype == np.int64
     assert hashlib.sha256(obs.tobytes()).hexdigest() == digest
+
+
+# -- draws in blocks ---------------------------------------------------------------
+# Every generator draws its path in blocks of at most _DRAW_BLOCK draws through
+# two reused buffers. The blocks, joined, are sample_path's observations, and
+# both equal the loops and masked samplers above, which read stream.random(n).
+
+DB = _DRAW_BLOCK
+DRAW_LENGTHS = [1, DB - 1, DB, DB + 1, 2 * DB + 17]
+
+
+def beta_draws(gen, stream, n):
+    """The Beta sampler before blocks, kept as the oracle."""
+    p = float(stream.beta(float(gen.a), float(gen.b)))
+    return (stream.random(n) < p).astype(np.int64)
+
+
+def grid_draws(gen, stream, n):
+    idx = int(np.searchsorted(gen._prior_cum, stream.random(), side="right"))
+    return sample_from_measure_masked(gen.images[idx], stream, n)
+
+
+TWO_BRANCHES = ProbMeasure(countable(), {0: F(1, 4), 5: F(1, 4)}, [GeometricComponent(F(1, 2), F(1, 3))])
+BLOCK_GENERATORS = {
+    "iid finite": (IIDProcess(ProbMeasure.from_weights(finite(3), [F(1, 5), F(3, 10), F(1, 2)])), None),
+    "iid geometric": (IIDProcess(ProbMeasure.geometric(countable(), F(1, 4))), None),
+    "iid finite+geometric": (IIDProcess(TWO_BRANCHES), None),
+    "grid mixture": (GridMixtureProcess(((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))), geometric_kernel(countable())),
+                     grid_draws),
+    "beta": (BetaBernoulliProcess(2, 3), beta_draws),
+    "polya int": (PolyaUrnProcess(1, 1), polya_loop),
+    "polya fraction": (PolyaUrnProcess(F(4, 3), F(7, 3)), polya_loop),
+    "polya float": (PolyaUrnProcess(1.1, 2.7), polya_loop),
+    "markov 2 states": (flip_chain(), markov_loop),
+    "markov 3 states": (CHAINS["three-state zero entry"], markov_loop),
+}
+
+
+def assert_blocks_match(name, n, seed, index):
+    gen, oracle = BLOCK_GENERATORS[name]
+    if oracle is None:
+        def oracle(gen, stream, n):
+            return sample_from_measure_masked(gen.base, stream, n)
+    path = gen.sample_path(n, seed, path_index=index)
+    latent, blocks = gen.sample_blocks(n, seed, path_index=index)
+    copies = [block.copy() for block in blocks]
+    assert all(1 <= len(block) <= DB for block in copies)
+    assert latent == path.latent
+    assert path.observations.dtype == np.int64
+    assert np.array_equal(np.concatenate(copies), path.observations)
+    assert np.array_equal(path.observations, oracle(gen, path_stream(seed, index), n))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GENERATORS))
+@pytest.mark.parametrize("n", DRAW_LENGTHS)
+def test_blocks_join_to_the_path_and_match_the_oracles(name, n):
+    assert_blocks_match(name, n, 0, 1)
+
+
+@given(
+    st.sampled_from(sorted(BLOCK_GENERATORS)),
+    st.one_of(st.sampled_from(DRAW_LENGTHS), st.integers(1, 3 * DB)),
+    st.integers(0, 2**32),
+    st.integers(0, 5),
+)
+@settings(deadline=None, max_examples=30)
+def test_blocks_match_the_oracles_at_any_length(name, n, seed, index):
+    assert_blocks_match(name, n, seed, index)
+
+
+def test_blocks_of_several_live_branches_leave_the_stream_past_both_runs():
+    # u1, the branch uniforms, is read beside u2 by a copy of the stream; the
+    # stream still ends after both runs, where the masked sampler leaves it
+    n = 2 * DB + 17
+    s1, s2 = path_stream(4, 0), path_stream(4, 0)
+    assert np.array_equal(sample_from_measure(TWO_BRANCHES, s1, n), sample_from_measure_masked(TWO_BRANCHES, s2, n))
+    assert s1.random() == s2.random()
 
 
 # -- one mixture pattern law -----------------------------------------------------
