@@ -90,7 +90,6 @@ from .spaces import (
     countable,
     default_closed_family,
     default_compact_family,
-    dyadic,
     event_spec,
     finite,
 )

@@ -35,7 +35,7 @@ from .processes import (
     PolyaUrnProcess,
     ProcessGenerator,
 )
-from .spaces import EventSet, SpaceDescriptor, countable, dyadic, finite
+from .spaces import EventSet, SpaceDescriptor, countable, finite
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "EXCHKIT_OUT_DIR"
@@ -91,21 +91,31 @@ def _number_list(text: str, expect: int | None = None) -> list[Fraction]:
     return vals
 
 
-def parse_space(text: str) -> SpaceDescriptor:
-    """Space grammar: ``finite:<k>`` | ``countable`` | ``dyadic:<level>``."""
-    head, sep, arg = text.strip().partition(":")
+def _by_grammar(kind: str, text: str, parse):
+    """``parse()``, with its ValueError as "invalid <kind>" and its None (a
+    form the grammar lacks) as "unknown <kind> spec", each naming ``text``."""
     try:
+        value = parse()
+    except SpecParseError:
+        raise
+    except ValueError as exc:
+        raise SpecParseError(f"invalid {kind} {text!r}: {exc}") from None
+    if value is None:
+        raise SpecParseError(f"unknown {kind} spec {text!r}")
+    return value
+
+
+def parse_space(text: str) -> SpaceDescriptor:
+    """Space grammar: ``finite:<k>`` | ``countable``."""
+    head, sep, arg = text.strip().partition(":")
+
+    def parse():
         if head == "countable" and not sep:
             return countable()
         if head == "finite":
             return finite(_parse_int(arg, "cell count"))
-        if head == "dyadic":
-            return dyadic(_parse_int(arg, "level"))
-    except SpecParseError:
-        raise
-    except ValueError as exc:
-        raise SpecParseError(f"invalid space {text!r}: {exc}") from None
-    raise SpecParseError(f"unknown space spec {text!r}")
+
+    return _by_grammar("space", text, parse)
 
 
 def parse_measure(space: SpaceDescriptor, text: str) -> ProbMeasure:
@@ -118,7 +128,8 @@ def parse_measure(space: SpaceDescriptor, text: str) -> ProbMeasure:
     rejected here, at construction time.
     """
     head, _, arg = text.strip().partition(":")
-    try:
+
+    def parse():
         if head == "uniform":
             return ProbMeasure.uniform(space)
         if head == "delta":
@@ -137,18 +148,16 @@ def parse_measure(space: SpaceDescriptor, text: str) -> ProbMeasure:
                     raise SpecParseError(f"bad mixture part {chunk!r}, want w@q")
                 parts.append((parse_number(w), parse_number(q)))
             return ProbMeasure.geometric_mixture(space, parts)
-    except SpecParseError:
-        raise
-    except ValueError as exc:
-        raise SpecParseError(f"invalid measure {text!r}: {exc}") from None
-    raise SpecParseError(f"unknown measure spec {text!r}")
+
+    return _by_grammar("measure", text, parse)
 
 
 def parse_event(space: SpaceDescriptor, text: str) -> EventSet:
     """Event grammar, identical to the report rendering, so events round-trip:
     ``full`` | ``empty`` | ``cells:<i,j,...>`` | ``not:<i,j,...>``."""
     head, sep, arg = text.strip().partition(":")
-    try:
+
+    def parse():
         if head == "full" and not sep:
             return EventSet.full(space)
         if head == "empty" and not sep:
@@ -158,11 +167,8 @@ def parse_event(space: SpaceDescriptor, text: str) -> EventSet:
         if head == "not":
             cells = [_parse_int(i, "cell") for i in arg.split(",")]
             return EventSet.cofinite_of(space, cells)
-    except SpecParseError:
-        raise
-    except ValueError as exc:
-        raise SpecParseError(f"invalid event {text!r}: {exc}") from None
-    raise SpecParseError(f"unknown event spec {text!r}")
+
+    return _by_grammar("event", text, parse)
 
 
 def parse_events(space: SpaceDescriptor, text: str) -> tuple[EventSet, ...]:
@@ -194,7 +200,8 @@ def parse_generator(text: str) -> ProcessGenerator:
     """
     text = text.strip()
     head, _, rest = text.partition(":")
-    try:
+
+    def parse():
         if head == "iid":
             kind, _, arg = rest.partition(":")
             if kind == "bern":
@@ -237,11 +244,8 @@ def parse_generator(text: str) -> ProcessGenerator:
                 ProbMeasure.from_weights(space, [p10, 1 - p10]),
             )
             return MarkovChainProcess(ProbMeasure.delta(space, 0), rows)
-    except SpecParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(f"invalid generator {text!r}: {exc}") from None
-    raise SpecParseError(f"unknown generator spec {text!r}")
+
+    return _by_grammar("generator", text, parse)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,13 @@ def _default_layout(space: SpaceDescriptor) -> _Layout:
 # ---------------------------------------------------------------------------
 # closed-set convergence
 
-def _tail_half(values: Sequence) -> Sequence:
-    return values[len(values) // 2 :]
+def _limsup_excess(masses: np.ndarray, limit: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(limsup, excess) per closed set: the max of ``masses`` over the tail
+    half of the second-to-last (sequence) axis, and ``limsup - limit - tol``.
+    A set fails when its excess is positive, the one form of the closed-set
+    inequality, as ``limsup <= limit + tol`` can round the other way."""
+    limsup = masses[..., masses.shape[-2] // 2 :, :].max(axis=-2)
+    return limsup, limsup - limit - tol
 
 
 def _check_tol(tol) -> None:
@@ -236,7 +241,7 @@ def a_converges(
     """True iff limsup_n seq_n(F) <= candidate(F) + tol on every listed F.
 
     The limsup is the max over the tail half of the sequence. On failure the
-    second slot names the worst offender.
+    second slot names the worst offender (the first, on a tie).
     """
     _check_tol(tol)
     if candidate.space != seq.space or closed.space != seq.space:
@@ -245,21 +250,11 @@ def a_converges(
         raise ValueError("closed family must be non-empty")
     cols = _columns(closed)
     masses = _masses(_measure_table((*seq.measures, candidate), cols), _cell_index(closed.members, cols))
-    worst = _worst_closed(closed, masses[:-1], masses[-1], tol)
-    return worst is None, worst
-
-
-def _worst_closed(closed: ClosedFamily, masses: np.ndarray, candidate: np.ndarray, tol) -> EventSet | None:
-    """The closed set where the limsup of the sequence's masses (rows of
-    ``masses``) most exceeds the candidate's mass plus tol, or None."""
-    worst = None
-    worst_excess = 0
-    for f, limsup, m in zip(closed, _tail_half(masses).max(axis=0).tolist(), candidate.tolist()):
-        excess = limsup - m - tol
-        if excess > 0 and excess > worst_excess:
-            worst = f
-            worst_excess = excess
-    return worst
+    _, excess = _limsup_excess(masses[:-1], masses[-1], tol)
+    worst = int(np.argmax(excess))
+    if excess[worst] > 0:
+        return False, closed.members[worst]
+    return True, None
 
 
 def family_tight(seq: MeasureSequence) -> TightnessResult:
@@ -398,7 +393,7 @@ def _extract_rows(layout: _Layout, atoms: np.ndarray, tol) -> _Extracted:
 
     closed = _masses(atoms, layout.closed_cells)
     closed_limit = _masses(limit, layout.closed_cells)
-    excess = closed[:, n_grid // 2 :].max(axis=1) - closed_limit - tol  # the tail half's limsup
+    _, excess = _limsup_excess(closed, closed_limit, tol)
     full = converged & ~(excess > 0).any(axis=1)
     return _Extracted(witness, surviving, converged, limit, closed, closed_limit, full)
 
@@ -427,17 +422,14 @@ def _extract(layout: _Layout, atoms: np.ndarray, tol) -> ExtractionResult:
     full_ok = bool(found.full[0])
     selected = list(range(len(atoms))) if full_ok else surviving
     sub = found.closed[0][selected]  # at least two rows, so the head half is never empty
-    certs = []
-    for f, limsup, head_max, limit_mass in zip(
-        layout.closed,
-        _tail_half(sub).max(axis=0).tolist(),
-        sub[: len(sub) // 2].max(axis=0).tolist(),
-        found.closed_limit[0].tolist(),
-    ):
-        ok = limsup <= limit_mass + tol
-        certs.append(
-            ClosedSetCertificate(f, float(limsup), float(limit_mass), float(head_max - limsup), ok)
+    limsup, excess = _limsup_excess(sub, found.closed_limit[0], tol)
+    certs = [
+        ClosedSetCertificate(f, float(top), float(limit_mass), float(head_max - top), not over > 0)
+        for f, top, head_max, limit_mass, over in zip(
+            layout.closed, limsup.tolist(), sub[: len(sub) // 2].max(axis=0).tolist(),
+            found.closed_limit[0].tolist(), excess.tolist(),
         )
+    ]
     limit = _limit_measure(layout, found.limit[0])
     return ExtractionResult(
         tuple(selected), limit, tuple(certs), all(c.ok for c in certs), ft.witnesses, full_ok
@@ -476,7 +468,8 @@ def markov_bound_check(
     master_seed: int = 0,
 ) -> MarkovBoundResult:
     """With P(X_1 in B) <= eps^2, at most an eps-fraction of paths may hold
-    empirical mass >= eps; checked with a 3 standard-error binomial margin.
+    empirical mass >= eps; checked with the :func:`binomial_band` of eps over
+    the paths.
 
     The marginal precondition is verified against the generator's exact
     marginal, not sampled. ``eps`` must lie in (0, 1].
@@ -491,7 +484,7 @@ def markov_bound_check(
     violating = sum(float(freqs[-1, 0]) >= threshold for _, _, freqs in paths)
     frac = violating / n_paths
     eps_f = float(eps)
-    bound = eps_f + 3.0 * math.sqrt(eps_f * (1.0 - eps_f) / n_paths)
+    bound = eps_f + binomial_band(eps_f, n_paths)
     return MarkovBoundResult(frac <= bound, frac, bound, float(marginal), eps_f, n_paths, n_steps)
 
 

@@ -55,8 +55,8 @@ MAX_EXACT_POWER_BITS = 10**6
 # it computed from that one's powers.
 _POWER_STEP = 64
 
-# The uniform law holds one Fraction per cell; past the cells of dyadic:16 it
-# is refused, not built.
+# The uniform law holds one Fraction per cell; past 2**16 cells it is
+# refused, not built.
 MAX_UNIFORM_CELLS = 2**16
 
 EXACT = "exact"
@@ -195,12 +195,6 @@ class ProbMeasure:
     @property
     def is_finitely_supported(self) -> bool:
         return not self._components
-
-    def support(self) -> list[int]:
-        """Support cells; only available for finitely supported measures."""
-        if self._components:
-            raise ValueError("support of an analytic law is infinite")
-        return sorted(self._weights)
 
     def atom_mass(self, j: int):
         w = self._weights.get(j, Fraction(0) if self.mode == EXACT else 0.0)
@@ -386,8 +380,7 @@ class RegularityReport(Record):
 
     # why no compact needs an outer-regularity witness beyond itself
     OUTER_REGULARITY = (
-        "each default compact is open: every event is open in the discrete convention, "
-        "and the dyadic space's only default compact is the full space"
+        "each default compact is open: every event is open in the discrete convention"
     )
 
     def __post_init__(self) -> None:
@@ -443,7 +436,7 @@ def classify_radon(mu: ProbMeasure) -> RegularityReport:
     Borel measure on a Polish space is Radon) it never reports a FAIL.
 
     The witness for eps is the shortest initial segment {0..m-1} with
-    ``tail_mass(m) < eps``: the full space on a finite or dyadic space; on the
+    ``tail_mass(m) < eps``: the full space on a finite space; on the
     countable space, searched from ceil(log eps / log(1 - q)) of the
     component of least q (the witness when that component is the whole law),
     by steps that double down or up, clamped at the last cell the law

@@ -333,9 +333,13 @@ class ProcessGenerator:
     def sample_path(self, n: int, master_seed: int, path_index: int = 0) -> PathSample:
         if n < 1:
             raise ValueError("path length must be >= 1")
+        # The stream is held until the path is built, and the path is a copy
+        # allocated after the buffers: a stream freed as its blocks end, or a
+        # short path's draw buffer as the path, raised the peak RSS of a run
+        # of many short paths by about 2 MB and up to 5 MB (heap placement).
         stream = path_stream(master_seed, path_index)
-        latent, obs = self._draw(stream, n)
-        return PathSample(self, (master_seed, path_index), latent, obs)
+        latent, blocks = self._blocks(stream, n, *block_buffers(n))
+        return PathSample(self, (master_seed, path_index), latent, _concatenated(blocks, n))
 
     def sample_blocks(self, n: int, master_seed: int, path_index: int = 0):
         """The path of :meth:`sample_path` as (latent, blocks): the blocks of
@@ -344,14 +348,6 @@ class ProcessGenerator:
         if n < 1:
             raise ValueError("path length must be >= 1")
         return self._blocks(path_stream(master_seed, path_index), n, *block_buffers(n))
-
-    def _draw(self, stream: np.random.Generator, n: int):
-        """(latent, the n draws of :meth:`_blocks` as one int64 array)."""
-        # The path is a copy, allocated after the buffers: returning a short
-        # path's draw buffer itself raised the peak RSS of a run of many
-        # short paths by up to 5 MB at some seeds (heap placement).
-        latent, blocks = self._blocks(stream, n, *block_buffers(n))
-        return latent, _concatenated(blocks, n)
 
     def _blocks(self, stream: np.random.Generator, n: int, u: np.ndarray, out: np.ndarray):
         """(latent, blocks): the latent is drawn first, then the n draws as

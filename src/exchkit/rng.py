@@ -52,12 +52,9 @@ def skip_uniforms(stream: np.random.Generator, s: int) -> None:
     four to a counter step. The outputs still buffered are read first; past
     them, ``advance`` steps the counter over whole blocks of four, and
     ``random_raw`` reads the rest. ``advance`` also drops a half-read 32-bit
-    output, which doubles leave alone, so it is put back. Any other bit
-    generator draws the doubles."""
+    output, which doubles leave alone, so it is put back. ``stream`` is a
+    :func:`path_stream`, so its bit generator is Philox."""
     bg = stream.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        stream.random(s)
-        return
     state = bg.state
     left = 4 - state["buffer_pos"]
     if s <= left:

@@ -1,14 +1,13 @@
 """Desk-scale state spaces, their events, and compact/closed set families.
 
-Three space kinds are supported, chosen so that every topological predicate
-used downstream (tightness, outer regularity, A-convergence) is decidable by
-enumeration:
+A space is its cell count, finite or countable. Both kinds are discrete, so
+every topological predicate used downstream (tightness, outer regularity,
+A-convergence) is decidable by enumeration, and every probability on them is
+Radon (Ulam's theorem):
 
 * ``finite(k)``   -- k discrete atoms 0..k-1; every event is clopen and compact.
 * ``countable()`` -- atoms 0,1,2,...; events are finite or cofinite index sets;
   compact sets are the finite ones.
-* ``dyadic(L)``   -- the 2**L half-open dyadic cells of [0,1); the closure of a
-  cell is compact and finite unions of closed cells count as closed.
 
 Events are cell-index sets, not arbitrary Borel sets, which keeps complements
 and masses exactly computable.
@@ -22,10 +21,6 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-FINITE = "finite"
-COUNTABLE = "countable"
-DYADIC = "dyadic"
-
 
 class SpaceMismatchError(ValueError):
     """An event or measure was used with a space it does not belong to."""
@@ -33,31 +28,17 @@ class SpaceMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """A desk-scale state space: discrete atoms or dyadic cells of [0,1)."""
+    """A desk-scale state space of discrete atoms."""
 
-    kind: str
-    param: int = 0  # atom count for finite, resolution level for dyadic
+    num_cells: int | None  # None for the countable space
 
     def __post_init__(self) -> None:
-        if self.kind not in (FINITE, COUNTABLE, DYADIC):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == FINITE and self.param < 1:
+        if self.num_cells is not None and self.num_cells < 1:
             raise ValueError("finite space needs at least one atom")
-        if self.kind == DYADIC and self.param < 0:
-            raise ValueError("dyadic resolution level must be >= 0")
-
-    @property
-    def num_cells(self) -> int | None:
-        """Number of cells, or None for the countable space."""
-        if self.kind == FINITE:
-            return self.param
-        if self.kind == DYADIC:
-            return 2**self.param
-        return None
 
     @property
     def is_countable(self) -> bool:
-        return self.kind == COUNTABLE
+        return self.num_cells is None
 
     def valid_index(self, j: int) -> bool:
         n = self.num_cells
@@ -65,15 +46,11 @@ class SpaceDescriptor:
 
 
 def finite(k: int) -> SpaceDescriptor:
-    return SpaceDescriptor(FINITE, k)
+    return SpaceDescriptor(k)
 
 
 def countable() -> SpaceDescriptor:
-    return SpaceDescriptor(COUNTABLE)
-
-
-def dyadic(level: int) -> SpaceDescriptor:
-    return SpaceDescriptor(DYADIC, level)
+    return SpaceDescriptor(None)
 
 
 @dataclass(frozen=True)
@@ -169,7 +146,7 @@ def _same_space(a, b) -> None:
 
 
 def complement(event: EventSet) -> EventSet:
-    """The complementary event; an involution on every space kind."""
+    """The complementary event; an involution on every space."""
     if event.space.is_countable:
         return EventSet(event.space, event.indices, cofinite=not event.cofinite)
     full = frozenset(range(event.space.num_cells))
@@ -195,8 +172,8 @@ def all_events(space: SpaceDescriptor) -> list[EventSet]:
 class CompactFamily:
     """An inclusion-increasing list of events designated compact.
 
-    On the countable space only finite index sets qualify; on the finite and
-    dyadic spaces every event does (dyadic cells are compact after closure).
+    On the countable space only finite index sets qualify; on a finite space
+    every event does.
     """
 
     space: SpaceDescriptor
@@ -305,13 +282,13 @@ def report_value(value):
 
 @cache
 def default_closed_family(space: SpaceDescriptor) -> ClosedFamily:
-    """A usable closed-set checklist per space kind, built once per space.
+    """A usable closed-set checklist per space, built once per space.
 
-    Finite/dyadic spaces with at most 10 cells get every event (all are closed
-    in the discrete/closed-cell convention). Larger sized spaces and the
-    countable space get the initial segments of up to 16 cells plus the empty
-    and full sets; a chain is trivially union/intersection-closed, and segment
-    masses already pin down every atom of a measure.
+    Finite spaces with at most 10 cells get every event (all are closed in
+    the discrete convention). Larger finite spaces and the countable space
+    get the initial segments of up to 16 cells plus the empty and full sets;
+    a chain is trivially union/intersection-closed, and segment masses
+    already pin down every atom of a measure.
     """
     n = space.num_cells
     if n is not None and n <= 10:

@@ -41,11 +41,12 @@ def test_every_tiny_workload_check_is_accepted(workloads, seed, tmp_path):
 # check order, as the pipeline printed them when every mass was a
 # measures.mass call; the per-path count table must not change a byte. Re-pinned
 # when the Radon report's witnesses became segment lengths and its
-# outer-regularity triples one line of reason; with those fields removed, the
-# texts equal the earlier pins' byte for byte
+# outer-regularity triples one line of reason, and again when that line lost
+# its clause on the dyadic space; with those fields removed, the texts equal
+# the earlier pins' byte for byte
 RCD_PIPELINE_TEXT_SHA256 = {
-    0: "bba245d6b7b31889c90c6208b30212c7496560528f89b2f2afce7a56183fd22a",
-    3: "41eeba246ea6d9fe37d3e444dd6da096c6080aee199258b13213894d33206b92",
+    0: "59d74e4bca5f87c71df14430da879545115c11bf290647f7f648a2a17dfe8e58",
+    3: "e5afa44a475b447145c5bed2b4a7cbf4622e411dc1aa9fc0445094988d936c0d",
 }
 
 
@@ -76,12 +77,13 @@ def test_mc_paths_outputs_are_byte_identical(workloads, seed, tmp_path):
 
 # the same guard for the tiny exact-oracles and long-paths checks, as they
 # printed before latent_kernel() became the one source of per-path targets
-# and rcd_verdict the one band count
+# and rcd_verdict the one band count. Re-pinned for long-paths when the
+# Markov bound took binomial_band's 3/P floor: its 2- and 4-path bounds grew
 TEXT_SHA256 = {
     ("exact-oracles", 0): "0d6098102833ff917c140a679c286fdf1e2f12caa0ffc553a6d69f0c7f8aa39e",
     ("exact-oracles", 3): "7a43d6267561526a8b1bb79711b4a9adc09c8ca6e8476ef12f359811f16f1512",
-    ("long-paths", 0): "422583367f7b33b2abcc9882a4668be6da1519effcaabaa336070f45e158f25e",
-    ("long-paths", 3): "422583367f7b33b2abcc9882a4668be6da1519effcaabaa336070f45e158f25e",
+    ("long-paths", 0): "956184ef2d6549cee9b7fdf86747e7f15afa069f8ef57dce9d53a68db707ac0d",
+    ("long-paths", 3): "956184ef2d6549cee9b7fdf86747e7f15afa069f8ef57dce9d53a68db707ac0d",
 }
 
 

@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from exchkit import cli
 from exchkit.cli import MIXING_CSV_HEADER, main
-from exchkit.config import SETTINGS, ScenarioConfig, SpecParseError, atomic_write_text, parse_events, parse_generator
+from exchkit.config import (REQUIRED, SETTINGS, ScenarioConfig, SpecParseError, atomic_write_text, parse_events,
+                            parse_generator, parse_space)
 from exchkit.empirical import slln_exchangeable_check
 from exchkit.processes import ProcessGenerator
 
@@ -221,13 +224,15 @@ def test_report_keeps_volatile_fields_on_final_lines(tmp_path):
 # ---------------------------------------------------------------- exit codes
 
 
-def test_exit_code_two_on_bad_generator_spec(tmp_path):
-    res = run_cli(
-        "simulate", "--gen", "zeta:9", "--n", "5", "--seed", "0",
-        "--out-dir", str(tmp_path),
-    )
+@pytest.mark.parametrize("args, kind", [
+    (("simulate", "--gen", "zeta:9", "--n", "5", "--seed", "0"), "generator"),
+    # a space is finite:<k> or countable; dyadic:<level> is not a form
+    (("radon-classify", "--space", "dyadic:3", "--measure", "uniform"), "space"),
+], ids=["generator", "space"])
+def test_exit_code_two_on_an_unknown_spec(tmp_path, args, kind):
+    res = run_cli(*args, "--out-dir", str(tmp_path))
     assert res.exit_code == 2
-    assert "unknown generator spec" in res.stderr
+    assert f"unknown {kind} spec" in res.stderr
 
 
 def test_exit_code_two_when_seed_is_missing(tmp_path):
@@ -422,6 +427,35 @@ def test_help_states_each_setting_default_or_required(command):
         assert entries[key.replace("_", "-")].endswith(f"({note})")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_settings_table_is_the_settings_rows():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | required | defaults |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, required, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command.strip("`")] = (
+            re.findall(r"`(\w+)`", required),
+            {key: value.strip() for key, value in re.findall(r"`(\w+)` = ([^;]+)", defaults)},
+        )
+    assert table == {
+        command: ([k for k, v in row.items() if v is REQUIRED], {k: v for k, v in row.items() if v is not REQUIRED})
+        for command, row in SETTINGS.items()
+    }
+
+
+def test_every_space_form_in_the_readme_grammar_parses():
+    line = next(line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("- space:"))
+    forms = re.findall(r"`([^`]+)`", line)
+    assert forms
+    for form in forms:
+        parse_space(re.sub(r"<\w+>", "2", form))
+
+
 # one value per setting; every length setting holds `length`, with 100 paths
 def settings_with_length(command, length):
     values = {"gen": "mixture:grid(1/4,3/4):bern", "events": "cells:1", "seed": "0", "paths": "100",
@@ -444,7 +478,7 @@ def test_the_draw_cap_binds_exactly_the_commands_with_paths(command):
 
 @pytest.mark.parametrize("args", [
     ("radon-classify", "--space", "finite:100000000", "--measure", "uniform"),
-    ("radon-classify", "--space", "dyadic:64", "--measure", "uniform"),
+    ("radon-classify", "--space", "finite:65537", "--measure", "uniform"),
     ("check-exchangeable", "--gen", "iid:uniform:100000000", "--n", "1"),
 ])
 def test_exit_code_two_on_a_uniform_law_past_the_cell_cap(tmp_path, args):

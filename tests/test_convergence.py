@@ -16,7 +16,6 @@ from exchkit import (
     ProbMeasure,
     countable,
     default_compact_family,
-    dyadic,
     finite,
     mass,
 )
@@ -189,6 +188,69 @@ def test_extraction_keeps_full_sequence_when_it_settles():
     assert mass(res.limit, ONES) == pytest.approx(1.0, abs=1e-9)
 
 
+# Four cells; the third measure moves cells 0 and 1 up by about tol/2 each and
+# cells 2 and 3 down, so every cell's values span at most tol/2 and all four
+# indices survive, while the closed set {0, 1} reaches tol past the limit.
+B4 = finite(4)
+SETTLED = (0.10965539002120997, 0.2699598333025178, 0.17204369630199817, 0.44834108037427406)
+NUDGED = (0.10965539052120997, 0.2699598338025178, 0.1720436958019982, 0.4483410798742741)
+
+
+def _four_cell_sequence(rows):
+    return MeasureSequence(B4, tuple(ProbMeasure.from_weights(B4, list(w)) for w in rows))
+
+
+def test_closed_set_inequality_has_one_form():
+    # at these masses limsup <= limit + tol and limsup - limit - tol > 0 both
+    # hold; a certificate and a_converges must read them alike
+    limsup, limit, tol = 0.3796152243237278, 0.37961522332372777, 1e-9
+    assert limsup <= limit + tol and limsup - limit - tol > 0
+    seq = _four_cell_sequence((SETTLED, SETTLED, NUDGED, SETTLED))
+    res = extract_convergent_subsequence(seq, tol)
+    pair = EventSet.of(B4, [0, 1])
+    cert = next(c for c in res.certificates if c.event == pair)
+    assert (cert.limsup, cert.limit_mass) == (limsup, limit)
+    assert res.indices == (0, 1, 2, 3) and not res.full_sequence
+    assert not cert.ok and not res.a_converged
+    assert a_converges(seq, res.limit, default_closed_family(B4), tol) == (False, pair)
+
+
+@st.composite
+def nudged_sequences(draw):
+    """Sequences on four cells of a settled measure and measures that move
+    two of its cells up and two down by about tol/2, so closed sets of two
+    cells land within rounding of limit + tol."""
+    tol = draw(st.sampled_from([1e-9, 1e-3]))
+    a, b, c = (draw(st.floats(0.1, 0.3)) for _ in range(3))
+    settled = (a, b, c, 1.0 - a - b - c)
+    h = tol / 2 - draw(st.integers(0, 4)) * 2.0**-60
+    nudged = []
+    for up in draw(st.lists(st.permutations(range(4)), min_size=1, max_size=2)):
+        nudged.append(tuple(w + h if j in up[:2] else w - h for j, w in enumerate(settled)))
+    rows = draw(st.lists(st.sampled_from([settled, *nudged]), min_size=2, max_size=8))
+    return _four_cell_sequence(rows), tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(nudged_sequences())
+def test_certificates_full_sequence_and_a_converges_agree(case):
+    seq, tol = case
+    try:
+        res = extract_convergent_subsequence(seq, tol)
+    except NoConvergenceAtTolError:
+        return
+    if res.full_sequence:
+        assert res.indices == tuple(range(len(seq))) and res.a_converged
+    selected = MeasureSequence(B4, tuple(seq[i] for i in res.indices))
+    converged, worst = a_converges(selected, res.limit, default_closed_family(B4), tol)
+    assert converged == res.a_converged
+    failing = {c.event for c in res.certificates if not c.ok}
+    if converged:
+        assert not failing
+    else:
+        assert worst in failing
+
+
 def test_extraction_rejects_escaping_mass():
     # Deltas marching past every compact in the family: no uniform witness.
     seq = MeasureSequence(NN, tuple(ProbMeasure.delta(NN, 64 + k) for k in range(8)))
@@ -245,6 +307,17 @@ def test_markov_bound_rare_event_iid():
     assert res.violating_fraction == 0.0
     assert res.marginal_mass == pytest.approx(0.01)
     assert res.bound >= res.marginal_mass / res.eps
+
+
+@pytest.mark.parametrize("n_paths, bound", [(2, 0.1 + 1.5), (1000, 0.12846049894151543)])
+def test_markov_bound_is_eps_plus_the_binomial_band(n_paths, bound):
+    """The bound is eps plus the band of every Monte Carlo verdict. At 1000
+    paths (acceptance 05) 3 standard errors set it; at 2 paths the standard
+    error sqrt(eps (1 - eps) / P) = 0.21 is under the floor 1/P, so it is
+    eps + 3/P."""
+    gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
+    res = markov_bound_check(gen, ONES, F(1, 10), n_paths=n_paths, n_steps=10, master_seed=0)
+    assert res.bound == bound == 0.1 + binomial_band(0.1, n_paths)
 
 
 def test_markov_bound_empty_event_never_violates():
@@ -652,7 +725,7 @@ def _reference_extract(seq, tol):
         limit_mass = mass(limit, f)
         certs.append(
             ClosedSetCertificate(
-                f, float(limsup), float(limit_mass), float(head_max - limsup), limsup <= limit_mass + tol
+                f, float(limsup), float(limit_mass), float(head_max - limsup), not limsup - limit_mass - tol > 0
             )
         )
     return "ok", (
@@ -703,7 +776,7 @@ PIPELINE_SPACES = {
     "countable": (NN, (0, 1, 2, 3, 4, 5, 6, 7), (64, 66, 70, 71), NN_EVENTS),
     "finite(2)": (B2, (0, 1), (), [ONES, EventSet.full(B2), EventSet.empty(B2)]),
     "finite(12)": (finite(12), tuple(range(12)), (), [EventSet.of(finite(12), [0, 11]), EventSet.of(finite(12), [5])]),
-    "dyadic(3)": (dyadic(3), tuple(range(8)), (), [EventSet.of(dyadic(3), [7, 0, 2]), EventSet.full(dyadic(3))]),
+    "finite(8)": (finite(8), tuple(range(8)), (), [EventSet.of(finite(8), [7, 0, 2]), EventSet.full(finite(8))]),
 }
 
 

@@ -20,7 +20,6 @@ from exchkit import (
     complement,
     countable,
     default_compact_family,
-    dyadic,
     finite,
     mass,
     mix_measures,
@@ -93,17 +92,11 @@ def test_uniform_needs_a_sized_space():
         ProbMeasure.uniform(countable())
 
 
-def test_uniform_law_is_capped_at_the_cells_of_dyadic_16():
-    assert MAX_UNIFORM_CELLS == dyadic(16).num_cells
-    assert len(ProbMeasure.uniform(dyadic(16)).weights_dict()) == MAX_UNIFORM_CELLS
+def test_uniform_law_is_capped_at_2_to_the_16_cells():
+    assert MAX_UNIFORM_CELLS == 2**16
+    assert len(ProbMeasure.uniform(finite(2**16)).weights_dict()) == MAX_UNIFORM_CELLS
     with pytest.raises(ValueError, match="uniform law on 65537 cells exceeds the cap of 65536 cells"):
         ProbMeasure.uniform(finite(MAX_UNIFORM_CELLS + 1))
-
-
-def test_support_of_analytic_law_is_refused():
-    mu = ProbMeasure.geometric(countable(), F(1, 2))
-    with pytest.raises(ValueError):
-        mu.support()
 
 
 # -- evaluation oracles ------------------------------------------------------
@@ -285,8 +278,8 @@ def test_tightness_requires_positive_epsilons():
 # -- outer regularity and the classifier -------------------------------------
 
 
-def test_outer_regularity_threshold_on_dyadic():
-    space = dyadic(2)
+def test_outer_regularity_threshold_on_four_cells():
+    space = finite(4)
     mu = ProbMeasure.from_weights(space, [F(1, 8), F(3, 8), F(3, 8), F(1, 8)])
     target = EventSet.of(space, [0, 1])
     opens = [EventSet.full(space)]
@@ -434,7 +427,6 @@ def _construct_rcd_marginal():
         _construct_rcd_marginal,
         lambda: ProbMeasure.geometric(countable(), F(1, 1000)),
         lambda: ProbMeasure.uniform(finite(5)),
-        lambda: ProbMeasure.from_weights(dyadic(2), [F(1, 8), F(3, 8), F(3, 8), F(1, 8)]),
         lambda: ProbMeasure.geometric(countable(), 0.25),
         # the other measures that the radon-classify commands of the benchmark classify
         lambda: ProbMeasure.delta(finite(7), 3),
@@ -446,7 +438,6 @@ def _construct_rcd_marginal():
         "construct-rcd-marginal",
         "geometric-1/1000",
         "uniform-5",
-        "dyadic-2",
         "float-geometric",
         "delta-3-of-7",
         "bern-1/3",
@@ -602,7 +593,7 @@ def test_classifier_witness_is_the_first_tail_crossing(mu):
         assert mu.tail_mass(m) < eps <= mu.tail_mass(m - 1)
 
 
-@pytest.mark.parametrize("space", [countable(), finite(2), finite(12), dyadic(3)], ids=str)
+@pytest.mark.parametrize("space", [countable(), finite(2), finite(12)], ids=str)
 def test_default_compact_families_are_chains(space):
     from exchkit.convergence import _chain_order
 

@@ -33,6 +33,7 @@ from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
     _POLYA_WARMUP_BALLS,
+    _concatenated,
     _ratio_bounds,
     all_patterns,
     beta_binomial_pattern_prob,
@@ -42,7 +43,7 @@ from exchkit.processes import (
     product_space,
     sample_from_measure,
 )
-from exchkit.rng import _DRAW_BLOCK, path_stream, skip_uniforms
+from exchkit.rng import _DRAW_BLOCK, block_buffers, path_stream, skip_uniforms
 
 F = Fraction
 B2 = finite(2)
@@ -427,10 +428,10 @@ def markov_loop(gen, stream, n):
 
 
 def assert_same_draws(gen, oracle, n, seed, index):
-    latent, obs = gen._draw(path_stream(seed, index), n)
-    assert latent is None
-    assert obs.dtype == np.int64
-    assert np.array_equal(obs, oracle(gen, path_stream(seed, index), n))
+    path = gen.sample_path(n, seed, index)
+    assert path.latent is None
+    assert path.observations.dtype == np.int64
+    assert np.array_equal(path.observations, oracle(gen, path_stream(seed, index), n))
 
 
 PB = _POLYA_BLOCK
@@ -504,7 +505,8 @@ def test_polya_counts_round_as_the_loop_on_threshold_uniforms(a, b):
     # time (quadratic in the block): the warm-up, both growing blocks and 500
     # draws into the first full one keep this short
     n = warm_up_edges(a, b)[2] + 500
-    _, obs = PolyaUrnProcess(a, b)._draw(ThresholdStream(a, b, 3), n)
+    _, blocks = PolyaUrnProcess(a, b)._blocks(ThresholdStream(a, b, 3), n, *block_buffers(n))
+    obs = _concatenated(blocks, n)
     assert np.array_equal(obs, (np.arange(n) % 3 == 0).astype(np.int64))
 
 
@@ -668,13 +670,6 @@ def test_skip_uniforms_lands_where_drawing_does(before, s, half_read, seed):
     assert _unread(skipped) == _unread(drawn)
     assert np.array_equal(skipped.random(50), drawn.random(50))
     assert np.array_equal(skipped.integers(0, 2**31, size=3, dtype=np.int32), drawn.integers(0, 2**31, size=3, dtype=np.int32))
-
-
-def test_skip_uniforms_draws_on_other_bit_generators():
-    drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
-    drawn.random(7)
-    skip_uniforms(skipped, 7)
-    assert skipped.random() == drawn.random()
 
 
 def chain_of(weights_rows, initial):

@@ -44,10 +44,7 @@ RADON_TWO_CELLS = {
     "tight": True,
     "tight_witnesses": [{"eps": f"1/{2**k}", "segment_length": 2} for k in range(1, 11)],
     "outer_regular_on_compacts": True,
-    "outer_regularity": (
-        "each default compact is open: every event is open in the discrete convention, "
-        "and the dyadic space's only default compact is the full space"
-    ),
+    "outer_regularity": "each default compact is open: every event is open in the discrete convention",
     "radon": True,
 }
 

@@ -15,13 +15,12 @@ from exchkit import (
     countable,
     default_closed_family,
     default_compact_family,
-    dyadic,
     event_spec,
     finite,
     parse_event,
 )
 
-SPACES = [finite(2), finite(5), dyadic(2), countable()]
+SPACES = [finite(2), finite(5), countable()]
 
 
 def _index_cap(space):
@@ -43,25 +42,15 @@ def space_events(draw, count=1):
 # -- descriptor validation ---------------------------------------------------
 
 
-def test_space_kind_rejected():
-    with pytest.raises(ValueError):
-        SpaceDescriptor("weird", 3)
-
-
 def test_finite_space_needs_an_atom():
     with pytest.raises(ValueError):
         finite(0)
 
 
-def test_dyadic_level_nonnegative():
-    with pytest.raises(ValueError):
-        dyadic(-1)
-
-
 def test_cell_counts():
     assert finite(7).num_cells == 7
-    assert dyadic(3).num_cells == 8
     assert countable().num_cells is None
+    assert finite(7) == SpaceDescriptor(7) and countable() == SpaceDescriptor(None)
 
 
 # -- event sets --------------------------------------------------------------
@@ -162,7 +151,7 @@ def test_all_events_refuses_large_or_countable():
     with pytest.raises(ValueError):
         all_events(countable())
     with pytest.raises(ValueError):
-        all_events(dyadic(5))
+        all_events(finite(32))
 
 
 # -- families ----------------------------------------------------------------
@@ -188,7 +177,7 @@ def test_default_compacts_on_countable_are_segments():
 
 
 @pytest.mark.parametrize(
-    "space", [finite(2), finite(12), dyadic(3), countable()], ids=["finite2", "finite12", "dyadic3", "countable"]
+    "space", [finite(2), finite(12), countable()], ids=["finite2", "finite12", "countable"]
 )
 @pytest.mark.parametrize("build", [default_compact_family, default_closed_family], ids=lambda f: f.__name__)
 def test_default_families_are_built_once_per_space(build, space):
