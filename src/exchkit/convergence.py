@@ -448,9 +448,10 @@ def _least_double_at_least(x) -> float:
 
 @dataclass(frozen=True)
 class MarkovBoundResult(Record):
-    """Frequency of paths whose empirical mass of a rare event reaches eps."""
+    """Frequency of paths whose empirical mass of a rare event reaches eps;
+    ``passed`` is None when the bound is 1 or more, as no fraction exceeds it."""
 
-    passed: bool
+    passed: bool | None
     violating_fraction: float
     bound: float
     marginal_mass: float
@@ -469,7 +470,8 @@ def markov_bound_check(
 ) -> MarkovBoundResult:
     """With P(X_1 in B) <= eps^2, at most an eps-fraction of paths may hold
     empirical mass >= eps; checked with the :func:`binomial_band` of eps over
-    the paths.
+    the paths. A bound of 1 or more (eps = 1, or 3 paths or fewer at eps =
+    1/10) no fraction can exceed, so its verdict is None: it decides nothing.
 
     The marginal precondition is verified against the generator's exact
     marginal, not sampled. ``eps`` must lie in (0, 1].
@@ -485,7 +487,8 @@ def markov_bound_check(
     frac = violating / n_paths
     eps_f = float(eps)
     bound = eps_f + binomial_band(eps_f, n_paths)
-    return MarkovBoundResult(frac <= bound, frac, bound, float(marginal), eps_f, n_paths, n_steps)
+    passed = None if bound >= 1 else frac <= bound
+    return MarkovBoundResult(passed, frac, bound, float(marginal), eps_f, n_paths, n_steps)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ into the one path-length array, for ``simulate`` and the tests.
 
 The two sequential samplers return the observations of a per-step loop bit
 for bit. Within a draw block, the Polya and two-state samplers step in
-smaller blocks of numpy operations; no temporary is longer than such a block,
-and they write into scratch that each path allocates once:
+smaller blocks of numpy operations, and no temporary is longer than such a
+block:
 
 * Markov: every state reads the step's uniform, so a step is a map from each
   state to the next (the grand coupling), and a step whose map is constant
@@ -54,28 +54,26 @@ and they write into scratch that each path allocates once:
   xor the parity of the swaps since, one running sum per block of
   ``_MARKOV_BLOCK_CELLS`` / 2 steps (``_two_state_steps``). With k > 2 states
   the chain steps one draw at a time, bisecting its row's cumulative list.
-* Polya: while the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls,
-  its ratio moves on every draw, so those draws run as the loop itself. Then
-  the path is solved in blocks of min(``_POLYA_BLOCK``, 4 x the balls in the
-  urn) draws, which bounds how far the ratio drifts inside a block; the rule
-  follows the urn's size, not the workload. Before draw j of a block the
-  counts lie between (o, z + j) and (o + j, z), so every ratio the loop can
-  compute there lies in a band that ``_ratio_bounds`` widens for rounding. A
-  uniform below the band draws a one and one at or above it a zero,
-  whatever the draws before it: this screen settles them with one comparison
-  each, in every block; on 10**6-draw Polya(1,1) paths 4% of the draws stay
-  open. The open draws are guessed from the opening ratio, then every open
-  draw is recomputed as ``u[j] < o/(o+z)`` with the counts the settled draws
-  and the guess imply.
-  A draw depends only on the draws before it, so every draw up to and
-  including the first one that changed is exact; those are committed and
-  the rest is solved again. The counts are the loop's own: after j balls
-  they are ``count + j`` while that is an integer below 2**53, else
-  ``np.cumsum`` over ``[count, 1.0, 1.0, ...]``, which adds in sequence as
-  the loop's ``+= 1.0`` does. Each draw is the loop's comparison on the
-  loop's carried counts, so block edges cannot change a draw and non-integer
-  counts round alike. Each pass costs the rest of the open draws; uniforms
-  placed on the thresholds need up to one pass per draw.
+* Polya: the loop draws a one when u < fl(o / N), for o ones among N balls.
+  While the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls, its
+  ratio moves on every draw, so those draws run as the loop itself. Then an
+  urn of integer counts is solved in blocks of min(``_POLYA_BLOCK``, 4 x the
+  balls in the urn) draws, which bounds how far the ratio drifts inside a
+  block; the rule follows the urn's size, not the workload. Draw j of a block
+  of m meets N + j balls and o to o + j ones; as rounding keeps order, a
+  uniform below fl(o / L), L = N + m - 1, draws a one and one at or above
+  fl((o + m - 1) / L) a zero, whatever the draws before it. On 10**6-draw
+  Polya(1,1) paths 4% of the draws stay open. The ratio never falls as the
+  ones grow, so an open draw is a one iff the ones before it reach t, the
+  least integer with fl(t / (N + j)) > u (``_least_ones``). The open draws
+  are guessed from the opening ratio, then each is compared with its t, given
+  the ones that the settled draws and the guess put before it. A draw depends
+  only on the draws before it, so every draw up to and including the first
+  one that changed is exact; those are committed and the rest is solved
+  again. Each pass costs the rest of the open draws; uniforms placed on the
+  thresholds need up to one pass per draw. An urn whose counts are not
+  integers, or whose balls would reach 2**53 within the path, runs the loop
+  on every draw.
 """
 
 from __future__ import annotations
@@ -98,14 +96,10 @@ from .spaces import Record, SpaceDescriptor, finite
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
 # Sequential samplers. The urn size that the Polya draws are looped to, then
-# the most draws per Polya block: with the screen, a block's cost is a few
-# comparisons per draw plus passes over its open draws.
+# the most draws per Polya block: a block's cost is a few comparisons per draw
+# plus passes over the draws that its screen leaves open.
 _POLYA_WARMUP_BALLS = 256
 _POLYA_BLOCK = 8192
-# The loop's ratio fl(o / fl(o + z)) lies within a factor (1 +- 2**-52) of
-# o / (o + z) while it is a normal float; the screen widens its band by this
-# wider factor, so every draw it settles is the loop's.
-_SCREEN_MARGIN = 2.0**-48
 # (step, state) entries per Markov block: 8192 steps of a two-state chain,
 # each scratch array of a block 64 KB or less
 _MARKOV_BLOCK_CELLS = 16384
@@ -236,31 +230,17 @@ def _concatenated(blocks, n: int) -> np.ndarray:
     return obs
 
 
-def _ratio_bounds(o_min, z_max, o_max, z_min) -> tuple[float, float]:
-    """(low, high) such that the loop's ratio ``o / (o + z)``, for float
-    counts o in [o_min, o_max] and z in [z_min, z_max], is >= low and <= high.
-
-    o / (o + z) grows with o and falls with z, so its extremes are at the
-    corners; each is widened by ``_SCREEN_MARGIN``. Where a corner is not a
-    normal float below 1 (an urn of about 1e308 balls, or with 1e16 times
-    more of one color), the bounds are (0, 1) and screen nothing."""
-    low = o_min / (o_min + z_max)
-    high = o_max / (o_max + z_min)
-    if not (2.0**-1000 < low and high < 1.0):
-        return 0.0, 1.0
-    return low * (1.0 - _SCREEN_MARGIN), high * (1.0 + _SCREEN_MARGIN)
-
-
-def _running_counts(count, balls, out):
-    """out[j] = the float count after j more balls, as the loop's ``+= 1.0``
-    makes it: in one addition while every partial sum is an integer below
-    2**53 (so exact), else by ``np.cumsum``, which adds in sequence."""
-    if count.is_integer() and count + len(out) <= 2.0**53:
-        np.add(balls, count, out=out)
-    else:
-        out[0] = count
-        out[1:] = 1.0
-        np.cumsum(out, out=out)
+def _least_ones(u, balls):
+    """The least count t of ones with fl(t / balls) > u, elementwise: an urn of
+    ``balls`` balls, an integer below 2**53, draws a one on the uniform u iff
+    it holds t ones or more. fl(u * balls) lies within one of u * balls, so t
+    is its floor plus 0, 1 or 2. The comparisons are written as floats, as
+    ``_urn_blocks`` holds no bool array of the open draws."""
+    t = np.floor(u * balls)
+    step = np.empty_like(t)
+    for _ in range(2):
+        t += np.less_equal(np.divide(t, balls, out=step), u, out=step)
+    return t
 
 
 def _two_state_steps(u, out, state, b0, b1):
@@ -534,21 +514,12 @@ class PolyaUrnProcess(ProcessGenerator):
         return None, self._urn_blocks(stream, n, u, out)
 
     def _urn_blocks(self, stream, n, u, out):
-        ones = float(self.a)
-        zeros = float(self.b)
+        ones, zeros = float(self.a), float(self.b)
         # warm-up: a nearly empty urn moves its ratio on every draw, so the
-        # draws that fill it to _POLYA_WARMUP_BALLS balls are looped
-        warm = min(n, max(0, math.ceil(_POLYA_WARMUP_BALLS - (self.a + self.b))))
-        cap = min(n - warm, _POLYA_BLOCK)
-        # Scratch for the whole path, written with out=: allocating in every
-        # block fragmented the heap around the path-sized arrays and raised the
-        # peak RSS of later long paths by about 6 MB. Each further array costs
-        # a short path its page faults, so the solve shares one count buffer.
-        steps, balls = np.arange(cap), np.arange(cap + 1, dtype=float)
-        o, z = np.empty(cap + 1), np.empty(cap + 1)
-        at, base, counts = (np.empty(cap, dtype=np.int64) for _ in range(3))
-        uo_buf, oj_buf, zj_buf = np.empty(cap), np.empty(cap), np.empty(cap)
-        x, y_buf, changed_buf = (np.empty(cap, dtype=bool) for _ in range(3))
+        # draws that fill it to _POLYA_WARMUP_BALLS balls are looped; so is
+        # every draw of an urn whose counts are not integers below 2**53
+        integral = ones.is_integer() and zeros.is_integer() and int(ones) + int(zeros) + n < 2**53
+        warm = min(n, max(0, _POLYA_WARMUP_BALLS - int(ones + zeros))) if integral else n
         for u_block in uniform_blocks(stream, n, u):
             obs = out[:len(u_block)]
             start = min(warm, len(u_block))
@@ -566,56 +537,40 @@ class PolyaUrnProcess(ProcessGenerator):
             # are the loop's, so that edge changes no draw
             while start < len(u_block):
                 # a block of at most 4x the balls in the urn, so its ratio drifts little
-                m = min(len(u_block) - start, cap, int(4 * (ones + zeros)))
+                balls = ones + zeros
+                m = min(len(u_block) - start, _POLYA_BLOCK, int(4 * balls))
                 ub = u_block[start:start + m]
-                # o[j], z[j]: the counts after j more balls of that color
-                _running_counts(ones, balls[:m + 1], o[:m + 1])
-                _running_counts(zeros, balls[:m + 1], z[:m + 1])
-                # the screen: a draw below the lowest ratio the block can reach is
-                # a one, at or above the highest a zero; only the rest are solved
-                low, high = _ratio_bounds(ones, z[m - 1], o[m - 1], zeros)
-                ones_low, opened = y_buf[:m], changed_buf[:m]  # free until the passes
-                np.less(ub, low, out=ones_low)
-                np.less(ub, high, out=opened)
-                np.greater(opened, ones_low, out=opened)
-                obs[start:start + m] = ones_low
-                r = int(np.count_nonzero(opened))
-                pos, uo = at[:r], uo_buf[:r]
-                np.compress(opened, steps[:m], out=pos)
-                np.take(ub, pos, out=uo, mode="clip")
-                np.cumsum(ones_low, out=counts[:m])  # the settled ones up to each draw
-                settled = int(counts[m - 1])
-                np.take(counts, pos, out=base[:r], mode="clip")  # an open draw settles nothing itself
-                # solve the open draws: guess each at the opening ratio, then
-                # recompute every draw as ``u < o/(o+z)`` with the counts the guess
-                # implies; all draws up to the first that changed are exact
-                np.less(uo, ones / (ones + zeros), out=x[:r])
-                done = ones_done = 0  # ones_done: among the open draws
-                while done < r:
-                    rest = r - done
-                    guess = x[done:r]
-                    before, oj, zj = counts[:rest], oj_buf[:rest], zj_buf[:rest]
-                    y, changed = y_buf[:rest], changed_buf[:rest]
-                    np.cumsum(guess, out=before)  # the ones before each draw in the block
-                    before -= guess
-                    before += ones_done
-                    before += base[done:r]
-                    np.take(o, before, out=oj, mode="clip")  # in range; "clip" writes out= unbuffered
-                    np.subtract(pos[done:], before, out=before)  # now the zeros before each draw
-                    np.take(z, before, out=zj, mode="clip")
-                    np.add(oj, zj, out=zj)
-                    np.divide(oj, zj, out=oj)
-                    np.less(uo[done:], oj, out=y)
-                    np.not_equal(y, guess, out=changed)
-                    first = int(changed.argmax())
-                    end = first + 1 if changed[first] else rest
-                    ones_done += int(np.count_nonzero(y[:end]))
+                # the screen: draw j meets balls + j balls, ones to ones + j of them
+                # ones, so its ratio lies in [low, high]; below low is a one, from high a zero
+                low, high = ones / (balls + m - 1), (ones + m - 1) / (balls + m - 1)
+                obs[start:start + m] = settled = ub < low
+                pos = np.flatnonzero((ub >= low) & (ub < high))
+                uo = ub[pos]
+                # open draw j is a one iff the open ones before it reach need[j]
+                need = _least_ones(uo, balls + pos) - ones - np.cumsum(settled)[pos]
+                # numpy keeps freed arrays under 1 KB for reuse, 7 per length: bool
+                # arrays of the open draws' many lengths would stay scattered over
+                # the heap, so these are int64, and the passes write into them
+                x, before, wrong = (np.empty(len(pos), dtype=np.int64) for _ in range(3))
+                # guess the open draws at the opening ratio; each pass recomputes
+                # them from the guess, exact up to the first one that changed
+                np.less(uo, ones / balls, out=x)
+                done = k = 0  # k: the ones among the committed open draws
+                while done < len(pos):
+                    guess, b, w = x[done:], before[:len(pos) - done], wrong[:len(pos) - done]
+                    np.cumsum(guess, out=b)
+                    b -= guess
+                    b += k  # the open ones before each draw, as the guess has them
+                    np.greater_equal(b, need[done:], out=w)
+                    np.not_equal(w, guess, out=w)
+                    first = int(w.argmax())
+                    end = first + 1 if w[first] else len(w)
+                    guess ^= w  # the recomputed draws: exact to end, the next guess after
+                    k += int(np.count_nonzero(guess[:end]))
                     done += end
-                    guess[:] = y  # y[:end] is exact; the rest is the next guess
-                np.put(obs[start:start + m], pos, x[:r])
-                ones_done += settled
-                ones = float(o[ones_done])
-                zeros = float(z[m - ones_done])
+                obs[start + pos] = x
+                drawn = int(np.count_nonzero(settled)) + k
+                ones, zeros = ones + drawn, zeros + m - drawn
                 start += m
             yield obs
 

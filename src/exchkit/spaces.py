@@ -44,6 +44,10 @@ class SpaceDescriptor:
         n = self.num_cells
         return j >= 0 and (n is None or j < n)
 
+    def __str__(self) -> str:
+        """The space as the grammar writes it: ``finite:<k>`` or ``countable``."""
+        return "countable" if self.num_cells is None else f"finite:{self.num_cells}"
+
 
 def finite(k: int) -> SpaceDescriptor:
     return SpaceDescriptor(k)

@@ -776,6 +776,14 @@ def test_radon_classify_rejects_subprobability_weights(tmp_path):
     assert "invalid measure" in res.stderr
 
 
+def test_radon_classify_names_the_space_as_typed(tmp_path):
+    res = run_cli(
+        "radon-classify", "--space", "finite:2", "--measure", "delta:5", "--out-dir", str(tmp_path),
+    )
+    assert res.exit_code == 2
+    assert "invalid measure 'delta:5': cell index 5 invalid for finite:2" in res.stderr
+
+
 # ---------------------------------------------------------------- spec round-trips
 
 

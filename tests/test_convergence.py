@@ -314,10 +314,11 @@ def test_markov_bound_is_eps_plus_the_binomial_band(n_paths, bound):
     """The bound is eps plus the band of every Monte Carlo verdict. At 1000
     paths (acceptance 05) 3 standard errors set it; at 2 paths the standard
     error sqrt(eps (1 - eps) / P) = 0.21 is under the floor 1/P, so it is
-    eps + 3/P."""
+    eps + 3/P. A bound of 1 or more decides nothing, so its verdict is None."""
     gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
     res = markov_bound_check(gen, ONES, F(1, 10), n_paths=n_paths, n_steps=10, master_seed=0)
     assert res.bound == bound == 0.1 + binomial_band(0.1, n_paths)
+    assert res.passed is (None if bound >= 1 else True)
 
 
 def test_markov_bound_empty_event_never_violates():
@@ -349,8 +350,9 @@ def test_markov_bound_rejects_eps_outside_the_unit_interval(eps):
 
 
 def test_markov_bound_accepts_eps_one():
+    # eps = 1 is accepted, and its bound 1 + band leaves nothing to decide
     gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 2)))
-    assert markov_bound_check(gen, ONES, 1, n_paths=10, n_steps=10).passed
+    assert markov_bound_check(gen, ONES, 1, n_paths=10, n_steps=10).passed is None
 
 
 def ulps_away(f, k):

@@ -593,7 +593,7 @@ def test_classifier_witness_is_the_first_tail_crossing(mu):
         assert mu.tail_mass(m) < eps <= mu.tail_mass(m - 1)
 
 
-@pytest.mark.parametrize("space", [countable(), finite(2), finite(12)], ids=str)
+@pytest.mark.parametrize("space", [countable(), finite(2), finite(12)], ids=repr)
 def test_default_compact_families_are_chains(space):
     from exchkit.convergence import _chain_order
 

@@ -34,7 +34,7 @@ from exchkit.processes import (
     _POLYA_BLOCK,
     _POLYA_WARMUP_BALLS,
     _concatenated,
-    _ratio_bounds,
+    _least_ones,
     all_patterns,
     beta_binomial_pattern_prob,
     encode_pattern,
@@ -476,21 +476,22 @@ def test_polya_blocks_match_the_loop_at_block_edges(a, b, n):
 
 
 class ThresholdStream:
-    """Uniforms on the loop's own ratios: 0 draws a one, the ratio itself a zero.
+    """Uniforms on the loop's own ratios: 0 (or, with ``below``, the double
+    just below the ratio) draws a one, the ratio itself a zero.
 
     A count off by one rounding step moves the ratio past its uniform, so this
     catches counts summed in another order than the loop's ``+= 1.0``.
     """
 
-    def __init__(self, a, b, period):
-        self.ones, self.zeros, self.period = float(a), float(b), period
+    def __init__(self, a, b, period, below=False):
+        self.ones, self.zeros, self.period, self.below = float(a), float(b), period, below
         self.drawn = 0
 
     def random(self, n=None, out=None):
         u = np.empty(n) if out is None else out
         for i in range(len(u)):
             if self.drawn % self.period == 0:
-                u[i] = 0.0
+                u[i] = math.nextafter(self.ones / (self.ones + self.zeros), 0.0) if self.below else 0.0
                 self.ones += 1.0
             else:
                 u[i] = self.ones / (self.ones + self.zeros)
@@ -499,20 +500,37 @@ class ThresholdStream:
         return u
 
 
-@pytest.mark.parametrize("a, b", [(F(4, 3), F(7, 3)), (1.1, 2.7)])
+@pytest.mark.parametrize(
+    "a, b", [(F(4, 3), F(7, 3)), (1.1, 2.7), (1, 1), (2, 1), (1, 99), (255, 1), (2**53 - 300, 100)]
+)
 def test_polya_counts_round_as_the_loop_on_threshold_uniforms(a, b):
-    # every draw sits on its threshold, so each block is solved one draw at a
-    # time (quadratic in the block): the warm-up, both growing blocks and 500
-    # draws into the first full one keep this short
+    # every draw sits on its threshold, so an integer urn solves each block one
+    # draw at a time (quadratic in the block): the warm-up, both growing blocks
+    # and 500 draws into the first full one keep this short. The urns of
+    # non-integer counts, and the last, whose balls pass 2**53 after 200
+    # draws, run the loop on every draw
     n = warm_up_edges(a, b)[2] + 500
     _, blocks = PolyaUrnProcess(a, b)._blocks(ThresholdStream(a, b, 3), n, *block_buffers(n))
     obs = _concatenated(blocks, n)
     assert np.array_equal(obs, (np.arange(n) % 3 == 0).astype(np.int64))
 
 
+@pytest.mark.parametrize("period, below", [(1, True), (10**9, False)], ids=["ones", "zeros"])
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (255, 1), (2**40, 3)])
+def test_polya_draws_on_the_edges_of_the_screen(a, b, period, below):
+    """Every draw a one, on the double just below its ratio, or every draw
+    after the first a zero, on its ratio: the last draws of each block then
+    sit on the top or the bottom of its screen's band."""
+    # all-ones blocks are solved one draw at a time: the warm-up and 1024 draws keep this short
+    n = warm_up_edges(a, b)[0] + 1024
+    _, blocks = PolyaUrnProcess(a, b)._blocks(ThresholdStream(a, b, period, below), n, *block_buffers(n))
+    assert np.array_equal(_concatenated(blocks, n), (np.arange(n) % period == 0).astype(np.int64))
+
+
 urn_counts = st.one_of(
     st.integers(1, 60),
     st.integers(100, 300),
+    st.integers(2**40, 2**52),
     st.fractions(min_value=1, max_value=60, max_denominator=12),
     st.floats(min_value=1, max_value=60, allow_nan=False),
 )
@@ -524,6 +542,7 @@ lengths_around_urn_blocks = st.one_of(
 @given(urn_counts, urn_counts, lengths_around_urn_blocks, st.integers(0, 2**32), st.integers(0, 5))
 @example(F(4, 3), F(7, 3), 2 * PB + 1, 0, 0)
 @example(1.1, 2.7, PB + 1, 0, 0)
+@example(2**53 - 300, 100, 1000, 0, 0)  # the balls pass 2**53 after 200 draws
 @settings(deadline=None, max_examples=40)
 def test_polya_blocks_match_the_loop(a, b, n, seed, index):
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
@@ -532,45 +551,34 @@ def test_polya_blocks_match_the_loop(a, b, n, seed, index):
 @given(urn_counts, urn_counts, st.integers(30_000, 80_000), st.integers(0, 2**32), st.integers(0, 5))
 @example(F(4, 3), F(7, 3), 60_001, 0, 0)
 @example(1.1, 2.7, 60_001, 0, 0)
+@example(1, 1, 60_001, 0, 0)  # the two above reach only the loop
 @settings(deadline=None, max_examples=15)
 def test_polya_screened_blocks_match_the_loop(a, b, n, seed, index):
     # paths that reach full blocks, where the band is narrowest
     assert_same_draws(PolyaUrnProcess(a, b), polya_loop, n, seed, index)
 
 
-def loop_counts(start, m):
-    """The counts ``start`` takes after 0 .. m-1 more balls, by the loop's ``+= 1.0``."""
-    out = [float(start)]
-    for _ in range(m - 1):
-        out.append(out[-1] + 1.0)
-    return out
+@st.composite
+def thresholds(draw):
+    """(u, balls): a uniform anywhere in [0, 1), or on fl(k / balls) or one of
+    its two neighbours, where the least count of ones that draws a one moves."""
+    balls = draw(st.one_of(st.integers(1, 300), st.integers(1, 2**53 - 1), st.sampled_from([2**52, 2**53 - 1])))
+    q = draw(st.integers(0, balls - 1)) / balls
+    near = [v for v in (q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)) if v < 1.0]
+    return draw(st.sampled_from(near) | st.floats(0.0, 1.0, exclude_max=True)), balls
 
 
-big_or_odd_counts = st.one_of(
-    urn_counts,
-    st.floats(min_value=1, max_value=1e300, allow_nan=False, allow_infinity=False),
-    st.sampled_from([2.0**52, 2.0**53 - 3, 2.0**53 + 2, 1e16, 1e17, 1e300]),
-)
-
-
-@given(big_or_odd_counts, big_or_odd_counts, st.integers(1, 40))
-@example(F(4, 3), F(7, 3), 40)
-@example(1.1, 2.7, 40)
-@example(1e17, 1.0, 5)  # one color 1e17-fold: the highest ratio rounds to 1.0
-@example(1.0, 1e300, 5)  # a ratio near 1e-300
-@example(1e300, 1e300, 5)  # o + z overflows
+@given(st.lists(thresholds(), min_size=1, max_size=20))
+@example([(0.0, 1), (0.5, 2), (math.nextafter(1.0, 0.0), 2**53 - 1), (1 / 3, 3), (math.nextafter(2 / 3, 0.0), 3)])
 @settings(max_examples=300)
-def test_screen_bounds_hold_every_ratio_the_loop_computes(a, b, m):
-    """Every ratio ``o / (o + z)`` the loop computes in a block of m draws,
-    after a ones and b zeros with a + b <= m - 1, lies in the screen's
-    [low, high]: a uniform below low draws a one and one at or above high a
-    zero, whatever the draws before it."""
-    o, z = loop_counts(a, m), loop_counts(b, m)
-    low, high = _ratio_bounds(o[0], z[-1], o[-1], z[0])
-    assert 0.0 <= low <= high <= 1.0 + 2**-40
-    for i in range(m):
-        for j in range(m - i):
-            assert low <= o[i] / (o[i] + z[j]) <= high
+def test_least_ones_is_the_least_count_that_draws_a_one(cases):
+    """An urn of N balls draws a one on u iff fl(ones / N) > u, and that ratio
+    never falls as the ones grow: so it draws a one iff it holds t ones or
+    more, t the least count with fl(t / N) > u."""
+    u, balls = (np.array(c, dtype=float) for c in zip(*cases))
+    for (ui, n), t in zip(cases, _least_ones(u, balls).tolist()):
+        assert t.is_integer() and 1 <= t <= n
+        assert int(t) / n > ui >= (int(t) - 1) / n
 
 
 def sample_from_measure_masked(mu, stream, n):

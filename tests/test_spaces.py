@@ -18,6 +18,7 @@ from exchkit import (
     event_spec,
     finite,
     parse_event,
+    parse_space,
 )
 
 SPACES = [finite(2), finite(5), countable()]
@@ -53,11 +54,18 @@ def test_cell_counts():
     assert finite(7) == SpaceDescriptor(7) and countable() == SpaceDescriptor(None)
 
 
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_space_text_parses_back(space):
+    # errors name a space by this text, so a user can paste it into --space
+    assert parse_space(str(space)) == space
+
+
 # -- event sets --------------------------------------------------------------
 
 
 def test_event_rejects_invalid_index():
-    with pytest.raises(ValueError):
+    # the error names the space as the grammar writes it
+    with pytest.raises(ValueError, match="cell index 3 invalid for finite:2$"):
         EventSet.of(finite(2), [3])
 
 
