@@ -14,7 +14,8 @@ radon-classify      tightness witnesses from the tail and outer regularity;
 A command's settings, and the default of each, are its row of
 ``config.SETTINGS``; each setting is one flag. Every setting can come from
 ``--config FILE`` (flat ``key = value`` lines) with command-line flags taking
-precedence. Monte Carlo subcommands refuse to run without a seed, and every
+precedence. A flag is read as text, like a file value: ``config`` parses
+both and the report echoes them verbatim. Monte Carlo subcommands refuse to run without a seed, and every
 command with a ``paths`` setting refuses (exit 2) more than 10**8 draws:
 paths times the path length (``n``, ``steps`` or the largest ``n_grid``
 point). Relative output names land in ``--out-dir``, else
@@ -79,20 +80,19 @@ def _guarded(fn):
     return wrapper
 
 
-# One flag per setting key: its click type and help. A command's options are
-# the keys of its SETTINGS row, so that row is the one place that says what a
-# command takes and what each setting defaults to.
-OPTIONS: dict[str, tuple[type, str]] = {
-    "gen": (str, "generator spec, e.g. iid:bern:0.3"),
-    "space": (str, "space spec, e.g. countable"),
-    "measure": (str, "measure spec, e.g. geometric:1/2"),
-    "events": (str, "semicolon-separated event specs"),
-    "n": (int, "observations per path, or the prefix length to test"),
-    "n_grid": (str, "comma-separated prefix lengths"),
-    "steps": (int, "observations per path"),
-    "paths": (int, "number of paths"),
-    "seed": (int, "master seed"),
-    "coverage": (float, "required pass fraction"),
+# One flag per setting key: its help. A command's options are the keys of its
+# SETTINGS row, so that row is the one place that says what a command takes
+# and what each setting defaults to. Every flag is text, parsed by config.
+OPTIONS: dict[str, str] = {
+    "gen": "generator spec, e.g. iid:bern:0.3",
+    "space": "space spec, e.g. countable",
+    "measure": "measure spec, e.g. geometric:1/2",
+    "events": "semicolon-separated event specs",
+    "n": "observations per path, or the prefix length to test",
+    "n_grid": "comma-separated prefix lengths",
+    "steps": "observations per path",
+    "paths": "number of paths",
+    "seed": "master seed",
 }
 
 
@@ -108,29 +108,31 @@ def command(name: str, header: tuple[str, ...] = ()):
     The subcommand takes one option per key of ``SETTINGS[name]``, plus
     ``--json``, ``--out-dir`` and ``--config``, and ``--csv`` when ``header``
     names the columns of a CSV table. It merges the file and the flags,
-    parses them once, runs ``run``, which returns (results, passed, seeds, CSV
-    body), writes the reports and prints the verdict.
+    parses them once, runs ``run``, which returns (results, passed), plus
+    the CSV body when ``header`` is given, writes the reports and prints the
+    verdict. A command with a ``seed`` setting reports one seed label per
+    path.
     """
 
-    def option(key, kind, text):
-        return click.Option([f"--{key.replace('_', '-')}", key], type=kind, help=text)
+    def option(key, text):
+        return click.Option([f"--{key.replace('_', '-')}", key], help=text)
 
     params = []
     for key, default in SETTINGS[name].items():
-        kind, text = OPTIONS[key]
         note = "required" if default is REQUIRED else f"default {default}"
-        params.append(option(key, kind, f"{text} ({note})"))
+        params.append(option(key, f"{OPTIONS[key]} ({note})"))
     if header:
-        params.append(option("csv", str, "CSV artifact name"))
-    params += [option("json", str, "JSON report name"), option("out_dir", str, "output directory"),
+        params.append(option("csv", "CSV artifact name"))
+    params += [option("json", "JSON report name"), option("out_dir", "output directory"),
                click.Option(["--config", "config_path"], help="flat key = value settings file")]
 
     def register(run):
         def callback(config_path, **flags):
             started = time.monotonic()
             cfg = ScenarioConfig.from_strings(merge_config(name, flags, config_path))
-            results, passed, seeds, body = run(cfg)
-            report = RunReport(name, cfg.echo(), tuple(seeds), results, passed, header, body)
+            results, passed, *body = run(cfg)
+            seeds = path_seed_labels(cfg.seed, cfg.n_paths) if "seed" in SETTINGS[name] else ()
+            report = RunReport(name, cfg.echo(), tuple(seeds), results, passed, header, *body)
             timestamp = datetime.now(timezone.utc).isoformat()
             wall = time.monotonic() - started
             formats = ("json", "csv") if header else ("json",)
@@ -173,7 +175,7 @@ def cmd_simulate(cfg):
         blocks.append("".join(parts.ravel().tolist()))
     body = CsvBody(tuple(blocks), cfg.n * cfg.n_paths)
     results = {"n": cfg.n, "paths": cfg.n_paths, "rows_written": len(body)}
-    return results, True, path_seed_labels(cfg.seed, cfg.n_paths), body
+    return results, True, body
 
 
 @command("check-exchangeable")
@@ -183,25 +185,18 @@ def cmd_check_exchangeable(cfg):
     click.echo(
         f"exchangeable={res.exchangeable} max_discrepancy={res.max_discrepancy}"
     )
-    return res.to_dict(), res.exchangeable, (), CsvBody()
+    return res.to_dict(), res.exchangeable
 
 
 @command("estimate-mixing", header=MIXING_CSV_HEADER)
 def cmd_estimate_mixing(cfg):
     """Track per-path empirical masses along the grid; compare to targets."""
-    reports = slln_exchangeable_checks(
-        cfg.gen,
-        cfg.events,
-        n_grid=cfg.n_grid,
-        n_paths=cfg.n_paths,
-        master_seed=cfg.seed,
-        coverage=cfg.coverage,
-    )
+    reports = slln_exchangeable_checks(cfg.gen, cfg.events, cfg.n_grid, cfg.n_paths, master_seed=cfg.seed)
     # passed=None events carry no per-path target; they stay informational
     passed = all(rep.passed is not False for rep in reports)
     body = csv_lines(row for rep in reports for row in rep.rows())
     results = {"events": [rep.to_dict() for rep in reports]}
-    return results, passed, path_seed_labels(cfg.seed, cfg.n_paths), body
+    return results, passed, body
 
 
 @command("verify-rcd")
@@ -210,33 +205,18 @@ def cmd_verify_rcd(cfg):
     kappa = cfg.gen.latent_kernel()
     if kappa is None:
         raise SpecParseError(f"generator {cfg.raw['gen']!r} has no latent kernel to verify")
-    rep = verify_rcd(
-        kappa,
-        cfg.gen,
-        list(cfg.events),
-        n_paths=cfg.n_paths,
-        n_steps=cfg.steps,
-        master_seed=cfg.seed,
-        coverage=cfg.coverage,
-    )
-    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), CsvBody()
+    rep = verify_rcd(kappa, cfg.gen, list(cfg.events), cfg.n_paths, cfg.steps, master_seed=cfg.seed)
+    return rep.to_dict(), rep.passed
 
 
 @command("construct-rcd")
 def cmd_construct_rcd(cfg):
     """Extract the directing measure path by path and verify both claims."""
-    rep = construct_rcd_from_empiricals(
-        cfg.gen,
-        list(cfg.events),
-        cfg.n_grid,
-        cfg.n_paths,
-        master_seed=cfg.seed,
-        coverage=cfg.coverage,
-    )
+    rep = construct_rcd_from_empiricals(cfg.gen, list(cfg.events), cfg.n_grid, cfg.n_paths, master_seed=cfg.seed)
     click.echo(
         f"pass_fraction={rep.pass_fraction} not_tight_fraction={rep.not_tight_fraction}"
     )
-    return rep.to_dict(), rep.passed, path_seed_labels(cfg.seed, cfg.n_paths), CsvBody()
+    return rep.to_dict(), rep.passed
 
 
 @command("radon-classify")
@@ -244,7 +224,7 @@ def cmd_radon_classify(cfg):
     """Certify tightness plus outer regularity on compacts, with witnesses."""
     rep = classify_radon(cfg.measure)
     click.echo(f"tight={rep.tight} outer_regular={rep.outer_regular_on_compacts} radon={rep.radon}")
-    return rep.to_dict(), rep.radon, (), CsvBody()
+    return rep.to_dict(), rep.radon
 
 
 if __name__ == "__main__":

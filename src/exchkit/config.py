@@ -1,8 +1,11 @@
 """Scenario grammars, flat config files, and deterministic report emission.
 
-Every CLI input is a short textual spec (space, measure, events, generator).
-The same strings are echoed verbatim into reports, so a published report can
-be re-run by copying its config block back into a file.
+Every CLI input is a short textual spec (space, measure, events, generator)
+or number. A flag and a config line both hand over text, and
+:meth:`ScenarioConfig.from_strings` is the one parser of either, so a bad
+value gets one message from both. The same strings are echoed verbatim into
+reports, so a published report can be re-run by copying its config block back
+into a file.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment, blank
 lines are ignored, later keys win. Command-line flags override file keys.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .kernels import DEFAULT_COVERAGE, bernoulli_kernel, geometric_kernel, validate_coverage
+from .kernels import _validate_grid, bernoulli_kernel, geometric_kernel
 from .measures import ProbMeasure
 from .processes import (
     BetaBernoulliProcess,
@@ -73,13 +76,6 @@ def _positive_int(text: str, key: str, what: str) -> int:
     if value < 1:
         raise SpecParseError(f"{key} must be at least 1")
     return value
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise SpecParseError(f"expected a number for {what}, got {text!r}") from None
 
 
 def _number_list(text: str, expect: int | None = None) -> list[Fraction]:
@@ -180,10 +176,8 @@ def parse_events(space: SpaceDescriptor, text: str) -> tuple[EventSet, ...]:
 
 
 def parse_grid(text: str) -> tuple[int, ...]:
-    vals = tuple(_parse_int(v, "grid point") for v in text.split(","))
-    if any(v <= 0 for v in vals) or list(vals) != sorted(set(vals)):
-        raise SpecParseError(f"n_grid must be strictly increasing and positive: {text!r}")
-    return vals
+    """Comma-separated integers under the grid rule of every Monte Carlo check."""
+    return _by_grammar("n_grid", text, lambda: _validate_grid([_parse_int(v, "grid point") for v in text.split(",")]))
 
 
 def parse_generator(text: str) -> ProcessGenerator:
@@ -275,19 +269,18 @@ SETTINGS: dict[str, dict[str, str | None]] = {
     "simulate": {"gen": REQUIRED, "n": REQUIRED, "paths": "100", "seed": REQUIRED},
     "check-exchangeable": {"gen": REQUIRED, "n": REQUIRED},
     "estimate-mixing": {"gen": REQUIRED, "events": REQUIRED, "n_grid": "10,100,1000,10000", "paths": "100",
-                        "seed": REQUIRED, "coverage": str(DEFAULT_COVERAGE)},
-    "verify-rcd": {"gen": REQUIRED, "events": REQUIRED, "steps": "10000", "paths": "100", "seed": REQUIRED,
-                   "coverage": str(DEFAULT_COVERAGE)},
+                        "seed": REQUIRED},
+    "verify-rcd": {"gen": REQUIRED, "events": REQUIRED, "steps": "10000", "paths": "100", "seed": REQUIRED},
     # The extraction bisects per-cell mass clusters, so it needs several grid
     # points inside the settled tail; a log-spaced grid starves it.
     "construct-rcd": {"gen": REQUIRED, "events": REQUIRED, "n_grid": "100,1000,4000,6000,8000,10000",
-                      "paths": "100", "seed": REQUIRED, "coverage": str(DEFAULT_COVERAGE)},
+                      "paths": "100", "seed": REQUIRED},
     "radon-classify": {"space": REQUIRED, "measure": REQUIRED},
 }
 
 
 def merge_config(
-    command: str, flags: Mapping[str, object], config_path: str | None
+    command: str, flags: Mapping[str, str | None], config_path: str | None
 ) -> dict[str, str]:
     """File keys, overridden by flags, with the defaults of the command's
     :data:`SETTINGS` row filled in.
@@ -295,8 +288,8 @@ def merge_config(
     ``flags`` must carry every key the command accepts, None where unset (as
     click passes every declared option); those keys are the allowed ones.
     Unknown file keys are rejected so a typo cannot silently drop a setting.
-    Every value is normalized to a string; parsing happens exactly once, in
-    :meth:`ScenarioConfig.from_strings`.
+    A flag's value is its text as typed, as a file's is; parsing happens
+    exactly once, in :meth:`ScenarioConfig.from_strings`.
     """
     merged = read_config_file(config_path) if config_path else {}
     unknown = set(merged) - set(flags)
@@ -304,7 +297,7 @@ def merge_config(
         raise SpecParseError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     for key, value in flags.items():
         if value is not None:
-            merged[key] = str(value)
+            merged[key] = value
     for key, default in SETTINGS[command].items():
         merged.setdefault(key, default)
     missing = [key for key, value in merged.items() if value is REQUIRED]
@@ -326,7 +319,6 @@ class ScenarioConfig:
     n_grid: tuple[int, ...] = ()
     n_paths: int = 1
     seed: int | None = None
-    coverage: float = DEFAULT_COVERAGE
     steps: int | None = None
 
     @staticmethod
@@ -355,9 +347,6 @@ class ScenarioConfig:
             cfg.seed = _parse_int(raw["seed"], "master seed")
             if not 0 <= cfg.seed < 2**64:
                 raise SpecParseError("seed must lie in [0, 2**64)")
-        if "coverage" in raw:
-            cfg.coverage = _parse_float(raw["coverage"], "coverage")
-            validate_coverage(cfg.coverage)
         if "steps" in raw:
             cfg.steps = _positive_int(raw["steps"], "steps", "step count")
         # a command with a paths setting samples paths x (n, steps or n_grid's top) draws

@@ -56,9 +56,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .empirical import _validate_grid
-from .kernels import (DEFAULT_COVERAGE, _cell_index, _columns, _masses, _sampled_paths, binomial_band,
-                      rcd_verdict, validate_coverage, validate_tol)
+from .kernels import (DEFAULT_COVERAGE, _cell_index, _columns, _masses, _sampled_paths, _validate_grid,
+                      binomial_band, rcd_verdict, validate_coverage, validate_tol)
 from .measures import (
     DEFAULT_EPS_SCHEDULE,
     EXACT,
@@ -478,7 +477,7 @@ def markov_bound_check(
     """
     if not 0 < eps <= 1:  # rejects NaN as well
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
+    (n_steps,), paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
         raise ValueError(f"marginal mass {marginal} exceeds eps^2 = {eps * eps}")
@@ -524,8 +523,7 @@ def uniform_smallness_check(
         if not small.is_subset(big):
             raise ValueError("event chain must be inclusion-decreasing")
     _check_epsilons(eps_list)
-    grid = _validate_grid(n_grid)
-    paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
+    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
 
     # max over the grid of mu_{w,n}(B_m), per path and per chain member
     sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
@@ -663,9 +661,8 @@ def construct_rcd_from_empiricals(
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    grid = _validate_grid(n_grid)
     layout = _Layout(gen.space, events)
-    paths = _sampled_paths(gen, events, grid, n_paths, master_seed, layout.cols)
+    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed, layout.cols)
     validate_tol(tol)
     validate_coverage(coverage)
 

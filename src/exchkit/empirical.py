@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (DEFAULT_COVERAGE, CylinderEvent, _cell_index, _columns, _count_table, _frequencies,
-                      _sampled_paths, rcd_verdict, sigma_band, validate_coverage)
+                      _sampled_paths, _validate_grid, rcd_verdict, sigma_band)
 from .measures import ProbMeasure, mass
 from .processes import (
     GridMixtureProcess,
@@ -46,15 +46,6 @@ from .processes import (
 from .spaces import EventSet, Record, SpaceMismatchError, event_spec, report_value
 
 DEFAULT_N_GRID = (10, 100, 1000, 10000)
-
-
-def _validate_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
-    grid = tuple(int(n) for n in n_grid)
-    if not grid or grid[0] < 1:
-        raise ValueError("n_grid must contain positive lengths")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +150,14 @@ def slln_exchangeable_check(
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
     master_seed: int = 0,
-    coverage: float = DEFAULT_COVERAGE,
 ) -> ConvergenceReport:
     """Long-run frequencies settle path by path. Where a latent kernel
     provides the conditional mean, each path's final frequency passes when it
     lies within :func:`binomial_band` of that target at the largest grid
-    point, and the check passes when ``coverage`` of the paths do; otherwise
-    the frequencies are reported for the caller to test at the distribution
-    level."""
-    return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, master_seed, coverage)[0]
+    point, and the check passes when ``DEFAULT_COVERAGE`` (0.95) of the paths
+    do; otherwise the frequencies are reported for the caller to test at the
+    distribution level."""
+    return slln_exchangeable_checks(gen, (event,), n_grid, n_paths, master_seed)[0]
 
 
 def slln_exchangeable_checks(
@@ -176,7 +166,6 @@ def slln_exchangeable_checks(
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
     master_seed: int = 0,
-    coverage: float = DEFAULT_COVERAGE,
 ) -> tuple[ConvergenceReport, ...]:
     """:func:`slln_exchangeable_check` for each event, in order, on one
     sampling of the paths; each report equals the single-event one.
@@ -187,9 +176,7 @@ def slln_exchangeable_checks(
     kernel."""
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    grid = _validate_grid(n_grid)
-    paths = _sampled_paths(gen, events, grid, n_paths, master_seed)
-    validate_coverage(coverage)
+    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
 
     labels, latents, traces = [], [], []  # traces[i][k]: path i, events[k]
     for path, _, freqs in paths:
@@ -202,12 +189,12 @@ def slln_exchangeable_checks(
         verdicts = [(none, none, None, None)] * len(events)
     else:
         finals = [[trace[-1] for trace in values] for values in traces]
-        rep = rcd_verdict(kernel, events, latents, finals, grid[-1], coverage)
-        verdicts = [(r.targets, r.gaps, r.pass_fraction, r.pass_fraction >= coverage) for r in rep.per_event]
+        rep = rcd_verdict(kernel, events, latents, finals, grid[-1])
+        verdicts = [(r.targets, r.gaps, r.pass_fraction, r.pass_fraction >= DEFAULT_COVERAGE) for r in rep.per_event]
     return tuple(
         ConvergenceReport(
             gen.spec_label(), ev, grid, n_paths, tuple(labels),
-            tuple(values[k] for values in traces), targets, gaps, coverage, frac, passed,
+            tuple(values[k] for values in traces), targets, gaps, DEFAULT_COVERAGE, frac, passed,
         )
         for k, (ev, (targets, gaps, frac, passed)) in enumerate(zip(events, verdicts))
     )
@@ -219,14 +206,13 @@ def slln_condiid_check(
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     n_paths: int = 400,
     master_seed: int = 0,
-    coverage: float = DEFAULT_COVERAGE,
 ) -> ConvergenceReport:
     """:func:`slln_exchangeable_check`, but only for generators that declare
     a latent kernel, so every final frequency is judged against the
     :func:`binomial_band` of its per-path kernel target."""
     if gen.latent_kernel() is None:
         raise ValueError("generator is not of mixture/iid form")
-    return slln_exchangeable_check(gen, event, n_grid, n_paths, master_seed, coverage)
+    return slln_exchangeable_check(gen, event, n_grid, n_paths, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +449,10 @@ def df_product_identity_check(
         raise ValueError("conditioning event must be one of the admissible forms")
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    grid = _validate_grid(n_grid)
     if n_paths < 2:
         raise ValueError("need at least two paths for an error estimate")
     m = cyl.m
-    paths = _sampled_paths(gen, cyl.events, grid, n_paths, master_seed, head=max(m, conditioning.draws_read()))
+    grid, paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, master_seed, head=max(m, conditioning.draws_read()))
     if m > grid[-1]:
         raise ValueError("cylinder has more coordinates than the largest grid point")
 
@@ -516,7 +501,7 @@ def ks_distance_uniform(values: Sequence[float]) -> float:
     n = x.size
     if n == 0:
         raise ValueError("need at least one value")
-    if x[0] < 0.0 or x[-1] > 1.0:
+    if not (x[0] >= 0.0 and x[-1] <= 1.0):  # NaN sorts last and fails the second
         raise ValueError("values must lie in [0,1]")
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))

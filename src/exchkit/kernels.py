@@ -20,6 +20,7 @@ unnamed cell is counted.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,25 +149,24 @@ def verify_rcd(
     n_paths: int,
     n_steps: int,
     master_seed: int = 0,
-    coverage: float = DEFAULT_COVERAGE,
 ) -> RcdReport:
     """Check that kappa is the conditional law of the generator's coordinates.
 
     For each independently seeded path, the realized latent parameter selects
     a kernel measure; the check compares kappa(latent, A) with the path's
     empirical frequency of A after ``n_steps`` observations. Almost-sure
-    agreement is operationalized as: at least ``coverage`` of paths agree
-    within :func:`binomial_band` at the kernel mass and ``n_steps``.
+    agreement is operationalized as: at least ``DEFAULT_COVERAGE`` (0.95) of
+    paths agree within :func:`binomial_band` at the kernel mass and
+    ``n_steps``.
     """
     if gen.latent_kernel() is None:
         raise ValueError("generator declares no latent kernel")
-    paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
-    validate_coverage(coverage)
+    (n_steps,), paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
     latents, freqs = [], []
     for path, _, path_freqs in paths:
         latents.append(path.latent)
         freqs.append(path_freqs[-1])
-    return rcd_verdict(kappa, events, latents, freqs, n_steps, coverage)
+    return rcd_verdict(kappa, events, latents, freqs, n_steps)
 
 
 def rcd_verdict(
@@ -336,22 +336,38 @@ def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: 
     return _masses(table, cells, whole=lengths) / lengths
 
 
+def _validate_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
+    """The one grid rule: integer path lengths, positive and strictly
+    increasing. A point that is not an integer is refused, not truncated."""
+    points = tuple(n_grid)
+    try:
+        grid = tuple(operator.index(n) for n in points)
+    except TypeError:
+        raise ValueError(f"grid points must be integers, got {points}") from None
+    if not grid or grid[0] < 1:
+        raise ValueError("n_grid must contain positive lengths")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
+    return grid
+
+
 def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None,
                    head: int = 1):
-    """The paths of a Monte Carlo check: paths 0 .. n_paths-1 of ``gen`` under
-    ``master_seed``, each ``grid[-1]`` draws long and sampled once, as
-    (path, :func:`_block_counter` table over ``cols``, :func:`_frequencies` of
-    the events). ``cols`` defaults to the cells the events name. Each path is
-    a :class:`PathSample` with its seed and latent that holds only its first
-    ``head`` draws (at least one, at most ``grid[-1]``): the draws a check
-    reads one by one.
+    """The grid of a Monte Carlo check, under :func:`_validate_grid`, and its
+    paths: paths 0 .. n_paths-1 of ``gen`` under ``master_seed``, each
+    ``grid[-1]`` draws long and sampled once, as (path, :func:`_block_counter`
+    table over ``cols``, :func:`_frequencies` of the events). ``cols``
+    defaults to the cells the events name. Each path is a :class:`PathSample`
+    with its seed and latent that holds only its first ``head`` draws (at
+    least one, at most ``grid[-1]``): the draws a check reads one by one.
 
-    The events (at least one, on the generator's space) and the number of
-    paths are checked at the call. The paths are sampled as they are
+    The grid, the events (at least one, on the generator's space) and the
+    number of paths are checked at the call. The paths are sampled as they are
     iterated and each block of draws is counted as it is drawn, so no
     path-length array is made. Each path allocates its own block buffers:
     buffers reused by every path of a check left the heap fragmented and
     raised the peak RSS of runs of many short paths by about 3 MB."""
+    grid = _validate_grid(grid)
     if not events:
         raise ValueError("event list must be non-empty")
     if any(ev.space != gen.space for ev in events):
@@ -372,4 +388,4 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
             table, first = count(blocks, keep)
             yield PathSample(gen, (master_seed, i), latent, first), table, _frequencies(table, cells, grid)
 
-    return paths()
+    return grid, paths()

@@ -84,7 +84,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -106,23 +106,7 @@ _MARKOV_BLOCK_CELLS = 16384
 
 
 # ---------------------------------------------------------------------------
-# product-space pattern encoding
-
-def product_space(space: SpaceDescriptor, n: int) -> SpaceDescriptor:
-    """The n-fold product of a finite space, cells encoded base-k big-endian."""
-    k = space.num_cells
-    if k is None:
-        raise ValueError("product space requires a finite base space")
-    return finite(k**n)
-
-
-def encode_pattern(space: SpaceDescriptor, pattern: Sequence[int]) -> int:
-    k = space.num_cells
-    idx = 0
-    for x in pattern:
-        idx = idx * k + x
-    return idx
-
+# patterns
 
 def all_patterns(space: SpaceDescriptor, n: int):
     return product(range(space.num_cells), repeat=n)
@@ -695,15 +679,20 @@ def ensure_oracle_work(what: str, factors: Iterable[int]) -> None:
 
 def prefix_law(gen: ProcessGenerator, n: int) -> ProbMeasure:
     """Exact joint law of the first n coordinates, as a measure on the
-    n-fold product space (rational arithmetic)."""
+    n-fold product space, finite(k**n) (rational arithmetic). A pattern's
+    cell is its digits read base k, the first coordinate most significant."""
     k = ensure_oracle_domain(gen, n)
     ensure_oracle_work(f"n*k**n pattern entries for n={n}, k={k}", chain([n], repeat(k, n)))
     pat_law = gen.prefix_pattern_law(n)
     if any(not isinstance(p, Fraction) for p in pat_law.values()):
         raise ValueError("prefix law requires exact-rational generator parameters")
-    prod = product_space(gen.space, n)
-    weights = {encode_pattern(gen.space, pat): p for pat, p in pat_law.items()}
-    return ProbMeasure(prod, weights)
+    weights = {}
+    for pattern, p in pat_law.items():
+        cell = 0
+        for x in pattern:
+            cell = cell * k + x
+        weights[cell] = p
+    return ProbMeasure(finite(k**n), weights)
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,13 @@ def test_every_tiny_workload_check_is_accepted(workloads, seed, tmp_path):
 # when the Radon report's witnesses became segment lengths and its
 # outer-regularity triples one line of reason, and again when that line lost
 # its clause on the dyadic space; with those fields removed, the texts equal
-# the earlier pins' byte for byte
+# the earlier pins' byte for byte. Re-pinned again when the config echo of
+# the CLI commands lost its "coverage": "0.95" line; with that line back
+# (the three SETTINGS entries and the --coverage help restored, nothing
+# else) every text prints the earlier pins, here and in the pins below
 RCD_PIPELINE_TEXT_SHA256 = {
-    0: "59d74e4bca5f87c71df14430da879545115c11bf290647f7f648a2a17dfe8e58",
-    3: "e5afa44a475b447145c5bed2b4a7cbf4622e411dc1aa9fc0445094988d936c0d",
+    0: "6b34568723d9526ea9e70e8923d4be2ff88c60f497de49ea04c6390e92016302",
+    3: "8ec4ed4501041043f25831ddba6d1398e2bd4b18bdc34db5bfd83f201d3973df",
 }
 
 
@@ -60,10 +63,10 @@ def test_rcd_pipeline_outputs_are_byte_identical(workloads, seed, tmp_path):
 
 # the same guard for the tiny mc-paths checks, as they printed when simulate
 # wrote per-row tuples through csv.writer and estimate-mixing sampled the
-# paths once per event
+# paths once per event; re-pinned when the config echo lost its coverage line
 MC_PATHS_TEXT_SHA256 = {
-    0: "037d4ced4228878e7c666f3121cb11c1a4442280e0c3682f3cb746ad67306da4",
-    3: "c22c31206367225efad31c0c4d8d32352071b2a28022341e3e99e04c52e05f6a",
+    0: "a429d8280ae49b676f6d03deca5c24930dc49d5b271416e3daae1af1d8587297",
+    3: "38b282e64db897030a77fda10eba683df27200647142a0ffb486fd22a2375eaa",
 }
 
 
@@ -80,12 +83,13 @@ def test_mc_paths_outputs_are_byte_identical(workloads, seed, tmp_path):
 # and rcd_verdict the one band count. Re-pinned for long-paths when the
 # Markov bound took binomial_band's 3/P floor: its 2- and 4-path bounds grew,
 # and again when a bound of 1 or more (the 2-path control's 1.6) made the
-# verdict null, as no fraction can fail it
+# verdict null, as no fraction can fail it, and again when the config echo
+# lost its coverage line
 TEXT_SHA256 = {
     ("exact-oracles", 0): "0d6098102833ff917c140a679c286fdf1e2f12caa0ffc553a6d69f0c7f8aa39e",
     ("exact-oracles", 3): "7a43d6267561526a8b1bb79711b4a9adc09c8ca6e8476ef12f359811f16f1512",
-    ("long-paths", 0): "5ffa6c70994e8352ea992fdf458a9dcba450e0bf92cc1834564d4b4f1cd8234c",
-    ("long-paths", 3): "5ffa6c70994e8352ea992fdf458a9dcba450e0bf92cc1834564d4b4f1cd8234c",
+    ("long-paths", 0): "e90f0df3d68a7bef683b88a6cee6771d7a344f2576086ecc5efe6b85e08fa07f",
+    ("long-paths", 3): "e90f0df3d68a7bef683b88a6cee6771d7a344f2576086ecc5efe6b85e08fa07f",
 }
 
 

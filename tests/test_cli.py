@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import tempfile
 import time
 import tracemalloc
@@ -314,12 +315,28 @@ def test_the_tol_config_key_is_gone(tmp_path, command):
     assert list(tmp_path.iterdir()) == [conf]
 
 
+# every Monte Carlo verdict requires DEFAULT_COVERAGE of the paths; no flag or
+# key can lower it, so --coverage is an unknown option and coverage an
+# unknown key
+
+
 def test_exit_code_two_on_coverage_outside_the_unit_interval(tmp_path):
     res = run_cli("verify-rcd", *BAND_COMMANDS["verify-rcd"], "--events", "cells:1",
                   "--seed", "0", "--coverage", "1.5", "--out-dir", str(tmp_path))
     assert res.exit_code == 2
-    assert "coverage must lie in (0, 1]" in res.stderr
+    assert "No such option '--coverage'" in res.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(BAND_COMMANDS))
+def test_the_coverage_config_key_is_gone(tmp_path, command):
+    conf = tmp_path / "run.conf"
+    conf.write_text("coverage = 0.9\n")
+    res = run_cli(command, *BAND_COMMANDS[command], "--events", "cells:1", "--paths", "2",
+                  "--seed", "0", "--config", str(conf), "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert f"unknown config keys for {command}: coverage" in res.stderr
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 def test_exit_code_two_on_seed_past_64_bits(tmp_path):
@@ -448,6 +465,34 @@ def test_readme_settings_table_is_the_settings_rows():
     }
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``exchkit`` line of the README's Examples block,
+    then of the urn example in the prose after it."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("exchkit ")]
+    prose = re.search(r"`(exchkit estimate-mixing\s+--gen polya:2,1[^`]*)`", text).group(1)
+    return [shlex.split(line)[1:] for line in [*lines, prose]]
+
+
+def test_the_readme_examples_run_as_documented(tmp_path):
+    # a README that still names a removed flag or key fails here
+    commands = readme_commands()
+    assert [args[0] for args in commands] == ["simulate", "check-exchangeable", "estimate-mixing", "construct-rcd",
+                                              "radon-classify", "estimate-mixing"]
+    outputs = []
+    for i, args in enumerate(commands):
+        res = runner.invoke(main, args, env={"EXCHKIT_OUT_DIR": str(tmp_path / str(i))}, catch_exceptions=False)
+        assert res.exit_code < 2, (args, res.stderr)
+        outputs.append(res)
+    assert "tight=True outer_regular=True radon=True" in outputs[4].output
+    witnesses = json.loads((tmp_path / "4" / "radon-classify.json").read_text())["results"]["tight_witnesses"]
+    assert witnesses[0] == {"eps": "1/2", "segment_length": 69}
+    assert witnesses[-1] == {"eps": "1/1024", "segment_length": 690}
+    # the urn has no latent kernel: an informational pass
+    assert outputs[5].exit_code == 0 and "estimate-mixing: PASS" in outputs[5].output
+
+
 def test_every_space_form_in_the_readme_grammar_parses():
     line = next(line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("- space:"))
     forms = re.findall(r"`([^`]+)`", line)
@@ -459,7 +504,7 @@ def test_every_space_form_in_the_readme_grammar_parses():
 # one value per setting; every length setting holds `length`, with 100 paths
 def settings_with_length(command, length):
     values = {"gen": "mixture:grid(1/4,3/4):bern", "events": "cells:1", "seed": "0", "paths": "100",
-              "coverage": "0.9", "space": "countable", "measure": "geometric:1/2",
+              "space": "countable", "measure": "geometric:1/2",
               "n": str(length), "steps": str(length), "n_grid": f"10,{length}"}
     return {key: values[key] for key in SETTINGS[command]}
 
@@ -537,6 +582,42 @@ def test_flags_override_config_file(tmp_path):
     doc = json.loads((tmp_path / "simulate.json").read_text())
     assert doc["config"]["n"] == "3"
     assert doc["results"]["n"] == 3
+
+
+# for each numeric setting, a command that takes it and the other settings of a small run
+NUMERIC_SETTING_RUNS = {
+    "n": ("simulate", {"gen": "iid:bern:1/2", "paths": "1", "seed": "0"}),
+    "paths": ("simulate", {"gen": "iid:bern:1/2", "n": "2", "seed": "0"}),
+    "seed": ("simulate", {"gen": "iid:bern:1/2", "n": "2", "paths": "1"}),
+    "steps": ("verify-rcd", {"gen": "mixture:grid(1/4,3/4):bern", "events": "cells:1", "paths": "2", "seed": "0"}),
+    "n_grid": ("estimate-mixing", {"gen": "mixture:grid(1/4,3/4):bern", "events": "cells:1", "paths": "2",
+                                   "seed": "0"}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_SETTING_RUNS))
+def test_a_flag_and_a_config_line_read_alike(tmp_path, key):
+    # config is the one parser of either source: 03 echoes as typed, and a
+    # bad value gets the same message and exit code from both
+    command, others = NUMERIC_SETTING_RUNS[key]
+    flags = [arg for k, v in others.items() for arg in (f"--{k.replace('_', '-')}", v)]
+
+    def run(source, value):
+        out = tmp_path / source / value
+        if source == "flag":
+            return out, run_cli(command, *flags, f"--{key.replace('_', '-')}", value, "--out-dir", str(out))
+        conf = tmp_path / f"{source}-{value}.conf"
+        conf.write_text(f"{key} = {value}\n")
+        return out, run_cli(command, *flags, "--config", str(conf), "--out-dir", str(out))
+
+    for source in ("flag", "file"):
+        out, res = run(source, "03")
+        assert res.exit_code < 2, res.stderr
+        assert json.loads((out / f"{command}.json").read_text())["config"][key] == "03"
+    (flag_out, flag), (file_out, file) = run("flag", "x"), run("file", "x")
+    assert flag.exit_code == file.exit_code == 2
+    assert flag.stderr == file.stderr and flag.stderr.startswith("error: expected an integer")
+    assert not flag_out.exists() and not file_out.exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

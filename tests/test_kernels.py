@@ -15,10 +15,14 @@ from exchkit import (
     ProbMeasure,
     construct_rcd_from_empiricals,
     countable,
+    df_product_identity_check,
     finite,
+    markov_bound_check,
     parse_generator,
     uniform_smallness_check,
 )
+from exchkit.config import SpecParseError, parse_grid
+from exchkit.processes import ProcessGenerator
 from exchkit.empirical import slln_exchangeable_checks
 from exchkit.kernels import (
     _TALLY_CELLS,
@@ -31,6 +35,7 @@ from exchkit.kernels import (
     _frequencies,
     _masses,
     _sampled_paths,
+    _validate_grid,
     bernoulli_kernel,
     constant_kernel,
     geometric_kernel,
@@ -215,7 +220,9 @@ def test_sampled_paths_count_each_block_as_the_whole_path():
               EventSet.full(space), EventSet.of(space, [_TALLY_CELLS - 1, 70_000, 5])]
     grid = (1, DB - 1, DB, DB + 1, 2 * DB - 1, 2 * DB, 2 * DB + 1, 2 * DB + 17)
     cols = _columns(events)
-    for i, (path, table, freqs) in enumerate(_sampled_paths(gen, events, grid, 2, 9, head=DB + 3)):
+    checked, paths = _sampled_paths(gen, events, grid, 2, 9, head=DB + 3)
+    assert checked == grid
+    for i, (path, table, freqs) in enumerate(paths):
         whole = gen.sample_path(grid[-1], 9, path_index=i)
         assert path.seed == (9, i) and path.latent == whole.latent
         assert np.array_equal(path.observations, whole.observations[:DB + 3])
@@ -295,21 +302,58 @@ def test_every_monte_carlo_check_refuses_an_empty_event_list(check):
         check(gen)
 
 
-@pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5, float("inf")])
-def test_verify_rcd_rejects_bad_coverage(coverage):
-    # the wrong kernel of test_verify_rcd_flags_a_wrong_kernel: coverage 0 or
-    # -1 used to let it pass
-    gen = BetaBernoulliProcess(1, 1)
-    wrong = constant_kernel(ProbMeasure.bernoulli(finite(2), F(1, 2)))
-    events = [EventSet.of(finite(2), [1])]
-    with pytest.raises(ValueError, match="coverage"):
-        verify_rcd(wrong, gen, events, n_paths=60, n_steps=4000, master_seed=11, coverage=coverage)
+def test_the_grid_rule_refuses_a_non_integer_point():
+    # refused, not truncated to 10
+    with pytest.raises(ValueError, match="grid points must be integers"):
+        _validate_grid((10.7, 100))
+    assert _validate_grid([np.int64(10), 100]) == (10, 100)
 
 
-def test_verify_rcd_accepts_full_coverage():
-    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 3)))
-    events = [EventSet.of(finite(2), [1])]
-    assert verify_rcd(gen.latent_kernel(), gen, events, n_paths=5, n_steps=100, coverage=1).coverage == 1
+# every Monte Carlo check, called with its grid (or path length) ``grid``
+GRID_CHECKS = {
+    "slln_exchangeable_checks": lambda gen, ev, grid: slln_exchangeable_checks(gen, [ev], n_grid=grid, n_paths=2),
+    "verify_rcd": lambda gen, ev, grid: verify_rcd(gen.latent_kernel(), gen, [ev], n_paths=2, n_steps=grid[0]),
+    "markov_bound_check": lambda gen, ev, grid: markov_bound_check(gen, ev, 1, n_paths=2, n_steps=grid[0]),
+    "construct_rcd_from_empiricals": lambda gen, ev, grid: construct_rcd_from_empiricals(gen, [ev], grid, 2),
+    "uniform_smallness_check": lambda gen, ev, grid: uniform_smallness_check(gen, [ev], [F(1, 4)], grid, 2),
+    "df_product_identity_check": lambda gen, ev, grid: df_product_identity_check(
+        gen, CylinderEvent((ev,)), n_grid=grid, n_paths=2),
+}
+
+
+GRID_FAULTS = {
+    "non-integer": ((2.5,), "grid points must be integers"),
+    "zero": ((0,), "positive lengths"),
+    "decreasing": ((20, 10), "strictly increasing"),
+}
+# the checks that take one path length, not a grid
+ONE_LENGTH_CHECKS = {"verify_rcd", "markov_bound_check"}
+
+
+@pytest.mark.parametrize("check, grid, message", [
+    pytest.param(check, *GRID_FAULTS[fault], id=f"{check}-{fault}")
+    for fault in GRID_FAULTS for check in sorted(GRID_CHECKS)
+    if not (fault == "decreasing" and check in ONE_LENGTH_CHECKS)
+])
+def test_every_monte_carlo_check_applies_the_grid_rule_at_the_call(monkeypatch, check, grid, message):
+    # one rule, in the sampling routine, applied before any path is drawn
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=message):
+        GRID_CHECKS[check](gen, EventSet.of(finite(2), [1]), grid)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("100,10", "strictly increasing"),
+    ("0,10", "positive lengths"),
+    ("10,10", "strictly increasing"),
+])
+def test_parse_grid_applies_the_grid_rule_to_the_typed_text(text, message):
+    assert parse_grid(" 10, 100") == (10, 100)
+    with pytest.raises(SpecParseError, match=f"invalid n_grid '{text}': n_grid must .*{message}"):
+        parse_grid(text)
+    with pytest.raises(SpecParseError, match="expected an integer grid point, got '10.5'"):
+        parse_grid("10.5")
 
 
 def test_verify_rcd_iid_degenerate_case():

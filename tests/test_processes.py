@@ -37,10 +37,8 @@ from exchkit.processes import (
     _least_ones,
     all_patterns,
     beta_binomial_pattern_prob,
-    encode_pattern,
     ensure_oracle_domain,
     prefix_law,
-    product_space,
     sample_from_measure,
 )
 from exchkit.rng import _DRAW_BLOCK, block_buffers, path_stream, skip_uniforms
@@ -66,16 +64,19 @@ def flip_chain() -> MarkovChainProcess:
 
 
 def test_pattern_codec_round_trip():
-    # the k**n patterns map one-to-one onto range(k**n)
-    space = finite(3)
-    codes = sorted(encode_pattern(space, pat) for pat in all_patterns(space, 4))
-    assert codes == list(range(3**4))
+    # on a full-support law the k**n patterns map one-to-one onto range(k**n),
+    # each at the cell its base-k digits name
+    gen = IIDProcess(ProbMeasure.from_weights(finite(3), [F(1, 2), F(1, 3), F(1, 6)]))
+    law, mu = gen.prefix_pattern_law(4), prefix_law(gen, 4)
+    for pat in all_patterns(finite(3), 4):
+        assert mu.atom_mass(int("".join(map(str, pat)), 3)) == law[pat] > 0
+    assert sum(mu.atom_mass(c) for c in range(3**4)) == 1
 
 
 def test_product_space_size():
-    assert product_space(finite(3), 4).num_cells == 81
-    with pytest.raises(ValueError):
-        product_space(countable(), 2)
+    assert prefix_law(IIDProcess(ProbMeasure.uniform(finite(3))), 4).space.num_cells == 81
+    with pytest.raises(ValueError, match="finite state space"):
+        prefix_law(IIDProcess(ProbMeasure.geometric(countable(), F(1, 2))), 2)
 
 
 # -- exact laws ----------------------------------------------------------------
