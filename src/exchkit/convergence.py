@@ -13,8 +13,10 @@ holding the earliest index), so identical inputs select identical indices.
 The pipeline has one fixed configuration: ``family_tight``,
 ``extract_convergent_subsequence`` and ``construct_rcd_from_empiricals`` use
 the space's ``default_compact_family`` and ``default_closed_family`` (each
-built once per space) and ``DEFAULT_EPS_SCHEDULE``; ``a_converges`` takes an
-explicit closed family. Mass past the 64 initial segments of the countable
+built once per space) and ``DEFAULT_EPS_SCHEDULE``, and
+``construct_rcd_from_empiricals`` extracts and judges its event gaps at one
+tolerance, ``_CONSTRUCT_TOL``; ``a_converges`` takes an explicit closed
+family and a tolerance. Mass past the 64 initial segments of the countable
 space counts as escaping; ``classify_radon`` needs no such horizon for one
 measure, as it reads the measure's tail.
 
@@ -57,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (DEFAULT_COVERAGE, _cell_index, _columns, _masses, _sampled_paths, _validate_grid,
-                      binomial_band, rcd_verdict, validate_coverage, validate_tol)
+                      binomial_band, rcd_verdict, validate_coverage)
 from .measures import (
     DEFAULT_EPS_SCHEDULE,
     EXACT,
@@ -485,7 +487,7 @@ def markov_bound_check(
     violating = sum(float(freqs[-1, 0]) >= threshold for _, _, freqs in paths)
     frac = violating / n_paths
     eps_f = float(eps)
-    bound = eps_f + binomial_band(eps_f, n_paths)
+    bound = eps_f + float(binomial_band(eps_f, n_paths))
     passed = None if bound >= 1 else frac <= bound
     return MarkovBoundResult(passed, frac, bound, float(marginal), eps_f, n_paths, n_steps)
 
@@ -527,27 +529,14 @@ def uniform_smallness_check(
 
     # max over the grid of mu_{w,n}(B_m), per path and per chain member
     sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
-
-    profiles = []
-    fractions = []
-    for eps in eps_list:
-        row: list[int | None] = []
-        for i in range(n_paths):
-            hit = np.nonzero(sup_mass[i] < float(eps))[0]
-            row.append(int(hit[0]) if hit.size else None)
-        found = sum(m is not None for m in row) / n_paths
-        profiles.append(tuple(row))
-        fractions.append(found)
+    eps_f = tuple(float(e) for e in eps_list)
+    below = sup_mass < np.array(eps_f)[:, None, None]  # E x P x M
+    found = below.any(axis=2)
+    profiles = np.where(found, below.argmax(axis=2), None)  # object dtype: Python ints and None
+    fractions = (found.sum(axis=1) / n_paths).tolist()
     passed = all(f >= coverage for f in fractions)
-    return UniformSmallnessReport(
-        tuple(float(e) for e in eps_list),
-        grid,
-        n_paths,
-        coverage,
-        tuple(fractions),
-        tuple(profiles),
-        passed,
-    )
+    return UniformSmallnessReport(eps_f, grid, n_paths, coverage, tuple(fractions),
+                                  tuple(map(tuple, profiles.tolist())), passed)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +587,8 @@ class RcdConstructionReport(Record):
 # are more) that construct_rcd_from_empiricals stacks in one batch of paths;
 # every temporary of the batch's extraction is within that size
 _BATCH_ENTRIES = 1 << 14
+# construct_rcd_from_empiricals's extraction tolerance and event-gap budget
+_CONSTRUCT_TOL = 0.05
 
 
 def _batch_paths(layout: _Layout, n_grid: int) -> int:
@@ -628,15 +619,15 @@ def construct_rcd_from_empiricals(
     events: Sequence[EventSet],
     n_grid: Sequence[int],
     n_paths: int,
-    tol: float = 0.05,
     master_seed: int = 0,
     coverage: float = DEFAULT_COVERAGE,
 ) -> RcdConstructionReport:
     """Build the directing measure path by path and verify it.
 
     Pipeline per path: empirical masses along the grid, uniform tightness,
-    deterministic extraction to a limit mu_w; then (a) mu_w must match the
-    final empirical mass on each requested event within tol, and (b) where
+    deterministic extraction to a limit mu_w at tolerance ``_CONSTRUCT_TOL``
+    (0.05); then (a) mu_w must match the final empirical mass on each
+    requested event within that tolerance, and (b) where
     the generator declares a latent kernel, mu_w must match that
     kernel within 3 binomial standard errors, and the frequency-level
     verdict of :func:`verify_rcd` is taken on the same paths as an
@@ -653,17 +644,16 @@ def construct_rcd_from_empiricals(
     ``_BATCH_ENTRIES`` entries' worth of paths are stacked, and one call of
     the batched extraction gives each path's status, witness, surviving
     indices, limit, full-sequence test and event gaps; no certificate is
-    built. The kernel gaps and bands are arrays over all paths, and each
-    path's kernel targets are the frequency certificate's, so each kernel
-    image is built once. The results equal those of
-    :func:`extract_convergent_subsequence` on :func:`empirical_sequence`,
-    path by path.
+    built. The kernel gaps are one P x E array, judged by one elementwise
+    :func:`binomial_band` call, and each path's kernel targets are the
+    frequency certificate's, so each kernel image is built once. The results
+    equal those of :func:`extract_convergent_subsequence` on
+    :func:`empirical_sequence`, path by path.
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
     layout = _Layout(gen.space, events)
     grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed, layout.cols)
-    validate_tol(tol)
     validate_coverage(coverage)
 
     regularity = classify_radon(gen.marginal())
@@ -679,13 +669,13 @@ def construct_rcd_from_empiricals(
         finals.append(freqs[-1])
         np.divide(counts, lengths, out=atoms[i % batch])
         if i % batch == batch - 1 or i == n_paths - 1:
-            per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], tol)
+            per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], _CONSTRUCT_TOL)
             extracted += per_path
             limit_masses.append(masses)
             event_gaps.append(gaps)
     limit_masses, event_gaps = np.concatenate(limit_masses), np.concatenate(event_gaps)
 
-    path_ok = np.array([s == "ok" for s, *_ in extracted]) & (event_gaps <= tol).all(axis=1)
+    path_ok = np.array([s == "ok" for s, *_ in extracted]) & (event_gaps <= _CONSTRUCT_TOL).all(axis=1)
     kernel = gen.latent_kernel()
     kernel_report, kernel_gaps = None, np.empty((n_paths, 0))
     if kernel is not None:
@@ -693,8 +683,7 @@ def construct_rcd_from_empiricals(
         kernel_report = rcd_verdict(kernel, events, latents, finals, big_n, coverage=coverage)
         targets = np.array([r.targets for r in kernel_report.per_event]).T
         kernel_gaps = np.abs(limit_masses - targets)
-        bands = np.array([[binomial_band(t, big_n) for t in row] for row in targets.tolist()])
-        path_ok &= (kernel_gaps <= bands).all(axis=1)
+        path_ok &= (kernel_gaps <= binomial_band(targets, big_n)).all(axis=1)
 
     results = tuple(
         RcdPathResult(label, s, n, w, mu, tuple(eg), tuple(kg), ok) if s == "ok"
@@ -713,7 +702,7 @@ def construct_rcd_from_empiricals(
         grid,
         n_paths,
         coverage,
-        float(tol),
+        _CONSTRUCT_TOL,
         regularity,
         not_tight / n_paths,
         pass_fraction,

@@ -19,7 +19,6 @@ unnamed cell is counted.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -185,38 +184,32 @@ def rcd_verdict(
     # one kernel image per distinct (latent, event); the dict lives for this
     # call alone, as kernels on one space compare equal whatever their law
     target_of: dict = {}
-    results = []
-    for k, ev in enumerate(events):
-        targets, gaps, hits = [], [], 0
-        for latent, row in zip(latents, freqs):
+    for ev in events:
+        for latent in latents:
             if (latent, ev) not in target_of:
                 target_of[latent, ev] = float(kernel_mass(kappa, latent, ev))
-            target = target_of[latent, ev]
-            gap = abs(float(row[k]) - target)
-            hits += gap <= binomial_band(target, n_steps)
-            targets.append(target)
-            gaps.append(gap)
-        results.append(RcdEventResult(ev, hits / len(latents), tuple(targets), tuple(gaps)))
+    targets = np.array([[target_of[latent, ev] for ev in events] for latent in latents])
+    gaps = np.abs(np.asarray(freqs, dtype=np.float64) - targets)  # P x E
+    hits = (gaps <= binomial_band(targets, n_steps)).sum(axis=0)
+    results = [
+        RcdEventResult(ev, h / len(latents), tuple(t), tuple(g))
+        for ev, h, t, g in zip(events, hits.tolist(), targets.T.tolist(), gaps.T.tolist())
+    ]
     passed = all(r.pass_fraction >= coverage for r in results)
     return RcdReport(len(latents), n_steps, coverage, tuple(results), passed)
 
 
-def sigma_band(se: float, n: int) -> float:
+def sigma_band(se, n):
     """The pass band of every Monte Carlo verdict: 3 standard errors, floored
-    at 3/n so a zero-variance estimate still gets one count of slack."""
-    return 3.0 * max(se, 1.0 / n)
+    at 3/n so a zero-variance estimate still gets one count of slack.
+    Elementwise, each element equal to ``3.0 * max(se, 1.0 / n)``."""
+    return 3.0 * np.maximum(se, 1.0 / n)
 
 
-def binomial_band(p: float, n: int) -> float:
-    """:func:`sigma_band` of a frequency over n draws with success mass p."""
-    return sigma_band(math.sqrt(p * (1.0 - p) / n), n)
-
-
-def validate_tol(tol) -> None:
-    """The event-gap budget of ``construct_rcd_from_empiricals`` must be
-    finite and positive."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+def binomial_band(p, n):
+    """:func:`sigma_band` of a frequency over n draws with success mass p,
+    elementwise over arrays of p; ``np.sqrt`` rounds as ``math.sqrt`` does."""
+    return sigma_band(np.sqrt(p * (1.0 - p) / n), n)
 
 
 def validate_coverage(coverage) -> None:
@@ -351,6 +344,14 @@ def _validate_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
     return grid
 
 
+def _check_events(events: Sequence[EventSet], space: SpaceDescriptor) -> None:
+    """The one event rule: at least one event, each on the paths' space."""
+    if not events:
+        raise ValueError("event list must be non-empty")
+    if any(ev.space != space for ev in events):
+        raise SpaceMismatchError("event on the wrong space for the generator")
+
+
 def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None,
                    head: int = 1):
     """The grid of a Monte Carlo check, under :func:`_validate_grid`, and its
@@ -358,34 +359,33 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
     ``grid[-1]`` draws long and sampled once, as (path, :func:`_block_counter`
     table over ``cols``, :func:`_frequencies` of the events). ``cols``
     defaults to the cells the events name. Each path is a :class:`PathSample`
-    with its seed and latent that holds only its first ``head`` draws (at
-    least one, at most ``grid[-1]``): the draws a check reads one by one.
+    with its seed and latent that holds only its first ``head`` draws: the
+    draws a check reads one by one.
 
-    The grid, the events (at least one, on the generator's space) and the
-    number of paths are checked at the call. The paths are sampled as they are
-    iterated and each block of draws is counted as it is drawn, so no
-    path-length array is made. Each path allocates its own block buffers:
+    The grid, the events (:func:`_check_events`), the number of paths and
+    ``head`` (at most ``grid[-1]``: more leading draws than a path holds are
+    refused, not cut short) are checked at the call. The paths are sampled as
+    they are iterated and each block of draws is counted as it is drawn, so
+    no path-length array is made. Each path allocates its own block buffers:
     buffers reused by every path of a check left the heap fragmented and
     raised the peak RSS of runs of many short paths by about 3 MB."""
     grid = _validate_grid(grid)
-    if not events:
-        raise ValueError("event list must be non-empty")
-    if any(ev.space != gen.space for ev in events):
-        raise SpaceMismatchError("event on the wrong space for the generator")
+    _check_events(events, gen.space)
     if n_paths < 1:
         raise ValueError("need at least one path")
+    n = grid[-1]
+    if head > n:
+        raise ValueError(f"the check reads the first {head} draws of each path, past the largest grid point {n}")
     cols = _columns(events) if cols is None else cols
     cells = _cell_index(events, cols)
     count = _block_counter(grid, cols)
-    n = grid[-1]
-    keep = min(head, n)
 
     def paths():
         from .processes import PathSample  # processes imports this module
 
         for i in range(n_paths):
             latent, blocks = gen.sample_blocks(n, master_seed, i)
-            table, first = count(blocks, keep)
+            table, first = count(blocks, head)
             yield PathSample(gen, (master_seed, i), latent, first), table, _frequencies(table, cells, grid)
 
     return grid, paths()

@@ -493,6 +493,13 @@ def test_the_readme_examples_run_as_documented(tmp_path):
     assert outputs[5].exit_code == 0 and "estimate-mixing: PASS" in outputs[5].output
 
 
+def test_the_readme_library_block_runs():
+    # its asserts are the documented results
+    block = README.read_text(encoding="utf-8").split("## Library at a glance\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "df_product_identity_exact" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_every_space_form_in_the_readme_grammar_parses():
     line = next(line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("- space:"))
     forms = re.findall(r"`([^`]+)`", line)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from exchkit.kernels import (
     CylinderEvent,
     MarkovKernel,
     _count_table,
+    _sampled_paths,
     binomial_band,
     geometric_kernel,
     indicator_array,
@@ -499,6 +501,39 @@ def test_uniform_smallness_validates_chain():
         uniform_smallness_check(gen, [tail(2)], eps_list=[], n_grid=(50,), n_paths=5)
 
 
+def _uniform_smallness_loop(gen, events, eps_list, grid, n_paths, seed):
+    """uniform_smallness_check's profiles and found fractions, one epsilon
+    and one path at a time: the loop the array comparison replaced, kept as
+    its reference."""
+    _, paths = _sampled_paths(gen, events, grid, n_paths, seed)
+    sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
+    profiles, fractions = [], []
+    for eps in eps_list:
+        row = []
+        for i in range(n_paths):
+            hit = np.nonzero(sup_mass[i] < float(eps))[0]
+            row.append(int(hit[0]) if hit.size else None)
+        profiles.append(tuple(row))
+        fractions.append(sum(m is not None for m in row) / n_paths)
+    return tuple(profiles), tuple(fractions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sets(st.integers(0, 12), min_size=1, max_size=4),
+    st.lists(st.sampled_from([F(1, 2), F(1, 4), F(1, 16), F(1, 64), F(3, 2), 0.3]), min_size=1, max_size=4),
+    st.sampled_from([(20,), (10, 50, 100), (50, 200, 1000)]),
+    st.integers(1, 30),
+    st.integers(0, 2**32),
+)
+def test_uniform_smallness_equals_the_per_path_loop(tails, eps_list, grid, n_paths, seed):
+    chain = [tail(j) for j in sorted(tails)]
+    rep = uniform_smallness_check(geom_mixture(), chain, eps_list, grid, n_paths, master_seed=seed)
+    assert (rep.m_profiles, rep.found_fractions) == _uniform_smallness_loop(
+        geom_mixture(), chain, eps_list, grid, n_paths, seed)
+    assert all(type(m) is int for row in rep.m_profiles for m in row if m is not None)
+
+
 @pytest.mark.parametrize("eps", [0, F(-1, 4), -1.0, float("nan")])
 def test_uniform_smallness_rejects_eps_that_are_not_positive(eps):
     # as is_tight does; these used to report a FAIL
@@ -532,12 +567,6 @@ def test_construct_rcd_kernel_report_equals_standalone_verify_rcd():
     rep = construct_rcd_from_empiricals(gen, events, n_grid=(100, 500, 1000, 2000), n_paths=12, master_seed=5)
     alone = verify_rcd(gen.latent_kernel(), gen, events, n_paths=12, n_steps=2000, master_seed=5)
     assert rep.kernel_report == alone
-
-
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.5, 0])
-def test_construct_rcd_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="finite and positive"):
-        construct_rcd_from_empiricals(geom_mixture(), [tail(1)], n_grid=(10, 50), n_paths=2, tol=tol)
 
 
 @pytest.mark.parametrize("coverage", [0, -1, float("nan"), 1.5])
@@ -813,8 +842,10 @@ def pipeline_cases(draw):
 
 def _assert_matches_mass_route(gen, events, grid, tol, seed, n_paths=3):
     """construct_rcd_from_empiricals, path by path, against the mass() route
-    on empirical_sequence."""
-    rep = construct_rcd_from_empiricals(gen, events, n_grid=grid, n_paths=n_paths, tol=tol, master_seed=seed)
+    on empirical_sequence, with its tolerance set to ``tol``."""
+    with mock.patch.object(convergence, "_CONSTRUCT_TOL", tol):
+        rep = construct_rcd_from_empiricals(gen, events, n_grid=grid, n_paths=n_paths, master_seed=seed)
+    assert rep.tol == tol
     layout = _Layout(gen.space, events)
     latents, freqs = [], []
     for i, got in enumerate(rep.paths):
@@ -909,8 +940,9 @@ def test_batched_paths_equal_the_mass_route(case):
 def test_batch_size_does_not_change_the_report(monkeypatch):
     """Batches of 1, 7 and all 36 paths give the same report."""
     def report():
-        return construct_rcd_from_empiricals(FAR_MIXTURE, FAR_EVENTS, (20, 100, 1000), 36, tol=0.1).to_dict()
+        return construct_rcd_from_empiricals(FAR_MIXTURE, FAR_EVENTS, (20, 100, 1000), 36).to_dict()
 
+    monkeypatch.setattr(convergence, "_CONSTRUCT_TOL", 0.1)
     whole = report()
     per_path = 3 * max(len(_Layout(NN, FAR_EVENTS).cols) + 1, len(default_closed_family(NN)))
     for paths in (1, 7):

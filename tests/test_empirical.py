@@ -1,15 +1,19 @@
 """Tests for empirical measures, the product-moment identity, and SLLN checks."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchkit import EventSet, ProbMeasure, finite, mass
+from exchkit import EventSet, ProbMeasure, countable, finite, mass
+from exchkit.config import parse_event, parse_generator
 from exchkit.empirical import (
     ConvergenceReport,
+    DfIdentityReport,
     EmpiricalTrace,
     FullCondition,
     LatentCondition,
@@ -23,7 +27,7 @@ from exchkit.empirical import (
     slln_condiid_check,
     slln_exchangeable_check,
 )
-from exchkit.kernels import CylinderEvent, bernoulli_kernel, binomial_band
+from exchkit.kernels import CylinderEvent, _sampled_paths, bernoulli_kernel, binomial_band, sigma_band
 from exchkit.processes import (
     BetaBernoulliProcess,
     GridMixtureProcess,
@@ -31,6 +35,7 @@ from exchkit.processes import (
     MarkovChainProcess,
     PathSample,
     PolyaUrnProcess,
+    ProcessGenerator,
 )
 from exchkit.spaces import SpaceMismatchError
 
@@ -105,6 +110,14 @@ def test_empirical_trace_validates_inputs():
         EmpiricalTrace.compute(path, [], (1, 2))
 
 
+def test_empirical_trace_refuses_an_event_on_another_space():
+    # the countable event not:0 on a finite(2) path used to give values;
+    # the one event rule of the Monte Carlo checks refuses it
+    path = coin(F(1, 2)).sample_path(50, master_seed=0)
+    with pytest.raises(SpaceMismatchError):
+        EmpiricalTrace.compute(path, [parse_event(countable(), "not:0")], (10, 50))
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
 def test_empirical_trace_agrees_with_empirical_measure(obs):
@@ -135,6 +148,14 @@ def test_correction_factor_rejects_nonpositive_arguments():
         correction_factor(0, 1)
     with pytest.raises(ValueError, match="n >= 1 and m >= 1"):
         correction_factor(3, 0)
+
+
+def test_correction_factor_equals_the_product_loop():
+    # the loop that math.perm replaced, kept as the reference
+    for n in range(1, 31):
+        for m in range(1, 33):
+            num = 0 if m > n else math.prod(n - i for i in range(m))
+            assert correction_factor(n, m) == F(num, n**m)
 
 
 @given(st.integers(1, 200), st.integers(1, 8))
@@ -242,8 +263,34 @@ def test_exact_identity_refuses_work_over_the_oracle_cap(monkeypatch):
 def test_mc_identity_rejects_cylinder_longer_than_the_grid(first):
     # the paths hold grid[-1] = 2 draws; a miss on the first coordinate
     # used to hide the overrun behind passed=True with zero gaps
-    with pytest.raises(ValueError, match="more coordinates than the largest grid point"):
+    with pytest.raises(ValueError, match="reads the first 3 draws of each path, past the largest grid point 2"):
         df_product_identity_check(coin(F(1, 2)), CylinderEvent((first, ONES, ONES)), n_grid=(1, 2), n_paths=4)
+
+
+def test_mc_identity_rejects_a_prefix_statistic_longer_than_the_grid():
+    # the predicate, symmetry-checked on 5-tuples, used to be called on the
+    # 3 draws the paths hold, and the check passed
+    cond = SymmetricPrefixCondition(B2, 5, lambda pat: sum(pat) >= 3)
+    with pytest.raises(ValueError, match="reads the first 5 draws of each path, past the largest grid point 3"):
+        df_product_identity_check(coin(F(1, 2)), CylinderEvent((ONES,)), cond, n_grid=(2, 3), n_paths=20)
+
+
+def test_mc_identity_rejects_a_prefix_statistic_on_another_space(monkeypatch):
+    # its symmetry was checked on cells 0 and 1 only; refused before sampling
+    cond = SymmetricPrefixCondition(B2, 2, lambda pat: sum(pat) >= 1)
+    gen = parse_generator("iid:geom:1/2")
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(SpaceMismatchError):
+        df_product_identity_check(gen, CylinderEvent((EventSet.of(gen.space, [0]),)), cond, n_grid=(10, 50),
+                                  n_paths=4)
+
+
+def test_mc_identity_with_no_path_in_the_event_decides_nothing():
+    # theta >= 2 holds on no path: both sides are 0, which tests nothing
+    rep = df_product_identity_check(mixture(), CylinderEvent((ONES,)), LatentCondition(lambda t: t >= 2),
+                                    n_grid=(10, 100), n_paths=50)
+    assert rep.lhs_means == (0.0, 0.0) and rep.rhs_mean == 0.0 and rep.gaps == (0.0, 0.0)
+    assert rep.passed is None
 
 
 def test_exact_identity_rejects_non_exchangeable_generator():
@@ -394,6 +441,58 @@ def test_mc_identity_latent_conditioning_needs_latent_paths():
             n_grid=(10, 50),
             n_paths=4,
         )
+
+
+def _identity_loop(gen, cyl, conditioning, n_grid, n_paths, seed):
+    """df_product_identity_check with each path's terms filled by a product
+    loop, one row at a time: the loop the array terms replaced, kept as
+    their reference. Its verdict is None when no path lies in the event."""
+    m = cyl.m
+    grid, paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, seed, head=max(m, conditioning.draws_read()))
+    lhs_terms = np.zeros((n_paths, len(grid)))
+    rhs_terms = np.zeros(n_paths)
+    in_event = False
+    for i, (path, _, freqs) in enumerate(paths):
+        e = 1.0 if conditioning.path_indicator(path) else 0.0
+        in_event |= e == 1.0
+        prods = np.ones(len(grid))
+        for k in range(m):
+            prods *= freqs[:, k]
+        lhs_terms[i] = e * prods
+        hit = all(cyl.events[j].contains(int(path.observations[j])) for j in range(m))
+        rhs_terms[i] = e * (1.0 if hit else 0.0)
+    corr = np.array([float(correction_factor(n, m)) for n in grid])
+    lhs_means = lhs_terms.mean(axis=0)
+    rhs_mean = float(rhs_terms.mean())
+    gaps = np.abs(lhs_means - corr * rhs_mean)
+    se = float((lhs_terms[:, -1] - corr[-1] * rhs_terms).std(ddof=1)) / math.sqrt(n_paths)
+    tol = float(sigma_band(se, n_paths))
+    return DfIdentityReport(conditioning.label, m, grid, n_paths, tuple(lhs_means.tolist()), rhs_mean,
+                            tuple(corr.tolist()), tuple(gaps.tolist()), tol, bool(gaps[-1] <= tol) if in_event else None)
+
+
+@st.composite
+def identity_cases(draw):
+    """An exchangeable generator on two cells, a cylinder of up to three
+    coordinates, an admissible conditioning event for it, a grid and a seed."""
+    gen = draw(st.sampled_from([coin(F(1, 2)), coin(F(1, 5)), mixture(), PolyaUrnProcess(1, 1)]))
+    cyl = CylinderEvent(tuple(draw(st.lists(st.sampled_from([ONES, ZEROS, FULL, EventSet.of(B2, [])]),
+                                            min_size=1, max_size=3))))
+    prefix = draw(st.integers(1, 4))
+    choices = [FullCondition(), SymmetricPrefixCondition(B2, prefix, lambda pat: sum(pat) >= prefix // 2)]
+    if gen.latent_kernel() is not None and not isinstance(gen, IIDProcess):
+        choices.append(LatentCondition(lambda t: t == F(1, 4)))
+    conditioning = draw(st.sampled_from(choices))
+    grid = draw(st.sampled_from([(4, 10), (10, 100, 1000), (5, 6, 7, 50)]))
+    return gen, cyl, conditioning, grid, draw(st.integers(2, 30)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_cases())
+def test_mc_identity_equals_the_per_path_loop(case):
+    gen, cyl, conditioning, grid, n_paths, seed = case
+    rep = df_product_identity_check(gen, cyl, conditioning, n_grid=grid, n_paths=n_paths, master_seed=seed)
+    assert rep == _identity_loop(*case)
 
 
 # ---------------------------------------------------------------- KS distance

@@ -1,5 +1,6 @@
 """Kernel images, product-cylinder masses, and the frequency-level verifier."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,11 @@ from exchkit.processes import ProcessGenerator
 from exchkit.empirical import slln_exchangeable_checks
 from exchkit.kernels import (
     _TALLY_CELLS,
+    DEFAULT_COVERAGE,
     CylinderEvent,
     MarkovKernel,
+    RcdEventResult,
+    RcdReport,
     _block_counter,
     _cell_index,
     _columns,
@@ -37,11 +41,14 @@ from exchkit.kernels import (
     _sampled_paths,
     _validate_grid,
     bernoulli_kernel,
+    binomial_band,
     constant_kernel,
     geometric_kernel,
     indicator_array,
     kernel_mass,
     product_cylinder_mass,
+    rcd_verdict,
+    sigma_band,
     verify_rcd,
 )
 from exchkit.rng import _DRAW_BLOCK
@@ -230,7 +237,86 @@ def test_sampled_paths_count_each_block_as_the_whole_path():
         assert np.array_equal(freqs, _frequencies(table, _cell_index(events, cols), grid))
 
 
+def test_sampled_paths_refuse_a_head_past_the_grid(monkeypatch):
+    # refused at the call, not cut short to the grid[-1] draws the paths hold
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="reads the first 4 draws of each path, past the largest grid point 3"):
+        _sampled_paths(gen, [EventSet.of(finite(2), [1])], (2, 3), 5, 0, head=4)
+
+
+# -- the pass band -------------------------------------------------------------
+
+
+def _scalar_sigma_band(se, n):
+    """The band as one Python-float expression per value: the reference."""
+    return 3.0 * max(se, 1.0 / n)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(0, 1), min_size=1, max_size=20), st.integers(1, 10**7))
+@example([0.0, 1.0, 0.5, 1e-300], 1)
+def test_the_band_is_the_scalar_band_elementwise(values, n):
+    scalar = [_scalar_sigma_band(math.sqrt(p * (1.0 - p) / n), n) for p in values]
+    assert binomial_band(np.array(values), n).tolist() == scalar
+    assert [float(binomial_band(p, n)) for p in values] == scalar
+    assert sigma_band(np.array(values), n).tolist() == [_scalar_sigma_band(se, n) for se in values]
+
+
 # -- the Monte Carlo verifier --------------------------------------------------
+
+
+def _rcd_verdict_loop(kappa, events, latents, freqs, n_steps, coverage=DEFAULT_COVERAGE):
+    """rcd_verdict judged one (path, event) at a time with the scalar band:
+    the loop the array verdict replaced, kept as its reference."""
+    results = []
+    for k, ev in enumerate(events):
+        targets, gaps, hits = [], [], 0
+        for latent, row in zip(latents, freqs):
+            target = float(kernel_mass(kappa, latent, ev))
+            gap = abs(float(row[k]) - target)
+            hits += gap <= _scalar_sigma_band(math.sqrt(target * (1.0 - target) / n_steps), n_steps)
+            targets.append(target)
+            gaps.append(gap)
+        results.append(RcdEventResult(ev, hits / len(latents), tuple(targets), tuple(gaps)))
+    return RcdReport(len(latents), n_steps, coverage, tuple(results), all(r.pass_fraction >= coverage for r in results))
+
+
+B2_EVENTS = [EventSet.of(finite(2), [1]), EventSet.of(finite(2), [0]), EventSet.full(finite(2)),
+             EventSet.empty(finite(2))]
+
+
+@st.composite
+def verdict_cases(draw):
+    """Beta latents (any bias in [0, 1]) or grid latents with the endpoints,
+    whose targets 0 and 1 leave only the 3/n floor; each frequency a count
+    over n within two band widths of its target, so paths land on both sides
+    of their bands."""
+    n = draw(st.integers(1, 5000))
+    events = draw(st.lists(st.sampled_from(B2_EVENTS), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        latents = draw(st.lists(st.floats(0, 1), min_size=1, max_size=12))
+    else:
+        latents = draw(st.lists(st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]), min_size=1, max_size=12))
+    kappa = bernoulli_kernel(finite(2))
+
+    def frequency(target):
+        width = 2 * math.ceil(3 * math.sqrt(n * target * (1 - target))) + 6
+        return min(n, max(0, round(target * n) + draw(st.integers(-width, width)))) / n
+
+    freqs = [[frequency(float(kernel_mass(kappa, t, ev))) for ev in events] for t in latents]
+    return kappa, events, latents, freqs, n, draw(st.sampled_from([DEFAULT_COVERAGE, 0.5, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(verdict_cases())
+def test_rcd_verdict_equals_the_per_path_loop(case):
+    kappa, events, latents, freqs, n, coverage = case
+    expected = _rcd_verdict_loop(kappa, events, latents, freqs, n, coverage)
+    assert rcd_verdict(kappa, events, latents, freqs, n, coverage) == expected
+    assert rcd_verdict(kappa, events, latents, np.array(freqs), n, coverage) == expected
+
+
 
 
 def test_verify_rcd_accepts_the_true_kernel():
