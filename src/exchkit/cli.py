@@ -41,7 +41,6 @@ from .config import (
     CsvBody,
     RunReport,
     ScenarioConfig,
-    SpecParseError,
     csv_lines,
     emit_report,
     merge_config,
@@ -202,10 +201,7 @@ def cmd_estimate_mixing(cfg):
 @command("verify-rcd")
 def cmd_verify_rcd(cfg):
     """Check the latent kernel against per-path long-run frequencies."""
-    kappa = cfg.gen.latent_kernel()
-    if kappa is None:
-        raise SpecParseError(f"generator {cfg.raw['gen']!r} has no latent kernel to verify")
-    rep = verify_rcd(kappa, cfg.gen, list(cfg.events), cfg.n_paths, cfg.steps, master_seed=cfg.seed)
+    rep = verify_rcd(cfg.gen.latent_kernel(), cfg.gen, list(cfg.events), cfg.n_paths, cfg.steps, master_seed=cfg.seed)
     return rep.to_dict(), rep.passed
 
 

@@ -28,7 +28,7 @@ cofinite event's mass is 1 minus its excluded cells, as in :func:`mass`, so
 no unnamed cell is read).
 Tightness, extraction, :func:`a_converges` and the limsup certificates all
 read it. A path's table is the count table that ``kernels._sampled_paths``
-fills for every Monte Carlo check, divided by n; a :class:`MeasureSequence`
+counts for every Monte Carlo check, divided by n; a :class:`MeasureSequence`
 fills it from ``atom_mass``, as Python objects when a measure is exact. An
 event's mass is a left-to-right sum over its cells in the order :func:`mass`
 takes them, and the compacts' masses are one sequential cumulative sum along
@@ -475,17 +475,16 @@ def markov_bound_check(
     1/10) no fraction can exceed, so its verdict is None: it decides nothing.
 
     The marginal precondition is verified against the generator's exact
-    marginal, not sampled. ``eps`` must lie in (0, 1].
+    marginal, not sampled, before any path is drawn. ``eps`` must lie in (0, 1].
     """
     if not 0 < eps <= 1:  # rejects NaN as well
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    (n_steps,), paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
     marginal = mass(gen.marginal(), event)
     if marginal > eps * eps:
         raise ValueError(f"marginal mass {marginal} exceeds eps^2 = {eps * eps}")
-    threshold = _least_double_at_least(eps)
-    violating = sum(float(freqs[-1, 0]) >= threshold for _, _, freqs in paths)
-    frac = violating / n_paths
+    paths = _sampled_paths(gen, (event,), (n_steps,), n_paths, master_seed)
+    (n_steps,) = paths.grid
+    frac = int((paths.freqs[:, -1, 0] >= _least_double_at_least(eps)).sum()) / n_paths
     eps_f = float(eps)
     bound = eps_f + float(binomial_band(eps_f, n_paths))
     passed = None if bound >= 1 else frac <= bound
@@ -525,17 +524,17 @@ def uniform_smallness_check(
         if not small.is_subset(big):
             raise ValueError("event chain must be inclusion-decreasing")
     _check_epsilons(eps_list)
-    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
+    paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
 
     # max over the grid of mu_{w,n}(B_m), per path and per chain member
-    sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
+    sup_mass = paths.freqs.max(axis=1)
     eps_f = tuple(float(e) for e in eps_list)
     below = sup_mass < np.array(eps_f)[:, None, None]  # E x P x M
     found = below.any(axis=2)
     profiles = np.where(found, below.argmax(axis=2), None)  # object dtype: Python ints and None
     fractions = (found.sum(axis=1) / n_paths).tolist()
     passed = all(f >= coverage for f in fractions)
-    return UniformSmallnessReport(eps_f, grid, n_paths, coverage, tuple(fractions),
+    return UniformSmallnessReport(eps_f, paths.grid, n_paths, coverage, tuple(fractions),
                                   tuple(map(tuple, profiles.tolist())), passed)
 
 
@@ -638,9 +637,10 @@ def construct_rcd_from_empiricals(
     fraction as well) and the frequency-level certificate agrees.
 
     The empirical measures mu_{w,n} are never built. Each path's draws are
-    counted once, by the count table that ``kernels._sampled_paths`` fills for
-    every Monte Carlo check; divided by n it is the atom-mass table (see the
-    module docstring) that tightness and extraction read. The tables of up to
+    counted once, by the count table that ``kernels._sampled_paths`` counts
+    for every Monte Carlo check and hands to this check path by path; divided
+    by n it is the atom-mass table (see the module docstring) that tightness
+    and extraction read. The tables of up to
     ``_BATCH_ENTRIES`` entries' worth of paths are stacked, and one call of
     the batched extraction gives each path's status, witness, surviving
     indices, limit, full-sequence test and event gaps; no certificate is
@@ -652,27 +652,25 @@ def construct_rcd_from_empiricals(
     """
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    layout = _Layout(gen.space, events)
-    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed, layout.cols)
     validate_coverage(coverage)
-
-    regularity = classify_radon(gen.marginal())
-
+    layout = _Layout(gen.space, events)
+    grid = _validate_grid(n_grid)
     big_n = grid[-1]
     lengths = np.array(grid)[:, None]
-    batch = min(n_paths, _batch_paths(layout, len(grid)))
+    batch = min(max(n_paths, 1), _batch_paths(layout, len(grid)))
     atoms = np.empty((batch, len(grid), len(layout.cols) + 1))
-    labels, latents, finals, extracted, limit_masses, event_gaps = [], [], [], [], [], []
-    for i, (path, counts, freqs) in enumerate(paths):
-        labels.append(path.seed_label)
-        latents.append(path.latent)
-        finals.append(freqs[-1])
+    extracted, limit_masses, event_gaps = [], [], []
+
+    def extract(i, counts):  # fills the batch; a full batch, or the last, is extracted
         np.divide(counts, lengths, out=atoms[i % batch])
         if i % batch == batch - 1 or i == n_paths - 1:
             per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], _CONSTRUCT_TOL)
-            extracted += per_path
+            extracted.extend(per_path)
             limit_masses.append(masses)
             event_gaps.append(gaps)
+
+    paths = _sampled_paths(gen, events, grid, n_paths, master_seed, layout.cols, tables=extract)
+    regularity = classify_radon(gen.marginal())
     limit_masses, event_gaps = np.concatenate(limit_masses), np.concatenate(event_gaps)
 
     path_ok = np.array([s == "ok" for s, *_ in extracted]) & (event_gaps <= _CONSTRUCT_TOL).all(axis=1)
@@ -680,7 +678,7 @@ def construct_rcd_from_empiricals(
     kernel_report, kernel_gaps = None, np.empty((n_paths, 0))
     if kernel is not None:
         # each path's kernel targets are the certificate's
-        kernel_report = rcd_verdict(kernel, events, latents, finals, big_n, coverage=coverage)
+        kernel_report = rcd_verdict(kernel, events, paths.latents, paths.freqs[:, -1], big_n, coverage=coverage)
         targets = np.array([r.targets for r in kernel_report.per_event]).T
         kernel_gaps = np.abs(limit_masses - targets)
         path_ok &= (kernel_gaps <= binomial_band(targets, big_n)).all(axis=1)
@@ -689,7 +687,7 @@ def construct_rcd_from_empiricals(
         RcdPathResult(label, s, n, w, mu, tuple(eg), tuple(kg), ok) if s == "ok"
         else RcdPathResult(label, s, None, None, None, (), (), False)
         for label, (s, n, w, mu), eg, kg, ok in zip(
-            labels, extracted, event_gaps.tolist(), kernel_gaps.tolist(), path_ok.tolist()
+            paths.labels, extracted, event_gaps.tolist(), kernel_gaps.tolist(), path_ok.tolist()
         )
     )
     not_tight = sum(r.status == "not_tight" for r in results)

@@ -33,16 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (DEFAULT_COVERAGE, CylinderEvent, _cell_index, _check_events, _columns, _count_table,
-                      _frequencies, _sampled_paths, _validate_grid, rcd_verdict, sigma_band)
+                      _frequencies, _sampled_paths, _validate_grid, indicator_array, rcd_verdict, sigma_band)
 from .measures import ProbMeasure, mass
-from .processes import (
-    GridMixtureProcess,
-    PathSample,
-    ProcessGenerator,
-    _mixture_pattern_law,
-    ensure_oracle_domain,
-    ensure_oracle_work,
-)
+from .processes import (GridMixtureProcess, PathSample, ProcessGenerator, _exact_law, _mixture_pattern_law,
+                        ensure_oracle_work)
 from .spaces import EventSet, Record, SpaceMismatchError, event_spec, report_value
 
 DEFAULT_N_GRID = (10, 100, 1000, 10000)
@@ -174,25 +168,18 @@ def slln_exchangeable_checks(
     kernel."""
     if not gen.exchangeable:
         raise ValueError("generator is not exchangeable")
-    grid, paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
-
-    labels, latents, traces = [], [], []  # traces[i][k]: path i, events[k]
-    for path, _, freqs in paths:
-        labels.append(path.seed_label)
-        latents.append(path.latent)
-        traces.append(tuple(map(tuple, freqs.T.tolist())))
+    paths = _sampled_paths(gen, events, n_grid, n_paths, master_seed)
     kernel = gen.latent_kernel()
     if kernel is None:
         none = (None,) * n_paths
         verdicts = [(none, none, None, None)] * len(events)
     else:
-        finals = [[trace[-1] for trace in values] for values in traces]
-        rep = rcd_verdict(kernel, events, latents, finals, grid[-1])
+        rep = rcd_verdict(kernel, events, paths.latents, paths.freqs[:, -1], paths.grid[-1])
         verdicts = [(r.targets, r.gaps, r.pass_fraction, r.pass_fraction >= DEFAULT_COVERAGE) for r in rep.per_event]
     return tuple(
         ConvergenceReport(
-            gen.spec_label(), ev, grid, n_paths, tuple(labels),
-            tuple(values[k] for values in traces), targets, gaps, DEFAULT_COVERAGE, frac, passed,
+            gen.spec_label(), ev, paths.grid, n_paths, tuple(paths.labels),
+            tuple(map(tuple, paths.freqs[:, :, k].tolist())), targets, gaps, DEFAULT_COVERAGE, frac, passed,
         )
         for k, (ev, (targets, gaps, frac, passed)) in enumerate(zip(events, verdicts))
     )
@@ -231,7 +218,9 @@ class ConditioningEvent:
 
     label: str
 
-    def path_indicator(self, path: PathSample) -> bool:
+    def path_indicator(self, latent, head: np.ndarray) -> bool:
+        """Whether a path lies in the event, read from its realized latent
+        and ``head``, its first :meth:`draws_read` draws (or more)."""
         raise NotImplementedError
 
     def draws_read(self) -> int:
@@ -245,7 +234,7 @@ class FullCondition(ConditioningEvent):
 
     label = "full"
 
-    def path_indicator(self, path: PathSample) -> bool:
+    def path_indicator(self, latent, head: np.ndarray) -> bool:
         return True
 
 
@@ -256,10 +245,10 @@ class LatentCondition(ConditioningEvent):
     predicate: Callable = field(compare=False)
     label: str = "latent"
 
-    def path_indicator(self, path: PathSample) -> bool:
-        if path.latent is None:
+    def path_indicator(self, latent, head: np.ndarray) -> bool:
+        if latent is None:
             raise ValueError("path carries no realized latent parameter")
-        return bool(self.predicate(path.latent))
+        return bool(self.predicate(latent))
 
 
 @dataclass(frozen=True)
@@ -294,9 +283,8 @@ class SymmetricPrefixCondition(ConditioningEvent):
                 if bool(self.predicate(tuple(swapped))) != base:
                     raise ValueError("conditioning statistic is not symmetric")
 
-    def path_indicator(self, path: PathSample) -> bool:
-        prefix = tuple(int(x) for x in path.observations[: self.prefix_len])
-        return bool(self.predicate(prefix))
+    def path_indicator(self, latent, head: np.ndarray) -> bool:
+        return bool(self.predicate(tuple(int(x) for x in head[: self.prefix_len])))
 
     def draws_read(self) -> int:
         return self.prefix_len
@@ -305,12 +293,9 @@ class SymmetricPrefixCondition(ConditioningEvent):
 def _exact_weighted_patterns(
     gen: ProcessGenerator, n: int, conditioning: ConditioningEvent
 ) -> dict[tuple[int, ...], Fraction]:
-    """P(pattern AND conditioning event) per pattern, exact rationals."""
+    """P(pattern AND conditioning event) per pattern."""
     if isinstance(conditioning, FullCondition):
-        law = gen.prefix_pattern_law(n)
-        if any(not isinstance(p, Fraction) for p in law.values()):
-            raise ValueError("exact mode requires rational generator parameters")
-        return dict(law)
+        return gen.prefix_pattern_law(n)
     if isinstance(conditioning, LatentCondition):
         if not isinstance(gen, GridMixtureProcess):
             raise ValueError("exact latent conditioning needs a finite-grid mixture")
@@ -364,12 +349,11 @@ def df_product_identity_exact(
     m = cyl.m
     if m > n:
         raise ValueError("cylinder has more coordinates than the window")
-    k = ensure_oracle_domain(gen, n)
-    ensure_oracle_work(
-        f"k**n*n**m (pattern, index tuple) steps for n={n}, m={m}, k={k}", chain(repeat(n, m), repeat(k, n))
+    _, weighted = _exact_law(
+        gen, n, lambda k: (f"k**n*n**m (pattern, index tuple) steps for n={n}, m={m}, k={k}",
+                           chain(repeat(n, m), repeat(k, n))),
+        lambda n: _exact_weighted_patterns(gen, n, conditioning),
     )
-
-    weighted = _exact_weighted_patterns(gen, n, conditioning)
     evs = cyl.events
 
     lhs = Fraction(0)
@@ -451,18 +435,14 @@ def df_product_identity_check(
     if isinstance(conditioning, SymmetricPrefixCondition) and conditioning.space != gen.space:
         raise SpaceMismatchError("conditioning statistic on the wrong space for the generator")
     m = cyl.m
-    grid, paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, master_seed, head=max(m, conditioning.draws_read()))
+    paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, master_seed, head=max(m, conditioning.draws_read()))
+    grid, heads = paths.grid, paths.heads
 
-    # per path: 1_E, the cylinder hit and its grid frequencies' products, these in one array: a small array
-    # per path, held across the loop, fragmented the heap and raised the peak RSS of later checks by up to 4 MB
-    indicator, hit, prods = [], [], np.empty((n_paths, len(grid)))
-    for i, (path, _, freqs) in enumerate(paths):
-        indicator.append(conditioning.path_indicator(path))
-        hit.append(all(ev.contains(int(x)) for ev, x in zip(cyl.events, path.observations)))
-        prods[i] = freqs.prod(axis=1)
-    e = np.array(indicator, dtype=np.float64)
-    lhs_terms = e[:, None] * prods
-    rhs_terms = e * np.array(hit)
+    # per path: 1_E, the cylinder hit and the products of its grid frequencies
+    e = np.array([conditioning.path_indicator(lat, head) for lat, head in zip(paths.latents, heads)], dtype=np.float64)
+    hit = np.logical_and.reduce([indicator_array(heads[:, j], ev) for j, ev in enumerate(cyl.events)])
+    lhs_terms = e[:, None] * paths.freqs.prod(axis=2)
+    rhs_terms = e * hit
 
     corr = np.array([float(correction_factor(n, m)) for n in grid])
     lhs_means = lhs_terms.mean(axis=0)

@@ -7,14 +7,15 @@ target space. The infinite product kernel is represented only through its
 cylinder values: the mass of A_1 x ... x A_m x S x S x ... under parameter w
 is the product of the per-coordinate kernel masses.
 
-Every Monte Carlo check reads a path through the empirical frequencies
-mu_{w,n}(A) along an n-grid. :func:`_sampled_paths` samples the paths of a
-check once each and counts each block of draws as it is drawn, with
-:func:`_block_counter`, into a G x (named cells + 1) table of how many of the
-first ``grid[g]`` draws fall in each cell that the check's events name, then
-a zero column that pads event sums. An event's count is the sum over its cells, or n minus the sum
-over the cells it excludes when it is cofinite (:func:`_masses`), so no
-unnamed cell is counted.
+Every Monte Carlo check reads its paths through the empirical frequencies
+mu_{w,n}(A) along an n-grid, as one :class:`SampledPaths` record of arrays
+over the paths. :func:`_sampled_paths` samples each path once and counts each
+block of draws as it is drawn, with :func:`_block_counter`, into a
+G x (named cells + 1) table of how many of the first ``grid[g]`` draws fall in
+each cell that the check's events name, then a zero column that pads event
+sums. An event's count is the sum over its cells, or n minus the sum over the
+cells it excludes when it is cofinite (:func:`_masses`), so no unnamed cell
+is counted.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import EXACT, ProbMeasure, mass
+from .rng import path_seed_labels
 from .spaces import EventSet, Record, SpaceDescriptor, SpaceMismatchError, report_value
 
 # the share of paths that a Monte Carlo check requires to pass, by default
@@ -159,13 +161,9 @@ def verify_rcd(
     ``n_steps``.
     """
     if gen.latent_kernel() is None:
-        raise ValueError("generator declares no latent kernel")
-    (n_steps,), paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
-    latents, freqs = [], []
-    for path, _, path_freqs in paths:
-        latents.append(path.latent)
-        freqs.append(path_freqs[-1])
-    return rcd_verdict(kappa, events, latents, freqs, n_steps)
+        raise ValueError(f"generator {gen.spec_label()} declares no latent kernel")
+    paths = _sampled_paths(gen, events, (n_steps,), n_paths, master_seed)
+    return rcd_verdict(kappa, events, paths.latents, paths.freqs[:, -1], paths.grid[-1])
 
 
 def rcd_verdict(
@@ -181,6 +179,8 @@ def rcd_verdict(
     draws and ``latents[i]`` its realized latent parameter. Each frequency
     passes when it lies within :func:`binomial_band` of its target
     kappa(latents[i], events[k]) at ``n_steps``."""
+    if len(latents) < 1:
+        raise ValueError("need at least one path")
     # one kernel image per distinct (latent, event); the dict lives for this
     # call alone, as kernels on one space compare equal whatever their law
     target_of: dict = {}
@@ -219,7 +219,8 @@ def validate_coverage(coverage) -> None:
 
 
 def indicator_array(obs: np.ndarray, event: EventSet) -> np.ndarray:
-    """Boolean membership of each observation in the event; the test oracle of :func:`_block_counter`."""
+    """Boolean membership of each observation in the event: the cylinder
+    hits of the product identity check, and the test oracle of :func:`_block_counter`."""
     if event.cofinite:
         return ~np.isin(obs, sorted(event.indices))
     return np.isin(obs, sorted(event.indices))
@@ -352,23 +353,38 @@ def _check_events(events: Sequence[EventSet], space: SpaceDescriptor) -> None:
         raise SpaceMismatchError("event on the wrong space for the generator")
 
 
-def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None,
-                   head: int = 1):
-    """The grid of a Monte Carlo check, under :func:`_validate_grid`, and its
-    paths: paths 0 .. n_paths-1 of ``gen`` under ``master_seed``, each
-    ``grid[-1]`` draws long and sampled once, as (path, :func:`_block_counter`
-    table over ``cols``, :func:`_frequencies` of the events). ``cols``
-    defaults to the cells the events name. Each path is a :class:`PathSample`
-    with its seed and latent that holds only its first ``head`` draws: the
-    draws a check reads one by one.
+@dataclass(frozen=True)
+class SampledPaths:
+    """The P paths of a Monte Carlo check as arrays: the checked grid, each
+    path's seed label and realized latent, ``heads`` (P x H, int64) its first
+    H draws and ``freqs`` (P x G x E) each event's frequency at each grid
+    point."""
 
-    The grid, the events (:func:`_check_events`), the number of paths and
-    ``head`` (at most ``grid[-1]``: more leading draws than a path holds are
-    refused, not cut short) are checked at the call. The paths are sampled as
-    they are iterated and each block of draws is counted as it is drawn, so
-    no path-length array is made. Each path allocates its own block buffers:
-    buffers reused by every path of a check left the heap fragmented and
-    raised the peak RSS of runs of many short paths by about 3 MB."""
+    grid: tuple[int, ...]
+    labels: list[str]
+    latents: list
+    heads: np.ndarray
+    freqs: np.ndarray
+
+
+def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths: int, master_seed: int, cols=None,
+                   head: int = 0, tables=None) -> SampledPaths:
+    """Paths 0 .. n_paths-1 of ``gen`` under ``master_seed``, each
+    ``grid[-1]`` draws long, sampled and counted once, as a
+    :class:`SampledPaths` of the events' :func:`_frequencies` and the first
+    ``head`` draws of each path: the draws a check reads one by one.
+    ``tables(i, table)``, when given, receives path i's :func:`_block_counter`
+    table over ``cols``, which defaults to the cells the events name.
+
+    The grid (:func:`_validate_grid`), the events (:func:`_check_events`),
+    the number of paths and ``head`` (at most ``grid[-1]``: more leading
+    draws than a path holds are refused, not cut short) are checked before
+    any path is drawn. Each block of draws is counted as it is drawn, so no
+    path-length array is made, and a check holds 8 bytes per path per
+    (grid point x event) and per leading draw. Each path allocates its own
+    block buffers: buffers reused by every path of a check left the heap
+    fragmented and raised the peak RSS of runs of many short paths by about
+    3 MB."""
     grid = _validate_grid(grid)
     _check_events(events, gen.space)
     if n_paths < 1:
@@ -379,13 +395,12 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
     cols = _columns(events) if cols is None else cols
     cells = _cell_index(events, cols)
     count = _block_counter(grid, cols)
-
-    def paths():
-        from .processes import PathSample  # processes imports this module
-
-        for i in range(n_paths):
-            latent, blocks = gen.sample_blocks(n, master_seed, i)
-            table, first = count(blocks, head)
-            yield PathSample(gen, (master_seed, i), latent, first), table, _frequencies(table, cells, grid)
-
-    return grid, paths()
+    latents, heads, freqs = [], np.empty((n_paths, head), dtype=np.int64), np.empty((n_paths, len(grid), len(events)))
+    for i in range(n_paths):
+        latent, blocks = gen.sample_blocks(n, master_seed, i)
+        table, heads[i] = count(blocks, head)
+        latents.append(latent)
+        freqs[i] = _frequencies(table, cells, grid)
+        if tables is not None:
+            tables(i, table)
+    return SampledPaths(grid, path_seed_labels(master_seed, n_paths), latents, heads, freqs)

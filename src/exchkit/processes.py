@@ -22,9 +22,11 @@ the map from a path's ``latent`` to the conditional law of its coordinates
 (iid: constant at the base measure; urn and control: None). Every kernel
 target, kernel verdict and conditionally-iid precondition asks it.
 
-Every exact oracle counts the entries it would enumerate before it starts,
-factor by factor so that a huge n is refused within a few factors, and raises
-``ValueError`` naming the oracle cap above ``_ORACLE_WORK_CAP`` (10**8):
+Every exact oracle passes one gate (``_exact_law``), which refuses a law
+whose probabilities are not all rational and counts the entries the oracle
+would enumerate before it starts, factor by factor so that a huge n is
+refused within a few factors, raising ``ValueError`` naming the oracle cap
+above ``_ORACLE_WORK_CAP`` (10**8):
 ``check_exchangeable`` n!*k**n (permutation, pattern) steps, ``prefix_law``
 n*k**n pattern entries (the n keeps counting on a one-cell space),
 ``polya_beta_equivalence`` 2**n urn patterns, and in ``empirical``
@@ -84,7 +86,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
-from typing import Iterable
+from numbers import Rational
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -657,14 +660,22 @@ class MarkovChainProcess(ProcessGenerator):
 # ---------------------------------------------------------------------------
 # the spec operations
 
-def ensure_oracle_domain(gen: ProcessGenerator, n: int) -> int:
-    """The generator's cell count k, once its law is enumerable at length n."""
+def _exact_law(gen: ProcessGenerator, n: int, work: Callable, law: Callable | None = None) -> tuple[int, dict]:
+    """The one gate of the exact oracles: the generator's cell count k and
+    its pattern law at length n, ``law(n)`` when given. The space must be
+    finite, n >= 1, the enumeration ``work(k)`` (its name, its factors)
+    within :func:`ensure_oracle_work`'s cap, and every probability rational,
+    as float laws differ in their last bits; one check per distinct type."""
     k = gen.space.num_cells
     if k is None:
         raise ValueError("exact prefix law requires a finite state space")
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return k
+    ensure_oracle_work(*work(k))
+    values = (law or gen.prefix_pattern_law)(n)
+    if not all(issubclass(t, Rational) for t in set(map(type, values.values()))):
+        raise ValueError("exact oracles require rational generator parameters")
+    return k, values
 
 
 def ensure_oracle_work(what: str, factors: Iterable[int]) -> None:
@@ -681,11 +692,7 @@ def prefix_law(gen: ProcessGenerator, n: int) -> ProbMeasure:
     """Exact joint law of the first n coordinates, as a measure on the
     n-fold product space, finite(k**n) (rational arithmetic). A pattern's
     cell is its digits read base k, the first coordinate most significant."""
-    k = ensure_oracle_domain(gen, n)
-    ensure_oracle_work(f"n*k**n pattern entries for n={n}, k={k}", chain([n], repeat(k, n)))
-    pat_law = gen.prefix_pattern_law(n)
-    if any(not isinstance(p, Fraction) for p in pat_law.values()):
-        raise ValueError("prefix law requires exact-rational generator parameters")
+    k, pat_law = _exact_law(gen, n, lambda k: (f"n*k**n pattern entries for n={n}, k={k}", chain([n], repeat(k, n))))
     weights = {}
     for pattern, p in pat_law.items():
         cell = 0
@@ -704,11 +711,9 @@ class ExchangeabilityResult(Record):
 
 def check_exchangeable(gen: ProcessGenerator, n: int) -> ExchangeabilityResult:
     """Brute-force invariance of the exact n-law under all n! permutations."""
-    k = ensure_oracle_domain(gen, n)
-    ensure_oracle_work(
-        f"n!*k**n (permutation, pattern) steps for n={n}, k={k}", (i * k for i in range(1, n + 1))
+    _, law = _exact_law(
+        gen, n, lambda k: (f"n!*k**n (permutation, pattern) steps for n={n}, k={k}", (i * k for i in range(1, n + 1)))
     )
-    law = gen.prefix_pattern_law(n)
     worst = None
     max_disc = Fraction(0)
     for sigma in permutations(range(n)):
@@ -726,10 +731,7 @@ def polya_beta_equivalence(a: int, b: int, n: int) -> tuple[bool, Fraction]:
     pattern formula; both sides exact rationals, equality required."""
     if int(a) != a or int(b) != b:
         raise ValueError("equivalence oracle needs integer urn counts")
-    urn = PolyaUrnProcess(a, b)
-    ensure_oracle_domain(urn, n)
-    ensure_oracle_work(f"2**n urn patterns for n={n}", repeat(2, n))
-    urn_law = urn.prefix_pattern_law(n)
+    _, urn_law = _exact_law(PolyaUrnProcess(a, b), n, lambda k: (f"2**n urn patterns for n={n}", repeat(2, n)))
     max_disc = Fraction(0)
     for pattern, p in urn_law.items():
         q = beta_binomial_pattern_prob(int(a), int(b), n, sum(pattern))

@@ -505,13 +505,12 @@ def _uniform_smallness_loop(gen, events, eps_list, grid, n_paths, seed):
     """uniform_smallness_check's profiles and found fractions, one epsilon
     and one path at a time: the loop the array comparison replaced, kept as
     its reference."""
-    _, paths = _sampled_paths(gen, events, grid, n_paths, seed)
-    sup_mass = np.array([freqs.max(axis=0) for _, _, freqs in paths])
+    freqs = _sampled_paths(gen, events, grid, n_paths, seed).freqs
     profiles, fractions = [], []
     for eps in eps_list:
         row = []
         for i in range(n_paths):
-            hit = np.nonzero(sup_mass[i] < float(eps))[0]
+            hit = np.nonzero(freqs[i].max(axis=0) < float(eps))[0]
             row.append(int(hit[0]) if hit.size else None)
         profiles.append(tuple(row))
         fractions.append(sum(m is not None for m in row) / n_paths)

@@ -243,6 +243,10 @@ def test_exact_identity_rejects_prefix_conditioning():
 def test_exact_identity_rejects_float_parameters():
     with pytest.raises(ValueError, match="rational generator parameters"):
         df_product_identity_exact(coin(0.3), CylinderEvent((ONES,)), 2)
+    # the latent branch passes the same gate; it once returned identity_holds=False
+    floats = GridMixtureProcess(((0.5, 0.3), (0.5, 0.6)), bernoulli_kernel(B2))
+    with pytest.raises(ValueError, match="rational generator parameters"):
+        df_product_identity_exact(floats, CylinderEvent((ONES, ONES)), 3, LatentCondition(lambda t: t >= 0.5))
 
 
 def test_exact_identity_rejects_oversized_cylinder():
@@ -321,8 +325,8 @@ def test_prefix_condition_rejects_asymmetric_statistic():
 
 def test_prefix_condition_accepts_symmetric_statistic():
     cond = SymmetricPrefixCondition(B2, 3, lambda pat: sum(pat) >= 2)
-    assert cond.path_indicator(hand_path(1, 1, 0, 0)) is True
-    assert cond.path_indicator(hand_path(1, 0, 0, 1)) is False
+    assert cond.path_indicator(None, np.array([1, 1, 0, 0])) is True
+    assert cond.path_indicator(None, np.array([1, 0, 0, 1])) is False
 
 
 def test_prefix_condition_length_bounds():
@@ -346,11 +350,12 @@ def test_latent_condition_needs_realized_latent():
     path = PolyaUrnProcess(1, 1).sample_path(4, master_seed=0)
     cond = LatentCondition(lambda t: t > 0)
     with pytest.raises(ValueError, match="no realized latent"):
-        cond.path_indicator(path)
+        cond.path_indicator(path.latent, path.observations)
+    assert cond.path_indicator(F(1, 4), np.empty(0, dtype=np.int64)) is True
 
 
 def test_full_condition_is_always_true():
-    assert FullCondition().path_indicator(hand_path(0)) is True
+    assert FullCondition().path_indicator(None, np.array([0])) is True
 
 
 # ---------------------------------------------------------------- Monte Carlo identity
@@ -448,18 +453,19 @@ def _identity_loop(gen, cyl, conditioning, n_grid, n_paths, seed):
     loop, one row at a time: the loop the array terms replaced, kept as
     their reference. Its verdict is None when no path lies in the event."""
     m = cyl.m
-    grid, paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, seed, head=max(m, conditioning.draws_read()))
+    paths = _sampled_paths(gen, cyl.events, n_grid, n_paths, seed, head=max(m, conditioning.draws_read()))
+    grid = paths.grid
     lhs_terms = np.zeros((n_paths, len(grid)))
     rhs_terms = np.zeros(n_paths)
     in_event = False
-    for i, (path, _, freqs) in enumerate(paths):
-        e = 1.0 if conditioning.path_indicator(path) else 0.0
+    for i in range(n_paths):
+        e = 1.0 if conditioning.path_indicator(paths.latents[i], paths.heads[i]) else 0.0
         in_event |= e == 1.0
         prods = np.ones(len(grid))
         for k in range(m):
-            prods *= freqs[:, k]
+            prods *= paths.freqs[i, :, k]
         lhs_terms[i] = e * prods
-        hit = all(cyl.events[j].contains(int(path.observations[j])) for j in range(m))
+        hit = all(cyl.events[j].contains(int(paths.heads[i, j])) for j in range(m))
         rhs_terms[i] = e * (1.0 if hit else 0.0)
     corr = np.array([float(correction_factor(n, m)) for n in grid])
     lhs_means = lhs_terms.mean(axis=0)

@@ -1,6 +1,7 @@
 """Kernel images, product-cylinder masses, and the frequency-level verifier."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from exchkit import (
 )
 from exchkit.config import SpecParseError, parse_grid
 from exchkit.processes import ProcessGenerator
-from exchkit.empirical import slln_exchangeable_checks
+from exchkit.empirical import SymmetricPrefixCondition, slln_exchangeable_checks
 from exchkit.kernels import (
     _TALLY_CELLS,
     DEFAULT_COVERAGE,
@@ -217,8 +218,8 @@ DB = _DRAW_BLOCK
 def test_sampled_paths_count_each_block_as_the_whole_path():
     """Grid points on each side of the first two block edges, draws below,
     at and past _TALLY_CELLS and at a far cell, and events that name no cell:
-    each path's table, first draws, latent and seed equal those of the whole
-    path that sample_path draws."""
+    the record's labels, latents, heads and frequencies, and each table handed
+    on, equal those of the whole path that sample_path draws."""
     space = countable()
     law = ProbMeasure(space, {0: F(1, 4), 3: F(1, 8), _TALLY_CELLS - 1: F(1, 8), _TALLY_CELLS: F(1, 8),
                               70_000: F(1, 8), FAR: F(1, 4)})
@@ -227,14 +228,25 @@ def test_sampled_paths_count_each_block_as_the_whole_path():
               EventSet.full(space), EventSet.of(space, [_TALLY_CELLS - 1, 70_000, 5])]
     grid = (1, DB - 1, DB, DB + 1, 2 * DB - 1, 2 * DB, 2 * DB + 1, 2 * DB + 17)
     cols = _columns(events)
-    checked, paths = _sampled_paths(gen, events, grid, 2, 9, head=DB + 3)
-    assert checked == grid
-    for i, (path, table, freqs) in enumerate(paths):
+    tables = []
+    paths = _sampled_paths(gen, events, grid, 2, 9, head=DB + 3, tables=lambda i, table: tables.append((i, table)))
+    assert paths.grid == grid and paths.labels == ["9:0", "9:1"]
+    assert paths.heads.shape == (2, DB + 3) and paths.heads.dtype == np.int64
+    assert paths.freqs.shape == (2, len(grid), len(events))
+    assert [i for i, _ in tables] == [0, 1]
+    for i, (_, table) in enumerate(tables):
         whole = gen.sample_path(grid[-1], 9, path_index=i)
-        assert path.seed == (9, i) and path.latent == whole.latent
-        assert np.array_equal(path.observations, whole.observations[:DB + 3])
+        assert paths.labels[i] == whole.seed_label and paths.latents[i] == whole.latent
+        assert np.array_equal(paths.heads[i], whole.observations[:DB + 3])
         assert np.array_equal(table, _count_table(whole.observations, grid, cols))
-        assert np.array_equal(freqs, _frequencies(table, _cell_index(events, cols), grid))
+        assert np.array_equal(paths.freqs[i], _frequencies(table, _cell_index(events, cols), grid))
+
+
+def test_sampled_paths_record_each_paths_latent():
+    gen = BetaBernoulliProcess(1, 1)
+    paths = _sampled_paths(gen, [EventSet.of(finite(2), [1])], (5, 50), 3, 4)
+    assert paths.latents == [gen.sample_path(50, 4, path_index=i).latent for i in range(3)]
+    assert paths.heads.shape == (3, 0) and paths.labels == ["4:0", "4:1", "4:2"]
 
 
 def test_sampled_paths_refuse_a_head_past_the_grid(monkeypatch):
@@ -427,6 +439,51 @@ def test_every_monte_carlo_check_applies_the_grid_rule_at_the_call(monkeypatch, 
     monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
     with pytest.raises(ValueError, match=message):
         GRID_CHECKS[check](gen, EventSet.of(finite(2), [1]), grid)
+
+
+B2_ONES = EventSet.of(finite(2), [1])
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda gen: markov_bound_check(gen, B2_ONES, F(1, 2), n_paths=2, n_steps=10), "exceeds eps"),
+    (lambda gen: construct_rcd_from_empiricals(gen, [B2_ONES], (10, 20), 2, coverage=0), "coverage must lie"),
+    (lambda gen: construct_rcd_from_empiricals(parse_generator("markov:3/4,3/4"), [B2_ONES], (10, 20), 2),
+     "not exchangeable"),
+    (lambda gen: construct_rcd_from_empiricals(gen, [B2_ONES], (10, 20), -1), "need at least one path"),
+    (lambda gen: df_product_identity_check(gen, CylinderEvent((B2_ONES,)), SymmetricPrefixCondition(
+        finite(3), 1, lambda pattern: True), n_grid=(10,), n_paths=2), "conditioning statistic on the wrong space"),
+], ids=["markov_bound_check-marginal", "construct_rcd_from_empiricals-coverage",
+        "construct_rcd_from_empiricals-exchangeable", "construct_rcd_from_empiricals-paths",
+        "df_product_identity_check-conditioning-space"])
+def test_every_monte_carlo_check_refuses_its_input_before_sampling(monkeypatch, check, message):
+    # the paths are sampled at the call, so each precondition comes first
+    gen = IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 2)))
+    monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=message):
+        check(gen)
+
+
+@pytest.mark.parametrize("n_steps", [200_000, 2_000_000])
+def test_verify_rcd_holds_no_path(n_steps):
+    """verify_rcd on two Beta(1,1) paths peaks under 2 MB of traced
+    allocations at 2*10**5 and at 2*10**6 draws: each block of draws is
+    counted as it is drawn, and the check keeps only each path's frequencies
+    (one such path as an array is 16 MB)."""
+    gen = BetaBernoulliProcess(1, 1)
+    verify_rcd(gen.latent_kernel(), gen, [B2_ONES], n_paths=2, n_steps=10)  # first-call set-up
+    tracemalloc.start()
+    try:
+        rep = verify_rcd(gen.latent_kernel(), gen, [B2_ONES], n_paths=2, n_steps=n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_steps == n_steps and rep.n_paths == 2
+    assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_rcd_verdict_refuses_zero_paths():
+    with pytest.raises(ValueError, match="need at least one path"):
+        rcd_verdict(bernoulli_kernel(finite(2)), [B2_ONES], [], [], 10)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -6,6 +6,7 @@ Every numeric oracle here is computed by hand in the comments.
 import hashlib
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from exchkit.processes import (
     _concatenated,
     _least_ones,
     all_patterns,
+    _exact_law,
     beta_binomial_pattern_prob,
-    ensure_oracle_domain,
     prefix_law,
     sample_from_measure,
 )
@@ -140,11 +141,34 @@ def test_prefix_law_rejects_float_parameters():
 
 
 def test_oracle_domain_guard():
+    # the one exact-law gate: a finite space, n >= 1, the work cap, a rational law
+    def work(k):
+        return f"{k}**2 patterns", repeat(k, 2)
+
     gen = coin(F(1, 2))
-    with pytest.raises(ValueError):
-        ensure_oracle_domain(gen, 0)
-    with pytest.raises(ValueError):
-        ensure_oracle_domain(IIDProcess(ProbMeasure.geometric(countable(), F(1, 2))), 2)
+    assert _exact_law(gen, 2, work) == (2, gen.prefix_pattern_law(2))
+    with pytest.raises(ValueError, match="prefix length"):
+        _exact_law(gen, 0, work)
+    with pytest.raises(ValueError, match="finite state space"):
+        _exact_law(IIDProcess(ProbMeasure.geometric(countable(), F(1, 2))), 2, work)
+    with pytest.raises(ValueError, match="10\\*\\*5 patterns exceed the oracle cap"):
+        _exact_law(gen, 2, lambda k: ("10**5 patterns", repeat(10**5, 2)))
+    with pytest.raises(ValueError, match="rational"):
+        _exact_law(coin(0.3), 2, work)
+    # an int-weighted law is rational
+    assert _exact_law(IIDProcess(ProbMeasure.from_weights(B2, [0, 1])), 2, work)[1][1, 1] == 1
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda gen: check_exchangeable(gen, 4),
+    lambda gen: prefix_law(gen, 2),
+    lambda gen: check_exchangeable(GridMixtureProcess(((0.5, 0.3), (0.5, 0.6)), bernoulli_kernel(B2)), 3),
+], ids=["check_exchangeable-iid", "prefix_law-iid", "check_exchangeable-mixture"])
+def test_exact_oracles_refuse_a_float_law(oracle):
+    # a float law differs from its permutations in the last bits: once
+    # exchangeable=False with max_discrepancy 2.8e-17
+    with pytest.raises(ValueError, match="rational generator parameters"):
+        oracle(coin(0.3))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
