@@ -35,8 +35,7 @@ import numpy as np
 from .kernels import (DEFAULT_COVERAGE, CylinderEvent, _cell_index, _check_events, _columns, _count_table,
                       _frequencies, _sampled_paths, _validate_grid, indicator_array, rcd_verdict, sigma_band)
 from .measures import ProbMeasure, mass
-from .processes import (GridMixtureProcess, PathSample, ProcessGenerator, _exact_law, _mixture_pattern_law,
-                        ensure_oracle_work)
+from .processes import GridMixtureProcess, PathSample, ProcessGenerator, _exact_law, ensure_oracle_work
 from .spaces import EventSet, Record, SpaceMismatchError, event_spec, report_value
 
 DEFAULT_N_GRID = (10, 100, 1000, 10000)
@@ -299,8 +298,7 @@ def _exact_weighted_patterns(
     if isinstance(conditioning, LatentCondition):
         if not isinstance(gen, GridMixtureProcess):
             raise ValueError("exact latent conditioning needs a finite-grid mixture")
-        parts = [(w, gen.component.measure(t)) for w, t in gen.prior if conditioning.predicate(t)]
-        return _mixture_pattern_law(gen.space, parts, n)
+        return gen.mixing().pattern_law(n, conditioning.predicate)
     raise ValueError(
         "exact mode supports full-space or latent conditioning only; "
         "prefix statistics are checkable in Monte Carlo mode"

@@ -6,21 +6,22 @@ it also exposes the exact joint law of the first n coordinates in rational
 arithmetic; that law is the brute-force oracle behind the exchangeability
 check and the mixture-identity checks.
 
-Generator variants:
+Generator variants, each with its de Finetti mixing law Q:
 
-* ``IIDProcess``            -- iid draws from a base measure.
+* ``IIDProcess``            -- iid draws from a base measure; Q is one atom.
 * ``GridMixtureProcess``    -- latent parameter from a finite prior grid, then
-  iid draws from a component kernel (conditionally iid by construction).
+  iid draws from a component kernel; Q is the prior.
 * ``BetaBernoulliProcess``  -- Beta(a, b) latent success probability, then iid
   coin flips; the realized latent is continuous and stored on the path.
-* ``PolyaUrnProcess``       -- two-color urn with reinforcement; exchangeable
-  with no realized latent at sampling time.
-* ``MarkovChainProcess``    -- a deliberately non-exchangeable control.
+* ``PolyaUrnProcess``       -- two-color urn with reinforcement; Q is Beta(a, b).
+* ``MarkovChainProcess``    -- a deliberately non-exchangeable control; no Q.
 
-``latent_kernel()`` is the one declaration of a generator's directing kernel,
-the map from a path's ``latent`` to the conditional law of its coordinates
-(iid: constant at the base measure; urn and control: None). Every kernel
-target, kernel verdict and conditionally-iid precondition asks it.
+``mixing()`` is the one declaration of Q, finite (weight, theta) atoms or
+Beta(a, b), and of the kernel from theta to the law of each coordinate.
+``prefix_pattern_law``, ``marginal`` and ``latent_kernel`` (which every kernel
+target and verdict asks) are derived from it. The urn's exact law is its own
+walk, checked against its Q by ``polya_beta_equivalence``; its paths carry no
+realized theta, so its ``latent_kernel()`` is None.
 
 Every exact oracle passes one gate (``_exact_law``), which refuses a law
 whose probabilities are not all rational and counts the entries the oracle
@@ -109,26 +110,51 @@ _MARKOV_BLOCK_CELLS = 16384
 
 
 # ---------------------------------------------------------------------------
-# patterns
+# patterns and mixing laws
 
 def all_patterns(space: SpaceDescriptor, n: int):
     return product(range(space.num_cells), repeat=n)
 
 
-def _mixture_pattern_law(space: SpaceDescriptor, parts, n: int) -> dict:
-    """sum_i w_i * prod_t mu_i(x_t) for every pattern x in ``all_patterns``
-    order, over ``parts`` = ((w_i, mu_i), ...); 0 everywhere when empty."""
-    tables = [(Fraction(w), [mu.atom_mass(j) for j in range(space.num_cells)]) for w, mu in parts]
-    law = {}
-    for pattern in all_patterns(space, n):
-        p = Fraction(0)
-        for w, atoms in tables:
-            term = w
-            for x in pattern:
-                term *= atoms[x]
-            p += term
-        law[pattern] = p
-    return law
+def beta_binomial_pattern_prob(a, b, n: int, k: int) -> Fraction:
+    """P(a fixed binary pattern of n draws with k ones) = B(a+k, b+n-k) / B(a, b)
+    for rational a, b > 0: with d the lcm of their denominators, A = a*d and
+    B = b*d, prod_{i<k}(A+i*d) prod_{i<n-k}(B+i*d) / prod_{i<n}(A+B+i*d)."""
+    if not (isinstance(a, Rational) and isinstance(b, Rational)):
+        raise ValueError("exact oracles require rational generator parameters")
+    d = math.lcm(a.denominator, b.denominator)
+    ad, bd = int(a * d), int(b * d)
+    num = math.prod(range(ad, ad + k * d, d)) * math.prod(range(bd, bd + (n - k) * d, d))
+    return Fraction(num, math.prod(range(ad + bd, ad + bd + n * d, d)))
+
+
+@dataclass(frozen=True)
+class _Mixing:
+    """A mixing law Q and its kernel: theta ~ Q, then iid ``kernel.measure(theta)``
+    draws. Q is ``atoms`` ((w, theta), ...) with their ``images``, or Beta(*``beta``)."""
+
+    kernel: MarkovKernel
+    atoms: tuple = ()
+    images: tuple = ()
+    beta: tuple | None = None
+
+    def pattern_law(self, n: int, keep: Callable = lambda theta: True) -> dict[tuple[int, ...], Fraction]:
+        """E_Q[prod_t kernel(theta)(x_t); theta kept] for every pattern x in
+        ``all_patterns`` order: under Beta, every theta kept, once per count of
+        ones; else over the atoms whose theta ``keep`` accepts, 0 if none."""
+        space = self.kernel.target
+        if self.beta is not None:
+            by_count = [beta_binomial_pattern_prob(*self.beta, n, k) for k in range(n + 1)]
+            return {pattern: by_count[sum(pattern)] for pattern in all_patterns(space, n)}
+        tables = [(Fraction(w), [mu.atom_mass(j) for j in range(space.num_cells)])
+                  for (w, theta), mu in zip(self.atoms, self.images) if keep(theta)]
+        law = {}
+        for pattern in all_patterns(space, n):
+            p = Fraction(0)
+            for w, atoms in tables:
+                p += math.prod((atoms[x] for x in pattern), start=w)
+            law[pattern] = p
+        return law
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +318,8 @@ class PathSample:
 
 
 class ProcessGenerator:
-    """Base class; subclasses fill in sampling and the exact prefix law."""
+    """Base class; subclasses fill in sampling and :meth:`mixing`, from which
+    the exact prefix law, the marginal and the latent kernel are derived."""
 
     space: SpaceDescriptor
     exchangeable: bool
@@ -324,17 +351,28 @@ class ProcessGenerator:
         ``stream.random(n)``."""
         raise NotImplementedError
 
+    def mixing(self) -> _Mixing | None:
+        """The generator's de Finetti mixing law Q and its kernel from theta
+        to the law of each coordinate, iid given theta; None if undeclared."""
+        return None
+
     def prefix_pattern_law(self, n: int) -> dict[tuple[int, ...], Fraction]:
-        raise NotImplementedError
+        """Exact law of the first n coordinates, in ``all_patterns`` order."""
+        return self.mixing().pattern_law(n)
 
     def marginal(self) -> ProbMeasure:
-        """Exact law of a single coordinate."""
-        raise NotImplementedError
+        """Exact law of a single coordinate, E_Q kernel(theta)."""
+        mixing = self.mixing()
+        if mixing.beta is None:
+            return mix_measures([(w, mu) for (w, _), mu in zip(mixing.atoms, mixing.images)])
+        a, b = map(Fraction, mixing.beta)
+        return ProbMeasure.bernoulli(self.space, a / (a + b))
 
     def latent_kernel(self) -> MarkovKernel | None:
         """Kernel mapping a path's latent to the conditional law of its
-        coordinates; None when the generator declares no directing kernel."""
-        return None
+        coordinates; None when the generator declares no mixing law."""
+        mixing = self.mixing()
+        return None if mixing is None else mixing.kernel
 
     def spec_label(self) -> str:
         return type(self).__name__
@@ -353,15 +391,10 @@ class IIDProcess(ProcessGenerator):
     def _blocks(self, stream, n, u, out):
         return None, _measure_blocks(self.base, stream, n, u, out)
 
-    def prefix_pattern_law(self, n):
-        return _mixture_pattern_law(self.space, ((1, self.base),), n)
+    def mixing(self) -> _Mixing:
+        return _Mixing(constant_kernel(self.base), ((1, None),), (self.base,))
 
-    def marginal(self) -> ProbMeasure:
-        return self.base
-
-    def latent_kernel(self) -> MarkovKernel | None:
-        # Degenerate conditioning: the directing measure is the marginal.
-        return constant_kernel(self.base)
+    prefix_pattern_law = ProcessGenerator.prefix_pattern_law
 
     def spec_label(self) -> str:
         return "iid"
@@ -401,17 +434,10 @@ class GridMixtureProcess(ProcessGenerator):
         idx = int(np.searchsorted(self._prior_cum, stream.random(), side="right"))
         return self.prior[idx][1], _measure_blocks(self.images[idx], stream, n, u, out)
 
-    def _parts(self) -> list[tuple[object, ProbMeasure]]:
-        return [(w, mu) for (w, _), mu in zip(self.prior, self.images)]
+    def mixing(self) -> _Mixing:
+        return _Mixing(self.component, self.prior, self.images)
 
-    def prefix_pattern_law(self, n):
-        return _mixture_pattern_law(self.space, self._parts(), n)
-
-    def marginal(self) -> ProbMeasure:
-        return mix_measures(self._parts())
-
-    def latent_kernel(self) -> MarkovKernel | None:
-        return self.component
+    prefix_pattern_law = ProcessGenerator.prefix_pattern_law
 
     def spec_label(self) -> str:
         pts = ",".join(str(t) for _, t in self.prior)
@@ -422,8 +448,8 @@ class GridMixtureProcess(ProcessGenerator):
 class BetaBernoulliProcess(ProcessGenerator):
     """Beta(a, b) latent success probability, then iid coin flips.
 
-    The exact prefix law is the Beta-Binomial pattern formula, available for
-    integer a, b; sampling works for any positive shape parameters.
+    The exact prefix law is the Beta-Binomial pattern formula, exact for any
+    positive rational a, b; sampling works for any positive shape parameters.
     """
 
     a: object
@@ -443,45 +469,21 @@ class BetaBernoulliProcess(ProcessGenerator):
         p = float(stream.beta(float(self.a), float(self.b)))
         return p, (np.less(ub, p, out=out[:len(ub)]) for ub in uniform_blocks(stream, n, u))
 
-    def prefix_pattern_law(self, n):
-        a, b = self.a, self.b
-        if int(a) != a or int(b) != b:
-            raise ValueError("exact Beta-Bernoulli law needs integer shapes")
-        law = {}
-        for pattern in all_patterns(self.space, n):
-            k = sum(pattern)
-            law[pattern] = beta_binomial_pattern_prob(int(a), int(b), n, k)
-        return law
+    def mixing(self) -> _Mixing:
+        return _Mixing(bernoulli_kernel(self.space), beta=(self.a, self.b))
 
-    def marginal(self) -> ProbMeasure:
-        p = Fraction(self.a) / (Fraction(self.a) + Fraction(self.b))
-        return ProbMeasure.bernoulli(self.space, p)
-
-    def latent_kernel(self) -> MarkovKernel | None:
-        return bernoulli_kernel(self.space)
+    prefix_pattern_law = ProcessGenerator.prefix_pattern_law
 
     def spec_label(self) -> str:
         return f"mixture(beta({self.a},{self.b}))"
-
-
-def beta_binomial_pattern_prob(a: int, b: int, n: int, k: int) -> Fraction:
-    """P(one fixed binary pattern with k ones) = B(a+k, b+n-k) / B(a, b).
-
-    Computed through factorials, independent of any urn recursion.
-    """
-    f = math.factorial
-    num = f(a + k - 1) * f(b + n - k - 1) * f(a + b - 1)
-    den = f(a + b + n - 1) * f(a - 1) * f(b - 1)
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
 class PolyaUrnProcess(ProcessGenerator):
     """Two-color urn: draw a color, put it back with one extra of the same.
 
-    ``a`` counts color 1, ``b`` color 0. Exchangeable; the directing measure
-    only emerges as the limit of empirical frequencies, so paths carry no
-    realized latent.
+    ``a`` counts color 1, ``b`` color 0. Its mixing law is Beta(a, b), but a
+    path carries no realized latent, so the urn declares no latent kernel.
     """
 
     a: object
@@ -576,9 +578,10 @@ class PolyaUrnProcess(ProcessGenerator):
         walk([], a0, b0, Fraction(1))
         return law
 
-    def marginal(self) -> ProbMeasure:
-        p = Fraction(self.a) / (Fraction(self.a) + Fraction(self.b))
-        return ProbMeasure.bernoulli(self.space, p)
+    mixing = BetaBernoulliProcess.mixing
+
+    def latent_kernel(self) -> MarkovKernel | None:
+        return None
 
     def spec_label(self) -> str:
         return f"polya({self.a},{self.b})"
@@ -726,14 +729,12 @@ def check_exchangeable(gen: ProcessGenerator, n: int) -> ExchangeabilityResult:
     return ExchangeabilityResult(max_disc == 0, worst, max_disc)
 
 
-def polya_beta_equivalence(a: int, b: int, n: int) -> tuple[bool, Fraction]:
-    """Compare the urn's enumerated prefix law against the Beta-Binomial
-    pattern formula; both sides exact rationals, equality required."""
-    if int(a) != a or int(b) != b:
-        raise ValueError("equivalence oracle needs integer urn counts")
-    _, urn_law = _exact_law(PolyaUrnProcess(a, b), n, lambda k: (f"2**n urn patterns for n={n}", repeat(2, n)))
-    max_disc = Fraction(0)
-    for pattern, p in urn_law.items():
-        q = beta_binomial_pattern_prob(int(a), int(b), n, sum(pattern))
-        max_disc = max(max_disc, abs(p - q))
+def polya_beta_equivalence(a, b, n: int) -> tuple[bool, Fraction]:
+    """Compare the urn's sequential walk with the pattern law of the mixing
+    law it declares, Beta(a, b), by the Beta-Binomial formula: two
+    independent routes, both exact rationals, equality required."""
+    urn = PolyaUrnProcess(a, b)
+    _, walk = _exact_law(urn, n, lambda k: (f"2**n urn patterns for n={n}", repeat(2, n)))
+    mixed = urn.mixing().pattern_law(n)
+    max_disc = max(abs(p - mixed[pattern]) for pattern, p in walk.items())
     return max_disc == 0, max_disc

@@ -383,6 +383,13 @@ def test_check_exchangeable_passes_on_urn(tmp_path):
     assert "exchangeable=True" in res.output
 
 
+def test_check_exchangeable_passes_on_a_rational_beta(tmp_path):
+    # a Beta law is exact for every positive rational shape, not only integers
+    res = run_cli("check-exchangeable", "--gen", "mixture:beta(1/2,1/2):bern", "--n", "3", "--out-dir", str(tmp_path))
+    assert res.exit_code == 0
+    assert "exchangeable=True" in res.output
+
+
 def test_exit_code_two_when_the_oracle_work_exceeds_its_cap(tmp_path):
     # 12! * 2**12 ~ 2e12 (permutation, pattern) steps: refused before enumerating
     res = run_cli(

@@ -28,8 +28,9 @@ from exchkit import (
 )
 from exchkit import processes
 from exchkit.empirical import LatentCondition, _exact_weighted_patterns
-from exchkit.kernels import MarkovKernel, bernoulli_kernel, geometric_kernel, kernel_mass
-from exchkit.measures import GeometricComponent
+from exchkit.config import parse_generator
+from exchkit.kernels import MarkovKernel, bernoulli_kernel, constant_kernel, geometric_kernel, kernel_mass
+from exchkit.measures import GeometricComponent, mix_measures
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
@@ -316,8 +317,9 @@ def test_polya_beta_equivalence_exact():
     assert polya_beta_equivalence(1, 1, 10) == (True, 0)
 
 
-def test_polya_beta_equivalence_rejects_non_integers():
-    with pytest.raises(ValueError):
+def test_polya_beta_equivalence_rejects_float_counts():
+    # rational counts are exact (see the mixing-law block); a float is refused
+    with pytest.raises(ValueError, match="rational generator parameters"):
         polya_beta_equivalence(1.5, 1, 3)
 
 
@@ -915,7 +917,9 @@ def test_blocks_of_several_live_branches_leave_the_stream_past_both_runs():
 
 
 # -- one mixture pattern law -----------------------------------------------------
-# The loops each law used before they shared processes._mixture_pattern_law.
+# Each generator declares its mixing law once (mixing()); its pattern law,
+# marginal and latent kernel are derived from it. The loops and bodies below
+# are what each class computed on its own before, kept as the oracles.
 
 
 def iid_pattern_loop(base, n):
@@ -1007,3 +1011,121 @@ def test_latent_pattern_law_matches_the_loop(gen, n, name):
         # the shared law gives every pattern 0
         assert old == {}
         assert list(law) == list(all_patterns(gen.space, n)) and not any(law.values())
+
+
+def beta_factorial_prob(a, b, n, k):
+    """B(a+k, b+n-k) / B(a, b) through factorials: integer shapes only."""
+    f = math.factorial
+    return F(f(a + k - 1) * f(b + n - k - 1) * f(a + b - 1), f(a + b + n - 1) * f(a - 1) * f(b - 1))
+
+
+def rising(x, m):
+    return math.prod((x + i for i in range(m)), start=F(1))
+
+
+def beta_pattern_loop(a, b, n):
+    """The Beta law pattern by pattern: factorials for integer shapes, as the
+    Beta class once refused any other, else Fraction rising factorials."""
+    law = {}
+    for pattern in all_patterns(B2, n):
+        k = sum(pattern)
+        if int(a) == a and int(b) == b:
+            law[pattern] = beta_factorial_prob(int(a), int(b), n, k)
+        else:
+            law[pattern] = rising(F(a), k) * rising(F(b), n - k) / rising(F(a) + F(b), n)
+    return law
+
+
+def old_marginal(gen):
+    if isinstance(gen, IIDProcess):
+        return gen.base
+    if isinstance(gen, GridMixtureProcess):
+        return mix_measures([(w, gen.component.measure(theta)) for w, theta in gen.prior])
+    return ProbMeasure.bernoulli(B2, F(gen.a) / (F(gen.a) + F(gen.b)))
+
+
+def old_kernel(gen):
+    if isinstance(gen, IIDProcess):
+        return constant_kernel(gen.base)
+    if isinstance(gen, GridMixtureProcess):
+        return gen.component
+    return bernoulli_kernel(B2)
+
+
+def measure_key(mu):
+    """Mode, each weight with its type, and the geometric components."""
+    return mu.mode, [(j, type(w), w) for j, w in mu.weights_dict().items()], mu._components
+
+
+shapes = st.one_of(st.integers(1, 6), st.fractions(F(1, 6), 6, max_denominator=6))
+mixing_generators = st.one_of(
+    st.sampled_from([2, 3]).flatmap(base_measures).map(IIDProcess),
+    grid_mixtures(),
+    st.builds(BetaBernoulliProcess, shapes, shapes),
+)
+
+
+def old_pattern_law(gen, n):
+    if isinstance(gen, IIDProcess):
+        return iid_pattern_loop(gen.base, n)
+    if isinstance(gen, GridMixtureProcess):
+        return grid_pattern_loop(gen, n)
+    return beta_pattern_loop(gen.a, gen.b, n)
+
+
+@given(mixing_generators, st.integers(1, 5), st.integers(0, 2**32))
+@settings(deadline=None)
+def test_laws_derived_from_the_mixing_law_match_the_old_bodies(gen, n, seed):
+    assert typed(gen.prefix_pattern_law(n)) == typed(old_pattern_law(gen, n))
+    assert measure_key(gen.marginal()) == measure_key(old_marginal(gen))
+    latent = gen.sample_path(1, seed).latent
+    assert measure_key(gen.latent_kernel().measure(latent)) == measure_key(old_kernel(gen).measure(latent))
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 7) for b in range(1, 7)])
+def test_beta_binomial_products_equal_the_factorial_formula(a, b):
+    for n in range(1, 9):
+        for k in range(n + 1):
+            assert beta_binomial_pattern_prob(a, b, n, k) == beta_factorial_prob(a, b, n, k)
+
+
+def test_rational_beta_shapes_are_exact():
+    # Beta(1/2, 1/2): P(1,1) = (1/2)(3/2) / (1 * 2) = 3/8, P(1,0) = (1/2)(1/2) / 2 = 1/8
+    law = BetaBernoulliProcess(F(1, 2), F(1, 2)).prefix_pattern_law(2)
+    assert law == {(1, 1): F(3, 8), (1, 0): F(1, 8), (0, 1): F(1, 8), (0, 0): F(3, 8)}
+    assert polya_beta_equivalence(F(3, 2), 1, 4) == (True, 0)
+
+
+def test_float_beta_shapes_are_refused():
+    gen = BetaBernoulliProcess(0.5, 0.5)
+    for oracle in (gen.prefix_pattern_law, lambda n: prefix_law(gen, n), lambda n: check_exchangeable(gen, n)):
+        with pytest.raises(ValueError, match="exact oracles require rational generator parameters"):
+            oracle(2)
+
+
+@pytest.mark.parametrize("n, disc", [(1, F(1, 6)), (2, F(1, 6)), (3, F(3, 20))])
+def test_the_urn_walk_and_its_declared_mixing_law_are_independent_routes(monkeypatch, n, disc):
+    # a wrong declaration, Beta(a, b + 1), must show against the walk:
+    # urn(1,1) reads P(1) = 1/2, Beta(1, 2) 1/3; at n = 3, P(1,1,1) = 1/4 vs 1/10
+    monkeypatch.setattr(PolyaUrnProcess, "mixing", lambda self: BetaBernoulliProcess(self.a, self.b + 1).mixing())
+    assert polya_beta_equivalence(1, 1, n) == (False, disc)
+
+
+FINITE_GRAMMAR = ["iid:bern:1/3", "iid:uniform:3", "iid:weights:1/2,1/3,1/6", "polya:2,1",
+                  "mixture:beta(1/2,3):bern", "mixture:grid(1/4,1/2):bern", "markov:3/4,1/4"]
+
+
+@pytest.mark.parametrize("spec", FINITE_GRAMMAR)
+def test_the_one_coordinate_law_is_the_marginal(spec):
+    gen = parse_generator(spec)
+    law = gen.prefix_pattern_law(1)
+    assert all(law[(j,)] == gen.marginal().atom_mass(j) for j in range(gen.space.num_cells))
+
+
+def test_exchangeable_classes_declare_a_mixing_law():
+    gens = [parse_generator(spec) for spec in (*FINITE_GRAMMAR, "iid:geom:1/2", "mixture:grid(1/4,1/2):geom")]
+    classes = {cls for cls in processes.ProcessGenerator.__subclasses__() if cls.__module__ == processes.__name__}
+    assert {type(gen) for gen in gens} == classes
+    for gen in gens:
+        assert (gen.mixing() is not None) == gen.exchangeable
+    assert not MarkovChainProcess.exchangeable and MarkovChainProcess.mixing is processes.ProcessGenerator.mixing
