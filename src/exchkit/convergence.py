@@ -40,11 +40,11 @@ sequences (P x G x (C + 1)); its bisection runs in lockstep over the paths
 with per-path masks, intervals and cells.
 :func:`extract_convergent_subsequence` is its one-row call and the only
 caller that builds :class:`ClosedSetCertificate` objects.
-:func:`construct_rcd_from_empiricals` samples and counts its paths one at a
-time and stacks only their tables, ``_BATCH_ENTRIES`` (2**14) entries to a
-batch: 42 paths of acceptance 09 (6 grid points, 65 columns). No temporary
-of a batch is larger than its 130 KB table, so the acceptance 09
-construction peaks at about 0.83 MB of traced allocations; 200 paths in one
+:func:`construct_rcd_from_empiricals` receives its paths' tables one lane
+group at a time and stacks only the tables, ``_BATCH_ENTRIES`` (2**14)
+entries to a batch: 42 paths of acceptance 09 (6 grid points, 65 columns).
+No temporary of a batch is larger than its 130 KB table, so the acceptance 09
+construction peaks at about 0.7 MB of traced allocations; 200 paths in one
 batch would peak at about 2.2 MB.
 """
 
@@ -638,9 +638,9 @@ def construct_rcd_from_empiricals(
 
     The empirical measures mu_{w,n} are never built. Each path's draws are
     counted once, by the count table that ``kernels._sampled_paths`` counts
-    for every Monte Carlo check and hands to this check path by path; divided
-    by n it is the atom-mass table (see the module docstring) that tightness
-    and extraction read. The tables of up to
+    for every Monte Carlo check and hands to this check one lane group at a
+    time; divided by n it is the atom-mass table (see the module docstring)
+    that tightness and extraction read. The tables of up to
     ``_BATCH_ENTRIES`` entries' worth of paths are stacked, and one call of
     the batched extraction gives each path's status, witness, surviving
     indices, limit, full-sequence test and event gaps; no certificate is
@@ -661,13 +661,14 @@ def construct_rcd_from_empiricals(
     atoms = np.empty((batch, len(grid), len(layout.cols) + 1))
     extracted, limit_masses, event_gaps = [], [], []
 
-    def extract(i, counts):  # fills the batch; a full batch, or the last, is extracted
-        np.divide(counts, lengths, out=atoms[i % batch])
-        if i % batch == batch - 1 or i == n_paths - 1:
-            per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], _CONSTRUCT_TOL)
-            extracted.extend(per_path)
-            limit_masses.append(masses)
-            event_gaps.append(gaps)
+    def extract(start, tables):  # fills the batch; a full batch, or the last, is extracted
+        for i, counts in enumerate(tables, start):
+            np.divide(counts, lengths, out=atoms[i % batch])
+            if i % batch == batch - 1 or i == n_paths - 1:
+                per_path, masses, gaps = _path_limits(layout, atoms[: i % batch + 1], _CONSTRUCT_TOL)
+                extracted.extend(per_path)
+                limit_masses.append(masses)
+                event_gaps.append(gaps)
 
     paths = _sampled_paths(gen, events, grid, n_paths, master_seed, layout.cols, tables=extract)
     regularity = classify_radon(gen.marginal())

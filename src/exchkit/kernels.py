@@ -9,13 +9,16 @@ is the product of the per-coordinate kernel masses.
 
 Every Monte Carlo check reads its paths through the empirical frequencies
 mu_{w,n}(A) along an n-grid, as one :class:`SampledPaths` record of arrays
-over the paths. :func:`_sampled_paths` samples each path once and counts each
-block of draws as it is drawn, with :func:`_block_counter`, into a
-G x (named cells + 1) table of how many of the first ``grid[g]`` draws fall in
-each cell that the check's events name, then a zero column that pads event
-sums. An event's count is the sum over its cells, or n minus the sum over the
-cells it excludes when it is cofinite (:func:`_masses`), so no unnamed cell
-is counted.
+over the paths. :func:`_sampled_paths` samples each path once, in lane
+groups: L paths side by side, one row of each L x m block of draws, each
+path reading its own stream, so its draws are those it makes alone
+(``ProcessGenerator.sample_blocks``). Each block is counted as it is drawn,
+with :func:`_block_counter`, into L x G x (named cells + 1) tables of how
+many of each path's first ``grid[g]`` draws fall in each cell that the
+check's events name, then a zero column that pads event sums; a group's
+frequencies are read from its tables at once. An event's count is the sum
+over its cells, or n minus the sum over the cells it excludes when it is
+cofinite (:func:`_masses`), so no unnamed cell is counted.
 """
 
 from __future__ import annotations
@@ -265,62 +268,79 @@ def _masses(atoms: np.ndarray, cells: tuple[np.ndarray, np.ndarray], whole=1) ->
     return np.where(cofinite, whole - sums, sums)
 
 
-def _block_counter(grid: Sequence[int], cols: np.ndarray):
+def _block_counter(grid: Sequence[int], cols: np.ndarray, lanes: int = 1):
     """The count routine of a check: ``count(blocks, keep=0)`` returns the
-    G x (len(cols) + 1) count table of the draws that ``blocks`` yields in
-    order, and a copy of the first ``keep`` of them.
+    L x G x (len(cols) + 1) count tables of the L lanes whose L x m blocks of
+    draws ``blocks`` yields in order, and a copy of the first ``keep`` draws
+    of each lane (L x keep). ``lanes`` is the most lanes a block holds.
 
-    ``table[g]`` holds how many of the first ``grid[g]`` draws fall in each
-    column's cell, then a zero column. Draws past ``grid[-1]`` and draws in
-    unnamed cells are not counted; fewer than ``grid[-1]`` draws raise.
+    ``table[l, g]`` holds how many of lane l's first ``grid[g]`` draws fall
+    in each column's cell, then a zero column. Draws past ``grid[-1]`` and
+    draws in unnamed cells are not counted; fewer than ``grid[-1]`` draws
+    raise.
 
     Each block is split at the grid points, and each piece is tallied by one
-    ``bincount`` of the piece itself, sized by its largest draw, into its
-    grid segment's row; the rows are accumulated at the end. Only draws at or
-    past ``_TALLY_CELLS`` are looked up among the columns, so no bincount is
-    sized by a named cell and, while the draws stay below that bound, no
-    temporary is longer than a block."""
+    ``bincount`` of the piece itself, each lane offset by the tally's width,
+    into its grid segment's row; the rows are accumulated at the end. Only
+    draws at or past ``_TALLY_CELLS`` // ``lanes`` are looked up among the
+    columns, so no bincount spans more than ``_TALLY_CELLS`` cells over all
+    lanes, none is sized by a named cell and, while the draws stay below that
+    bound, no temporary is larger than a block."""
     width = len(cols)
-    near = int(np.searchsorted(cols, _TALLY_CELLS))
+    bound = max(1, _TALLY_CELLS // lanes)
+    near = int(np.searchsorted(cols, bound))
     near_cells, far_cells = cols[:near].astype(np.intp), cols[near:]
     near_list = near_cells.tolist()
 
+    def tally(piece, rows) -> None:
+        """Add the L x m draws ``piece`` to the L x (len(cols) + 1) ``rows``;
+        its temporaries are freed on return."""
+        size = len(piece)
+        top = int(piece.max())
+        span = min(top + 1, bound)  # each lane's tally width
+        shifted = piece + np.arange(0, size * span, span)[:, None] if size > 1 else piece
+        if top < bound:
+            cells = np.bincount(shifted.ravel(), minlength=size * span)
+        else:
+            far = piece >= bound
+            cells = np.bincount(shifted[~far], minlength=size * span)
+            if len(far_cells):
+                at_lane, at_step = np.nonzero(far)
+                drawn = piece[at_lane, at_step]
+                at = np.searchsorted(far_cells, drawn)
+                named = far_cells[np.minimum(at, len(far_cells) - 1)] == drawn
+                hits = np.bincount(at_lane[named] * len(far_cells) + at[named], minlength=size * len(far_cells))
+                rows[:, near:width] += hits.reshape(size, len(far_cells))
+        seen = bisect_left(near_list, span)  # the columns the tally reaches
+        rows[:, :seen] += cells.reshape(size, span)[:, near_cells[:seen]]
+
     def count(blocks, keep: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.zeros((len(grid), width + 1), dtype=np.int64)
-        first = []
+        counts = first = None
         g = done = 0  # the grid segment being counted, the draws before the block
         for block in blocks:
+            size, m = block.shape
+            if counts is None:
+                counts = np.zeros((size, len(grid), width + 1), dtype=np.int64)
+                first = np.empty((size, keep), dtype=np.int64)
             if done < keep:
-                first.append(block[:keep - done].copy())
+                first[:, done:done + m] = block[:, :keep - done]
             lo = 0
-            while lo < len(block) and g < len(grid):
-                hi = min(len(block), grid[g] - done)
-                piece, row = block[lo:hi], counts[g]
-                if piece.max() < _TALLY_CELLS:
-                    tally = np.bincount(piece)
-                else:
-                    far = piece >= _TALLY_CELLS
-                    tally = np.bincount(piece[~far])
-                    if len(far_cells):
-                        drawn = piece[far]
-                        at = np.searchsorted(far_cells, drawn)
-                        named = far_cells[np.minimum(at, len(far_cells) - 1)] == drawn
-                        row[near:width] += np.bincount(at[named], minlength=len(far_cells))
-                seen = bisect_left(near_list, len(tally))  # the columns the tally reaches
-                row[:seen] += tally[near_cells[:seen]]
+            while lo < m and g < len(grid):
+                hi = min(m, grid[g] - done)
+                tally(block[:, lo:hi], counts[:, g])
                 g += done + hi == grid[g]
                 lo = hi
-            done += len(block)
+            done += m
         if g < len(grid):
             raise ValueError("grid exceeds the path length")
-        return np.cumsum(counts, axis=0), np.concatenate(first or [np.empty(0, dtype=np.int64)])
+        return np.cumsum(counts, axis=1), first[:, :done]
 
     return count
 
 
 def _count_table(obs, grid: Sequence[int], cols: np.ndarray) -> np.ndarray:
     """The :func:`_block_counter` table of a whole path, as one block."""
-    return _block_counter(grid, cols)((np.asarray(obs),))[0]
+    return _block_counter(grid, cols)((np.asarray(obs)[None],))[0][0]
 
 
 def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: Sequence[int]) -> np.ndarray:
@@ -373,18 +393,26 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
     ``grid[-1]`` draws long, sampled and counted once, as a
     :class:`SampledPaths` of the events' :func:`_frequencies` and the first
     ``head`` draws of each path: the draws a check reads one by one.
-    ``tables(i, table)``, when given, receives path i's :func:`_block_counter`
-    table over ``cols``, which defaults to the cells the events name.
+    ``tables(start, table)``, when given, receives the :func:`_block_counter`
+    tables over ``cols`` (which defaults to the cells the events name) of
+    paths start, start + 1, ..., one lane group at a time.
 
     The grid (:func:`_validate_grid`), the events (:func:`_check_events`),
     the number of paths and ``head`` (at most ``grid[-1]``: more leading
     draws than a path holds are refused, not cut short) are checked before
-    any path is drawn. Each block of draws is counted as it is drawn, so no
-    path-length array is made, and a check holds 8 bytes per path per
-    (grid point x event) and per leading draw. Each path allocates its own
-    block buffers: buffers reused by every path of a check left the heap
-    fragmented and raised the peak RSS of runs of many short paths by about
-    3 MB."""
+    any path is drawn. The paths are sampled in lane groups of
+    ``gen._lanes(n)`` paths, each one ``sample_blocks`` call whose L x m
+    blocks are counted as they are drawn and whose frequencies are read
+    once. So no path-length array is made: beside its outputs (8 bytes per
+    path per grid point x event and per leading draw) a check holds one
+    group at a time, its two buffers of one lane block (``rng._LANE_BLOCK``
+    cells, or up to ``rng._DRAW_BLOCK`` for a path drawn alone), the rows of
+    a grid mixture's images, a few temporaries of that size and its
+    L x G x (columns + 1) tables; a test pins the traced peak to six lane
+    blocks over the outputs.
+    Each group allocates its own buffers: buffers reused by every path of a
+    check left the heap fragmented and raised the peak RSS of runs of many
+    short paths by about 3 MB."""
     grid = _validate_grid(grid)
     _check_events(events, gen.space)
     if n_paths < 1:
@@ -394,13 +422,15 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
         raise ValueError(f"the check reads the first {head} draws of each path, past the largest grid point {n}")
     cols = _columns(events) if cols is None else cols
     cells = _cell_index(events, cols)
-    count = _block_counter(grid, cols)
+    lanes = min(gen._lanes(n), n_paths)
+    count = _block_counter(grid, cols, lanes)
     latents, heads, freqs = [], np.empty((n_paths, head), dtype=np.int64), np.empty((n_paths, len(grid), len(events)))
-    for i in range(n_paths):
-        latent, blocks = gen.sample_blocks(n, master_seed, i)
-        table, heads[i] = count(blocks, head)
-        latents.append(latent)
-        freqs[i] = _frequencies(table, cells, grid)
+    for start in range(0, n_paths, lanes):
+        group = range(start, min(n_paths, start + lanes))
+        group_latents, blocks = gen.sample_blocks(n, master_seed, group)
+        table, heads[start:group.stop] = count(blocks, head)
+        latents.extend(group_latents)
+        freqs[start:group.stop] = _frequencies(table, cells, grid)
         if tables is not None:
-            tables(i, table)
+            tables(start, table)
     return SampledPaths(grid, path_seed_labels(master_seed, n_paths), latents, heads, freqs)

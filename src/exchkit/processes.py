@@ -34,14 +34,26 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 ``df_product_identity_exact`` k**n*n**m (pattern, index tuple) steps and
 ``SymmetricPrefixCondition`` k**m*m predicate calls.
 
-Every generator draws its path in blocks of at most ``_DRAW_BLOCK`` (2**16,
-in ``rng``) draws (``ProcessGenerator._blocks``): each block's uniforms are
+Every generator draws its paths in lanes (``ProcessGenerator._blocks``): L
+paths side by side, each its own row of every block, as Philox streams are
+counter-based and each lane reads its own (Salmon et al., SC'11). A block is
+L x m draws, m at most ``_DRAW_BLOCK`` (2**16, in ``rng``) for one path and
+L x m at most ``_LANE_BLOCK`` (2**14) for several: each block's uniforms are
 read into one reused buffer and its draws written into another, and the
-sequential samplers carry the urn's counts or the chain's state from block to
-block. The blocks read the uniforms of one ``stream.random(n)`` in order, so
-they are the whole path's draws bit for bit. A Monte Carlo check counts each
-block as it is drawn (``sample_blocks``); ``sample_path`` joins the blocks
-into the one path-length array, for ``simulate`` and the tests.
+sequential samplers carry each lane's urn counts or chain state from block to
+block. Each row reads the uniforms of its path's one ``stream.random(n)`` in
+order, and every step is elementwise over the lanes or a loop over them, so a
+lane is its path's draws bit for bit, whatever lanes are drawn beside it.
+
+A Monte Carlo check counts each block as it is drawn (``sample_blocks``),
+``_lanes(n)`` paths at a time: as many whole paths as fill a lane block, at
+most ``_LANES`` (256), or 16 rows of ``_LANE_ROW`` (2**10) draws for paths
+longer than that row, and a path longer than a lane block alone; urn paths of
+up to ``_POLYA_LOCKSTEP_DRAWS`` (2**14) draws go ``_LANES`` at a time, for
+the lockstep below. Paths of a grid mixture whose drawn images differ are
+drawn one image at a time, each image's lanes in one call per block.
+``sample_path`` is the one-lane case, its blocks joined into the one
+path-length array, for ``simulate`` and the tests.
 
 The two sequential samplers return the observations of a per-step loop bit
 for bit. Within a draw block, the Polya and two-state samplers step in
@@ -55,8 +67,10 @@ block:
   uniform with each row's one inner boundary, and a step that does not fix
   the state is the identity or the swap. So the state is the last fixed state
   xor the parity of the swaps since, one running sum per block of
-  ``_MARKOV_BLOCK_CELLS`` / 2 steps (``_two_state_steps``). With k > 2 states
-  the chain steps one draw at a time, bisecting its row's cumulative list.
+  ``_MARKOV_BLOCK_CELLS`` / 2 (step, lane) cells, the lanes laid end to end as
+  one chain, each restarted by its carried state (``_two_state_steps``). With
+  k > 2 states each lane steps one draw at a time, bisecting its row's
+  cumulative list.
 * Polya: the loop draws a one when u < fl(o / N), for o ones among N balls.
   While the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls, its
   ratio moves on every draw, so those draws run as the loop itself. Then an
@@ -77,6 +91,15 @@ block:
   thresholds need up to one pass per draw. An urn whose counts are not
   integers, or whose balls would reach 2**53 within the path, runs the loop
   on every draw.
+* Polya lanes: a group of ``_POLYA_LOCKSTEP_LANES`` (40) lanes or more runs
+  the loop on every draw, in lockstep (``_urn_lockstep``): one numpy step
+  compares every lane's uniform with its own ones / (ones + zeros), the
+  loop's arithmetic, so any counts, integer or not, draw as the loop does.
+  A step costs about 4 us at 64 lanes and 6.5 us at 256 (2 vCPUs of a Xeon),
+  whatever the urn's size, while the solver of a lane in a group slows as
+  the group grows, its rows being shorter: the two tie near 32 lanes on
+  1000-draw Polya(1,99) and 10**4-draw Polya(1,1) paths. Smaller groups loop
+  the warm-up and solve the rest lane by lane.
 """
 
 from __future__ import annotations
@@ -88,22 +111,31 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
 from numbers import Rational
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
 from .measures import ProbMeasure, mix_measures
-from .rng import block_buffers, path_stream, skip_uniforms, uniform_blocks
+from .rng import _LANE_BLOCK, block_buffers, path_stream, skip_uniforms, uniform_blocks
 from .spaces import Record, SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
 _ORACLE_WORK_CAP = 10**8
+# the most paths sampled at once, side by side as lanes, and the fewest draws
+# of each that a lane block holds
+_LANES = 256
+_LANE_ROW = 1 << 10
 # Sequential samplers. The urn size that the Polya draws are looped to, then
 # the most draws per Polya block: a block's cost is a few comparisons per draw
 # plus passes over the draws that its screen leaves open.
 _POLYA_WARMUP_BALLS = 256
 _POLYA_BLOCK = 8192
+# the lanes from which a group of urns loops all its draws in lockstep, one
+# numpy step for all lanes, not lane by lane through the warm-up loop and the
+# block solver; and the longest paths sampled _LANES at a time to that end
+_POLYA_LOCKSTEP_LANES = 40
+_POLYA_LOCKSTEP_DRAWS = 1 << 14
 # (step, state) entries per Markov block: 8192 steps of a two-state chain,
 # each scratch array of a block 64 KB or less
 _MARKOV_BLOCK_CELLS = 16384
@@ -114,6 +146,13 @@ _MARKOV_BLOCK_CELLS = 16384
 
 def all_patterns(space: SpaceDescriptor, n: int):
     return product(range(space.num_cells), repeat=n)
+
+
+def _exact_or_float(x):
+    """A parameter as a Fraction when it is rational, else as a float, so a
+    law computed from a float parameter is a float law, which the exact
+    oracles refuse."""
+    return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
 def beta_binomial_pattern_prob(a, b, n: int, k: int) -> Fraction:
@@ -162,19 +201,21 @@ class _Mixing:
 
 def sample_from_measure(mu: ProbMeasure, stream: np.random.Generator, n: int) -> np.ndarray:
     """Draw n iid cells from a measure using the given stream, as one array
-    (the blocks of :func:`_measure_blocks`)."""
-    return _concatenated(_measure_blocks(mu, stream, n, *block_buffers(n)), n)
+    (the one-lane blocks of :func:`_measure_blocks`)."""
+    return _concatenated(_measure_blocks(mu, [stream], n, *block_buffers(n)), n)
 
 
-def _measure_blocks(mu: ProbMeasure, stream: np.random.Generator, n: int, u: np.ndarray, out: np.ndarray):
-    """n iid cells of a measure, as blocks of up to ``len(u)`` draws written
-    to ``out``, from the uniforms that :func:`uniform_blocks` reads into ``u``.
+def _measure_blocks(mu: ProbMeasure, streams, n: int, u: np.ndarray, out: np.ndarray):
+    """n iid cells of a measure in each lane, as L x m blocks written to
+    ``out``, from the uniforms that :func:`uniform_blocks` reads into ``u``
+    (row l from ``streams[l]``). Every step below is elementwise, so each
+    lane's draws are those of the lane sampled alone.
 
     Finitely supported measures consume one uniform per draw; measures with
     geometric components consume two runs of n uniforms, u1 for the branch
     (the finite part, then each component) and u2 for the cell within it (a
     ``searchsorted`` on the finite part, the inverse cdf on a component).
-    All of u1 is read before u2: with several live branches a copy of the
+    All of u1 is read before u2: with several live branches a copy of each
     stream, moved past u1 by :func:`skip_uniforms`, reads the u2 blocks beside
     the u1 blocks, and the stream ends where that copy does. When the
     cumulative branch weights reach 1.0 at the first branch of positive weight
@@ -188,8 +229,10 @@ def _measure_blocks(mu: ProbMeasure, stream: np.random.Generator, n: int, u: np.
     if not comps:
         cum = np.cumsum(probs)
         cum[-1] = 1.0
-        for ub in uniform_blocks(stream, n, u):
-            yield np.take(cells, np.searchsorted(cum, ub, side="right"), out=out[:len(ub)])
+        # every uniform lies below cum[-1] = 1.0, so no index is clipped; with
+        # mode="raise" take would copy the block before writing it to out
+        for ub in uniform_blocks(streams, n, u):
+            yield np.take(cells, np.searchsorted(cum, ub, side="right"), out=out[:, :ub.shape[1]], mode="clip")
         return
 
     branch_probs = np.concatenate([[probs.sum()], [float(c.weight) for c in comps]])
@@ -215,29 +258,34 @@ def _measure_blocks(mu: ProbMeasure, stream: np.random.Generator, n: int, u: np.
             obs[where] = np.floor(u, out=u)
 
     if branch_cum[first] >= 1.0:
-        skip_uniforms(stream, n)
-        for u2 in uniform_blocks(stream, n, u):
-            fill(first, u2, out[:len(u2)], ...)
-            yield out[:len(u2)]
+        for stream in streams:
+            skip_uniforms(stream, n)
+        for u2 in uniform_blocks(streams, n, u):
+            obs = out[:, :u2.shape[1]]
+            fill(first, u2, obs, ...)
+            yield obs
         return
-    cell_stream = copy.deepcopy(stream)
-    skip_uniforms(cell_stream, n)
-    for u1, u2 in zip(uniform_blocks(stream, n, np.empty_like(u)), uniform_blocks(cell_stream, n, u)):
-        obs = out[:len(u2)]
+    cell_streams = [copy.deepcopy(stream) for stream in streams]
+    for stream in cell_streams:
+        skip_uniforms(stream, n)
+    for u1, u2 in zip(uniform_blocks(streams, n, np.empty_like(u)), uniform_blocks(cell_streams, n, u)):
+        obs = out[:, :u2.shape[1]]
         branch = np.searchsorted(branch_cum, u1, side="right")
         for b in range(len(branch_cum)):
             mask = branch == b
             if mask.any():
                 fill(b, u2, obs, mask)
         yield obs
-    stream.bit_generator.state = cell_stream.bit_generator.state
+    for stream, cell_stream in zip(streams, cell_streams):
+        stream.bit_generator.state = cell_stream.bit_generator.state
 
 
 def _concatenated(blocks, n: int) -> np.ndarray:
-    """The n draws that ``blocks`` yields, in order, as one int64 array."""
+    """The n draws of the one lane that ``blocks`` yields, in order, as one
+    int64 array."""
     obs = np.empty(n, dtype=np.int64)
     start = 0
-    for block in blocks:
+    for (block,) in blocks:
         obs[start:start + len(block)] = block
         start += len(block)
     return obs
@@ -248,7 +296,7 @@ def _least_ones(u, balls):
     ``balls`` balls, an integer below 2**53, draws a one on the uniform u iff
     it holds t ones or more. fl(u * balls) lies within one of u * balls, so t
     is its floor plus 0, 1 or 2. The comparisons are written as floats, as
-    ``_urn_blocks`` holds no bool array of the open draws."""
+    ``_urn_solved`` holds no bool array of the open draws."""
     t = np.floor(u * balls)
     step = np.empty_like(t)
     for _ in range(2):
@@ -257,39 +305,120 @@ def _least_ones(u, balls):
 
 
 def _two_state_steps(u, out, state, b0, b1):
-    """Fill out[i] with the state of a two-state chain after step i from
-    ``state``: step i moves to state 1 iff u[i] >= b_s, the inner boundary of
-    the row of the state s it leaves.
+    """Fill out[l, i] with the state of lane l's two-state chain after step i
+    from ``state[l]``: step i moves to state 1 iff u[l, i] >= b_s, the inner
+    boundary of the row of the state s it leaves.
 
     Over GF(2) a step maps s to g0 + (g0 + g1) s, with g_s = [u[i] >= b_s].
     Where g0 = g1 it is constant: the step fixes the state whatever came
     before (the chains coalesce). Elsewhere it is the identity (g0 = 0) or the
     swap (g0 = 1). So, with B the running sum of g0 and f <= i the last step
     that fixes the state, the state after step i is B[i] - B[f - 1] mod 2.
-    Each block of ``_MARKOV_BLOCK_CELLS`` / 2 steps prepends its carried state
-    as a fixing step, and B[f - 1] is the running maximum of B[i - 1] over the
-    fixing steps i, as B never falls.
+    Each block of ``_MARKOV_BLOCK_CELLS`` / 2 (step, lane) cells prepends to
+    each lane its carried state as a fixing step, so the lanes, laid end to
+    end, are one chain, and its scan is one running sum; B[f - 1] is the
+    running maximum of B[i - 1] over the fixing steps i, as B never falls.
     """
-    n = len(u)
-    block = _MARKOV_BLOCK_CELLS // 2
-    m_max = min(block, n)
-    g0, g1, fixes = (np.empty(m_max + 1, dtype=bool) for _ in range(3))
-    sums, floor = np.empty(m_max + 1, dtype=np.int64), np.empty(m_max + 1, dtype=np.int64)
-    fixes[0] = True
-    floor[0] = 0
+    lanes, n = u.shape
+    block = max(1, _MARKOV_BLOCK_CELLS // (2 * lanes))
+    cells = lanes * (min(block, n) + 1)
+    scratch = [np.empty(cells, dtype=bool) for _ in range(3)] + [np.empty(cells, dtype=np.int64) for _ in range(2)]
     for start in range(0, n, block):
-        ub = u[start:start + block]
-        m = len(ub)
-        g0[0] = out[start - 1] if start else state
-        np.greater_equal(ub, b0, out=g0[1:m + 1])
-        np.greater_equal(ub, b1, out=g1[1:m + 1])
-        np.equal(g0[1:m + 1], g1[1:m + 1], out=fixes[1:m + 1])
-        np.cumsum(g0[:m + 1], out=sums[:m + 1])
-        np.multiply(fixes[1:m + 1], sums[:m], out=floor[1:m + 1])
-        np.maximum.accumulate(floor[:m + 1], out=floor[:m + 1])
-        steps = out[start:start + m]
-        np.subtract(sums[1:m + 1], floor[1:m + 1], out=steps)
+        ub = u[:, start:start + block]
+        m = ub.shape[1]
+        # each lane a row of m + 1 cells, the rows end to end
+        g0, g1, fixes, sums, floor = (buf[:lanes * (m + 1)] for buf in scratch)
+        g0.reshape(lanes, m + 1)[:, 0] = out[:, start - 1] if start else state
+        np.greater_equal(ub, b0, out=g0.reshape(lanes, m + 1)[:, 1:])
+        np.greater_equal(ub, b1, out=g1.reshape(lanes, m + 1)[:, 1:])
+        np.equal(g0, g1, out=fixes)
+        fixes.reshape(lanes, m + 1)[:, 0] = True
+        np.cumsum(g0, out=sums)
+        floor[0] = 0
+        np.multiply(fixes[1:], sums[:-1], out=floor[1:])
+        np.maximum.accumulate(floor, out=floor)
+        steps = out[:, start:start + m]
+        np.subtract(sums.reshape(lanes, m + 1)[:, 1:], floor.reshape(lanes, m + 1)[:, 1:], out=steps)
         np.bitwise_and(steps, 1, out=steps)
+
+
+def _urn_loop(u, obs, ones: float, zeros: float) -> tuple[float, float]:
+    """The urn's per-step loop over one lane's uniforms ``u``, its draws
+    written to ``obs``: a one when u < ones / (ones + zeros). Returns the
+    counts after."""
+    looped = []
+    for ui in u.tolist():
+        if ui < ones / (ones + zeros):
+            ones += 1.0
+            looped.append(1)
+        else:
+            zeros += 1.0
+            looped.append(0)
+    obs[:] = looped
+    return ones, zeros
+
+
+def _urn_lockstep(u, obs, ones: np.ndarray, zeros: np.ndarray) -> None:
+    """:func:`_urn_loop` over L lanes at once, one step of every lane per
+    numpy operation, with the loop's own arithmetic, ones / (ones + zeros),
+    per lane; ``ones`` and ``zeros`` (length L) are carried in place. The
+    uniforms are copied step-major, so each step reads one contiguous row of
+    the copy, and the step's draws overwrite that row."""
+    steps = u.T.copy()
+    ratio, missed = np.empty(len(ones)), np.empty(len(ones))
+    for x in steps:
+        np.add(ones, zeros, out=ratio)
+        np.divide(ones, ratio, out=ratio)
+        np.less(x, ratio, out=x)
+        ones += x
+        np.subtract(1.0, x, out=missed)
+        zeros += missed
+    obs[...] = steps.T
+
+
+def _urn_solved(u, obs, ones: float, zeros: float) -> tuple[float, float]:
+    """The draws of one lane of an urn of integer counts, past its warm-up,
+    solved in blocks (see the module docstring): the loop's draws on the
+    uniforms ``u``, written to ``obs``. Returns the counts after."""
+    start = 0
+    while start < len(u):
+        # a block of at most 4x the balls in the urn, so its ratio drifts little
+        balls = ones + zeros
+        m = min(len(u) - start, _POLYA_BLOCK, int(4 * balls))
+        ub = u[start:start + m]
+        # the screen: draw j meets balls + j balls, ones to ones + j of them
+        # ones, so its ratio lies in [low, high]; below low is a one, from high a zero
+        low, high = ones / (balls + m - 1), (ones + m - 1) / (balls + m - 1)
+        obs[start:start + m] = settled = ub < low
+        pos = np.flatnonzero((ub >= low) & (ub < high))
+        uo = ub[pos]
+        # open draw j is a one iff the open ones before it reach need[j]
+        need = _least_ones(uo, balls + pos) - ones - np.cumsum(settled)[pos]
+        # numpy keeps freed arrays under 1 KB for reuse, 7 per length: bool
+        # arrays of the open draws' many lengths would stay scattered over
+        # the heap, so these are int64, and the passes write into them
+        x, before, wrong = (np.empty(len(pos), dtype=np.int64) for _ in range(3))
+        # guess the open draws at the opening ratio; each pass recomputes
+        # them from the guess, exact up to the first one that changed
+        np.less(uo, ones / balls, out=x)
+        done = k = 0  # k: the ones among the committed open draws
+        while done < len(pos):
+            guess, b, w = x[done:], before[:len(pos) - done], wrong[:len(pos) - done]
+            np.cumsum(guess, out=b)
+            b -= guess
+            b += k  # the open ones before each draw, as the guess has them
+            np.greater_equal(b, need[done:], out=w)
+            np.not_equal(w, guess, out=w)
+            first = int(w.argmax())
+            end = first + 1 if w[first] else len(w)
+            guess ^= w  # the recomputed draws: exact to end, the next guess after
+            k += int(np.count_nonzero(guess[:end]))
+            done += end
+        obs[start + pos] = x
+        drawn = int(np.count_nonzero(settled)) + k
+        ones, zeros = ones + drawn, zeros + m - drawn
+        start += m
+    return ones, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +454,7 @@ class ProcessGenerator:
     exchangeable: bool
 
     def sample_path(self, n: int, master_seed: int, path_index: int = 0) -> PathSample:
+        """One path as one array: the one-lane case of :meth:`_blocks`."""
         if n < 1:
             raise ValueError("path length must be >= 1")
         # The stream is held until the path is built, and the path is a copy
@@ -332,23 +462,36 @@ class ProcessGenerator:
         # short path's draw buffer as the path, raised the peak RSS of a run
         # of many short paths by about 2 MB and up to 5 MB (heap placement).
         stream = path_stream(master_seed, path_index)
-        latent, blocks = self._blocks(stream, n, *block_buffers(n))
+        (latent,), blocks = self._blocks([stream], n, *block_buffers(n))
         return PathSample(self, (master_seed, path_index), latent, _concatenated(blocks, n))
 
-    def sample_blocks(self, n: int, master_seed: int, path_index: int = 0):
-        """The path of :meth:`sample_path` as (latent, blocks): the blocks of
-        :meth:`_blocks`, drawn as they are iterated, through buffers of
-        :func:`block_buffers` that the path allocates."""
+    def sample_blocks(self, n: int, master_seed: int, paths: Sequence[int]):
+        """Paths ``paths`` (indices under ``master_seed``) as lanes: (latents,
+        blocks), the blocks of :meth:`_blocks`, lanes x m, drawn as they are
+        iterated, through buffers of :func:`block_buffers` that the lanes
+        allocate. Row l of each block is path ``paths[l]``, draw for draw the
+        path that :meth:`sample_path` returns."""
         if n < 1:
             raise ValueError("path length must be >= 1")
-        return self._blocks(path_stream(master_seed, path_index), n, *block_buffers(n))
+        streams = [path_stream(master_seed, i) for i in paths]
+        return self._blocks(streams, n, *block_buffers(n, len(streams)))
 
-    def _blocks(self, stream: np.random.Generator, n: int, u: np.ndarray, out: np.ndarray):
-        """(latent, blocks): the latent is drawn first, then the n draws as
-        an iterator over consecutive blocks of up to ``len(u)`` draws, each a
-        view of ``out`` that the next block overwrites. The uniforms are read
-        into ``u`` by :func:`uniform_blocks`, in the order of one
-        ``stream.random(n)``."""
+    def _lanes(self, n: int) -> int:
+        """How many paths of n draws :meth:`sample_blocks` samples well at
+        once: as many as fill one lane block (``_LANE_BLOCK`` draws) with
+        rows of ``_LANE_ROW`` draws, or with whole paths if shorter, at most
+        ``_LANES``; a path longer than a lane block is drawn alone. Shorter
+        rows gain nothing: 200 grid-mixture paths of 10**4 draws took 38 ms
+        at 16 and 32 lanes, 40 to 47 ms at 64 and 45 ms alone."""
+        return 1 if n > _LANE_BLOCK else min(_LANES, _LANE_BLOCK // min(n, _LANE_ROW))
+
+    def _blocks(self, streams: list, n: int, u: np.ndarray, out: np.ndarray):
+        """(latents, blocks) of the lanes that ``streams`` key, one path each:
+        every lane's latent is drawn first, then the n draws as an iterator
+        over consecutive lanes x m blocks, m up to ``u.shape[1]``, each a view
+        of ``out`` that the next block overwrites. Row l's uniforms are read
+        into ``u`` from ``streams[l]`` by :func:`uniform_blocks`, in the order
+        of one ``stream.random(n)``."""
         raise NotImplementedError
 
     def mixing(self) -> _Mixing | None:
@@ -365,7 +508,7 @@ class ProcessGenerator:
         mixing = self.mixing()
         if mixing.beta is None:
             return mix_measures([(w, mu) for (w, _), mu in zip(mixing.atoms, mixing.images)])
-        a, b = map(Fraction, mixing.beta)
+        a, b = map(_exact_or_float, mixing.beta)
         return ProbMeasure.bernoulli(self.space, a / (a + b))
 
     def latent_kernel(self) -> MarkovKernel | None:
@@ -388,8 +531,8 @@ class IIDProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.base.space
 
-    def _blocks(self, stream, n, u, out):
-        return None, _measure_blocks(self.base, stream, n, u, out)
+    def _blocks(self, streams, n, u, out):
+        return [None] * len(streams), _measure_blocks(self.base, streams, n, u, out)
 
     def mixing(self) -> _Mixing:
         return _Mixing(constant_kernel(self.base), ((1, None),), (self.base,))
@@ -430,9 +573,32 @@ class GridMixtureProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.component.target
 
-    def _blocks(self, stream, n, u, out):
-        idx = int(np.searchsorted(self._prior_cum, stream.random(), side="right"))
-        return self.prior[idx][1], _measure_blocks(self.images[idx], stream, n, u, out)
+    def _blocks(self, streams, n, u, out):
+        drawn = np.searchsorted(self._prior_cum, [stream.random() for stream in streams], side="right").tolist()
+        lanes_of = {}  # the lanes of each drawn image, in lane order
+        for lane, idx in enumerate(drawn):
+            lanes_of.setdefault(idx, []).append(lane)
+        latents = [self.prior[idx][1] for idx in drawn]
+        if len(lanes_of) == 1:
+            return latents, _measure_blocks(self.images[drawn[0]], streams, n, u, out)
+        return latents, self._image_blocks(lanes_of, streams, n, u, out)
+
+    def _image_blocks(self, lanes_of, streams, n, u, out):
+        """The blocks of lanes whose images differ: each image's lanes are
+        drawn together, one :func:`_measure_blocks` call per block, in rows
+        of ``u`` of their own, and copied into their rows of ``out``."""
+        parts, top = [], 0
+        for idx, lanes in lanes_of.items():
+            rows = u[top:top + len(lanes)]
+            top += len(lanes)
+            blocks = _measure_blocks(self.images[idx], [streams[lane] for lane in lanes], n, rows,
+                                     np.empty(rows.shape, dtype=np.int64))
+            parts.append((lanes, blocks))
+        for blocks in zip(*(blocks for _, blocks in parts)):
+            obs = out[:, :blocks[0].shape[1]]
+            for (lanes, _), block in zip(parts, blocks):
+                obs[lanes] = block
+            yield obs
 
     def mixing(self) -> _Mixing:
         return _Mixing(self.component, self.prior, self.images)
@@ -465,9 +631,11 @@ class BetaBernoulliProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return finite(2)
 
-    def _blocks(self, stream, n, u, out):
-        p = float(stream.beta(float(self.a), float(self.b)))
-        return p, (np.less(ub, p, out=out[:len(ub)]) for ub in uniform_blocks(stream, n, u))
+    def _blocks(self, streams, n, u, out):
+        a, b = float(self.a), float(self.b)
+        p = [stream.beta(a, b) for stream in streams]
+        column = np.array(p)[:, None]
+        return p, (np.less(ub, column, out=out[:, :ub.shape[1]]) for ub in uniform_blocks(streams, n, u))
 
     def mixing(self) -> _Mixing:
         return _Mixing(bernoulli_kernel(self.space), beta=(self.a, self.b))
@@ -499,72 +667,43 @@ class PolyaUrnProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return finite(2)
 
-    def _blocks(self, stream, n, u, out):
-        return None, self._urn_blocks(stream, n, u, out)
+    def _lanes(self, n: int) -> int:
+        # a lockstep step costs the same for every lane, so short paths go
+        # _LANES at a time, a block of each per step
+        return _LANES if n <= _POLYA_LOCKSTEP_DRAWS else super()._lanes(n)
 
-    def _urn_blocks(self, stream, n, u, out):
-        ones, zeros = float(self.a), float(self.b)
-        # warm-up: a nearly empty urn moves its ratio on every draw, so the
-        # draws that fill it to _POLYA_WARMUP_BALLS balls are looped; so is
-        # every draw of an urn whose counts are not integers below 2**53
-        integral = ones.is_integer() and zeros.is_integer() and int(ones) + int(zeros) + n < 2**53
-        warm = min(n, max(0, _POLYA_WARMUP_BALLS - int(ones + zeros))) if integral else n
-        for u_block in uniform_blocks(stream, n, u):
-            obs = out[:len(u_block)]
-            start = min(warm, len(u_block))
-            looped = []
-            for ui in u_block[:start].tolist():
-                if ui < ones / (ones + zeros):
-                    ones += 1.0
-                    looped.append(1)
-                else:
-                    zeros += 1.0
-                    looped.append(0)
-            obs[:start] = looped
+    def _blocks(self, streams, n, u, out):
+        return [None] * len(streams), self._urn_blocks(streams, n, u, out)
+
+    def _urn_blocks(self, streams, n, u, out):
+        a, b = float(self.a), float(self.b)
+        if len(streams) >= _POLYA_LOCKSTEP_LANES:  # every draw looped, in lockstep
+            ones, zeros = np.full(len(streams), a), np.full(len(streams), b)
+            for ub in uniform_blocks(streams, n, u):
+                obs = out[:, :ub.shape[1]]
+                _urn_lockstep(ub, obs, ones, zeros)
+                yield obs
+            return
+        # lane by lane, the warm-up: a nearly empty urn moves its ratio on
+        # every draw, so the draws that fill it to _POLYA_WARMUP_BALLS balls
+        # are looped, as is every draw of an urn whose counts are not
+        # integers below 2**53; the rest is solved in blocks
+        integral = a.is_integer() and b.is_integer() and int(a) + int(b) + n < 2**53
+        warm = min(n, max(0, _POLYA_WARMUP_BALLS - int(a + b))) if integral else n
+        counts = [(a, b)] * len(streams)
+        for ub in uniform_blocks(streams, n, u):
+            obs = out[:, :ub.shape[1]]
+            start = min(warm, ub.shape[1])
             warm -= start
             # the solved blocks end at the draw block's end; the carried counts
             # are the loop's, so that edge changes no draw
-            while start < len(u_block):
-                # a block of at most 4x the balls in the urn, so its ratio drifts little
-                balls = ones + zeros
-                m = min(len(u_block) - start, _POLYA_BLOCK, int(4 * balls))
-                ub = u_block[start:start + m]
-                # the screen: draw j meets balls + j balls, ones to ones + j of them
-                # ones, so its ratio lies in [low, high]; below low is a one, from high a zero
-                low, high = ones / (balls + m - 1), (ones + m - 1) / (balls + m - 1)
-                obs[start:start + m] = settled = ub < low
-                pos = np.flatnonzero((ub >= low) & (ub < high))
-                uo = ub[pos]
-                # open draw j is a one iff the open ones before it reach need[j]
-                need = _least_ones(uo, balls + pos) - ones - np.cumsum(settled)[pos]
-                # numpy keeps freed arrays under 1 KB for reuse, 7 per length: bool
-                # arrays of the open draws' many lengths would stay scattered over
-                # the heap, so these are int64, and the passes write into them
-                x, before, wrong = (np.empty(len(pos), dtype=np.int64) for _ in range(3))
-                # guess the open draws at the opening ratio; each pass recomputes
-                # them from the guess, exact up to the first one that changed
-                np.less(uo, ones / balls, out=x)
-                done = k = 0  # k: the ones among the committed open draws
-                while done < len(pos):
-                    guess, b, w = x[done:], before[:len(pos) - done], wrong[:len(pos) - done]
-                    np.cumsum(guess, out=b)
-                    b -= guess
-                    b += k  # the open ones before each draw, as the guess has them
-                    np.greater_equal(b, need[done:], out=w)
-                    np.not_equal(w, guess, out=w)
-                    first = int(w.argmax())
-                    end = first + 1 if w[first] else len(w)
-                    guess ^= w  # the recomputed draws: exact to end, the next guess after
-                    k += int(np.count_nonzero(guess[:end]))
-                    done += end
-                obs[start + pos] = x
-                drawn = int(np.count_nonzero(settled)) + k
-                ones, zeros = ones + drawn, zeros + m - drawn
-                start += m
+            for lane, (u_lane, obs_lane) in enumerate(zip(ub, obs)):
+                looped = _urn_loop(u_lane[:start], obs_lane[:start], *counts[lane])
+                counts[lane] = _urn_solved(u_lane[start:], obs_lane[start:], *looped)
             yield obs
 
     def prefix_pattern_law(self, n):
-        a0, b0 = Fraction(self.a), Fraction(self.b)
+        a0, b0 = _exact_or_float(self.a), _exact_or_float(self.b)
         law = {}
 
         def walk(prefix, ones, zeros, prob):
@@ -617,31 +756,33 @@ class MarkovChainProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.initial.space
 
-    def _blocks(self, stream, n, u, out):
-        return None, self._chain_blocks(stream, n, u, out)
+    def _blocks(self, streams, n, u, out):
+        return [None] * len(streams), self._chain_blocks(streams, n, u, out)
 
-    def _chain_blocks(self, stream, n, u, out):
+    def _chain_blocks(self, streams, n, u, out):
         cums = self._row_cums
         # bisect_right makes searchsorted(side="right")'s comparison, c <= u
         rows = cums.tolist()
         state = None
-        for ub in uniform_blocks(stream, n, u):
-            obs = out[:len(ub)]
-            if state is None:  # the path's first uniform draws the initial state
-                state = int(np.searchsorted(self._init_cum, ub[0], side="right"))
-                obs[0] = state
-                ub, steps = ub[1:], obs[1:]
+        for ub in uniform_blocks(streams, n, u):
+            obs = out[:, :ub.shape[1]]
+            if state is None:  # each path's first uniform draws its initial state
+                state = np.searchsorted(self._init_cum, ub[:, 0], side="right")
+                obs[:, 0] = state
+                ub, steps = ub[:, 1:], obs[:, 1:]
             else:
                 steps = obs
             if len(cums) == 2:
                 _two_state_steps(ub, steps, state, cums[0, 0], cums[1, 0])
-                state = int(obs[-1])
+                state = obs[:, -1].copy()
             else:
-                states = []
-                for ui in ub.tolist():
-                    state = bisect_right(rows[state], ui)
-                    states.append(state)
-                steps[:] = states
+                for lane, (u_lane, lane_steps) in enumerate(zip(ub, steps)):
+                    at, states = int(state[lane]), []
+                    for ui in u_lane.tolist():
+                        at = bisect_right(rows[at], ui)
+                        states.append(at)
+                    lane_steps[:] = states
+                    state[lane] = at
             yield obs
 
     def prefix_pattern_law(self, n):

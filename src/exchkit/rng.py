@@ -4,9 +4,12 @@ Every path gets its own Philox stream keyed by (master seed, path index), so
 the j-th variate of a path is a pure function of (master seed, path index, j)
 and results never depend on the order in which paths are generated.
 
-A path's uniforms are read in blocks of at most ``_DRAW_BLOCK`` doubles into
-one reused buffer (:func:`uniform_blocks`). Philox doubles are read in order,
-so the blocks hold the same uniforms as one ``stream.random(n)``.
+Paths are sampled in lanes: a stack of L paths, each reading its own stream
+into its own row of one reused L x block buffer (:func:`uniform_blocks`).
+One path's blocks hold up to ``_DRAW_BLOCK`` doubles; a lane block of several
+paths, L x block, up to ``_LANE_BLOCK``. Philox doubles are read in order, so
+each row's blocks hold the same uniforms as one ``stream.random(n)`` of its
+path, however many lanes are read beside it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-# the most draws a sampler makes, and a check holds, at a time
+# the most draws a sampler makes, and a check holds, at a time: in one path's
+# blocks, and in a lane block of several paths (lanes x block), whose buffers
+# and temporaries, made and freed per lane group, stay in cache and off the
+# high-water mark of the heap
 _DRAW_BLOCK = 1 << 16
+_LANE_BLOCK = 1 << 14
 
 
 def path_stream(master_seed: int, path_index: int = 0) -> np.random.Generator:
@@ -26,22 +33,30 @@ def path_stream(master_seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers that a path of n draws is sampled through, reused by every
-    block: the uniforms, then the draws, each ``min(n, _DRAW_BLOCK)`` long.
+def block_buffers(n: int, lanes: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers that ``lanes`` paths of n draws are sampled through,
+    reused by every block: the uniforms, then the draws, each lanes x block
+    with block = ``min(n, _DRAW_BLOCK)`` for one path and ``min(n,
+    _LANE_BLOCK // lanes)`` for several.
 
     Kept in that order, as ``stream.random(n)`` came before the path array:
     the draws allocated first raised the peak RSS of a run of many short
     paths by about 2 MB (heap placement), with the same traced peak."""
-    m = min(n, _DRAW_BLOCK)
-    return np.empty(m), np.empty(m, dtype=np.int64)
+    cells = _DRAW_BLOCK if lanes == 1 else _LANE_BLOCK
+    shape = (lanes, min(n, max(1, cells // lanes)))
+    return np.empty(shape), np.empty(shape, dtype=np.int64)
 
 
-def uniform_blocks(stream: np.random.Generator, n: int, u: np.ndarray):
-    """The stream's next n uniforms, as consecutive views of the buffer ``u``
-    of up to ``len(u)`` doubles each; each view is overwritten by the next."""
-    for start in range(0, n, len(u)):
-        yield stream.random(out=u[:min(len(u), n - start)])
+def uniform_blocks(streams, n: int, u: np.ndarray):
+    """Each stream's next n uniforms, lane by lane, as consecutive L x m views
+    of the L x block buffer ``u``, m up to its block; row l holds the uniforms
+    of ``streams[l]``, and each view is overwritten by the next."""
+    block = u.shape[1]
+    for start in range(0, n, block):
+        ub = u[:, :min(block, n - start)]
+        for stream, row in zip(streams, ub):
+            stream.random(out=row)
+        yield ub
 
 
 def skip_uniforms(stream: np.random.Generator, s: int) -> None:

@@ -715,13 +715,13 @@ def test_estimate_mixing_samples_each_path_once_for_all_events(tmp_path, monkeyp
     sampled = []
     sample_blocks = ProcessGenerator.sample_blocks
 
-    def counting(self, *a, **kw):
-        sampled.append(1)
-        return sample_blocks(self, *a, **kw)
+    def counting(self, n, master_seed, paths):
+        sampled.extend(paths)
+        return sample_blocks(self, n, master_seed, paths)
 
     monkeypatch.setattr(ProcessGenerator, "sample_blocks", counting)
     res = run_cli("estimate-mixing", *args, "--events", ";".join(events), "--out-dir", str(tmp_path / "all"))
-    assert res.exit_code == 0 and len(sampled) == 6
+    assert res.exit_code == 0 and sampled == list(range(6))
     joint_doc = json.loads((tmp_path / "all" / "estimate-mixing.json").read_text())
     joint_csv = read_csv(tmp_path / "all" / "estimate-mixing.csv")
 

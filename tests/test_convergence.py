@@ -436,9 +436,9 @@ def test_path_checks_sample_each_path_once(check, monkeypatch):
     sampled = []
     sample_blocks = ProcessGenerator.sample_blocks
 
-    def counting(self, n, master_seed, path_index):
-        sampled.append(path_index)
-        return sample_blocks(self, n, master_seed, path_index)
+    def counting(self, n, master_seed, paths):
+        sampled.extend(paths)
+        return sample_blocks(self, n, master_seed, paths)
 
     monkeypatch.setattr(ProcessGenerator, "sample_blocks", counting)
     MC_CHECKS[check](ONES, 7)

@@ -1,6 +1,7 @@
 """Kernel images, product-cylinder masses, and the frequency-level verifier."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from exchkit import (
     BetaBernoulliProcess,
     EventSet,
     IIDProcess,
+    MarkovChainProcess,
     PolyaUrnProcess,
     ProbMeasure,
     construct_rcd_from_empiricals,
@@ -52,6 +54,7 @@ from exchkit.kernels import (
     sigma_band,
     verify_rcd,
 )
+from exchkit import processes, rng
 from exchkit.rng import _DRAW_BLOCK
 
 F = Fraction
@@ -185,31 +188,41 @@ def test_grid_counts_rejects_a_grid_past_the_path():
 
 @st.composite
 def counting_blocks(draw):
-    """A counting case, its path cut into blocks at random points, and how
-    many leading draws to keep."""
+    """A counting case as 1 to 3 lanes (the path, reversed, rolled by one),
+    cut into lane blocks at random points, the most lanes the counter is
+    sized for, and how many leading draws to keep. With more lanes the
+    counter looks up the draws past a lower bound among the named cells."""
     obs, events, grid = draw(counting_cases())
+    lanes = np.stack([obs, obs[::-1], np.roll(obs, 1)][:draw(st.integers(1, 3))])
     cuts = sorted(draw(st.sets(st.integers(1, len(obs) - 1), max_size=8))) if len(obs) > 1 else []
+    sized = draw(st.sampled_from([len(lanes), 4, 256]))
     keep = draw(st.integers(0, len(obs)))
-    return obs, events, grid, np.split(obs, cuts), keep
+    return lanes, events, grid, np.split(lanes, cuts, axis=1), sized, keep
 
 
 @settings(max_examples=200, deadline=None)
 @given(counting_blocks())
-@example((np.array([0, 1, 1, 0, 1]), [EventSet.of(finite(2), [1])], [2, 3], [np.array([0, 1]), np.array([1, 0, 1])], 3))
-@example((np.array([FAR, 0, _TALLY_CELLS]), [EventSet.empty(countable()), EventSet.of(countable(), [FAR])], [1, 3],
-          [np.array([FAR]), np.array([0]), np.array([_TALLY_CELLS])], 0))
+@example((np.array([[0, 1, 1, 0, 1]]), [EventSet.of(finite(2), [1])], [2, 3],
+          [np.array([[0, 1]]), np.array([[1, 0, 1]])], 1, 3))
+@example((np.array([[FAR, 0, _TALLY_CELLS]]), [EventSet.empty(countable()), EventSet.of(countable(), [FAR])], [1, 3],
+          [np.array([[FAR]]), np.array([[0]]), np.array([[_TALLY_CELLS]])], 1, 0))
+@example((np.array([[300, 0, 5], [0, 255, 256]]), [EventSet.of(countable(), [0, 255, 256, 300])], [1, 3],
+          [np.array([[300], [0]]), np.array([[0, 5], [255, 256]])], 256, 2))
 def test_block_counter_equals_the_one_block_table(case):
-    obs, events, grid, blocks, keep = case
+    # each lane's table is the table of that lane's path counted alone
+    lanes, events, grid, blocks, sized, keep = case
     cols = _columns(events)
-    table, first = _block_counter(grid, cols)(iter(blocks), keep)
-    assert np.array_equal(table, _count_table(obs, grid, cols))
-    assert first.dtype == np.int64 and np.array_equal(first, obs[:keep])
+    tables, first = _block_counter(grid, cols, sized)(iter(blocks), keep)
+    assert tables.shape == (len(lanes), len(grid), len(cols) + 1)
+    for lane, table in zip(lanes, tables):
+        assert np.array_equal(table, _count_table(lane, grid, cols))
+    assert first.dtype == np.int64 and np.array_equal(first, lanes[:, :keep])
 
 
 def test_block_counter_rejects_a_grid_past_the_blocks():
     count = _block_counter((1, 4), _columns([EventSet.of(finite(2), [1])]))
     with pytest.raises(ValueError, match="exceeds the path length"):
-        count([np.array([0, 1]), np.array([1])])
+        count([np.array([[0, 1]]), np.array([[1]])])
 
 
 DB = _DRAW_BLOCK
@@ -229,7 +242,8 @@ def test_sampled_paths_count_each_block_as_the_whole_path():
     grid = (1, DB - 1, DB, DB + 1, 2 * DB - 1, 2 * DB, 2 * DB + 1, 2 * DB + 17)
     cols = _columns(events)
     tables = []
-    paths = _sampled_paths(gen, events, grid, 2, 9, head=DB + 3, tables=lambda i, table: tables.append((i, table)))
+    paths = _sampled_paths(gen, events, grid, 2, 9, head=DB + 3,
+                           tables=lambda start, group: tables.extend(enumerate(group, start)))
     assert paths.grid == grid and paths.labels == ["9:0", "9:1"]
     assert paths.heads.shape == (2, DB + 3) and paths.heads.dtype == np.int64
     assert paths.freqs.shape == (2, len(grid), len(events))
@@ -255,6 +269,106 @@ def test_sampled_paths_refuse_a_head_past_the_grid(monkeypatch):
     monkeypatch.setattr(ProcessGenerator, "sample_blocks", lambda *a, **kw: pytest.fail("sampled"))
     with pytest.raises(ValueError, match="reads the first 4 draws of each path, past the largest grid point 3"):
         _sampled_paths(gen, [EventSet.of(finite(2), [1])], (2, 3), 5, 0, head=4)
+
+
+# -- lanes -------------------------------------------------------------------------
+# _sampled_paths samples its paths in lane groups; the oracle of each path is the
+# path that sample_path draws alone, counted alone by _count_table.
+
+NN = countable()
+THREE = finite(3)
+LANE_CASES = {
+    "iid finite": (IIDProcess(ProbMeasure.from_weights(THREE, [F(1, 5), F(3, 10), F(1, 2)])),
+                   [EventSet.of(THREE, [0, 2]), EventSet.of(THREE, [1])]),
+    "iid geometric": (parse_generator("iid:geom:1/3"), [EventSet.of(NN, [0]), EventSet.cofinite_of(NN, [0, 1])]),
+    "grid bern": (parse_generator("mixture:grid(1/4,3/4):bern"), [EventSet.of(finite(2), [1])]),
+    "grid geom": (parse_generator("mixture:grid(1/4,1/2):geom"),
+                  [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), EventSet.cofinite_of(NN, [0])]),
+    "beta": (BetaBernoulliProcess(1, 1), [EventSet.of(finite(2), [1])]),
+    "polya int": (PolyaUrnProcess(1, 99), [EventSet.of(finite(2), [1])]),
+    "polya float": (PolyaUrnProcess(1.1, 2.7), [EventSet.of(finite(2), [0])]),
+    "markov 2 states": (parse_generator("markov:3/4,1/4"), [EventSet.of(finite(2), [1])]),
+    "markov 3 states": (MarkovChainProcess(ProbMeasure.from_weights(THREE, [F(1, 3)] * 3), tuple(
+        ProbMeasure.from_weights(THREE, w) for w in ([0, F(1, 3), F(2, 3)], [F(3, 4), 0, F(1, 4)], [F(1, 3)] * 3))),
+        [EventSet.of(THREE, [1, 2])]),
+}
+# lane blocks of 96 draws: a group of L lanes draws 96 // L of each path a block
+SMALL_LANE_BLOCK = 96
+
+
+@st.composite
+def lane_groups(draw):
+    """The lanes per group (the last group short when they do not divide the
+    paths), the lanes from which an urn steps in lockstep, a path length of 1
+    to 3 lane blocks, a grid with points on and off the block edges, and the
+    leading draws to keep."""
+    lanes = draw(st.integers(2, 8))
+    n_paths = draw(st.integers(lanes + 1, 20))
+    lockstep = draw(st.sampled_from([2, 64]))
+    block = SMALL_LANE_BLOCK // lanes
+    n = draw(st.integers(1, 3 * block))
+    edges = [p for k in (1, 2) for p in (k * block - 1, k * block, k * block + 1) if 1 <= p < n]
+    points = st.sampled_from(edges) | st.integers(1, n) if edges else st.integers(1, n)
+    grid = sorted(draw(st.sets(points, max_size=5)) | {n})
+    head = draw(st.integers(0, n))
+    return lanes, n_paths, lockstep, tuple(grid), head, draw(st.integers(0, 2**32))
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+@given(lane_groups())
+@example((5, 12, 2, (1, 18, 19, 20, 57), 3, 0))
+@example((3, 7, 64, (31, 32, 33, 96), 33, 1))
+@settings(deadline=None, max_examples=8)
+def test_sampled_paths_in_lanes_are_the_paths_counted_alone(name, case):
+    """Any lane count, path count, grid and head: every path's latent, head,
+    frequencies and count table equal those of the path drawn and counted
+    alone; the tables arrive one lane group at a time, in path order."""
+    lanes, n_paths, lockstep, grid, head, seed = case
+    gen, events = LANE_CASES[name]
+    cols = _columns(events)
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(gen), "_lanes", lambda self, n: lanes)
+        mp.setattr(rng, "_LANE_BLOCK", SMALL_LANE_BLOCK)
+        mp.setattr(processes, "_POLYA_LOCKSTEP_LANES", lockstep)
+        paths = _sampled_paths(gen, events, grid, n_paths, seed, head=head,
+                               tables=lambda start, group: tables.append((start, group.copy())))
+    assert [start for start, _ in tables] == list(range(0, n_paths, lanes))
+    assert all(len(group) == min(lanes, n_paths - start) for start, group in tables)
+    stacked = np.concatenate([group for _, group in tables])
+    assert paths.labels == [f"{seed}:{i}" for i in range(n_paths)]
+    assert paths.heads.shape == (n_paths, head) and paths.freqs.shape == (n_paths, len(grid), len(events))
+    for i in range(n_paths):
+        alone = gen.sample_path(grid[-1], seed, i)
+        table = _count_table(alone.observations, grid, cols)
+        assert paths.latents[i] == alone.latent
+        assert np.array_equal(paths.heads[i], alone.observations[:head])
+        assert np.array_equal(stacked[i], table)
+        assert np.array_equal(paths.freqs[i], _frequencies(table, _cell_index(events, cols), grid))
+
+
+@pytest.mark.parametrize("gen, events, grid, n_paths", [
+    (IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 100))), [EventSet.of(finite(2), [1])], (1000,), 1000),
+    (LANE_CASES["grid geom"][0], LANE_CASES["grid geom"][1], (100, 1000, 10_000), 200),
+], ids=["iid-1000x1000", "geometric-mixture-200x10000"])
+def test_sampled_paths_hold_one_lane_group(gen, events, grid, n_paths):
+    """Beside its P x G x E outputs (with the labels and latents), sampling
+    holds one lane group at a time: its two buffers of one lane block, the
+    rows of a grid mixture's images and a few temporaries of that size, so
+    the traced peak is at most six lane blocks over the outputs, whatever
+    the number of paths."""
+    _sampled_paths(gen, events, grid, 2, 0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        paths = _sampled_paths(gen, events, grid, n_paths, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lane_block = rng.block_buffers(grid[-1], gen._lanes(grid[-1]))[0].nbytes
+    outputs = (paths.freqs.nbytes + paths.heads.nbytes + sys.getsizeof(paths.latents) + sys.getsizeof(paths.labels)
+               + sum(map(sys.getsizeof, paths.labels)))
+    assert lane_block <= 8 * max(rng._LANE_BLOCK, grid[-1])
+    assert peak <= 6 * lane_block + outputs, f"peak {peak / 1e6:.3f} MB, lane block {lane_block / 1e6:.3f} MB"
 
 
 # -- the pass band -------------------------------------------------------------

@@ -34,6 +34,7 @@ from exchkit.measures import GeometricComponent, mix_measures
 from exchkit.processes import (
     _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
+    _POLYA_LOCKSTEP_LANES,
     _POLYA_WARMUP_BALLS,
     _concatenated,
     _least_ones,
@@ -43,7 +44,7 @@ from exchkit.processes import (
     prefix_law,
     sample_from_measure,
 )
-from exchkit.rng import _DRAW_BLOCK, block_buffers, path_stream, skip_uniforms
+from exchkit.rng import _DRAW_BLOCK, _LANE_BLOCK, block_buffers, path_stream, skip_uniforms
 
 F = Fraction
 B2 = finite(2)
@@ -537,7 +538,7 @@ def test_polya_counts_round_as_the_loop_on_threshold_uniforms(a, b):
     # non-integer counts, and the last, whose balls pass 2**53 after 200
     # draws, run the loop on every draw
     n = warm_up_edges(a, b)[2] + 500
-    _, blocks = PolyaUrnProcess(a, b)._blocks(ThresholdStream(a, b, 3), n, *block_buffers(n))
+    _, blocks = PolyaUrnProcess(a, b)._blocks([ThresholdStream(a, b, 3)], n, *block_buffers(n))
     obs = _concatenated(blocks, n)
     assert np.array_equal(obs, (np.arange(n) % 3 == 0).astype(np.int64))
 
@@ -550,7 +551,7 @@ def test_polya_draws_on_the_edges_of_the_screen(a, b, period, below):
     sit on the top or the bottom of its screen's band."""
     # all-ones blocks are solved one draw at a time: the warm-up and 1024 draws keep this short
     n = warm_up_edges(a, b)[0] + 1024
-    _, blocks = PolyaUrnProcess(a, b)._blocks(ThresholdStream(a, b, period, below), n, *block_buffers(n))
+    _, blocks = PolyaUrnProcess(a, b)._blocks([ThresholdStream(a, b, period, below)], n, *block_buffers(n))
     assert np.array_equal(_concatenated(blocks, n), (np.arange(n) % period == 0).astype(np.int64))
 
 
@@ -881,8 +882,8 @@ def assert_blocks_match(name, n, seed, index):
         def oracle(gen, stream, n):
             return sample_from_measure_masked(gen.base, stream, n)
     path = gen.sample_path(n, seed, path_index=index)
-    latent, blocks = gen.sample_blocks(n, seed, path_index=index)
-    copies = [block.copy() for block in blocks]
+    (latent,), blocks = gen.sample_blocks(n, seed, [index])
+    copies = [block[0].copy() for block in blocks]
     assert all(1 <= len(block) <= DB for block in copies)
     assert latent == path.latent
     assert path.observations.dtype == np.int64
@@ -914,6 +915,115 @@ def test_blocks_of_several_live_branches_leave_the_stream_past_both_runs():
     s1, s2 = path_stream(4, 0), path_stream(4, 0)
     assert np.array_equal(sample_from_measure(TWO_BRANCHES, s1, n), sample_from_measure_masked(TWO_BRANCHES, s2, n))
     assert s1.random() == s2.random()
+
+
+# -- lanes -------------------------------------------------------------------------
+# sample_blocks draws several paths side by side, one per row (lane) of each block.
+# The oracle of each lane is the path that sample_path draws alone, one lane.
+
+LANE_GENERATORS = {
+    "iid finite": IIDProcess(ProbMeasure.from_weights(finite(3), [F(1, 5), F(3, 10), F(1, 2)])),
+    "iid geometric": IIDProcess(ProbMeasure.geometric(countable(), F(1, 4))),
+    "iid finite+geometric": IIDProcess(TWO_BRANCHES),
+    "grid bern": parse_generator("mixture:grid(1/4,3/4):bern"),
+    "grid geom": parse_generator("mixture:grid(1/4,1/2):geom"),
+    "beta": BetaBernoulliProcess(F(1, 2), 3),
+    "polya int": PolyaUrnProcess(1, 1),
+    "polya 1,99": PolyaUrnProcess(1, 99),
+    "polya fraction": PolyaUrnProcess(F(4, 3), F(7, 3)),
+    "polya float": PolyaUrnProcess(1.1, 2.7),
+    "markov 2 states": flip_chain(),
+    "markov 3 states": CHAINS["three-state zero entry"],
+}
+
+
+def lane_block(lanes):
+    """The draws of each lane in one block: the whole draw block for one lane."""
+    return _DRAW_BLOCK if lanes == 1 else _LANE_BLOCK // lanes
+
+
+def assert_lanes_are_the_paths(gen, n, seed, paths):
+    latents, blocks = gen.sample_blocks(n, seed, paths)
+    copies = [block.copy() for block in blocks]
+    assert all(block.shape == (len(paths), len(block[0])) and 1 <= len(block[0]) <= lane_block(len(paths))
+               for block in copies)
+    lanes = np.concatenate(copies, axis=1)
+    assert lanes.dtype == np.int64 and lanes.shape == (len(paths), n)
+    for lane, latent, i in zip(lanes, latents, paths):
+        alone = gen.sample_path(n, seed, i)
+        assert latent == alone.latent
+        assert np.array_equal(lane, alone.observations)
+
+
+@st.composite
+def lane_cases(draw, lanes=st.integers(2, 9)):
+    """A lane count, a length of 1 to 3 lane blocks, often one draw off a
+    block edge, a seed and the first path index."""
+    count = draw(lanes)
+    block = lane_block(count)
+    n = draw(st.one_of(st.integers(1, 3 * block), st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+             .filter(lambda n: n >= 1))
+    first = draw(st.integers(0, 5))
+    return n, draw(st.integers(0, 2**32)), range(first, first + count)
+
+
+@pytest.mark.parametrize("name", sorted(LANE_GENERATORS))
+@given(lane_cases())
+@example((3 * (_LANE_BLOCK // 9), 0, range(9)))
+@example((_LANE_BLOCK // 2 + 1, 1, range(1, 3)))
+@settings(deadline=None, max_examples=8)
+def test_lanes_are_the_paths_drawn_alone(name, case):
+    assert_lanes_are_the_paths(LANE_GENERATORS[name], *case)
+
+
+@pytest.mark.parametrize("urn", ["polya int", "polya 1,99", "polya fraction", "polya float"])
+@given(lane_cases(st.sampled_from([_POLYA_LOCKSTEP_LANES - 1, _POLYA_LOCKSTEP_LANES, _POLYA_LOCKSTEP_LANES + 6])))
+@settings(deadline=None, max_examples=4)
+def test_polya_lanes_on_each_side_of_the_lockstep(urn, case):
+    """Below _POLYA_LOCKSTEP_LANES lanes each lane loops its warm-up and
+    solves its blocks; from it the group loops every draw in lockstep."""
+    assert_lanes_are_the_paths(LANE_GENERATORS[urn], *case)
+
+
+def threshold_uniforms(ones, zeros, draws):
+    """Uniforms on the loop's own ratios that make it draw ``draws``: the
+    double just below the ratio for a one, the ratio itself for a zero."""
+    u = []
+    for x in draws:
+        ratio = ones / (ones + zeros)
+        if x:
+            u.append(math.nextafter(ratio, 0.0))
+            ones += 1.0
+        else:
+            u.append(ratio)
+            zeros += 1.0
+    return u
+
+
+@given(st.lists(st.tuples(urn_counts, urn_counts), min_size=1, max_size=6), st.integers(1, 300), st.integers(0, 2**32),
+       st.booleans())
+@example([(F(4, 3), F(7, 3)), (1.1, 2.7), (1, 1)], 200, 0, True)
+@example([(2**53 - 300, 100)], 250, 0, True)
+@settings(deadline=None, max_examples=60)
+def test_polya_lockstep_is_the_loop_draw_for_draw(counts, m, seed, on_thresholds):
+    """Lanes of urns of any counts, integer or not, each stepped by the loop
+    alone and all in lockstep: the same draws and the same counts after, bit
+    for bit. On threshold uniforms a count rounded in another order than the
+    loop's += 1.0 flips a draw."""
+    rng = np.random.default_rng(seed)
+    start = [(float(a), float(b)) for a, b in counts]
+    if on_thresholds:
+        u = np.array([threshold_uniforms(a, b, rng.random(m) < 0.5) for a, b in start])
+    else:
+        u = rng.random((len(counts), m))
+    ones, zeros = (np.array(c) for c in zip(*start))
+    obs = np.empty(u.shape, dtype=np.int64)
+    processes._urn_lockstep(u, obs, ones, zeros)
+    for lane, (a, b) in enumerate(start):
+        alone = np.empty(m, dtype=np.int64)
+        after = processes._urn_loop(u[lane], alone, a, b)
+        assert np.array_equal(obs[lane], alone)
+        assert (ones[lane], zeros[lane]) == after
 
 
 # -- one mixture pattern law -----------------------------------------------------
@@ -1101,6 +1211,29 @@ def test_float_beta_shapes_are_refused():
     for oracle in (gen.prefix_pattern_law, lambda n: prefix_law(gen, n), lambda n: check_exchangeable(gen, n)):
         with pytest.raises(ValueError, match="exact oracles require rational generator parameters"):
             oracle(2)
+
+
+def test_float_urn_counts_are_refused_by_both_exact_routes():
+    # the walk kept float counts as Fractions, so check_exchangeable read the
+    # float urn as exactly exchangeable while the Beta route refused it
+    urn = PolyaUrnProcess(1.1, 2.7)
+    for oracle in (lambda n: check_exchangeable(urn, n), lambda n: prefix_law(urn, n),
+                   lambda n: polya_beta_equivalence(1.1, 2.7, n), lambda n: polya_beta_equivalence(1, 2.7, n)):
+        with pytest.raises(ValueError, match="exact oracles require rational generator parameters"):
+            oracle(3)
+    # the walk itself runs in floats: P(1, 0) = 1.1/3.8 * 2.7/4.8
+    p = urn.prefix_pattern_law(2)[(1, 0)]
+    assert type(p) is float and p == pytest.approx(1.1 / 3.8 * 2.7 / 4.8, rel=1e-15)
+    assert check_exchangeable(PolyaUrnProcess(F(11, 10), F(27, 10)), 3).exchangeable
+
+
+@pytest.mark.parametrize("cls", [PolyaUrnProcess, BetaBernoulliProcess])
+def test_float_shapes_give_a_float_marginal(cls):
+    law = cls(1.1, 2.7).marginal()
+    assert law.mode == "float" and law.atom_mass(1) == 1.1 / (1.1 + 2.7)
+    assert cls(1, 2.5).marginal().mode == "float"
+    exact = cls(F(11, 10), 3).marginal()
+    assert exact.mode == "exact" and exact.atom_mass(1) == F(11, 41)
 
 
 @pytest.mark.parametrize("n, disc", [(1, F(1, 6)), (2, F(1, 6)), (3, F(3, 20))])
