@@ -41,11 +41,11 @@ with per-path masks, intervals and cells.
 :func:`extract_convergent_subsequence` is its one-row call and the only
 caller that builds :class:`ClosedSetCertificate` objects.
 :func:`construct_rcd_from_empiricals` receives its paths' tables one lane
-group at a time and stacks only the tables, ``_BATCH_ENTRIES`` (2**14)
-entries to a batch: 42 paths of acceptance 09 (6 grid points, 65 columns).
-No temporary of a batch is larger than its 130 KB table, so the acceptance 09
-construction peaks at about 0.7 MB of traced allocations; 200 paths in one
-batch would peak at about 2.2 MB.
+group at a time and stacks only the tables, one lane block
+(``rng._LANE_BLOCK``, 2**14) of entries to a batch: 42 paths of acceptance
+09 (6 grid points, 65 columns). No temporary of a batch is larger than its
+130 KB table, so the acceptance 09 construction peaks at about 0.7 MB of
+traced allocations; 200 paths in one batch would peak at about 2.2 MB.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .measures import (
     mass,
 )
 from .processes import PathSample, ProcessGenerator
+from .rng import _LANE_BLOCK
 from .spaces import (
     ClosedFamily,
     CompactFamily,
@@ -582,18 +583,16 @@ class RcdConstructionReport(Record):
     passed: bool
 
 
-# table entries (paths x grid points x columns, or x closed sets where those
-# are more) that construct_rcd_from_empiricals stacks in one batch of paths;
-# every temporary of the batch's extraction is within that size
-_BATCH_ENTRIES = 1 << 14
 # construct_rcd_from_empiricals's extraction tolerance and event-gap budget
 _CONSTRUCT_TOL = 0.05
 
 
 def _batch_paths(layout: _Layout, n_grid: int) -> int:
-    """How many paths' tables make one batch: ``_BATCH_ENTRIES`` over one
-    path's entries, and at least one path."""
-    return max(1, _BATCH_ENTRIES // (n_grid * max(len(layout.cols) + 1, len(layout.closed))))
+    """How many paths' tables make one batch: a lane block (``_LANE_BLOCK``)
+    of table entries over one path's entries (grid points x columns, or x
+    closed sets where those are more), and at least one path. Every
+    temporary of the batch's extraction is within that size."""
+    return max(1, _LANE_BLOCK // (n_grid * max(len(layout.cols) + 1, len(layout.closed))))
 
 
 def _path_limits(layout: _Layout, atoms: np.ndarray, tol) -> tuple[list[tuple], np.ndarray, np.ndarray]:
@@ -640,9 +639,9 @@ def construct_rcd_from_empiricals(
     counted once, by the count table that ``kernels._sampled_paths`` counts
     for every Monte Carlo check and hands to this check one lane group at a
     time; divided by n it is the atom-mass table (see the module docstring)
-    that tightness and extraction read. The tables of up to
-    ``_BATCH_ENTRIES`` entries' worth of paths are stacked, and one call of
-    the batched extraction gives each path's status, witness, surviving
+    that tightness and extraction read. The tables of up to a lane block
+    (``rng._LANE_BLOCK``) of entries' worth of paths are stacked, and one
+    call of the batched extraction gives each path's status, witness, surviving
     indices, limit, full-sequence test and event gaps; no certificate is
     built. The kernel gaps are one P x E array, judged by one elementwise
     :func:`binomial_band` call, and each path's kernel targets are the

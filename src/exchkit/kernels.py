@@ -400,14 +400,14 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
     The grid (:func:`_validate_grid`), the events (:func:`_check_events`),
     the number of paths and ``head`` (at most ``grid[-1]``: more leading
     draws than a path holds are refused, not cut short) are checked before
-    any path is drawn. The paths are sampled in lane groups of
-    ``gen._lanes(n)`` paths, each one ``sample_blocks`` call whose L x m
-    blocks are counted as they are drawn and whose frequencies are read
-    once. So no path-length array is made: beside its outputs (8 bytes per
-    path per grid point x event and per leading draw) a check holds one
-    group at a time, its two buffers of one lane block (``rng._LANE_BLOCK``
-    cells, or up to ``rng._DRAW_BLOCK`` for a path drawn alone), the rows of
-    a grid mixture's images, a few temporaries of that size and its
+    any path is drawn. The paths are sampled in lane groups, each of
+    ``gen._lanes(n, left)`` paths for the ``left`` paths still to draw, each
+    one ``sample_blocks`` call whose L x m blocks are counted as they are
+    drawn and whose frequencies are read once. So no path-length array is
+    made: beside its outputs (8 bytes per path per grid point x event and per
+    leading draw) a check holds one group at a time, its two buffers of one
+    lane block (``rng._LANE_BLOCK`` cells, for one lane as for many), the
+    rows of a grid mixture's images, a few temporaries of that size and its
     L x G x (columns + 1) tables; a test pins the traced peak to six lane
     blocks over the outputs.
     Each group allocates its own buffers: buffers reused by every path of a
@@ -422,15 +422,17 @@ def _sampled_paths(gen, events: Sequence[EventSet], grid: Sequence[int], n_paths
         raise ValueError(f"the check reads the first {head} draws of each path, past the largest grid point {n}")
     cols = _columns(events) if cols is None else cols
     cells = _cell_index(events, cols)
-    lanes = min(gen._lanes(n), n_paths)
-    count = _block_counter(grid, cols, lanes)
+    # the first group is the largest, as the groups shrink with the paths left
+    count = _block_counter(grid, cols, gen._lanes(n, n_paths))
     latents, heads, freqs = [], np.empty((n_paths, head), dtype=np.int64), np.empty((n_paths, len(grid), len(events)))
-    for start in range(0, n_paths, lanes):
-        group = range(start, min(n_paths, start + lanes))
+    start = 0
+    while start < n_paths:
+        group = range(start, start + gen._lanes(n, n_paths - start))
         group_latents, blocks = gen.sample_blocks(n, master_seed, group)
         table, heads[start:group.stop] = count(blocks, head)
         latents.extend(group_latents)
         freqs[start:group.stop] = _frequencies(table, cells, grid)
         if tables is not None:
             tables(start, table)
+        start = group.stop
     return SampledPaths(grid, path_seed_labels(master_seed, n_paths), latents, heads, freqs)

@@ -37,28 +37,27 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 Every generator draws its paths in lanes (``ProcessGenerator._blocks``): L
 paths side by side, each its own row of every block, as Philox streams are
 counter-based and each lane reads its own (Salmon et al., SC'11). A block is
-L x m draws, m at most ``_DRAW_BLOCK`` (2**16, in ``rng``) for one path and
-L x m at most ``_LANE_BLOCK`` (2**14) for several: each block's uniforms are
-read into one reused buffer and its draws written into another, and the
-sequential samplers carry each lane's urn counts or chain state from block to
-block. Each row reads the uniforms of its path's one ``stream.random(n)`` in
-order, and every step is elementwise over the lanes or a loop over them, so a
-lane is its path's draws bit for bit, whatever lanes are drawn beside it.
+L x m draws, at most ``_LANE_BLOCK`` (2**14, in ``rng``), for one lane as for
+many: each block's uniforms are read into one reused buffer and its draws
+written into another, and the sequential samplers carry each lane's urn
+counts or chain state from block to block. Each row reads the uniforms of its
+path's one ``stream.random(n)`` in order, and every step is elementwise over
+the lanes or a loop over them, so a lane is its path's draws bit for bit,
+whatever lanes are drawn beside it.
 
-A Monte Carlo check counts each block as it is drawn (``sample_blocks``),
-``_lanes(n)`` paths at a time: as many whole paths as fill a lane block, at
-most ``_LANES`` (256), or 16 rows of ``_LANE_ROW`` (2**10) draws for paths
-longer than that row, and a path longer than a lane block alone; urn paths of
-up to ``_POLYA_LOCKSTEP_DRAWS`` (2**14) draws go ``_LANES`` at a time, for
-the lockstep below. Paths of a grid mixture whose drawn images differ are
-drawn one image at a time, each image's lanes in one call per block.
-``sample_path`` is the one-lane case, its blocks joined into the one
-path-length array, for ``simulate`` and the tests.
+A Monte Carlo check counts each block as it is drawn (``sample_blocks``), one
+group of ``_lanes(n, n_paths)`` paths at a time, sized from the paths still
+to draw: as many whole paths as fill a lane block, at most ``_LANES`` (256),
+or 16 rows of ``_LANE_ROW`` (2**10) draws for paths longer than that row, and
+a path longer than a lane block alone. An urn group is one lane, or, while
+``_POLYA_LOCKSTEP_LANES`` (40) paths of at most a lane block are left, up to
+``_LANES`` of them for the lockstep below. Paths of a grid mixture whose
+drawn images differ are drawn one image at a time, each image's lanes in one
+call per block. ``sample_path`` is the one-lane case, its blocks joined into
+the one path-length array, for ``simulate`` and the tests.
 
 The two sequential samplers return the observations of a per-step loop bit
-for bit. Within a draw block, the Polya and two-state samplers step in
-smaller blocks of numpy operations, and no temporary is longer than such a
-block:
+for bit, in numpy operations over each lane block:
 
 * Markov: every state reads the step's uniform, so a step is a map from each
   state to the next (the grand coupling), and a step whose map is constant
@@ -66,11 +65,10 @@ block:
   1996). With two states, every chain the CLI builds, a step compares its
   uniform with each row's one inner boundary, and a step that does not fix
   the state is the identity or the swap. So the state is the last fixed state
-  xor the parity of the swaps since, one running sum per block of
-  ``_MARKOV_BLOCK_CELLS`` / 2 (step, lane) cells, the lanes laid end to end as
-  one chain, each restarted by its carried state (``_two_state_steps``). With
-  k > 2 states each lane steps one draw at a time, bisecting its row's
-  cumulative list.
+  xor the parity of the swaps since, one running sum per lane block, the
+  lanes laid end to end as one chain, each restarted by its carried state
+  (``_two_state_steps``). With k > 2 states each lane steps one draw at a
+  time, bisecting its row's cumulative list.
 * Polya: the loop draws a one when u < fl(o / N), for o ones among N balls.
   While the urn holds fewer than ``_POLYA_WARMUP_BALLS`` (256) balls, its
   ratio moves on every draw, so those draws run as the loop itself. Then an
@@ -91,15 +89,16 @@ block:
   thresholds need up to one pass per draw. An urn whose counts are not
   integers, or whose balls would reach 2**53 within the path, runs the loop
   on every draw.
-* Polya lanes: a group of ``_POLYA_LOCKSTEP_LANES`` (40) lanes or more runs
-  the loop on every draw, in lockstep (``_urn_lockstep``): one numpy step
-  compares every lane's uniform with its own ones / (ones + zeros), the
-  loop's arithmetic, so any counts, integer or not, draw as the loop does.
-  A step costs about 4 us at 64 lanes and 6.5 us at 256 (2 vCPUs of a Xeon),
-  whatever the urn's size, while the solver of a lane in a group slows as
-  the group grows, its rows being shorter: the two tie near 32 lanes on
-  1000-draw Polya(1,99) and 10**4-draw Polya(1,1) paths. Smaller groups loop
-  the warm-up and solve the rest lane by lane.
+* Polya lanes: a group of several lanes runs the loop on every draw, in
+  lockstep (``_urn_lockstep``): one numpy step compares every lane's uniform
+  with its own ones / (ones + zeros), the loop's arithmetic, so any counts,
+  integer or not, draw as the loop does. A step costs about 4 us at 64 lanes
+  and 6.5 us at 256 (2 vCPUs of a Xeon), whatever the urn's size, while a
+  lane drawn alone loops its warm-up and solves the rest. On 1000-draw
+  Polya(1,1) and Polya(1,99) paths 40 lanes took 5 ms in lockstep against 8
+  to 12 ms one lane at a time, so ``_lanes`` groups urns from
+  ``_POLYA_LOCKSTEP_LANES`` (40) on; on 10**4-draw paths one lane at a time
+  was faster up to 64 lanes (23 to 43 ms against 47 to 54) and slower at 256.
 """
 
 from __future__ import annotations
@@ -131,14 +130,10 @@ _LANE_ROW = 1 << 10
 # plus passes over the draws that its screen leaves open.
 _POLYA_WARMUP_BALLS = 256
 _POLYA_BLOCK = 8192
-# the lanes from which a group of urns loops all its draws in lockstep, one
-# numpy step for all lanes, not lane by lane through the warm-up loop and the
-# block solver; and the longest paths sampled _LANES at a time to that end
+# the fewest urn paths sampled as a group, all their draws looped in lockstep,
+# one numpy step for all lanes; fewer are sampled one lane at a time, through
+# the warm-up loop and the block solver
 _POLYA_LOCKSTEP_LANES = 40
-_POLYA_LOCKSTEP_DRAWS = 1 << 14
-# (step, state) entries per Markov block: 8192 steps of a two-state chain,
-# each scratch array of a block 64 KB or less
-_MARKOV_BLOCK_CELLS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +309,26 @@ def _two_state_steps(u, out, state, b0, b1):
     before (the chains coalesce). Elsewhere it is the identity (g0 = 0) or the
     swap (g0 = 1). So, with B the running sum of g0 and f <= i the last step
     that fixes the state, the state after step i is B[i] - B[f - 1] mod 2.
-    Each block of ``_MARKOV_BLOCK_CELLS`` / 2 (step, lane) cells prepends to
-    each lane its carried state as a fixing step, so the lanes, laid end to
-    end, are one chain, and its scan is one running sum; B[f - 1] is the
-    running maximum of B[i - 1] over the fixing steps i, as B never falls.
+    Each lane's row starts with its carried state as a fixing step, so the
+    lanes, laid end to end, are one chain, and its scan is one running sum;
+    B[f - 1] is the running maximum of B[i - 1] over the fixing steps i, as B
+    never falls.
     """
-    lanes, n = u.shape
-    block = max(1, _MARKOV_BLOCK_CELLS // (2 * lanes))
-    cells = lanes * (min(block, n) + 1)
-    scratch = [np.empty(cells, dtype=bool) for _ in range(3)] + [np.empty(cells, dtype=np.int64) for _ in range(2)]
-    for start in range(0, n, block):
-        ub = u[:, start:start + block]
-        m = ub.shape[1]
-        # each lane a row of m + 1 cells, the rows end to end
-        g0, g1, fixes, sums, floor = (buf[:lanes * (m + 1)] for buf in scratch)
-        g0.reshape(lanes, m + 1)[:, 0] = out[:, start - 1] if start else state
-        np.greater_equal(ub, b0, out=g0.reshape(lanes, m + 1)[:, 1:])
-        np.greater_equal(ub, b1, out=g1.reshape(lanes, m + 1)[:, 1:])
-        np.equal(g0, g1, out=fixes)
-        fixes.reshape(lanes, m + 1)[:, 0] = True
-        np.cumsum(g0, out=sums)
-        floor[0] = 0
-        np.multiply(fixes[1:], sums[:-1], out=floor[1:])
-        np.maximum.accumulate(floor, out=floor)
-        steps = out[:, start:start + m]
-        np.subtract(sums.reshape(lanes, m + 1)[:, 1:], floor.reshape(lanes, m + 1)[:, 1:], out=steps)
-        np.bitwise_and(steps, 1, out=steps)
+    lanes, m = u.shape
+    # each lane a row of m + 1 cells, the rows end to end
+    g0, g1 = np.empty((lanes, m + 1), dtype=bool), np.empty((lanes, m + 1), dtype=bool)
+    g0[:, 0] = state
+    np.greater_equal(u, b0, out=g0[:, 1:])
+    np.greater_equal(u, b1, out=g1[:, 1:])
+    fixes = np.equal(g0, g1, out=g1).ravel()
+    fixes[::m + 1] = True
+    sums = np.cumsum(g0.ravel(), dtype=np.int64)
+    floor = np.empty_like(sums)
+    floor[0] = 0
+    np.multiply(fixes[1:], sums[:-1], out=floor[1:])
+    np.maximum.accumulate(floor, out=floor)
+    np.subtract(sums.reshape(lanes, m + 1)[:, 1:], floor.reshape(lanes, m + 1)[:, 1:], out=out)
+    np.bitwise_and(out, 1, out=out)
 
 
 def _urn_loop(u, obs, ones: float, zeros: float) -> tuple[float, float]:
@@ -473,17 +462,20 @@ class ProcessGenerator:
         path that :meth:`sample_path` returns."""
         if n < 1:
             raise ValueError("path length must be >= 1")
+        if not paths:
+            raise ValueError("need at least one path")
         streams = [path_stream(master_seed, i) for i in paths]
         return self._blocks(streams, n, *block_buffers(n, len(streams)))
 
-    def _lanes(self, n: int) -> int:
-        """How many paths of n draws :meth:`sample_blocks` samples well at
-        once: as many as fill one lane block (``_LANE_BLOCK`` draws) with
-        rows of ``_LANE_ROW`` draws, or with whole paths if shorter, at most
-        ``_LANES``; a path longer than a lane block is drawn alone. Shorter
-        rows gain nothing: 200 grid-mixture paths of 10**4 draws took 38 ms
-        at 16 and 32 lanes, 40 to 47 ms at 64 and 45 ms alone."""
-        return 1 if n > _LANE_BLOCK else min(_LANES, _LANE_BLOCK // min(n, _LANE_ROW))
+    def _lanes(self, n: int, n_paths: int) -> int:
+        """How many of ``n_paths`` paths of n draws :meth:`sample_blocks`
+        samples well at once: as many as fill one lane block (``_LANE_BLOCK``
+        draws) with rows of ``_LANE_ROW`` draws, or with whole paths if
+        shorter, at most ``_LANES`` and ``n_paths``; a path longer than a
+        lane block is drawn alone. Shorter rows gain nothing: 200
+        grid-mixture paths of 10**4 draws took 38 ms at 16 and 32 lanes, 40
+        to 47 ms at 64 and 45 ms alone."""
+        return min(n_paths, 1 if n > _LANE_BLOCK else min(_LANES, _LANE_BLOCK // min(n, _LANE_ROW)))
 
     def _blocks(self, streams: list, n: int, u: np.ndarray, out: np.ndarray):
         """(latents, blocks) of the lanes that ``streams`` key, one path each:
@@ -667,39 +659,37 @@ class PolyaUrnProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return finite(2)
 
-    def _lanes(self, n: int) -> int:
-        # a lockstep step costs the same for every lane, so short paths go
-        # _LANES at a time, a block of each per step
-        return _LANES if n <= _POLYA_LOCKSTEP_DRAWS else super()._lanes(n)
+    def _lanes(self, n: int, n_paths: int) -> int:
+        # a lockstep step costs about the same for every lane, so paths of up
+        # to a lane block go _LANES at a time, a block of each per step, while
+        # enough are left; else one lane at a time
+        return min(_LANES, n_paths) if n <= _LANE_BLOCK and n_paths >= _POLYA_LOCKSTEP_LANES else 1
 
     def _blocks(self, streams, n, u, out):
         return [None] * len(streams), self._urn_blocks(streams, n, u, out)
 
     def _urn_blocks(self, streams, n, u, out):
         a, b = float(self.a), float(self.b)
-        if len(streams) >= _POLYA_LOCKSTEP_LANES:  # every draw looped, in lockstep
+        if len(streams) > 1:  # every draw looped, in lockstep
             ones, zeros = np.full(len(streams), a), np.full(len(streams), b)
             for ub in uniform_blocks(streams, n, u):
                 obs = out[:, :ub.shape[1]]
                 _urn_lockstep(ub, obs, ones, zeros)
                 yield obs
             return
-        # lane by lane, the warm-up: a nearly empty urn moves its ratio on
-        # every draw, so the draws that fill it to _POLYA_WARMUP_BALLS balls
-        # are looped, as is every draw of an urn whose counts are not
-        # integers below 2**53; the rest is solved in blocks
+        # one lane, the warm-up: a nearly empty urn moves its ratio on every
+        # draw, so the draws that fill it to _POLYA_WARMUP_BALLS balls are
+        # looped, as is every draw of an urn whose counts are not integers
+        # below 2**53; the rest is solved in blocks
         integral = a.is_integer() and b.is_integer() and int(a) + int(b) + n < 2**53
         warm = min(n, max(0, _POLYA_WARMUP_BALLS - int(a + b))) if integral else n
-        counts = [(a, b)] * len(streams)
         for ub in uniform_blocks(streams, n, u):
             obs = out[:, :ub.shape[1]]
             start = min(warm, ub.shape[1])
             warm -= start
-            # the solved blocks end at the draw block's end; the carried counts
+            # the solved blocks end at the lane block's end; the carried counts
             # are the loop's, so that edge changes no draw
-            for lane, (u_lane, obs_lane) in enumerate(zip(ub, obs)):
-                looped = _urn_loop(u_lane[:start], obs_lane[:start], *counts[lane])
-                counts[lane] = _urn_solved(u_lane[start:], obs_lane[start:], *looped)
+            a, b = _urn_solved(ub[0, start:], obs[0, start:], *_urn_loop(ub[0, :start], obs[0, :start], a, b))
             yield obs
 
     def prefix_pattern_law(self, n):

@@ -5,11 +5,11 @@ the j-th variate of a path is a pure function of (master seed, path index, j)
 and results never depend on the order in which paths are generated.
 
 Paths are sampled in lanes: a stack of L paths, each reading its own stream
-into its own row of one reused L x block buffer (:func:`uniform_blocks`).
-One path's blocks hold up to ``_DRAW_BLOCK`` doubles; a lane block of several
-paths, L x block, up to ``_LANE_BLOCK``. Philox doubles are read in order, so
-each row's blocks hold the same uniforms as one ``stream.random(n)`` of its
-path, however many lanes are read beside it.
+into its own row of one reused L x block buffer (:func:`uniform_blocks`). A
+lane block, L x block, holds up to ``_LANE_BLOCK`` doubles, whether L is one
+path or many. Philox doubles are read in order, so each row's blocks hold the
+same uniforms as one ``stream.random(n)`` of its path, however many lanes are
+read beside it.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-# the most draws a sampler makes, and a check holds, at a time: in one path's
-# blocks, and in a lane block of several paths (lanes x block), whose buffers
-# and temporaries, made and freed per lane group, stay in cache and off the
-# high-water mark of the heap
-_DRAW_BLOCK = 1 << 16
+# the most draws a sampler makes, and a check holds, at a time: one lane
+# block (lanes x block), whose buffers and temporaries, made and freed per lane
+# group, stay in cache and off the high-water mark of the heap
 _LANE_BLOCK = 1 << 14
 
 
@@ -36,14 +34,12 @@ def path_stream(master_seed: int, path_index: int = 0) -> np.random.Generator:
 def block_buffers(n: int, lanes: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The buffers that ``lanes`` paths of n draws are sampled through,
     reused by every block: the uniforms, then the draws, each lanes x block
-    with block = ``min(n, _DRAW_BLOCK)`` for one path and ``min(n,
-    _LANE_BLOCK // lanes)`` for several.
+    with block = ``min(n, _LANE_BLOCK // lanes)``.
 
     Kept in that order, as ``stream.random(n)`` came before the path array:
     the draws allocated first raised the peak RSS of a run of many short
     paths by about 2 MB (heap placement), with the same traced peak."""
-    cells = _DRAW_BLOCK if lanes == 1 else _LANE_BLOCK
-    shape = (lanes, min(n, max(1, cells // lanes)))
+    shape = (lanes, min(n, max(1, _LANE_BLOCK // lanes)))
     return np.empty(shape), np.empty(shape, dtype=np.int64)
 
 

@@ -945,7 +945,7 @@ def test_batch_size_does_not_change_the_report(monkeypatch):
     whole = report()
     per_path = 3 * max(len(_Layout(NN, FAR_EVENTS).cols) + 1, len(default_closed_family(NN)))
     for paths in (1, 7):
-        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", paths * per_path)
+        monkeypatch.setattr(convergence, "_LANE_BLOCK", paths * per_path)
         assert _batch_paths(_Layout(NN, FAR_EVENTS), 3) == paths
         assert report() == whole
 
@@ -984,8 +984,9 @@ def test_construct_rcd_rejects_a_swapped_kernel(seed):
 
 def test_construct_rcd_memory_stays_bounded():
     """The acceptance 09 construction (200 paths of 10**4 draws) peaks under
-    1.5 MB of traced allocations: paths are sampled one at a time and only
-    their count tables are stacked, in batches of ``_BATCH_ENTRIES``."""
+    1.5 MB of traced allocations: paths are sampled a lane group at a time
+    and only their count tables are stacked, in batches of a lane block of
+    entries."""
     events = [EventSet.of(NN, [0]), EventSet.of(NN, [1, 2]), tail(1)]
     grid = (100, 1000, 4000, 6000, 8000, 10_000)
     construct_rcd_from_empiricals(geom_mixture(), events, grid, 1)  # the per-space caches

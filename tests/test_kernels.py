@@ -55,7 +55,7 @@ from exchkit.kernels import (
     verify_rcd,
 )
 from exchkit import processes, rng
-from exchkit.rng import _DRAW_BLOCK
+from exchkit.rng import _LANE_BLOCK
 
 F = Fraction
 
@@ -225,7 +225,9 @@ def test_block_counter_rejects_a_grid_past_the_blocks():
         count([np.array([[0, 1]]), np.array([[1]])])
 
 
-DB = _DRAW_BLOCK
+# paths longer than a lane block are drawn one lane at a time, in blocks of
+# _LANE_BLOCK draws
+DB = _LANE_BLOCK
 
 
 def test_sampled_paths_count_each_block_as_the_whole_path():
@@ -299,38 +301,37 @@ SMALL_LANE_BLOCK = 96
 @st.composite
 def lane_groups(draw):
     """The lanes per group (the last group short when they do not divide the
-    paths), the lanes from which an urn steps in lockstep, a path length of 1
-    to 3 lane blocks, a grid with points on and off the block edges, and the
+    paths, and one lane when a single path is left, which an urn draws
+    through its loop and solver, not in lockstep), a path length of 1 to 3
+    lane blocks, a grid with points on and off the block edges, and the
     leading draws to keep."""
     lanes = draw(st.integers(2, 8))
     n_paths = draw(st.integers(lanes + 1, 20))
-    lockstep = draw(st.sampled_from([2, 64]))
     block = SMALL_LANE_BLOCK // lanes
     n = draw(st.integers(1, 3 * block))
     edges = [p for k in (1, 2) for p in (k * block - 1, k * block, k * block + 1) if 1 <= p < n]
     points = st.sampled_from(edges) | st.integers(1, n) if edges else st.integers(1, n)
     grid = sorted(draw(st.sets(points, max_size=5)) | {n})
     head = draw(st.integers(0, n))
-    return lanes, n_paths, lockstep, tuple(grid), head, draw(st.integers(0, 2**32))
+    return lanes, n_paths, tuple(grid), head, draw(st.integers(0, 2**32))
 
 
 @pytest.mark.parametrize("name", sorted(LANE_CASES))
 @given(lane_groups())
-@example((5, 12, 2, (1, 18, 19, 20, 57), 3, 0))
-@example((3, 7, 64, (31, 32, 33, 96), 33, 1))
+@example((5, 12, (1, 18, 19, 20, 57), 3, 0))
+@example((3, 7, (31, 32, 33, 96), 33, 1))
 @settings(deadline=None, max_examples=8)
 def test_sampled_paths_in_lanes_are_the_paths_counted_alone(name, case):
     """Any lane count, path count, grid and head: every path's latent, head,
     frequencies and count table equal those of the path drawn and counted
     alone; the tables arrive one lane group at a time, in path order."""
-    lanes, n_paths, lockstep, grid, head, seed = case
+    lanes, n_paths, grid, head, seed = case
     gen, events = LANE_CASES[name]
     cols = _columns(events)
     tables = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(gen), "_lanes", lambda self, n: lanes)
+        mp.setattr(type(gen), "_lanes", lambda self, n, left: min(lanes, left))
         mp.setattr(rng, "_LANE_BLOCK", SMALL_LANE_BLOCK)
-        mp.setattr(processes, "_POLYA_LOCKSTEP_LANES", lockstep)
         paths = _sampled_paths(gen, events, grid, n_paths, seed, head=head,
                                tables=lambda start, group: tables.append((start, group.copy())))
     assert [start for start, _ in tables] == list(range(0, n_paths, lanes))
@@ -347,16 +348,51 @@ def test_sampled_paths_in_lanes_are_the_paths_counted_alone(name, case):
         assert np.array_equal(paths.freqs[i], _frequencies(table, _cell_index(events, cols), grid))
 
 
+def sampled_groups(gen, n, n_paths):
+    """The paths of each sample_blocks call that _sampled_paths makes."""
+    groups = []
+    sample_blocks = ProcessGenerator.sample_blocks
+
+    def recording(self, n, master_seed, paths):
+        groups.append(list(paths))
+        return sample_blocks(self, n, master_seed, paths)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProcessGenerator, "sample_blocks", recording)
+        _sampled_paths(gen, [EventSet.of(finite(2), [1])], (n,), n_paths, 0)
+    assert [i for group in groups for i in group] == list(range(n_paths))
+    return [len(group) for group in groups]
+
+
+@pytest.mark.parametrize("n, n_paths", [(1000, p) for p in (1, 2, 39, 40, 255, 256, 257, 264, 1000)]
+                         + [(_LANE_BLOCK + 1, p) for p in (1, 2, 40, 41)])
+def test_urn_groups_are_one_lane_or_a_lockstep(n, n_paths):
+    """An urn group of several lanes steps in lockstep, which pays from
+    _POLYA_LOCKSTEP_LANES lanes on: so every group is one lane or at least
+    that many, up to _LANES, each sized from the paths still to draw; paths
+    longer than a lane block go one lane at a time."""
+    sizes = sampled_groups(PolyaUrnProcess(1, 99), n, n_paths)
+    assert all(size == 1 or processes._POLYA_LOCKSTEP_LANES <= size <= processes._LANES for size in sizes)
+    if n > _LANE_BLOCK:
+        assert sizes == [1] * n_paths
+    elif n_paths >= processes._POLYA_LOCKSTEP_LANES:
+        assert sizes[0] == min(n_paths, processes._LANES)
+    if n_paths == 1000:
+        assert sizes == [256, 256, 256, 232]
+
+
 @pytest.mark.parametrize("gen, events, grid, n_paths", [
     (IIDProcess(ProbMeasure.bernoulli(finite(2), F(1, 100))), [EventSet.of(finite(2), [1])], (1000,), 1000),
     (LANE_CASES["grid geom"][0], LANE_CASES["grid geom"][1], (100, 1000, 10_000), 200),
-], ids=["iid-1000x1000", "geometric-mixture-200x10000"])
+    (BetaBernoulliProcess(1, 1), [EventSet.of(finite(2), [1])], (3 * _LANE_BLOCK + 1,), 2),
+], ids=["iid-1000x1000", "geometric-mixture-200x10000", "beta-2x(3*2^14+1)"])
 def test_sampled_paths_hold_one_lane_group(gen, events, grid, n_paths):
     """Beside its P x G x E outputs (with the labels and latents), sampling
     holds one lane group at a time: its two buffers of one lane block, the
     rows of a grid mixture's images and a few temporaries of that size, so
     the traced peak is at most six lane blocks over the outputs, whatever
-    the number of paths."""
+    the number of paths; one lane at a time, its block is one lane block as
+    well."""
     _sampled_paths(gen, events, grid, 2, 0)  # first-call set-up
     tracemalloc.start()
     try:
@@ -364,7 +400,7 @@ def test_sampled_paths_hold_one_lane_group(gen, events, grid, n_paths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lane_block = rng.block_buffers(grid[-1], gen._lanes(grid[-1]))[0].nbytes
+    lane_block = rng.block_buffers(grid[-1], gen._lanes(grid[-1], n_paths))[0].nbytes
     outputs = (paths.freqs.nbytes + paths.heads.nbytes + sys.getsizeof(paths.latents) + sys.getsizeof(paths.labels)
                + sum(map(sys.getsizeof, paths.labels)))
     assert lane_block <= 8 * max(rng._LANE_BLOCK, grid[-1])

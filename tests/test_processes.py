@@ -32,7 +32,6 @@ from exchkit.config import parse_generator
 from exchkit.kernels import MarkovKernel, bernoulli_kernel, constant_kernel, geometric_kernel, kernel_mass
 from exchkit.measures import GeometricComponent, mix_measures
 from exchkit.processes import (
-    _MARKOV_BLOCK_CELLS,
     _POLYA_BLOCK,
     _POLYA_LOCKSTEP_LANES,
     _POLYA_WARMUP_BALLS,
@@ -44,7 +43,7 @@ from exchkit.processes import (
     prefix_law,
     sample_from_measure,
 )
-from exchkit.rng import _DRAW_BLOCK, _LANE_BLOCK, block_buffers, path_stream, skip_uniforms
+from exchkit.rng import _LANE_BLOCK, block_buffers, path_stream, skip_uniforms
 
 F = Fraction
 B2 = finite(2)
@@ -718,7 +717,10 @@ def chain_of(weights_rows, initial):
     return MarkovChainProcess(row(initial), tuple(row(ws) for ws in weights_rows))
 
 
-MC = _MARKOV_BLOCK_CELLS
+# a path drawn alone is scanned one lane block of _LANE_BLOCK draws at a time,
+# its first draw the initial state: these lengths end on each side of the
+# block edges, and the longest crosses three of them
+MC = _LANE_BLOCK
 CHAIN_LENGTHS = [1, 2, 3, MC - 1, MC, MC + 1, MC + 2, 3 * MC + 5]
 CHAINS = {
     "two-state control": chain_of([[1, 3], [3, 1]], [1, 0]),
@@ -841,12 +843,13 @@ def test_long_paths_keep_their_random_stream_at_shifted_seeds(gen, n, seed, inde
 
 
 # -- draws in blocks ---------------------------------------------------------------
-# Every generator draws its path in blocks of at most _DRAW_BLOCK draws through
-# two reused buffers. The blocks, joined, are sample_path's observations, and
+# Every generator draws its path in blocks of at most _LANE_BLOCK draws through
+# two reused buffers, one lane block, as a group of lanes does. The blocks, joined, are sample_path's observations, and
 # both equal the loops and masked samplers above, which read stream.random(n).
 
-DB = _DRAW_BLOCK
-DRAW_LENGTHS = [1, DB - 1, DB, DB + 1, 2 * DB + 17]
+DB = _LANE_BLOCK
+# lengths around the first, the fourth and the eighth block edge
+DRAW_LENGTHS = [1, DB - 1, DB, DB + 1, 4 * DB - 1, 4 * DB, 4 * DB + 1, 8 * DB + 17]
 
 
 def beta_draws(gen, stream, n):
@@ -908,6 +911,14 @@ def test_blocks_match_the_oracles_at_any_length(name, n, seed, index):
     assert_blocks_match(name, n, seed, index)
 
 
+def test_sample_blocks_refuse_no_paths():
+    # refused at the call, as _sampled_paths refuses zero paths, not by
+    # dividing the lane block among no lanes
+    gen, _ = BLOCK_GENERATORS["iid finite"]
+    with pytest.raises(ValueError, match="need at least one path"):
+        gen.sample_blocks(10, 0, [])
+
+
 def test_blocks_of_several_live_branches_leave_the_stream_past_both_runs():
     # u1, the branch uniforms, is read beside u2 by a copy of the stream; the
     # stream still ends after both runs, where the masked sampler leaves it
@@ -938,8 +949,8 @@ LANE_GENERATORS = {
 
 
 def lane_block(lanes):
-    """The draws of each lane in one block: the whole draw block for one lane."""
-    return _DRAW_BLOCK if lanes == 1 else _LANE_BLOCK // lanes
+    """The draws of each lane in one block: its share of the lane block."""
+    return _LANE_BLOCK // lanes
 
 
 def assert_lanes_are_the_paths(gen, n, seed, paths):
@@ -980,8 +991,10 @@ def test_lanes_are_the_paths_drawn_alone(name, case):
 @given(lane_cases(st.sampled_from([_POLYA_LOCKSTEP_LANES - 1, _POLYA_LOCKSTEP_LANES, _POLYA_LOCKSTEP_LANES + 6])))
 @settings(deadline=None, max_examples=4)
 def test_polya_lanes_on_each_side_of_the_lockstep(urn, case):
-    """Below _POLYA_LOCKSTEP_LANES lanes each lane loops its warm-up and
-    solves its blocks; from it the group loops every draw in lockstep."""
+    """Groups of lanes on each side of _POLYA_LOCKSTEP_LANES, the fewest urn
+    paths that _lanes groups: any group of several lanes loops every draw
+    in lockstep, and each lane is the path drawn alone, whose one lane loops
+    its warm-up and solves its blocks."""
     assert_lanes_are_the_paths(LANE_GENERATORS[urn], *case)
 
 
