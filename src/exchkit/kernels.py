@@ -23,7 +23,6 @@ cofinite (:func:`_masses`), so no unnamed cell is counted.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import EXACT, ProbMeasure, mass
-from .rng import path_seed_labels
+from .rng import _integers, path_seed_labels
 from .spaces import EventSet, Record, SpaceDescriptor, SpaceMismatchError, report_value
 
 # the share of paths that a Monte Carlo check requires to pass, by default
@@ -351,13 +350,8 @@ def _frequencies(table: np.ndarray, cells: tuple[np.ndarray, np.ndarray], grid: 
 
 
 def _validate_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
-    """The one grid rule: integer path lengths, positive and strictly
-    increasing. A point that is not an integer is refused, not truncated."""
-    points = tuple(n_grid)
-    try:
-        grid = tuple(operator.index(n) for n in points)
-    except TypeError:
-        raise ValueError(f"grid points must be integers, got {points}") from None
+    """The one grid rule: integer path lengths, positive and strictly increasing."""
+    grid = _integers(tuple(n_grid), "grid points")
     if not grid or grid[0] < 1:
         raise ValueError("n_grid must contain positive lengths")
     if any(a >= b for a, b in zip(grid, grid[1:])):

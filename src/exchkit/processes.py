@@ -36,14 +36,15 @@ n*k**n pattern entries (the n keeps counting on a one-cell space),
 
 Every generator draws its paths in lanes (``ProcessGenerator._blocks``): L
 paths side by side, each its own row of every block, as Philox streams are
-counter-based and each lane reads its own (Salmon et al., SC'11). A block is
-L x m draws, at most ``_LANE_BLOCK`` (2**14, in ``rng``), for one lane as for
-many: each block's uniforms are read into one reused buffer and its draws
-written into another, and the sequential samplers carry each lane's urn
-counts or chain state from block to block. Each row reads the uniforms of its
-path's one ``stream.random(n)`` in order, and every step is elementwise over
-the lanes or a loop over them, so a lane is its path's draws bit for bit,
-whatever lanes are drawn beside it.
+counter-based and each lane reads its own (Salmon et al., SC'11); a generator
+without a latent states only its draws (``_draws``). A block is L x m draws,
+at most ``_LANE_BLOCK`` (2**14, in ``rng``), for one lane as for many: each
+block's uniforms are read into one reused buffer and its draws written into
+another, and the sequential samplers carry each lane's urn counts or chain
+state from block to block. Each row reads the uniforms of its path's one
+``stream.random(n)`` in order, and every step is elementwise over the lanes
+or a loop over them, so a lane is its path's draws bit for bit, whatever
+lanes are drawn beside it.
 
 A Monte Carlo check counts each block as it is drawn (``sample_blocks``), one
 group of ``_lanes(n, n_paths)`` paths at a time, sized from the paths still
@@ -51,10 +52,9 @@ to draw: as many whole paths as fill a lane block, at most ``_LANES`` (256),
 or 16 rows of ``_LANE_ROW`` (2**10) draws for paths longer than that row, and
 a path longer than a lane block alone. An urn group is one lane, or, while
 ``_POLYA_LOCKSTEP_LANES`` (40) paths of at most a lane block are left, up to
-``_LANES`` of them for the lockstep below. Paths of a grid mixture whose
-drawn images differ are drawn one image at a time, each image's lanes in one
-call per block. ``sample_path`` is the one-lane case, its blocks joined into
-the one path-length array, for ``simulate`` and the tests.
+``_LANES`` of them for the lockstep below. A grid mixture draws each drawn
+image's lanes together, one call per block. ``sample_path`` is one path's
+``sample_blocks``, joined into one array, for ``simulate`` and the tests.
 
 The two sequential samplers return the observations of a per-step loop bit
 for bit, in numpy operations over each lane block:
@@ -116,7 +116,7 @@ import numpy as np
 
 from .kernels import MarkovKernel, bernoulli_kernel, constant_kernel
 from .measures import ProbMeasure, mix_measures
-from .rng import _LANE_BLOCK, block_buffers, path_stream, skip_uniforms, uniform_blocks
+from .rng import _LANE_BLOCK, _integers, block_buffers, path_stream, skip_uniforms, uniform_blocks
 from .spaces import Record, SpaceDescriptor, finite
 
 # entries that one exact oracle may enumerate
@@ -230,6 +230,13 @@ def _measure_blocks(mu: ProbMeasure, streams, n: int, u: np.ndarray, out: np.nda
             yield np.take(cells, np.searchsorted(cum, ub, side="right"), out=out[:, :ub.shape[1]], mode="clip")
         return
 
+    for c in comps:
+        # the farthest cell, log(1e-300) / log1p(-q) at the least clipped
+        # uniform, must fit in int64, with a margin for the log's last bits
+        q = float(c.ratio)
+        if q < 1.0 and not math.log(1e-300) > 2.0**63 * (1 - 2**-30) * math.log1p(-q):
+            raise ValueError(f"geometric ratio {q:.3g} (as a double) draws cells past the int64 range; "
+                             f"the sampler needs a ratio of at least {-math.log(1e-300) / 2**63:.2g}")
     branch_probs = np.concatenate([[probs.sum()], [float(c.weight) for c in comps]])
     branch_cum = np.cumsum(branch_probs)
     branch_cum[-1] = 1.0
@@ -443,15 +450,8 @@ class ProcessGenerator:
     exchangeable: bool
 
     def sample_path(self, n: int, master_seed: int, path_index: int = 0) -> PathSample:
-        """One path as one array: the one-lane case of :meth:`_blocks`."""
-        if n < 1:
-            raise ValueError("path length must be >= 1")
-        # The stream is held until the path is built, and the path is a copy
-        # allocated after the buffers: a stream freed as its blocks end, or a
-        # short path's draw buffer as the path, raised the peak RSS of a run
-        # of many short paths by about 2 MB and up to 5 MB (heap placement).
-        stream = path_stream(master_seed, path_index)
-        (latent,), blocks = self._blocks([stream], n, *block_buffers(n))
+        """One path as one array: :meth:`sample_blocks` of the path, joined."""
+        (latent,), blocks = self.sample_blocks(n, master_seed, [path_index])
         return PathSample(self, (master_seed, path_index), latent, _concatenated(blocks, n))
 
     def sample_blocks(self, n: int, master_seed: int, paths: Sequence[int]):
@@ -459,7 +459,8 @@ class ProcessGenerator:
         blocks), the blocks of :meth:`_blocks`, lanes x m, drawn as they are
         iterated, through buffers of :func:`block_buffers` that the lanes
         allocate. Row l of each block is path ``paths[l]``, draw for draw the
-        path that :meth:`sample_path` returns."""
+        path drawn alone; n must be a positive integer."""
+        (n,) = _integers((n,), "path lengths")
         if n < 1:
             raise ValueError("path length must be >= 1")
         if not paths:
@@ -483,8 +484,9 @@ class ProcessGenerator:
         over consecutive lanes x m blocks, m up to ``u.shape[1]``, each a view
         of ``out`` that the next block overwrites. Row l's uniforms are read
         into ``u`` from ``streams[l]`` by :func:`uniform_blocks`, in the order
-        of one ``stream.random(n)``."""
-        raise NotImplementedError
+        of one ``stream.random(n)``. A subclass that draws no latent defines
+        only that iterator, ``_draws(streams, n, u, out)``; its latents are None."""
+        return [None] * len(streams), self._draws(streams, n, u, out)
 
     def mixing(self) -> _Mixing | None:
         """The generator's de Finetti mixing law Q and its kernel from theta
@@ -523,8 +525,8 @@ class IIDProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.base.space
 
-    def _blocks(self, streams, n, u, out):
-        return [None] * len(streams), _measure_blocks(self.base, streams, n, u, out)
+    def _draws(self, streams, n, u, out):
+        return _measure_blocks(self.base, streams, n, u, out)
 
     def mixing(self) -> _Mixing:
         return _Mixing(constant_kernel(self.base), ((1, None),), (self.base,))
@@ -570,15 +572,12 @@ class GridMixtureProcess(ProcessGenerator):
         lanes_of = {}  # the lanes of each drawn image, in lane order
         for lane, idx in enumerate(drawn):
             lanes_of.setdefault(idx, []).append(lane)
-        latents = [self.prior[idx][1] for idx in drawn]
-        if len(lanes_of) == 1:
-            return latents, _measure_blocks(self.images[drawn[0]], streams, n, u, out)
-        return latents, self._image_blocks(lanes_of, streams, n, u, out)
+        return [self.prior[idx][1] for idx in drawn], self._image_blocks(lanes_of, streams, n, u, out)
 
     def _image_blocks(self, lanes_of, streams, n, u, out):
-        """The blocks of lanes whose images differ: each image's lanes are
-        drawn together, one :func:`_measure_blocks` call per block, in rows
-        of ``u`` of their own, and copied into their rows of ``out``."""
+        """The blocks of the lanes, one drawn image at a time: each image's
+        lanes are drawn together, one :func:`_measure_blocks` call per block,
+        in rows of ``u`` of their own, and copied into their rows of ``out``."""
         parts, top = [], 0
         for idx, lanes in lanes_of.items():
             rows = u[top:top + len(lanes)]
@@ -665,10 +664,7 @@ class PolyaUrnProcess(ProcessGenerator):
         # enough are left; else one lane at a time
         return min(_LANES, n_paths) if n <= _LANE_BLOCK and n_paths >= _POLYA_LOCKSTEP_LANES else 1
 
-    def _blocks(self, streams, n, u, out):
-        return [None] * len(streams), self._urn_blocks(streams, n, u, out)
-
-    def _urn_blocks(self, streams, n, u, out):
+    def _draws(self, streams, n, u, out):
         a, b = float(self.a), float(self.b)
         if len(streams) > 1:  # every draw looped, in lockstep
             ones, zeros = np.full(len(streams), a), np.full(len(streams), b)
@@ -746,10 +742,7 @@ class MarkovChainProcess(ProcessGenerator):
     def space(self) -> SpaceDescriptor:
         return self.initial.space
 
-    def _blocks(self, streams, n, u, out):
-        return [None] * len(streams), self._chain_blocks(streams, n, u, out)
-
-    def _chain_blocks(self, streams, n, u, out):
+    def _draws(self, streams, n, u, out):
         cums = self._row_cums
         # bisect_right makes searchsorted(side="right")'s comparison, c <= u
         rows = cums.tolist()

@@ -14,6 +14,8 @@ read beside it.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _U64 = np.uint64
@@ -23,12 +25,20 @@ _U64 = np.uint64
 _LANE_BLOCK = 1 << 14
 
 
+def _integers(values: tuple, what: str) -> tuple[int, ...]:
+    """``values`` as ints: a value that is not an integer is refused, not truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
 def path_stream(master_seed: int, path_index: int = 0) -> np.random.Generator:
-    """Independent generator for one path, keyed by (master seed, path index)."""
-    if master_seed < 0 or path_index < 0:
-        raise ValueError("seed and path index must be non-negative")
-    key = np.array([master_seed, path_index], dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent generator for one path, keyed by (master seed, path index), integers in [0, 2**64)."""
+    key = _integers((master_seed, path_index), "seed and path index")
+    if min(key) < 0 or max(key) >= 2**64:
+        raise ValueError(f"seed and path index must be integers in [0, 2**64), got {key}")
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=_U64)))
 
 
 def block_buffers(n: int, lanes: int = 1) -> tuple[np.ndarray, np.ndarray]:

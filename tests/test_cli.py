@@ -346,6 +346,23 @@ def test_exit_code_two_on_seed_past_64_bits(tmp_path):
     assert "seed must lie in [0, 2**64)" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    # was exit 0, every row -9223372036854775808
+    ("simulate", "--gen", "iid:geom:1e-400", "--n", "5", "--paths", "1"),
+    # was exit 4, a TypeError on a cell past int64
+    ("estimate-mixing", "--gen", "iid:geom:1e-400", "--events", "cells:0", "--n-grid", "10", "--paths", "2"),
+    # was exit 2 on a negative cell count
+    ("estimate-mixing", "--gen", "mixture:grid(1e-400,1/2):geom", "--events", "cells:0", "--n-grid", "10",
+     "--paths", "4"),
+], ids=["simulate", "estimate-mixing iid", "estimate-mixing grid"])
+def test_exit_code_two_on_a_geometric_ratio_whose_draws_pass_int64(tmp_path, args):
+    # float(1e-400) is 0.0: log1p(-q) = 0, so every draw would be past 2**63 - 1
+    res = run_cli(*args, "--seed", "0", "--out-dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "geometric ratio 0 (as a double) draws cells past the int64 range" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_four_on_internal_error(tmp_path, monkeypatch):
     # an unexpected exception is a crash (4), never a failed check (1)
     def crash(*args, **kwargs):

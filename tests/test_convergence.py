@@ -323,6 +323,13 @@ def test_markov_bound_is_eps_plus_the_binomial_band(n_paths, bound):
     assert res.passed is (None if bound >= 1 else True)
 
 
+def test_markov_bound_refuses_a_seed_past_64_bits():
+    # was OverflowError from the stream key, not the refusal of an input
+    gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
+    with pytest.raises(ValueError, match=r"must be integers in \[0, 2\*\*64\)"):
+        markov_bound_check(gen, ONES, F(1, 10), n_paths=2, n_steps=10, master_seed=2**64)
+
+
 def test_markov_bound_empty_event_never_violates():
     gen = IIDProcess(ProbMeasure.bernoulli(B2, F(1, 100)))
     res = markov_bound_check(gen, EventSet.of(B2, []), F(1, 10), n_paths=50, n_steps=100, master_seed=0)

@@ -919,6 +919,31 @@ def test_sample_blocks_refuse_no_paths():
         gen.sample_blocks(10, 0, [])
 
 
+@pytest.mark.parametrize("key", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
+def test_a_stream_key_outside_64_bits_is_refused(key):
+    with pytest.raises(ValueError, match=r"must be integers in \[0, 2\*\*64\)"):
+        path_stream(*key)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gen: gen.sample_path(50, 0, path_index=1.5),  # was path 1's draws, labelled 0:1.5
+    lambda gen: gen.sample_path(50, 0.0),
+    lambda gen: gen.sample_blocks(50, 0, [0, 1.5]),
+    lambda gen: gen.sample_path(5.5, 0),  # was TypeError
+], ids=["index", "seed", "lane index", "length"])
+def test_a_key_or_length_that_is_not_an_integer_in_range_is_refused(call):
+    gen, _ = BLOCK_GENERATORS["iid finite"]
+    with pytest.raises(ValueError, match="must be integers"):
+        call(gen)
+
+
+def test_integer_keys_and_lengths_of_any_integer_type_draw_the_same_path():
+    gen, _ = BLOCK_GENERATORS["grid mixture"]
+    path = gen.sample_path(np.int64(50), np.uint64(3), path_index=np.int32(2))
+    assert path.seed_label == "3:2"
+    assert np.array_equal(path.observations, gen.sample_path(50, 3, path_index=2).observations)
+
+
 def test_blocks_of_several_live_branches_leave_the_stream_past_both_runs():
     # u1, the branch uniforms, is read beside u2 by a copy of the stream; the
     # stream still ends after both runs, where the masked sampler leaves it
@@ -964,6 +989,8 @@ def assert_lanes_are_the_paths(gen, n, seed, paths):
         alone = gen.sample_path(n, seed, i)
         assert latent == alone.latent
         assert np.array_equal(lane, alone.observations)
+        if isinstance(gen, GridMixtureProcess):
+            assert np.array_equal(lane, grid_draws(gen, path_stream(seed, i), n))
 
 
 @st.composite
@@ -978,13 +1005,28 @@ def lane_cases(draw, lanes=st.integers(2, 9)):
     return n, draw(st.integers(0, 2**32)), range(first, first + count)
 
 
+# 16 lanes, the group size for paths of 10**4 draws, whose paths under seed 27682 all
+# draw image 0 of both grids' two-point uniform prior (found by a search over
+# seeds at paths 0-15; such a group has chance 2**-15)
+ONE_IMAGE_GROUP = (2 * lane_block(16) + 1, 27682, range(16))
+
+
 @pytest.mark.parametrize("name", sorted(LANE_GENERATORS))
 @given(lane_cases())
 @example((3 * (_LANE_BLOCK // 9), 0, range(9)))
 @example((_LANE_BLOCK // 2 + 1, 1, range(1, 3)))
+@example(ONE_IMAGE_GROUP)
 @settings(deadline=None, max_examples=8)
 def test_lanes_are_the_paths_drawn_alone(name, case):
     assert_lanes_are_the_paths(LANE_GENERATORS[name], *case)
+
+
+@pytest.mark.parametrize("name", ["grid bern", "grid geom"])
+def test_the_one_image_group_draws_one_image(name):
+    gen = LANE_GENERATORS[name]
+    n, seed, paths = ONE_IMAGE_GROUP
+    latents, _ = gen.sample_blocks(n, seed, paths)
+    assert latents == [gen.prior[0][1]] * len(paths)
 
 
 @pytest.mark.parametrize("urn", ["polya int", "polya 1,99", "polya fraction", "polya float"])
