@@ -180,9 +180,18 @@ def rcd_verdict(
     ``freqs[i][k]`` is path i's frequency of ``events[k]`` after ``n_steps``
     draws and ``latents[i]`` its realized latent parameter. Each frequency
     passes when it lies within :func:`binomial_band` of its target
-    kappa(latents[i], events[k]) at ``n_steps``."""
+    kappa(latents[i], events[k]) at ``n_steps``, a positive integer; the
+    events follow :func:`_check_events` and ``freqs`` is P x E."""
     if len(latents) < 1:
         raise ValueError("need at least one path")
+    _check_events(events, kappa.target)
+    (n_steps,) = _integers((n_steps,), "step counts")
+    if n_steps < 1:
+        raise ValueError("step count must be >= 1")
+    validate_coverage(coverage)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.shape != (len(latents), len(events)):
+        raise ValueError(f"need one frequency per path and event, {len(latents)} x {len(events)}; got {freqs.shape}")
     # one kernel image per distinct (latent, event); the dict lives for this
     # call alone, as kernels on one space compare equal whatever their law
     target_of: dict = {}
@@ -191,7 +200,7 @@ def rcd_verdict(
             if (latent, ev) not in target_of:
                 target_of[latent, ev] = float(kernel_mass(kappa, latent, ev))
     targets = np.array([[target_of[latent, ev] for ev in events] for latent in latents])
-    gaps = np.abs(np.asarray(freqs, dtype=np.float64) - targets)  # P x E
+    gaps = np.abs(freqs - targets)  # P x E
     hits = (gaps <= binomial_band(targets, n_steps)).sum(axis=0)
     results = [
         RcdEventResult(ev, h / len(latents), tuple(t), tuple(g))

@@ -18,6 +18,7 @@ Generator variants, each with its de Finetti mixing law Q:
 
 ``mixing()`` is the one declaration of Q, finite (weight, theta) atoms or
 Beta(a, b), and of the kernel from theta to the law of each coordinate.
+``space`` (the kernel's target), ``exchangeable`` (Q is declared),
 ``prefix_pattern_law``, ``marginal`` and ``latent_kernel`` (which every kernel
 target and verdict asks) are derived from it. The urn's exact law is its own
 walk, checked against its Q by ``polya_beta_equivalence``; its paths carry no
@@ -444,10 +445,9 @@ class PathSample:
 
 class ProcessGenerator:
     """Base class; subclasses fill in sampling and :meth:`mixing`, from which
-    the exact prefix law, the marginal and the latent kernel are derived."""
-
-    space: SpaceDescriptor
-    exchangeable: bool
+    the state space, exchangeability, the exact prefix law, the marginal and
+    the latent kernel are derived. A generator that declares no mixing law
+    defines ``space`` as a property of its own, as the Markov control does."""
 
     def sample_path(self, n: int, master_seed: int, path_index: int = 0) -> PathSample:
         """One path as one array: :meth:`sample_blocks` of the path, joined."""
@@ -493,6 +493,16 @@ class ProcessGenerator:
         to the law of each coordinate, iid given theta; None if undeclared."""
         return None
 
+    @property
+    def space(self) -> SpaceDescriptor:
+        """The space of every coordinate: the target of the mixing kernel."""
+        return self.mixing().kernel.target
+
+    @property
+    def exchangeable(self) -> bool:
+        """Declaring a mixing law makes the coordinates conditionally iid, so exchangeable."""
+        return self.mixing() is not None
+
     def prefix_pattern_law(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """Exact law of the first n coordinates, in ``all_patterns`` order."""
         return self.mixing().pattern_law(n)
@@ -503,13 +513,12 @@ class ProcessGenerator:
         if mixing.beta is None:
             return mix_measures([(w, mu) for (w, _), mu in zip(mixing.atoms, mixing.images)])
         a, b = map(_exact_or_float, mixing.beta)
-        return ProbMeasure.bernoulli(self.space, a / (a + b))
+        return ProbMeasure.bernoulli(mixing.kernel.target, a / (a + b))
 
     def latent_kernel(self) -> MarkovKernel | None:
         """Kernel mapping a path's latent to the conditional law of its
         coordinates; None when the generator declares no mixing law."""
-        mixing = self.mixing()
-        return None if mixing is None else mixing.kernel
+        return self.mixing().kernel if self.exchangeable else None
 
     def spec_label(self) -> str:
         return type(self).__name__
@@ -518,12 +527,6 @@ class ProcessGenerator:
 @dataclass(frozen=True)
 class IIDProcess(ProcessGenerator):
     base: ProbMeasure
-
-    exchangeable = True
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return self.base.space
 
     def _draws(self, streams, n, u, out):
         return _measure_blocks(self.base, streams, n, u, out)
@@ -549,8 +552,6 @@ class GridMixtureProcess(ProcessGenerator):
     images: tuple[ProbMeasure, ...] = field(init=False, compare=False, repr=False)
     _prior_cum: np.ndarray = field(init=False, compare=False, repr=False)
 
-    exchangeable = True
-
     def __post_init__(self) -> None:
         total = sum(w for w, _ in self.prior)
         if total != 1:
@@ -562,10 +563,6 @@ class GridMixtureProcess(ProcessGenerator):
         cum = np.cumsum([float(w) for w, _ in self.prior])
         cum[-1] = 1.0
         object.__setattr__(self, "_prior_cum", cum)
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return self.component.target
 
     def _blocks(self, streams, n, u, out):
         drawn = np.searchsorted(self._prior_cum, [stream.random() for stream in streams], side="right").tolist()
@@ -612,15 +609,9 @@ class BetaBernoulliProcess(ProcessGenerator):
     a: object
     b: object
 
-    exchangeable = True
-
     def __post_init__(self) -> None:
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise ValueError("Beta shape parameters must be positive and finite")
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return finite(2)
 
     def _blocks(self, streams, n, u, out):
         a, b = float(self.a), float(self.b)
@@ -629,7 +620,7 @@ class BetaBernoulliProcess(ProcessGenerator):
         return p, (np.less(ub, column, out=out[:, :ub.shape[1]]) for ub in uniform_blocks(streams, n, u))
 
     def mixing(self) -> _Mixing:
-        return _Mixing(bernoulli_kernel(self.space), beta=(self.a, self.b))
+        return _Mixing(bernoulli_kernel(finite(2)), beta=(self.a, self.b))
 
     prefix_pattern_law = ProcessGenerator.prefix_pattern_law
 
@@ -648,15 +639,9 @@ class PolyaUrnProcess(ProcessGenerator):
     a: object
     b: object
 
-    exchangeable = True
-
     def __post_init__(self) -> None:
         if not (1 <= self.a < math.inf and 1 <= self.b < math.inf):
             raise ValueError("urn needs a finite count, at least one, of each color")
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return finite(2)
 
     def _lanes(self, n: int, n_paths: int) -> int:
         # a lockstep step costs about the same for every lane, so paths of up
@@ -723,8 +708,6 @@ class MarkovChainProcess(ProcessGenerator):
     # the last entry of each set to 1.0; built once
     _init_cum: np.ndarray = field(init=False, compare=False, repr=False)
     _row_cums: np.ndarray = field(init=False, compare=False, repr=False)
-
-    exchangeable = False
 
     def __post_init__(self) -> None:
         k = self.initial.space.num_cells

@@ -120,14 +120,7 @@ class EventSet:
         return n is not None and len(self.indices) == n
 
     def is_subset(self, other: "EventSet") -> bool:
-        _same_space(self, other)
-        if not self.cofinite and not other.cofinite:
-            return self.indices <= other.indices
-        if not self.cofinite and other.cofinite:
-            return self.indices.isdisjoint(other.indices)
-        if self.cofinite and other.cofinite:
-            return other.indices <= self.indices
-        return False  # a cofinite set is infinite, never inside a finite one
+        return self.union(other) == other
 
     # -- algebra -----------------------------------------------------------
 

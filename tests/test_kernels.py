@@ -17,6 +17,7 @@ from exchkit import (
     MarkovChainProcess,
     PolyaUrnProcess,
     ProbMeasure,
+    SpaceMismatchError,
     construct_rcd_from_empiricals,
     countable,
     df_product_identity_check,
@@ -477,6 +478,30 @@ def test_rcd_verdict_equals_the_per_path_loop(case):
     expected = _rcd_verdict_loop(kappa, events, latents, freqs, n, coverage)
     assert rcd_verdict(kappa, events, latents, freqs, n, coverage) == expected
     assert rcd_verdict(kappa, events, latents, np.array(freqs), n, coverage) == expected
+
+
+@pytest.mark.parametrize("events, freqs, n_steps, coverage, message", [
+    # one frequency for two paths was broadcast, judging both against it
+    ([B2_EVENTS[0]], [[0.9]], 10_000, DEFAULT_COVERAGE, "one frequency per path and event"),
+    ([B2_EVENTS[0]], [[0.1, 0.9], [0.9, 0.1]], 10_000, DEFAULT_COVERAGE, "one frequency per path and event"),
+    # no event passed vacuously
+    ([], [[], []], 10_000, DEFAULT_COVERAGE, "event list must be non-empty"),
+    # zero steps divided by zero; a fractional count was taken as is
+    ([B2_EVENTS[0]], [[0.1], [0.9]], 0, DEFAULT_COVERAGE, "step count must be >= 1"),
+    ([B2_EVENTS[0]], [[0.1], [0.9]], 2.5, DEFAULT_COVERAGE, "step counts must be integers"),
+    # coverage 0 passed every report, 1.5 failed every one
+    ([B2_EVENTS[0]], [[0.1], [0.9]], 10_000, 0, "coverage must lie in"),
+    ([B2_EVENTS[0]], [[0.1], [0.9]], 10_000, 1.5, "coverage must lie in"),
+], ids=["one-frequency", "two-per-path", "no-events", "zero-steps", "fractional-steps", "coverage-0",
+        "coverage-1.5"])
+def test_rcd_verdict_refuses_input_it_cannot_judge(events, freqs, n_steps, coverage, message):
+    with pytest.raises(ValueError, match=message):
+        rcd_verdict(bernoulli_kernel(finite(2)), events, [0.1, 0.9], freqs, n_steps, coverage)
+
+
+def test_rcd_verdict_refuses_an_event_off_the_kernel_target():
+    with pytest.raises(SpaceMismatchError, match="wrong space"):
+        rcd_verdict(bernoulli_kernel(finite(2)), [EventSet.of(finite(3), [1])], [0.1], [[0.1]], 10_000)
 
 
 

@@ -1316,4 +1316,38 @@ def test_exchangeable_classes_declare_a_mixing_law():
     assert {type(gen) for gen in gens} == classes
     for gen in gens:
         assert (gen.mixing() is not None) == gen.exchangeable
-    assert not MarkovChainProcess.exchangeable and MarkovChainProcess.mixing is processes.ProcessGenerator.mixing
+    assert not parse_generator("markov:3/4,1/4").exchangeable
+    assert MarkovChainProcess.mixing is processes.ProcessGenerator.mixing
+
+
+class DeclaredOnly(processes.ProcessGenerator):
+    """A generator that states only its mixing law, one atom at ``mu``, and
+    its draws; everything else is the base class's."""
+
+    def __init__(self, mu):
+        self.mu = mu
+
+    def mixing(self):
+        return processes._Mixing(constant_kernel(self.mu), ((1, None),), (self.mu,))
+
+    def _draws(self, streams, n, u, out):
+        return processes._measure_blocks(self.mu, streams, n, u, out)
+
+
+def test_a_generator_is_derived_from_its_declared_mixing_law():
+    mu = ProbMeasure.from_weights(finite(3), [F(1, 2), F(1, 3), F(1, 6)])
+    gen, iid = DeclaredOnly(mu), IIDProcess(mu)
+    assert gen.space == finite(3) and gen.exchangeable
+    assert [gen.marginal().atom_mass(j) for j in range(3)] == [F(1, 2), F(1, 3), F(1, 6)]
+    assert gen.latent_kernel().target == finite(3) and gen.latent_kernel().measure(None) is mu
+    assert gen.prefix_pattern_law(3) == iid.prefix_pattern_law(3)
+    assert gen.prefix_pattern_law(2)[(0, 2)] == F(1, 12)
+    assert check_exchangeable(gen, 3).exchangeable
+    # sampled through sample_blocks, lane for lane the iid generator's paths
+    n, paths = 3000, [0, 4, 9]
+    latents, blocks = gen.sample_blocks(n, 7, paths)
+    assert latents == [None] * len(paths)
+    drawn = np.concatenate([block.copy() for block in blocks], axis=1)
+    expected = [iid.sample_path(n, 7, i).observations for i in paths]
+    assert drawn.tolist() == [obs.tolist() for obs in expected]
+    assert gen.sample_path(n, 7, 4).observations.tolist() == expected[1].tolist()

@@ -1,7 +1,7 @@
 """Event algebra, canonical event text, and set-family invariants."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from exchkit import (
@@ -99,6 +99,31 @@ def test_subset_between_representations():
     space = countable()
     assert EventSet.of(space, [3]).is_subset(EventSet.cofinite_of(space, [0]))
     assert not EventSet.cofinite_of(space, [0]).is_subset(EventSet.of(space, [1, 2]))
+
+
+def _subset_by_cases(a, b):
+    """The four-case subset rule over finite and cofinite representations."""
+    if not a.cofinite and not b.cofinite:
+        return a.indices <= b.indices
+    if not a.cofinite and b.cofinite:
+        return a.indices.isdisjoint(b.indices)
+    if a.cofinite and b.cofinite:
+        return b.indices <= a.indices
+    return False  # a cofinite set is infinite, never inside a finite one
+
+
+@given(space_events(count=2))
+def test_subset_agrees_with_the_four_case_rule(bundle):
+    _, a, b = bundle
+    assert a.is_subset(b) == _subset_by_cases(a, b)
+
+
+@given(space_events(), space_events())
+def test_subset_across_spaces_is_rejected(first, second):
+    (space, a), (other, b) = first, second
+    assume(space != other)
+    with pytest.raises(SpaceMismatchError):
+        a.is_subset(b)
 
 
 def test_cross_space_algebra_rejected():
